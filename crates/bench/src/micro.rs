@@ -15,6 +15,7 @@
 //! ```
 
 use dbp_cache::{Hierarchy, HierarchyConfig};
+use dbp_cpu::{Core, CoreConfig, MemIssue, ReplaySource, TraceOp};
 use dbp_dram::{Command, Dram, DramConfig};
 use dbp_memctrl::scheduler::{FrFcfs, Tcm};
 use dbp_memctrl::{CtrlConfig, MemRequest, MemoryController};
@@ -55,29 +56,72 @@ fn filled_controller(sched: Box<dyn dbp_memctrl::Scheduler>) -> MemoryController
     mc
 }
 
+fn tick_64(mut mc: MemoryController) -> MemoryController {
+    let mut done = Vec::new();
+    for now in 0..64 {
+        mc.tick(now, &mut done);
+    }
+    mc
+}
+
 fn bench_controller_tick(r: &mut Runner) {
     r.bench_batched(
         "controller_tick/frfcfs_32deep",
         64,
         || filled_controller(Box::new(FrFcfs)),
-        |mut mc| {
-            let mut done = Vec::new();
-            for now in 0..64 {
-                mc.tick(now, &mut done);
-            }
-            mc
-        },
+        tick_64,
     );
     r.bench_batched(
         "controller_tick/tcm_32deep",
         64,
         || filled_controller(Box::new(Tcm::new(Default::default(), 4))),
-        |mut mc| {
-            let mut done = Vec::new();
-            for now in 0..64 {
-                mc.tick(now, &mut done);
+        tick_64,
+    );
+}
+
+fn bench_write_drain(r: &mut Runner) {
+    // 48 queued writes put the channel in drain mode with every request a
+    // legal candidate class member — the large-candidate `pick` the
+    // 32-deep read benches above never reach.
+    r.bench_batched(
+        "controller_tick/frfcfs_write_drain_48",
+        64,
+        || {
+            let dram = Dram::new(DramConfig::fast_test());
+            let mut mc = MemoryController::new(dram, CtrlConfig::default(), Box::new(FrFcfs), 4);
+            for i in 0..48u64 {
+                mc.enqueue(MemRequest::writeback(i, (i % 4) as usize, i * 4096, 0));
             }
             mc
+        },
+        tick_64,
+    );
+}
+
+fn bench_core_forward(r: &mut Runner) {
+    // A calm thread: long compute gaps between cache-hit loads, driven the
+    // way `System::maybe_skip` drives it — forward to the horizon, tick
+    // the dispatch cycle.
+    r.bench_batched(
+        "cpu/forward_10k_compute_cycles",
+        10_000, // simulated CPU cycles
+        || {
+            let op = TraceOp { gap: 400, addr: 64, is_write: false };
+            Core::new(CoreConfig::default(), Box::new(ReplaySource::new(vec![op])))
+        },
+        |mut core| {
+            let mut now = 0;
+            while now < 10_000 {
+                let h = core.compute_horizon().min(10_000 - now);
+                if h == 0 {
+                    core.tick(now, &mut |_, _, _| MemIssue::Done { latency: 30 });
+                    now += 1;
+                } else {
+                    core.forward(now, h);
+                    now += h;
+                }
+            }
+            core
         },
     );
 }
@@ -181,6 +225,8 @@ fn bench_end_to_end(r: &mut Runner) {
 pub fn register_all(r: &mut Runner) {
     bench_dram_commands(r);
     bench_controller_tick(r);
+    bench_write_drain(r);
+    bench_core_forward(r);
     bench_allocator(r);
     bench_cache(r);
     bench_trace_generation(r);

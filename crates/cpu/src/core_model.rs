@@ -58,7 +58,7 @@ pub enum IdleState {
     },
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Load {
     seq: u64,
     id: u64,
@@ -66,11 +66,24 @@ struct Load {
     done: bool,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingOp {
     seq: u64,
     addr: u64,
     is_write: bool,
+}
+
+/// The `mem` of a forwarded tick: the caller's horizon keeps every such
+/// tick short of the pending memory op.
+fn no_mem(_: u64, _: bool, _: u64) -> MemIssue {
+    unreachable!("forward() tick reached a memory dispatch")
+}
+
+/// The trace source of a debug-reference fork: a forward window never
+/// fetches (its op is already in the lookahead slot).
+#[cfg(any(test, debug_assertions))]
+fn no_fetch() -> TraceOp {
+    unreachable!("forward() tick fetched a trace op")
 }
 
 /// One core: consumes a trace, exposes per-cycle [`Core::tick`].
@@ -242,17 +255,114 @@ impl Core {
         }
     }
 
-    /// Run `ticks` consecutive ordinary ticks starting at cycle `start`,
-    /// none of which may reach a memory dispatch. Callers bound `ticks`
-    /// by [`Core::compute_horizon`]; a tick that would dispatch the
-    /// pending memory op panics, because the caller broke that contract.
+    /// Advance `ticks` cycles starting at cycle `start`, none of which may
+    /// reach a memory dispatch, leaving exactly the state that many
+    /// ordinary ticks would. Callers bound `ticks` by
+    /// [`Core::compute_horizon`]; a tick that would dispatch the pending
+    /// memory op panics, because the caller broke that contract.
+    ///
+    /// Inside such a window nothing enters `inflight` and only the core's
+    /// own timers complete loads, so the core is a small deterministic
+    /// system: [`Core::bulk_ticks`] advances each run of identical ticks
+    /// in one update, and only regime boundaries (a load at the window
+    /// head, a timer sweep, a part-empty window) take an ordinary tick.
+    /// Debug builds re-check every window against the stepped loop.
     pub fn forward(&mut self, start: u64, ticks: u64) {
-        let mut nomem = |_: u64, _: bool, _: u64| -> MemIssue {
-            unreachable!("forward() tick reached a memory dispatch")
+        #[cfg(debug_assertions)]
+        let reference = {
+            // The stepped loop the closed form below replicates.
+            let mut stepped = self.fork(Box::new(no_fetch));
+            for j in 0..ticks {
+                stepped.tick(start + j, &mut no_mem);
+            }
+            stepped
         };
-        for j in 0..ticks {
-            self.tick(start + j, &mut nomem);
+        let end = start + ticks;
+        let mut now = start;
+        while now < end {
+            let j = self.bulk_ticks(now, end - now);
+            if j == 0 {
+                self.tick(now, &mut no_mem);
+            }
+            now += j.max(1);
         }
+        #[cfg(debug_assertions)]
+        debug_assert!(
+            self.same_state(&reference),
+            "closed-form forward diverged from stepped ticks: {self:?} vs {reference:?}"
+        );
+    }
+
+    /// Bulk-advance as many of the next `left` memory-free ticks (the
+    /// first at cycle `now`) as provably repeat one of two regimes, and
+    /// return how many that was; zero means the next tick is a regime
+    /// boundary and must run as an ordinary [`Core::tick`].
+    ///
+    /// - *Head load outstanding*: nothing retires until the earliest
+    ///   timer can fire, so every tick charges a retire stall while
+    ///   dispatch fills the remaining room at full width, then charges
+    ///   a window-full stall from the first tick it cannot.
+    /// - *Steady full width*: occupancy ≥ `width`, no timer due and no
+    ///   in-flight load within `width` retire slots — each tick retires
+    ///   and dispatches exactly `width`, touching no stall counter and
+    ///   leaving occupancy (hence the regime) unchanged.
+    fn bulk_ticks(&mut self, now: u64, left: u64) -> u64 {
+        let w = u64::from(self.cfg.width);
+        let occ = self.dispatched - self.retired;
+        // Ticks before the timer sweep has anything to do.
+        let quiet = left.min(self.next_timer.saturating_sub(now));
+        let j = match self.inflight.front() {
+            Some(front) if front.seq == self.retired => {
+                if front.done || quiet == 0 {
+                    return 0;
+                }
+                let room = self.cfg.rob - occ;
+                self.dispatched += room.min(quiet.saturating_mul(w));
+                self.stats.retire_stall_cycles += quiet;
+                self.stats.window_full_cycles += quiet.saturating_sub(room / w);
+                quiet
+            }
+            front => {
+                if occ < w {
+                    return 0;
+                }
+                let j = front.map_or(quiet, |f| quiet.min((f.seq - self.retired) / w));
+                self.retired += j * w;
+                self.dispatched += j * w;
+                self.stats.retired = self.retired;
+                j
+            }
+        };
+        self.stats.cycles += j;
+        j
+    }
+
+    /// A copy of this core reading from `source` instead (the trace
+    /// source itself is not cloneable).
+    #[cfg(any(test, debug_assertions))]
+    fn fork(&self, source: Box<dyn TraceSource>) -> Core {
+        Core {
+            cfg: self.cfg,
+            source,
+            dispatched: self.dispatched,
+            retired: self.retired,
+            stream_pos: self.stream_pos,
+            pending: self.pending,
+            inflight: self.inflight.clone(),
+            next_timer: self.next_timer,
+            next_load_id: self.next_load_id,
+            stats: self.stats,
+        }
+    }
+
+    /// Whether every field but the trace source equals `other`'s.
+    #[cfg(any(test, debug_assertions))]
+    fn same_state(&self, other: &Core) -> bool {
+        (self.dispatched, self.retired, self.stream_pos, self.pending, self.next_timer)
+            == (other.dispatched, other.retired, other.stream_pos, other.pending, other.next_timer)
+            && self.inflight == other.inflight
+            && self.next_load_id == other.next_load_id
+            && self.stats == other.stats
     }
 
     /// Advance one CPU cycle. `mem` is called for each dispatched memory
@@ -606,7 +716,7 @@ mod prop_tests {
     use super::*;
     use crate::trace::ReplaySource;
     use dbp_util::prop::{any_bool, check, range, vec_of, CaseResult, Config, Gen};
-    use dbp_util::prop_assert;
+    use dbp_util::{prop_assert, prop_assert_eq};
 
     fn arb_trace() -> impl Gen<Value = Vec<TraceOp>> {
         vec_of(
@@ -676,6 +786,107 @@ mod prop_tests {
     fn regression_single_store_minimal_window() {
         window_invariants(vec![TraceOp { gap: 0, addr: 0, is_write: true }], 1, 1, &[0; 8])
             .unwrap();
+    }
+
+    /// A memory system that is a pure function of (cycle, load id), so
+    /// forked cores replaying the same cycles see the same answers.
+    fn mem_answer(salt: u64, now: u64, id: u64) -> MemIssue {
+        let h = (salt ^ now.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ id.wrapping_mul(0xC2B2_AE3D))
+            .wrapping_mul(0xFF51_AFD7_ED55_8CCD)
+            >> 33;
+        match h % 4 {
+            0 => MemIssue::Retry,
+            1 => MemIssue::Pending,
+            _ => MemIssue::Done { latency: (h / 4 % 300) as u32 },
+        }
+    }
+
+    /// `forward(now, h)` equals `h` stepped ticks for every `h` up to the
+    /// horizon: same counters, same classification, same full state, and
+    /// the same behaviour over the 64 ordinary ticks that follow.
+    fn forward_equals_stepped(trace: Vec<TraceOp>, rob: u64, width: u32, salt: u64) -> CaseResult {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        struct Shared(Rc<RefCell<ReplaySource>>);
+        impl TraceSource for Shared {
+            fn next_op(&mut self) -> TraceOp {
+                self.0.borrow_mut().next_op()
+            }
+        }
+        let src = Rc::new(RefCell::new(ReplaySource::new(trace)));
+        let mut core = Core::new(CoreConfig { rob, width }, Box::new(Shared(src.clone())));
+        let mut outstanding: Vec<u64> = Vec::new();
+        let (mut now, mut windows) = (0u64, 0u32);
+        for round in 0..4000u64 {
+            if windows == 10 {
+                break;
+            }
+            // Random completions between windows (and between ticks).
+            outstanding.retain(|&id| {
+                let hit = salt.wrapping_add(id * 31 + round).wrapping_mul(0x2545_F491_4F6C_DD1D)
+                    >> 61
+                    == 0;
+                if hit {
+                    core.complete(id);
+                }
+                !hit
+            });
+            let horizon = core.compute_horizon();
+            if horizon == 0 {
+                core.tick(now, &mut |_, is_write, id| {
+                    let ans = mem_answer(salt, now, id);
+                    if ans == MemIssue::Pending && !is_write {
+                        outstanding.push(id);
+                    }
+                    ans
+                });
+                now += 1;
+                continue;
+            }
+            windows += 1;
+            let mut stepped = core.fork(Box::new(no_fetch));
+            for h in 0..=horizon {
+                let mut fast = core.fork(Box::new(no_fetch));
+                fast.forward(now, h);
+                prop_assert_eq!(fast.stats(), stepped.stats(), "stats, h {h} of {horizon}");
+                prop_assert_eq!(fast.retired(), stepped.retired(), "h {h} of {horizon}");
+                prop_assert_eq!(fast.idle_state(), stepped.idle_state(), "h {h} of {horizon}");
+                prop_assert!(fast.same_state(&stepped), "h {h}: {fast:?} vs {stepped:?}");
+                let mut fast = fast.fork(Box::new(src.borrow().clone()));
+                let mut slow = stepped.fork(Box::new(src.borrow().clone()));
+                for t in now + h..now + h + 64 {
+                    fast.tick(t, &mut |_, _, id| mem_answer(salt, t, id));
+                    slow.tick(t, &mut |_, _, id| mem_answer(salt, t, id));
+                    prop_assert!(fast.same_state(&slow), "h {h}, tick {t}: {fast:?} vs {slow:?}");
+                }
+                if h < horizon {
+                    stepped.tick(now + h, &mut no_mem);
+                }
+            }
+            // Continue from a window length the salt picks.
+            let h = salt.wrapping_add(round) % (horizon + 1);
+            core.forward(now, h);
+            now += h;
+        }
+        prop_assert!(windows > 0 || now > 0, "the case never ran");
+        Ok(())
+    }
+
+    #[test]
+    fn forward_equals_stepped_for_every_window_length() {
+        // Mostly long compute gaps (forward windows), some back-to-back
+        // bursts (loads packed at the window head).
+        let op = (range(0u32..3), range(0u32..2001), range(0u64..1_000_000), any_bool()).map(
+            |(burst, gap, page, is_write)| TraceOp {
+                gap: if burst == 0 { gap % 4 } else { gap },
+                addr: page << 6,
+                is_write,
+            },
+        );
+        let g = (vec_of(op, 1..24), range(1u64..65), range(1u32..9), range(0u64..u64::MAX));
+        check(Config::cases(48), &g, |(trace, rob, width, salt)| {
+            forward_equals_stepped(trace, rob, width, salt)
+        });
     }
 
     /// With every access hitting instantly, IPC approaches the width.

@@ -122,6 +122,13 @@ impl DramConfig {
         }
         pow2("channels", self.channels)?;
         pow2("ranks_per_channel", self.ranks_per_channel)?;
+        if self.ranks_per_channel > 64 {
+            // The controller tracks per-rank refresh urgency in a u64 mask.
+            return Err(format!(
+                "ranks_per_channel must be at most 64, got {}",
+                self.ranks_per_channel
+            ));
+        }
         pow2("banks_per_rank", self.banks_per_rank)?;
         pow2("rows_per_bank", self.rows_per_bank)?;
         pow2("row_bytes", self.row_bytes)?;
@@ -167,6 +174,15 @@ mod tests {
     fn rejects_non_power_of_two() {
         let c = DramConfig { banks_per_rank: 6, ..Default::default() };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn rejects_more_ranks_than_the_urgency_mask_holds() {
+        let ok = DramConfig { ranks_per_channel: 64, ..Default::default() };
+        ok.validate().unwrap();
+        let c = DramConfig { ranks_per_channel: 128, ..Default::default() };
+        let err = c.validate().unwrap_err();
+        assert!(err.contains("ranks_per_channel") && err.contains("128"), "{err}");
     }
 
     #[test]

@@ -356,12 +356,11 @@ impl Dram {
 
     /// Banks of (channel, rank) that currently hold an open row — these
     /// must be precharged before a refresh.
-    pub fn open_banks(&self, channel: u32, rank: u32) -> Vec<u32> {
+    pub fn open_banks(&self, channel: u32, rank: u32) -> impl Iterator<Item = u32> + '_ {
         let ri = self.rank_idx(channel, rank);
         let base = ri * self.cfg.banks_per_rank as usize;
         (0..self.cfg.banks_per_rank)
-            .filter(|&b| self.banks[base + b as usize].open_row.is_some())
-            .collect()
+            .filter(move |&b| self.banks[base + b as usize].open_row.is_some())
     }
 }
 
@@ -496,7 +495,7 @@ mod tests {
         d.issue(&Command::activate(0, 0, 2, 1), 0);
         let rf = Command::RefreshRank { channel: 0, rank: 0 };
         assert_eq!(d.earliest_issue(&rf, 0), None);
-        assert_eq!(d.open_banks(0, 0), vec![2]);
+        assert_eq!(d.open_banks(0, 0).collect::<Vec<_>>(), vec![2]);
         let pre = Command::precharge(0, 0, 2);
         let tp = d.earliest_issue(&pre, 0).unwrap();
         d.issue(&pre, tp);

@@ -125,8 +125,10 @@ pub struct MemoryController {
     /// `read_q` / `write_q` exactly (see [`CandTable`]).
     cand_r: Vec<CandTable>,
     cand_w: Vec<CandTable>,
-    /// Reusable (queue index, kind) gather buffer for `pick`.
-    scratch: Vec<(u32, u8)>,
+    /// `pick`'s legal-candidate set: one bit per queue slot (all zero
+    /// between picks), and each set slot's command kind.
+    legal: Vec<u64>,
+    kind_of: Vec<u8>,
     draining: Vec<bool>,
     pending: BinaryHeap<Reverse<PendingRead>>,
     prof: ProfilerState,
@@ -157,12 +159,14 @@ impl MemoryController {
         let channels = dram.cfg().channels as usize;
         let total_banks = dram.cfg().total_banks() as usize;
         let closed_page = dram.cfg().row_policy == RowPolicy::Closed;
+        let slots = cfg.read_q_cap.max(cfg.write_q_cap);
         MemoryController {
             read_q: vec![Vec::with_capacity(cfg.read_q_cap); channels],
             write_q: vec![Vec::with_capacity(cfg.write_q_cap); channels],
             cand_r: vec![CandTable::default(); channels],
             cand_w: vec![CandTable::default(); channels],
-            scratch: Vec::new(),
+            legal: vec![0; slots.div_ceil(64)],
+            kind_of: vec![0; slots],
             draining: vec![false; channels],
             pending: BinaryHeap::new(),
             prof: ProfilerState::new(threads, total_banks),
@@ -619,22 +623,22 @@ impl MemoryController {
                 Some(_) => {} // precharged but mid-timing: just wait
                 None => {
                     // Precharge open banks so the REF can go.
-                    for bank in self.dram.open_banks(ch, rank) {
-                        let pre = Command::precharge(ch, rank, bank);
-                        if self.dram.can_issue(&pre, now) {
-                            self.dram.issue(&pre, now);
-                            self.cand_mark_stale(ch as usize);
-                            self.cand_rekind_bank(ch as usize, rank, bank);
-                            self.stats.cmd_pre += 1;
-                            self.ctr_cmds.incr();
-                            return Some(IssuedCmd {
-                                rank,
-                                bank: Some(bank),
-                                thread: None,
-                                id: None,
-                                kind: IssuedKind::Precharge,
-                            });
-                        }
+                    let ready = self.dram.open_banks(ch, rank).find(|&bank| {
+                        self.dram.can_issue(&Command::precharge(ch, rank, bank), now)
+                    });
+                    if let Some(bank) = ready {
+                        self.dram.issue(&Command::precharge(ch, rank, bank), now);
+                        self.cand_mark_stale(ch as usize);
+                        self.cand_rekind_bank(ch as usize, rank, bank);
+                        self.stats.cmd_pre += 1;
+                        self.ctr_cmds.incr();
+                        return Some(IssuedCmd {
+                            rank,
+                            bank: Some(bank),
+                            thread: None,
+                            id: None,
+                            kind: IssuedKind::Precharge,
+                        });
                     }
                 }
             }
@@ -772,10 +776,11 @@ impl MemoryController {
     ///
     /// Driven by the candidate table: one cached timing answer per
     /// (bank, kind) class admits or rejects every member at once, so
-    /// only the members of *legal* classes are visited. Visiting them in
-    /// ascending queue order makes the first-strictly-better-wins scan
-    /// byte-identical to a flat walk of the whole queue (checked against
-    /// one in debug builds).
+    /// only the members of *legal* classes are visited. They are marked
+    /// in a queue-slot bitset and visited lowest set bit first — ascending
+    /// queue order without a sort — which makes the
+    /// first-strictly-better-wins scan byte-identical to a flat walk of
+    /// the whole queue (checked against one in debug builds).
     fn pick(
         &mut self,
         ch: u32,
@@ -786,11 +791,18 @@ impl MemoryController {
         let chi = ch as usize;
         self.cand_refresh(chi, is_write, now);
         let MemoryController {
-            cand_r, cand_w, read_q, write_q, sched, closed_page, scratch, ..
+            cand_r,
+            cand_w,
+            read_q,
+            write_q,
+            sched,
+            closed_page,
+            legal,
+            kind_of,
+            ..
         } = self;
         let (table, queue) =
             if is_write { (&cand_w[chi], &write_q[chi]) } else { (&cand_r[chi], &read_q[chi]) };
-        scratch.clear();
         for p in &table.pairs {
             if p.t_legal > now {
                 continue;
@@ -799,27 +811,31 @@ impl MemoryController {
                 continue; // rank is waiting for refresh: no new rows
             }
             for &m in &p.members {
-                scratch.push((m, p.kind));
+                legal[m as usize / 64] |= 1 << (m % 64);
+                kind_of[m as usize] = p.kind;
             }
         }
-        scratch.sort_unstable();
         let mut best: Option<(usize, u8, bool)> = None;
-        for &(m, kind) in scratch.iter() {
-            let i = m as usize;
-            let r = &queue[i];
-            let hit = kind == KIND_COL;
-            let better = match &best {
-                None => true,
-                Some((bi, _, bhit)) => {
-                    if is_write {
-                        row_hit_then_age(r, hit, &queue[*bi], *bhit)
-                    } else {
-                        sched.prefer(r, hit, &queue[*bi], *bhit)
+        for (wi, word) in legal.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                let i = wi * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (r, kind) = (&queue[i], kind_of[i]);
+                let hit = kind == KIND_COL;
+                let better = match &best {
+                    None => true,
+                    Some((bi, _, bhit)) => {
+                        if is_write {
+                            row_hit_then_age(r, hit, &queue[*bi], *bhit)
+                        } else {
+                            sched.prefer(r, hit, &queue[*bi], *bhit)
+                        }
                     }
+                };
+                if better {
+                    best = Some((i, kind, hit));
                 }
-            };
-            if better {
-                best = Some((i, kind, hit));
             }
         }
         let res = best.map(|(i, kind, hit)| {
@@ -847,10 +863,10 @@ impl MemoryController {
         res
     }
 
-    /// The original exhaustive queue walk `pick` replicates — kept (debug
-    /// builds only) as the reference the candidate table is checked
-    /// against on every single pick.
-    #[cfg(debug_assertions)]
+    /// The original exhaustive queue walk `pick` replicates — kept (test
+    /// and debug builds only) as the reference the candidate table is
+    /// checked against on every single debug-build pick.
+    #[cfg(any(test, debug_assertions))]
     fn pick_flat(
         &self,
         ch: u32,
@@ -1553,6 +1569,15 @@ mod prop_tests {
     }
 
     fn build_any(idx: usize, recorded: bool) -> MemoryController {
+        let ctrl = CtrlConfig { read_q_cap: 16, write_q_cap: 16, write_hi: 12, write_lo: 4 };
+        let mut mc = build_with(idx, DramConfig::fast_test(), ctrl);
+        if recorded {
+            mc.attach_recorder(dbp_obs::Recorder::new(Default::default()));
+        }
+        mc
+    }
+
+    fn build_with(idx: usize, dram: DramConfig, ctrl: CtrlConfig) -> MemoryController {
         use crate::scheduler::{Atlas, Bliss, FrFcfsCap};
         let sched: Box<dyn Scheduler> = match idx {
             0 => Box::new(Fcfs),
@@ -1563,16 +1588,87 @@ mod prop_tests {
             5 => Box::new(Bliss::new(Default::default(), 4)),
             _ => Box::new(Tcm::new(Default::default(), 4)),
         };
-        let mut mc = MemoryController::new(
-            Dram::new(DramConfig::fast_test()),
-            CtrlConfig { read_q_cap: 16, write_q_cap: 16, write_hi: 12, write_lo: 4 },
-            sched,
-            4,
-        );
-        if recorded {
-            mc.attach_recorder(dbp_obs::Recorder::new(Default::default()));
+        MemoryController::new(Dram::new(dram), ctrl, sched, 4)
+    }
+
+    /// The bitset-ordered `pick` returns exactly what the exhaustive
+    /// queue walk does, for both queues of the channel, on every tick of
+    /// a feed-then-drain run; returns the deepest queue seen.
+    fn pick_equals_flat(
+        mut mc: MemoryController,
+        reqs: &[(usize, u64, bool)],
+        masks: &[u64],
+    ) -> Result<usize, String> {
+        let mut feed = reqs.iter().copied().peekable();
+        let (mut done, mut deepest) = (Vec::new(), 0);
+        let mut now: Cycle = 0;
+        let mut id = 0u64;
+        while feed.peek().is_some() || mc.in_flight() > 0 {
+            for _ in 0..3 {
+                let Some(&(thread, page, is_write)) = feed.peek() else { break };
+                if !mc.can_accept(0, is_write) {
+                    break;
+                }
+                feed.next();
+                let addr = page << 12;
+                mc.enqueue(if is_write {
+                    MemRequest::writeback(id, thread, addr, now)
+                } else {
+                    MemRequest::demand_read(id, thread, addr, now)
+                });
+                id += 1;
+            }
+            let urgent = masks[now as usize % masks.len()];
+            for is_write in [false, true] {
+                deepest = deepest.max(mc.queue_len(0, is_write));
+                prop_assert_eq!(
+                    mc.pick(0, now, is_write, urgent),
+                    mc.pick_flat(0, now, is_write, urgent),
+                    "cycle {}, is_write {}, urgent {:#b}",
+                    now,
+                    is_write,
+                    urgent
+                );
+            }
+            prop_assert!(mc.legal.iter().all(|&w| w == 0), "pick must leave the bitset clear");
+            mc.tick(now, &mut done);
+            now += 1;
+            prop_assert!(now < 500_000, "livelock: {} in flight", mc.in_flight());
         }
-        mc
+        Ok(deepest)
+    }
+
+    #[test]
+    fn pick_matches_flat_scan_for_every_scheduler_page_policy_and_queue_cap() {
+        for (sched_idx, closed, cap) in (0..7usize)
+            .flat_map(|s| [false, true].map(|c| (s, c)))
+            .flat_map(|(s, c)| [5usize, 64, 100].map(|cap| (s, c, cap)))
+        {
+            let dram = DramConfig {
+                ranks_per_channel: 2,
+                row_policy: if closed { RowPolicy::Closed } else { RowPolicy::Open },
+                ..DramConfig::fast_test()
+            };
+            let ctrl = CtrlConfig {
+                read_q_cap: cap,
+                write_q_cap: cap,
+                write_hi: cap * 3 / 4,
+                write_lo: cap / 4,
+            };
+            let deepest = std::cell::Cell::new(0);
+            let g = (
+                // 1024 pages fit two fast_test ranks; enough requests to
+                // fill the queues to `cap` (a partial last bitset word).
+                vec_of((range(0usize..4), range(0u64..1024), any_bool()), cap * 3..cap * 4),
+                vec_of(range(0u64..4), 1..8),
+            );
+            check(Config::cases(3), &g, |(reqs, masks)| {
+                let mc = build_with(sched_idx, dram.clone(), ctrl);
+                deepest.set(deepest.get().max(pick_equals_flat(mc, &reqs, &masks)?));
+                Ok(())
+            });
+            assert_eq!(deepest.get(), cap, "scheduler {sched_idx}: queues must fill");
+        }
     }
 
     /// Tentpole gate at the controller level: draining a queue by jumping

@@ -41,8 +41,8 @@ pub struct System {
     /// Request id -> (core, line) for demand-read completions.
     req_map: FxHashMap<u64, (usize, u64)>,
     next_req_id: u64,
-    /// Copy traffic waiting for queue space: (thread, addr, is_write).
-    migration_backlog: VecDeque<(usize, u64, bool)>,
+    /// Copy traffic waiting for queue space.
+    migration_backlog: MigrationBacklog,
     /// Per core: the last full poll evaluation proved "probe miss, no
     /// MSHR merge, MSHR full" — a verdict that cannot change until a
     /// completion is delivered to this core (frees an MSHR slot, fills
@@ -172,7 +172,10 @@ impl System {
             last_plan: Some(plan),
             req_map: FxHashMap::default(),
             next_req_id: 0,
-            migration_backlog: VecDeque::new(),
+            migration_backlog: MigrationBacklog::new(
+                cfg.migration_lines_per_page,
+                u64::from(cfg.dram.page_bytes),
+            ),
             poll_stuck: vec![false; n],
             last_fed_instr: vec![0; n],
             cycle: 0,
@@ -404,9 +407,9 @@ impl System {
                     }
                 }
                 dbp_cpu::IdleState::Active => {
-                    // Compute phase: the window is replayed with ordinary
-                    // ticks (`Core::forward`), so the core's own timers
-                    // fire internally and need no calendar entry — only
+                    // Compute phase: `Core::forward` advances the window
+                    // in closed form, firing the core's own timers
+                    // internally, so they need no calendar entry — only
                     // its next possible memory dispatch bounds the jump.
                     let h = self.cores[i].compute_horizon();
                     if h == 0 {
@@ -438,7 +441,7 @@ impl System {
         // would accept means the next DRAM tick enqueues — no skip. (If
         // the queue is full it stays full for the whole window: nothing
         // issues or completes before the controller's next event.)
-        if let Some(&(_, addr, is_write)) = self.migration_backlog.front() {
+        if let Some((_, addr, is_write)) = self.migration_backlog.front() {
             if self.ctrl.can_accept(self.ctrl.channel_of(addr), is_write) {
                 return;
             }
@@ -518,7 +521,7 @@ impl System {
         if !self.migration_backlog.is_empty() {
             let _s = self.host_prof.span("sim/migration_feed");
             for _ in 0..4 {
-                let Some(&(thread, addr, is_write)) = self.migration_backlog.front() else {
+                let Some((thread, addr, is_write)) = self.migration_backlog.front() else {
                     break;
                 };
                 let ch = self.ctrl.channel_of(addr);
@@ -553,8 +556,6 @@ impl System {
         let channels = self.cfg.dram.channels;
         let write_cap = self.cfg.ctrl.write_q_cap;
         let charge_migration = self.cfg.migration_cost == MigrationCost::Charged;
-        let lines_per_page = self.cfg.migration_lines_per_page;
-        let page_bytes = u64::from(self.cfg.dram.page_bytes);
         let time_skip = self.time_skip;
         let System {
             cores,
@@ -567,7 +568,6 @@ impl System {
             next_req_id,
             migration_backlog,
             poll_stuck,
-            stats,
             ..
         } = self;
         for (i, core) in cores.iter_mut().enumerate() {
@@ -585,13 +585,7 @@ impl System {
                 let tr = osmem.translate(i, vaddr);
                 if let Some(job) = tr.migration {
                     if charge_migration {
-                        queue_migration_traffic(
-                            migration_backlog,
-                            stats,
-                            &job,
-                            lines_per_page,
-                            page_bytes,
-                        );
+                        migration_backlog.jobs.push_back(job);
                     }
                 }
                 let pa = tr.pa;
@@ -725,15 +719,7 @@ impl System {
                 // A grown partition needs its pages spread to be useful.
                 jobs.extend(self.osmem.rebalance_thread(t));
                 if self.cfg.migration_cost == MigrationCost::Charged {
-                    for job in &jobs {
-                        queue_migration_traffic(
-                            &mut self.migration_backlog,
-                            &mut self.stats,
-                            job,
-                            self.cfg.migration_lines_per_page,
-                            u64::from(self.cfg.dram.page_bytes),
-                        );
-                    }
+                    self.migration_backlog.jobs.extend(jobs);
                 }
             }
         }
@@ -809,21 +795,53 @@ impl System {
     }
 }
 
-/// Expand one page migration into line-granularity copy traffic.
-fn queue_migration_traffic(
-    backlog: &mut VecDeque<(usize, u64, bool)>,
-    stats: &mut SysStats,
-    job: &MigrationJob,
-    lines_per_page: u32,
+/// Page copies waiting to be charged to DRAM as line-granularity traffic:
+/// per page, `lines_per_page / 2` (old-frame read, new-frame write) pairs
+/// spread evenly over the page. Holds whole jobs plus a cursor into the
+/// front one, so a repartition that moves thousands of pages queues one
+/// entry per page, not one per line.
+#[derive(Debug)]
+struct MigrationBacklog {
+    jobs: VecDeque<MigrationJob>,
+    /// Requests of the front job already handed out.
+    cursor: u64,
+    /// Read/write pairs per page, and their byte spacing.
+    pairs: u64,
+    stride: u64,
     page_bytes: u64,
-) {
-    let half = u64::from(lines_per_page / 2).max(1);
-    let stride = (page_bytes / half).max(64);
-    for k in 0..half {
-        backlog.push_back((job.thread, job.old_frame * page_bytes + k * stride, false));
-        backlog.push_back((job.thread, job.new_frame * page_bytes + k * stride, true));
+}
+
+impl MigrationBacklog {
+    fn new(lines_per_page: u32, page_bytes: u64) -> Self {
+        let pairs = u64::from(lines_per_page / 2).max(1);
+        let stride = (page_bytes / pairs).max(64);
+        MigrationBacklog { jobs: VecDeque::new(), cursor: 0, pairs, stride, page_bytes }
     }
-    let _ = stats;
+
+    fn is_empty(&self) -> bool {
+        self.jobs.is_empty()
+    }
+
+    fn clear(&mut self) {
+        self.jobs.clear();
+        self.cursor = 0;
+    }
+
+    /// The next copy request: (thread, addr, is_write).
+    fn front(&self) -> Option<(usize, u64, bool)> {
+        let job = self.jobs.front()?;
+        let is_write = self.cursor % 2 == 1;
+        let frame = if is_write { job.new_frame } else { job.old_frame };
+        Some((job.thread, frame * self.page_bytes + self.cursor / 2 * self.stride, is_write))
+    }
+
+    fn pop_front(&mut self) {
+        self.cursor += 1;
+        if self.cursor == 2 * self.pairs {
+            self.jobs.pop_front();
+            self.cursor = 0;
+        }
+    }
 }
 
 #[cfg(test)]
