@@ -28,14 +28,21 @@ DBP_BENCH_ITERS=5 DBP_BENCH_WARMUP=1 DBP_BENCH_JSON="$(pwd)/BENCH_results.json" 
 # default because CI runs few iterations on shared runners: the gate
 # exists to catch structural slowdowns (an accidental O(n²), a dropped
 # memo), not scheduling jitter.
+# The history append is exercised on a scratch copy of the committed
+# BENCH_history.jsonl, so a CI run leaves the tree clean; a PR adds its
+# one real line itself:
+#   ./target/release/bench_all --perf-only --baseline BENCH_baseline.json \
+#       --bench-results BENCH_results.json --history-append BENCH_history.jsonl
+cp BENCH_history.jsonl target/ci-bench-history.jsonl
 DBP_PERF_GATE=1 DBP_PERF_TOLERANCE=0.6 ./target/release/bench_all --perf-only \
     --baseline BENCH_baseline.json --bench-results BENCH_results.json \
     --perf-out "$(pwd)/PERF_summary.json" \
-    --history-append "$(pwd)/BENCH_history.jsonl"
+    --history-append "$(pwd)/target/ci-bench-history.jsonl"
 ./target/release/jsonlint --require-key benchmarks --require-key gate_passed PERF_summary.json
 # The longitudinal history grew by exactly one line, and that line is a
 # schema-stamped JSON object of this run's medians.
-tail -n 1 BENCH_history.jsonl | ./target/release/jsonlint --require-key medians
+test "$(wc -l < target/ci-bench-history.jsonl)" -eq "$(($(wc -l < BENCH_history.jsonl) + 1))"
+tail -n 1 target/ci-bench-history.jsonl | ./target/release/jsonlint --require-key medians
 
 # Telemetry smoke test: a tiny traced run must produce machine-readable
 # exports that the in-tree JSON parser accepts.

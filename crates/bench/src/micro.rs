@@ -47,10 +47,12 @@ fn bench_dram_commands(r: &mut Runner) {
     );
 }
 
-fn filled_controller(sched: Box<dyn dbp_memctrl::Scheduler>) -> MemoryController {
-    let mut mc =
-        MemoryController::new(Dram::new(DramConfig::fast_test()), CtrlConfig::default(), sched, 4);
-    for i in 0..32u64 {
+/// A controller with 32 reads queued on each of `channels` channels
+/// (consecutive pages rotate over the channels).
+fn filled_controller(sched: Box<dyn dbp_memctrl::Scheduler>, channels: u32) -> MemoryController {
+    let dram = Dram::new(DramConfig { channels, ..DramConfig::fast_test() });
+    let mut mc = MemoryController::new(dram, CtrlConfig::default(), sched, 4);
+    for i in 0..32 * u64::from(channels) {
         mc.enqueue(MemRequest::demand_read(i, (i % 4) as usize, i * 4096, 0));
     }
     mc
@@ -68,13 +70,20 @@ fn bench_controller_tick(r: &mut Runner) {
     r.bench_batched(
         "controller_tick/frfcfs_32deep",
         64,
-        || filled_controller(Box::new(FrFcfs)),
+        || filled_controller(Box::new(FrFcfs), 1),
+        tick_64,
+    );
+    // The multi-channel tick: four independent channels issuing side by side.
+    r.bench_batched(
+        "controller_tick/frfcfs_4ch_32deep",
+        64,
+        || filled_controller(Box::new(FrFcfs), 4),
         tick_64,
     );
     r.bench_batched(
         "controller_tick/tcm_32deep",
         64,
-        || filled_controller(Box::new(Tcm::new(Default::default(), 4))),
+        || filled_controller(Box::new(Tcm::new(Default::default(), 4)), 1),
         tick_64,
     );
 }

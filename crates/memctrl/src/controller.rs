@@ -32,6 +32,30 @@ impl Default for CtrlConfig {
     }
 }
 
+impl CtrlConfig {
+    /// Check the queue sizing and the write-drain watermarks.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated requirement.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.read_q_cap == 0 {
+            return Err("read_q_cap must be positive".into());
+        }
+        if self.write_q_cap < 2 {
+            // A miss is admitted only with room for its two write-backs.
+            return Err(format!("write_q_cap must be at least 2, got {}", self.write_q_cap));
+        }
+        if self.write_lo >= self.write_hi || self.write_hi > self.write_q_cap {
+            return Err(format!(
+                "write watermarks must satisfy write_lo < write_hi <= write_q_cap, got {} / {} / {}",
+                self.write_lo, self.write_hi, self.write_q_cap
+            ));
+        }
+        Ok(())
+    }
+}
+
 /// A finished demand read, reported from [`MemoryController::tick`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
@@ -80,37 +104,135 @@ impl PartialOrd for PendingRead {
 /// activate (row closed). Timing legality depends only on this triple —
 /// never on the specific row or column — which is what makes the
 /// per-(bank, kind) candidate table below exact.
-const KIND_COL: u8 = 0;
-const KIND_PRE: u8 = 1;
-const KIND_ACT: u8 = 2;
+const KIND_COL: usize = 0;
+const KIND_PRE: usize = 1;
+const KIND_ACT: usize = 2;
 
-/// One (rank, bank, kind) candidate class and the queue slots behind it.
-#[derive(Debug, Clone)]
-struct Pair {
-    rank: u32,
-    bank: u32,
-    kind: u8,
-    /// Exact earliest cycle this class's command can issue, as of the
-    /// last refresh (`valid`). Device timing state changes only when a
-    /// command issues on the channel, so the value stays exact until the
-    /// table is marked stale; `Cycle::MAX` when the device returns no
-    /// legal time (cannot happen while `kind` matches the bank state).
-    t_legal: Cycle,
-    valid: bool,
-    /// Queue indices (unsorted) of the member requests.
-    members: Vec<u32>,
+/// Set-bit positions of a bitset, ascending.
+fn bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(wi, &word)| {
+        std::iter::successors(Some(word), |&x| Some(x & x.wrapping_sub(1)))
+            .take_while(|&x| x != 0)
+            .map(move |x| wi * 64 + x.trailing_zeros() as usize)
+    })
 }
 
-/// Per-(channel, queue) index of candidate classes, maintained
-/// incrementally on enqueue / issue so that command-issue scans and the
-/// time-skip calendar are O(distinct (bank, kind) classes) instead of
-/// O(queue depth x timing queries).
-#[derive(Debug, Clone, Default)]
+/// The command a class-`kind` request of the read or write queue issues.
+fn class_command(
+    kind: usize,
+    is_write: bool,
+    auto_pre: bool,
+    loc: Loc,
+    row: u32,
+    column: u32,
+) -> Command {
+    match kind {
+        KIND_COL if is_write => Command::Write { loc, column, auto_pre },
+        KIND_COL => Command::Read { loc, column, auto_pre },
+        KIND_PRE => Command::Precharge { loc },
+        _ => Command::Activate { loc, row },
+    }
+}
+
+/// Per-(channel, queue) index of the queue's slots by target bank, sized
+/// once at construction and maintained in O(1) per enqueue / serve, so
+/// that command-issue scans and the time-skip calendar are O(occupied
+/// banks) instead of O(queue depth x timing queries).
+///
+/// `bank` below is the channel-local index [`CandTable::bank`].
+/// The three candidate classes of a bank are *derived*, never stored:
+/// bank closed -> ACT = `members`; bank open -> COL = `hits`,
+/// PRE = `members & !hits`.
+#[derive(Debug, Clone)]
 struct CandTable {
-    pairs: Vec<Pair>,
+    banks_per_rank: usize,
+    /// Bitset words per bank: one bit per queue slot.
+    words: usize,
+    /// `members[bank * words..][..words]`: queue slots targeting `bank`.
+    members: Vec<u64>,
+    /// The members whose row is the bank's open row (zero while closed).
+    hits: Vec<u64>,
+    /// Banks with at least one member.
+    occupied: Vec<u64>,
+    /// `t_legal[bank][kind]`: exact earliest cycle the class's command can
+    /// issue, as of the last refresh — `Cycle::MAX` for a class with no
+    /// member (so it is never legal). Device timing state changes only
+    /// when a command issues on the channel, so a value stays exact until
+    /// the table is marked stale.
+    t_legal: Vec<[Cycle; 3]>,
+    /// `valid[bank][kind]`: `t_legal[bank][kind]` was queried since the
+    /// last command on the channel.
+    valid: Vec<[bool; 3]>,
+    /// Minimum of `t_legal` over occupied banks (the calendar's one read).
+    t_min: Cycle,
     /// Set when a command issued on this channel: every `t_legal` must be
     /// recomputed (lazily, at next use) against the new device state.
     stale: bool,
+    /// Set when `members` / `hits` changed since the last refresh.
+    dirty: bool,
+}
+
+impl CandTable {
+    fn new(banks: usize, banks_per_rank: usize, slots: usize) -> Self {
+        let words = slots.div_ceil(64);
+        CandTable {
+            banks_per_rank,
+            words,
+            members: vec![0; banks * words],
+            hits: vec![0; banks * words],
+            occupied: vec![0; banks.div_ceil(64)],
+            t_legal: vec![[Cycle::MAX; 3]; banks],
+            valid: vec![[false; 3]; banks],
+            t_min: Cycle::MAX,
+            stale: false,
+            dirty: false,
+        }
+    }
+
+    fn bank(&self, rank: u32, bank: u32) -> usize {
+        rank as usize * self.banks_per_rank + bank as usize
+    }
+
+    /// Add queue slot `idx`, holding `r`; `hit`: its row is the open row.
+    fn insert(&mut self, r: &MemRequest, idx: usize, hit: bool) {
+        let bank = self.bank(r.rank, r.bank);
+        let (wi, bit) = (bank * self.words + idx / 64, 1u64 << (idx % 64));
+        self.members[wi] |= bit;
+        if hit {
+            self.hits[wi] |= bit;
+        }
+        self.occupied[bank / 64] |= 1 << (bank % 64);
+        self.dirty = true;
+    }
+
+    /// Drop queue slot `idx`, which held `r`; reports whether it was a hit.
+    fn remove(&mut self, r: &MemRequest, idx: usize) -> bool {
+        let bank = self.bank(r.rank, r.bank);
+        let (wi, bit) = (bank * self.words + idx / 64, 1u64 << (idx % 64));
+        let hit = self.hits[wi] & bit != 0;
+        self.members[wi] &= !bit;
+        self.hits[wi] &= !bit;
+        if self.members[bank * self.words..][..self.words].iter().all(|&w| w == 0) {
+            self.occupied[bank / 64] &= !(1 << (bank % 64));
+        }
+        self.dirty = true;
+        hit
+    }
+
+    /// Earliest cycle any member's next command is timing-legal, leaving
+    /// out activates on the `urgent` ranks (they wait for their refresh).
+    fn earliest(&self, urgent: u64) -> Cycle {
+        if urgent == 0 {
+            return self.t_min;
+        }
+        // Only around a REF: redo the walk with the rank filter.
+        bits(&self.occupied).fold(Cycle::MAX, |at, b| {
+            let t = &self.t_legal[b];
+            let act =
+                if urgent >> (b / self.banks_per_rank) & 1 != 0 { Cycle::MAX } else { t[KIND_ACT] };
+            at.min(t[KIND_COL]).min(t[KIND_PRE]).min(act)
+        })
+    }
 }
 
 /// A multi-channel memory controller in front of one [`Dram`] device.
@@ -121,14 +243,16 @@ pub struct MemoryController {
     sched: Box<dyn Scheduler>,
     read_q: Vec<Vec<MemRequest>>,
     write_q: Vec<Vec<MemRequest>>,
-    /// Candidate-class index per channel, one per queue, mirroring
-    /// `read_q` / `write_q` exactly (see [`CandTable`]).
+    /// Bank index of the queue slots per channel, one per queue,
+    /// mirroring `read_q` / `write_q` exactly (see [`CandTable`]).
     cand_r: Vec<CandTable>,
     cand_w: Vec<CandTable>,
-    /// `pick`'s legal-candidate set: one bit per queue slot (all zero
-    /// between picks), and each set slot's command kind.
-    legal: Vec<u64>,
-    kind_of: Vec<u8>,
+    /// `pick`'s legal-candidate set (all zero between picks): per 64
+    /// queue slots, the legal slots, then those whose command is a column
+    /// access, then those whose command is a precharge.
+    legal: Vec<[u64; 3]>,
+    /// What each channel issued this tick, for the latency anatomy.
+    issued: Vec<Option<IssuedCmd>>,
     draining: Vec<bool>,
     pending: BinaryHeap<Reverse<PendingRead>>,
     prof: ProfilerState,
@@ -143,30 +267,33 @@ pub struct MemoryController {
     ctr_cmds: dbp_obs::prof::Counter,
     ctr_idle: dbp_obs::prof::Counter,
     ctr_blocked: dbp_obs::prof::Counter,
-    /// Memoised queue/refresh scan of [`MemoryController::next_event`]:
-    /// `(computed_at, at)`. Every scan input — queue contents, DRAM bank
-    /// timing, refresh deadlines, drain hysteresis — changes only when a
-    /// request is enqueued or a command issues, so the absolute event
+    /// Memoised queue/refresh scan of [`MemoryController::next_event`],
+    /// one `(computed_at, at)` per channel. Every scan input — queue
+    /// contents, DRAM bank timing, refresh deadlines, drain hysteresis —
+    /// is private to its channel and changes only when a request is
+    /// enqueued there or a command issues there, so the absolute event
     /// time stays exact until one of those invalidates it (or `at`
     /// arrives and the clamp to `now + 1` could move it).
-    queue_event: std::cell::Cell<Option<(Cycle, Cycle)>>,
+    queue_event: Vec<Option<(Cycle, Cycle)>>,
 }
 
 impl MemoryController {
     /// Build a controller for `threads` threads over `dram`.
     pub fn new(dram: Dram, cfg: CtrlConfig, sched: Box<dyn Scheduler>, threads: usize) -> Self {
-        assert!(cfg.write_lo < cfg.write_hi && cfg.write_hi <= cfg.write_q_cap);
+        cfg.validate().expect("invalid CtrlConfig");
         let channels = dram.cfg().channels as usize;
         let total_banks = dram.cfg().total_banks() as usize;
         let closed_page = dram.cfg().row_policy == RowPolicy::Closed;
         let slots = cfg.read_q_cap.max(cfg.write_q_cap);
+        let table =
+            CandTable::new(total_banks / channels, dram.cfg().banks_per_rank as usize, slots);
         MemoryController {
             read_q: vec![Vec::with_capacity(cfg.read_q_cap); channels],
             write_q: vec![Vec::with_capacity(cfg.write_q_cap); channels],
-            cand_r: vec![CandTable::default(); channels],
-            cand_w: vec![CandTable::default(); channels],
-            legal: vec![0; slots.div_ceil(64)],
-            kind_of: vec![0; slots],
+            cand_r: vec![table.clone(); channels],
+            cand_w: vec![table; channels],
+            legal: vec![[0; 3]; slots.div_ceil(64)],
+            issued: vec![None; channels],
             draining: vec![false; channels],
             pending: BinaryHeap::new(),
             prof: ProfilerState::new(threads, total_banks),
@@ -178,7 +305,7 @@ impl MemoryController {
             ctr_cmds: dbp_obs::prof::Counter::default(),
             ctr_idle: dbp_obs::prof::Counter::default(),
             ctr_blocked: dbp_obs::prof::Counter::default(),
-            queue_event: std::cell::Cell::new(None),
+            queue_event: vec![None; channels],
             dram,
             cfg,
             sched,
@@ -305,7 +432,7 @@ impl MemoryController {
         req.column = d.column;
         assert!(self.can_accept(d.channel, req.is_write), "queue full on channel {}", d.channel);
         let gbank = self.global_bank(&req);
-        self.queue_event.set(None);
+        self.queue_event[d.channel as usize] = None;
         self.ctr_enq.incr();
         self.prof.on_enqueue(req.thread, gbank, req.is_write, req.kind != TrafficKind::Migration);
         let chi = d.channel as usize;
@@ -360,50 +487,38 @@ impl MemoryController {
             let _s = PROF.then(|| self.host_prof.span("memctrl/sched"));
             self.sched.tick(now, &self.prof, &self.read_q);
         }
-        let channels = self.dram.cfg().channels;
-        // When the memoised queue/refresh calendar proves no command can
-        // become legal before `at`, the scan is skipped wholesale; only
-        // the per-tick drain bookkeeping (which the stepped tick would
-        // have run after `try_refresh` found nothing) remains.
-        let scannable = !matches!(self.queue_event.get(), Some((_, at)) if now < at);
-        let any_issued;
+        // A channel whose memoised queue/refresh calendar proves no command
+        // can become legal before `at` skips the scan; only the per-tick
+        // drain bookkeeping (which the stepped tick would have run after
+        // `try_refresh` found nothing) remains for it.
+        let quiet = |m: &Option<(Cycle, Cycle)>| matches!(*m, Some((_, at)) if now < at);
+        let mut any_issued = false;
+        {
+            let _s = (PROF && !self.queue_event.iter().all(quiet))
+                .then(|| self.host_prof.span("memctrl/issue"));
+            for ch in 0..self.dram.cfg().channels {
+                let chi = ch as usize;
+                let ic = if quiet(&self.queue_event[chi]) {
+                    self.tick_drain(ch);
+                    None
+                } else {
+                    self.issue_channel(ch, now)
+                };
+                if ic.is_some() {
+                    self.queue_event[chi] = None;
+                    any_issued = true;
+                }
+                self.issued[chi] = ic;
+            }
+        }
         if self.anat.is_enabled() {
             // Issue first, then attribute: a request whose column command
             // went out this cycle has left the queue, so it accrues no
             // wait for its final cycle and the components stay strictly
             // below the total latency (the remainder is intrinsic).
-            let issued: Vec<Option<IssuedCmd>> = {
-                let _s = PROF.then(|| self.host_prof.span("memctrl/issue"));
-                (0..channels)
-                    .map(|ch| {
-                        if scannable {
-                            self.issue_channel(ch, now)
-                        } else {
-                            self.tick_drain(ch);
-                            None
-                        }
-                    })
-                    .collect()
-            };
-            any_issued = issued.iter().any(Option::is_some);
             let _s = PROF.then(|| self.host_prof.span("memctrl/anatomy"));
-            let MemoryController { dram, read_q, anat, closed_page, .. } = self;
-            anat.attribute_cycle(now, dram, read_q, &issued, *closed_page);
-        } else if scannable {
-            let _s = PROF.then(|| self.host_prof.span("memctrl/issue"));
-            let mut any = false;
-            for ch in 0..channels {
-                any |= self.issue_channel(ch, now).is_some();
-            }
-            any_issued = any;
-        } else {
-            for ch in 0..channels {
-                self.tick_drain(ch);
-            }
-            any_issued = false;
-        }
-        if any_issued {
-            self.queue_event.set(None);
+            let MemoryController { dram, read_q, anat, issued, closed_page, .. } = self;
+            anat.attribute_cycle(now, dram, read_q, issued, *closed_page);
         }
         if watch_polls {
             if in_flight_at_start == 0 {
@@ -437,78 +552,85 @@ impl MemoryController {
     /// The queue/refresh half of [`MemoryController::next_event`]: the
     /// earliest cycle after `now` at which a queued request's next
     /// command becomes timing-legal or the refresh machinery can act.
-    /// Memoised — see the `queue_event` field for why the cached
-    /// absolute time stays exact until an enqueue or an issued command.
+    /// Memoised per channel — see the `queue_event` field for why a cached
+    /// absolute time stays exact until an enqueue or an issued command on
+    /// that channel; a live memo is re-derived and compared in debug builds.
     fn queue_event(&mut self, now: Cycle) -> Cycle {
-        if let Some((computed_at, at)) = self.queue_event.get() {
-            if now >= computed_at && now < at {
-                return at;
-            }
-        }
         let mut at = Cycle::MAX;
-        let (channels, ranks) = (self.dram.cfg().channels, self.dram.cfg().ranks_per_channel);
-        for ch in 0..channels {
-            // Refresh urgency is constant inside the window: it flips ON
-            // only at a deadline (a calendar entry below) and OFF only
-            // when the REF issues (an executed tick).
-            let mut urgent: u64 = 0;
-            for rank in 0..ranks {
-                let deadline = self.dram.refresh_deadline(ch, rank);
-                if now < deadline {
-                    // Urgency flips at the deadline tick.
-                    at = at.min(deadline);
-                } else {
-                    urgent |= 1 << rank;
-                    // Already urgent: wake when the refresh machinery can
-                    // act (the REF itself, or a precharge clearing the way).
-                    let rf = Command::RefreshRank { channel: ch, rank };
-                    match self.dram.earliest_issue(&rf, now + 1) {
-                        Some(t) => at = at.min(t),
-                        None => {
-                            for bank in self.dram.open_banks(ch, rank) {
-                                let pre = Command::precharge(ch, rank, bank);
-                                if let Some(t) = self.dram.earliest_issue(&pre, now + 1) {
-                                    at = at.min(t);
-                                }
+        for ch in 0..self.dram.cfg().channels {
+            let t = match self.queue_event[ch as usize] {
+                Some((computed_at, t)) if now >= computed_at && now < t => {
+                    if cfg!(any(test, debug_assertions)) {
+                        assert_eq!(t, self.channel_event(ch, now), "stale calendar memo, ch {ch}");
+                    }
+                    t
+                }
+                _ => {
+                    let t = self.channel_event(ch, now);
+                    self.queue_event[ch as usize] = Some((now, t));
+                    t
+                }
+            };
+            at = at.min(t);
+        }
+        at
+    }
+
+    /// One channel's entry of [`MemoryController::queue_event`], unmemoised.
+    fn channel_event(&mut self, ch: u32, now: Cycle) -> Cycle {
+        let mut at = Cycle::MAX;
+        // Refresh urgency is constant inside the window: it flips ON
+        // only at a deadline (a calendar entry below) and OFF only
+        // when the REF issues (an executed tick).
+        let mut urgent: u64 = 0;
+        for rank in 0..self.dram.cfg().ranks_per_channel {
+            let deadline = self.dram.refresh_deadline(ch, rank);
+            if now < deadline {
+                // Urgency flips at the deadline tick.
+                at = at.min(deadline);
+            } else {
+                urgent |= 1 << rank;
+                // Already urgent: wake when the refresh machinery can
+                // act (the REF itself, or a precharge clearing the way).
+                let rf = Command::RefreshRank { channel: ch, rank };
+                match self.dram.earliest_issue(&rf, now + 1) {
+                    Some(t) => at = at.min(t),
+                    None => {
+                        for bank in self.dram.open_banks(ch, rank) {
+                            let pre = Command::precharge(ch, rank, bank);
+                            if let Some(t) = self.dram.earliest_issue(&pre, now + 1) {
+                                at = at.min(t);
                             }
                         }
                     }
                 }
             }
-            // A queued request wakes the controller when its next command
-            // first becomes timing-legal — but only requests in the queue
-            // the drain mode would actually serve can issue, and an
-            // urgent rank admits no new activates (both mirror
-            // `issue_channel`/`pick`, and both are static inside the
-            // window: queue contents and write-queue length only change
-            // at executed ticks, so the hysteresis settles at the first
-            // skipped tick exactly as `skip_ticks` replays it).
-            let chi = ch as usize;
-            let wlen = self.write_q[chi].len();
-            let draining = if self.draining[chi] {
-                wlen > self.cfg.write_lo
-            } else {
-                wlen >= self.cfg.write_hi
-            };
-            let use_writes = draining || (self.read_q[chi].is_empty() && wlen > 0);
-            // Timing legality depends on (bank, command kind), never on
-            // the row or column, so the candidate table answers for every
-            // queued request with one cached query per class.
-            self.cand_refresh(chi, use_writes, now + 1);
-            let table = if use_writes { &self.cand_w[chi] } else { &self.cand_r[chi] };
-            for p in &table.pairs {
-                if p.kind == KIND_ACT && urgent & (1 << p.rank) != 0 {
-                    continue; // rank is waiting for refresh: no new rows
-                }
-                if p.t_legal != Cycle::MAX {
-                    // A class may have become legal at an already-executed
-                    // cycle (its `t_legal` was cached before `now`); the
-                    // wake-up itself must still land strictly after `now`.
-                    at = at.min(p.t_legal.max(now + 1));
-                }
-            }
         }
-        self.queue_event.set(Some((now, at)));
+        // A queued request wakes the controller when its next command
+        // first becomes timing-legal — but only requests in the queue
+        // the drain mode would actually serve can issue, and an
+        // urgent rank admits no new activates (both mirror
+        // `issue_channel`/`pick`, and both are static inside the
+        // window: queue contents and write-queue length only change
+        // at executed ticks, so the hysteresis settles at the first
+        // skipped tick exactly as `skip_ticks` replays it).
+        let chi = ch as usize;
+        let wlen = self.write_q[chi].len();
+        let draining =
+            if self.draining[chi] { wlen > self.cfg.write_lo } else { wlen >= self.cfg.write_hi };
+        let use_writes = draining || (self.read_q[chi].is_empty() && wlen > 0);
+        // Timing legality depends on (bank, command kind), never on
+        // the row or column, so the candidate table answers for every
+        // queued request with one cached query per class.
+        self.cand_refresh(chi, use_writes, now + 1);
+        let table = if use_writes { &self.cand_w[chi] } else { &self.cand_r[chi] };
+        let t = table.earliest(urgent);
+        if t != Cycle::MAX {
+            // A class may have become legal at an already-executed
+            // cycle (its `t_legal` was cached before `now`); the
+            // wake-up itself must still land strictly after `now`.
+            at = at.min(t.max(now + 1));
+        }
         at
     }
 
@@ -646,81 +768,50 @@ impl MemoryController {
         None
     }
 
-    /// Classify queue slot `idx` by its bank's current open row and add it
-    /// to the matching candidate class (creating the class if new). The
-    /// new class's `t_legal` is computed lazily at first use.
+    /// One channel's queue, its bank index, and the device, split-borrowed.
+    fn cand_parts(&mut self, chi: usize, is_write: bool) -> (&mut CandTable, &[MemRequest], &Dram) {
+        if is_write {
+            (&mut self.cand_w[chi], &self.write_q[chi], &self.dram)
+        } else {
+            (&mut self.cand_r[chi], &self.read_q[chi], &self.dram)
+        }
+    }
+
+    /// Index the freshly pushed queue slot `idx` under its bank.
     fn cand_insert(&mut self, chi: usize, is_write: bool, idx: usize) {
-        let q = if is_write { &self.write_q[chi] } else { &self.read_q[chi] };
+        let (table, q, dram) = self.cand_parts(chi, is_write);
         let r = &q[idx];
-        let (rank, bank, row) = (r.rank, r.bank, r.row);
-        let loc = Loc::new(r.channel, rank, bank);
-        let kind = match self.dram.open_row(loc) {
-            Some(open) if open == row => KIND_COL,
-            Some(_) => KIND_PRE,
-            None => KIND_ACT,
-        };
-        let table = if is_write { &mut self.cand_w[chi] } else { &mut self.cand_r[chi] };
-        match table.pairs.iter_mut().find(|p| p.rank == rank && p.bank == bank && p.kind == kind) {
-            Some(p) => p.members.push(idx as u32),
-            None => table.pairs.push(Pair {
-                rank,
-                bank,
-                kind,
-                t_legal: 0,
-                valid: false,
-                members: vec![idx as u32],
-            }),
+        let hit = dram.open_row(Loc::new(r.channel, r.rank, r.bank)) == Some(r.row);
+        table.insert(r, idx, hit);
+    }
+
+    /// Mirror `Vec::swap_remove(idx)` on the bank index, given the request
+    /// it returned: drop slot `idx` from `removed`'s bank and relabel the
+    /// request that held the last slot — now `queue[idx]` — as `idx`.
+    fn cand_remove(&mut self, chi: usize, is_write: bool, idx: usize, removed: &MemRequest) {
+        let (table, q, _) = self.cand_parts(chi, is_write);
+        table.remove(removed, idx);
+        if let Some(moved) = q.get(idx) {
+            let hit = table.remove(moved, q.len());
+            table.insert(moved, idx, hit);
         }
     }
 
-    /// Mirror `Vec::swap_remove(idx)` on the candidate table: drop the
-    /// member at `idx` and relabel the member that held the last queue
-    /// slot (`old_len - 1`) as `idx`.
-    fn cand_remove(&mut self, chi: usize, is_write: bool, idx: usize, old_len: usize) {
-        let table = if is_write { &mut self.cand_w[chi] } else { &mut self.cand_r[chi] };
-        let idx = idx as u32;
-        let last = (old_len - 1) as u32;
-        for pi in 0..table.pairs.len() {
-            let p = &mut table.pairs[pi];
-            if let Some(mi) = p.members.iter().position(|&m| m == idx) {
-                p.members.swap_remove(mi);
-                if p.members.is_empty() {
-                    table.pairs.swap_remove(pi);
-                }
-                break;
-            }
-        }
-        if last != idx {
-            'outer: for p in &mut table.pairs {
-                for m in &mut p.members {
-                    if *m == last {
-                        *m = idx;
-                        break 'outer;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Re-classify every queued request targeting (`rank`, `bank`) on
-    /// channel `chi`, in both queues — called after a command changed that
-    /// bank's open row (activate, precharge, or an auto-precharging
-    /// column access).
+    /// Recompute the hit bits of every queued request targeting (`rank`,
+    /// `bank`) on channel `chi`, in both queues — called after a command
+    /// changed that bank's open row (activate, precharge, or an
+    /// auto-precharging column access).
     fn cand_rekind_bank(&mut self, chi: usize, rank: u32, bank: u32) {
         for is_write in [false, true] {
-            let table = if is_write { &mut self.cand_w[chi] } else { &mut self.cand_r[chi] };
-            let mut moved: Vec<u32> = Vec::new();
-            table.pairs.retain(|p| {
-                if p.rank == rank && p.bank == bank {
-                    moved.extend(&p.members);
-                    false
-                } else {
-                    true
-                }
-            });
-            for m in moved {
-                self.cand_insert(chi, is_write, m as usize);
+            let (table, q, dram) = self.cand_parts(chi, is_write);
+            let open = dram.open_row(Loc::new(chi as u32, rank, bank));
+            let base = table.bank(rank, bank) * table.words;
+            for w in 0..table.words {
+                table.hits[base + w] = bits(&[table.members[base + w]])
+                    .filter(|&i| Some(q[w * 64 + i].row) == open)
+                    .fold(0, |hits, i| hits | 1 << i);
             }
+            table.dirty = true;
         }
     }
 
@@ -731,43 +822,49 @@ impl MemoryController {
         self.cand_w[chi].stale = true;
     }
 
-    /// Recompute any invalidated `t_legal` values in one table, querying
-    /// the device once per candidate class with `from` as the earliest
-    /// admissible cycle. Values computed at an earlier `from` stay exact
-    /// for later queries (constraint deadlines are absolute between
-    /// issues), so legality at `now >= from` is just `t_legal <= now`.
+    /// Bring one table's `t_legal` up to date: nothing to do unless a
+    /// command issued on the channel or the membership changed since the
+    /// last call; otherwise derive each occupied bank's classes and query
+    /// the device once per class not yet asked since the last command,
+    /// with `from` as the earliest admissible cycle. Values computed at an
+    /// earlier `from` stay exact for later queries (constraint deadlines
+    /// are absolute between issues), so legality at `now >= from` is just
+    /// `t_legal <= now`. The row and column operands do not enter timing.
     fn cand_refresh(&mut self, chi: usize, is_write: bool, from: Cycle) {
-        let MemoryController { dram, read_q, write_q, cand_r, cand_w, closed_page, .. } = self;
-        let (table, q) = if is_write {
-            (&mut cand_w[chi], &write_q[chi])
-        } else {
-            (&mut cand_r[chi], &read_q[chi])
-        };
-        if table.stale {
-            for p in &mut table.pairs {
-                p.valid = false;
-            }
-            table.stale = false;
+        let closed_page = self.closed_page;
+        let (table, _, dram) = self.cand_parts(chi, is_write);
+        if !(table.stale || table.dirty) {
+            return;
         }
-        for p in &mut table.pairs {
-            if p.valid {
-                continue;
-            }
-            let r = &q[p.members[0] as usize];
-            let loc = Loc::new(r.channel, p.rank, p.bank);
-            let cmd = match p.kind {
-                KIND_COL => {
-                    if is_write {
-                        Command::Write { loc, column: r.column, auto_pre: *closed_page }
-                    } else {
-                        Command::Read { loc, column: r.column, auto_pre: *closed_page }
-                    }
-                }
-                KIND_PRE => Command::Precharge { loc },
-                _ => Command::Activate { loc, row: r.row },
+        if std::mem::take(&mut table.stale) {
+            // Every bank, occupied or not: a class with no member is then
+            // always invalid, because losing the last member takes a command.
+            table.valid.fill([false; 3]);
+        }
+        table.dirty = false;
+        table.t_min = Cycle::MAX;
+        let bpr = table.banks_per_rank;
+        for b in bits(&table.occupied) {
+            let loc = Loc::new(chi as u32, (b / bpr) as u32, (b % bpr) as u32);
+            let words = b * table.words..(b + 1) * table.words;
+            let (members, hits) = (&table.members[words.clone()], &table.hits[words]);
+            // Which of the bank's classes have a member, indexed by `KIND_*`.
+            let present = if dram.open_row(loc).is_none() {
+                [false, false, true]
+            } else {
+                let conflict = members.iter().zip(hits).any(|(m, h)| m & !h != 0);
+                [hits.iter().any(|&h| h != 0), conflict, false]
             };
-            p.t_legal = dram.earliest_issue(&cmd, from).unwrap_or(Cycle::MAX);
-            p.valid = true;
+            for kind in [KIND_COL, KIND_PRE, KIND_ACT] {
+                let t = &mut table.t_legal[b][kind];
+                if !present[kind] {
+                    *t = Cycle::MAX;
+                } else if !std::mem::replace(&mut table.valid[b][kind], true) {
+                    let cmd = class_command(kind, is_write, closed_page, loc, 0, 0);
+                    *t = dram.earliest_issue(&cmd, from).unwrap_or(Cycle::MAX);
+                }
+                table.t_min = table.t_min.min(*t);
+            }
         }
     }
 
@@ -776,9 +873,9 @@ impl MemoryController {
     ///
     /// Driven by the candidate table: one cached timing answer per
     /// (bank, kind) class admits or rejects every member at once, so
-    /// only the members of *legal* classes are visited. They are marked
-    /// in a queue-slot bitset and visited lowest set bit first — ascending
-    /// queue order without a sort — which makes the
+    /// only the member words of *legal* classes are touched. They are
+    /// ORed into a queue-slot bitset and visited lowest set bit first —
+    /// ascending queue order without a sort — which makes the
     /// first-strictly-better-wins scan byte-identical to a flat walk of
     /// the whole queue (checked against one in debug builds).
     fn pick(
@@ -790,38 +887,41 @@ impl MemoryController {
     ) -> Option<(usize, Command, bool)> {
         let chi = ch as usize;
         self.cand_refresh(chi, is_write, now);
-        let MemoryController {
-            cand_r,
-            cand_w,
-            read_q,
-            write_q,
-            sched,
-            closed_page,
-            legal,
-            kind_of,
-            ..
-        } = self;
+        let MemoryController { cand_r, cand_w, read_q, write_q, sched, closed_page, legal, .. } =
+            self;
         let (table, queue) =
             if is_write { (&cand_w[chi], &write_q[chi]) } else { (&cand_r[chi], &read_q[chi]) };
-        for p in &table.pairs {
-            if p.t_legal > now {
-                continue;
-            }
-            if p.kind == KIND_ACT && urgent & (1 << p.rank) != 0 {
-                continue; // rank is waiting for refresh: no new rows
-            }
-            for &m in &p.members {
-                legal[m as usize / 64] |= 1 << (m % 64);
-                kind_of[m as usize] = p.kind;
+        for b in bits(&table.occupied) {
+            let t = &table.t_legal[b];
+            // An urgent rank is waiting for refresh: no new rows.
+            let act = t[KIND_ACT] <= now && urgent >> (b / table.banks_per_rank) & 1 == 0;
+            let (col, pre) = (t[KIND_COL] <= now, t[KIND_PRE] <= now);
+            for (w, l) in legal.iter_mut().enumerate() {
+                let (m, h) = (table.members[b * table.words + w], table.hits[b * table.words + w]);
+                // A closed bank has no hits: an activate takes all of `members`.
+                let (a, c, p) = (
+                    if act { m } else { 0 },
+                    if col { h } else { 0 },
+                    if pre { m & !h } else { 0 },
+                );
+                *l = [l[0] | a | c | p, l[1] | c, l[2] | p];
             }
         }
-        let mut best: Option<(usize, u8, bool)> = None;
+        let mut best: Option<(usize, usize, bool)> = None;
         for (wi, word) in legal.iter_mut().enumerate() {
-            let mut bits = std::mem::take(word);
-            while bits != 0 {
-                let i = wi * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let (r, kind) = (&queue[i], kind_of[i]);
+            let [mut rest, col, pre] = std::mem::take(word);
+            while rest != 0 {
+                let bit = rest & rest.wrapping_neg();
+                let i = wi * 64 + rest.trailing_zeros() as usize;
+                rest ^= bit;
+                let kind = if col & bit != 0 {
+                    KIND_COL
+                } else if pre & bit != 0 {
+                    KIND_PRE
+                } else {
+                    KIND_ACT
+                };
+                let r = &queue[i];
                 let hit = kind == KIND_COL;
                 let better = match &best {
                     None => true,
@@ -841,18 +941,7 @@ impl MemoryController {
         let res = best.map(|(i, kind, hit)| {
             let r = &queue[i];
             let loc = Loc::new(ch, r.rank, r.bank);
-            let cmd = match kind {
-                KIND_COL => {
-                    if is_write {
-                        Command::Write { loc, column: r.column, auto_pre: *closed_page }
-                    } else {
-                        Command::Read { loc, column: r.column, auto_pre: *closed_page }
-                    }
-                }
-                KIND_PRE => Command::Precharge { loc },
-                _ => Command::Activate { loc, row: r.row },
-            };
-            (i, cmd, hit)
+            (i, class_command(kind, is_write, *closed_page, loc, r.row, r.column), hit)
         });
         #[cfg(debug_assertions)]
         debug_assert_eq!(
@@ -963,14 +1052,12 @@ impl MemoryController {
             kind: IssuedKind::of(cmd.kind()),
         };
         if cmd.is_column() {
-            let (req, old_len) = if is_write {
-                let n = self.write_q[chi].len();
-                (self.write_q[chi].swap_remove(i), n)
+            let req = if is_write {
+                self.write_q[chi].swap_remove(i)
             } else {
-                let n = self.read_q[chi].len();
-                (self.read_q[chi].swap_remove(i), n)
+                self.read_q[chi].swap_remove(i)
             };
-            self.cand_remove(chi, is_write, i, old_len);
+            self.cand_remove(chi, is_write, i, &req);
             if self.closed_page {
                 // The auto-precharge closed the row under the survivors.
                 self.cand_rekind_bank(chi, loc.rank, loc.bank);
@@ -1166,6 +1253,28 @@ mod tests {
         for i in 0..=m.cfg.read_q_cap as u64 {
             m.enqueue(MemRequest::demand_read(i, 0, i * 4096, 0));
         }
+    }
+
+    #[test]
+    fn ctrl_config_rejects_each_bad_shape() {
+        CtrlConfig::default().validate().unwrap();
+        let d = CtrlConfig::default();
+        for (bad, what) in [
+            (CtrlConfig { read_q_cap: 0, ..d }, "read_q_cap"),
+            (CtrlConfig { write_q_cap: 1, write_hi: 1, write_lo: 0, ..d }, "write_q_cap"),
+            (CtrlConfig { write_lo: d.write_hi, ..d }, "write_lo < write_hi"),
+            (CtrlConfig { write_hi: d.write_q_cap + 1, ..d }, "write_hi <= write_q_cap"),
+        ] {
+            let err = bad.validate().unwrap_err();
+            assert!(err.contains(what), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid CtrlConfig")]
+    fn controller_refuses_an_invalid_config() {
+        let cfg = CtrlConfig { write_lo: 48, ..CtrlConfig::default() };
+        MemoryController::new(Dram::new(DramConfig::fast_test()), cfg, Box::new(FrFcfs), 1);
     }
 
     #[test]
@@ -1453,27 +1562,8 @@ mod prop_tests {
     use super::*;
     use crate::scheduler::{Fcfs, FrFcfs, ParBs, Tcm};
     use dbp_dram::DramConfig;
-    use dbp_util::prop::{any_bool, check, range, vec_of, CaseResult, Config};
+    use dbp_util::prop::{any_bool, check, range, vec_of, CaseResult, Config, Gen};
     use dbp_util::{prop_assert, prop_assert_eq};
-
-    fn build(sched_idx: usize, threads: usize, recorded: bool) -> MemoryController {
-        let sched: Box<dyn Scheduler> = match sched_idx {
-            0 => Box::new(Fcfs),
-            1 => Box::new(FrFcfs),
-            2 => Box::new(ParBs::new(Default::default(), threads)),
-            _ => Box::new(Tcm::new(Default::default(), threads)),
-        };
-        let mut mc = MemoryController::new(
-            Dram::new(DramConfig::fast_test()),
-            CtrlConfig { read_q_cap: 16, write_q_cap: 16, write_hi: 12, write_lo: 4 },
-            sched,
-            threads,
-        );
-        if recorded {
-            mc.attach_recorder(dbp_obs::Recorder::new(Default::default()));
-        }
-        mc
-    }
 
     /// Conservation: under any scheduler and any admissible request
     /// stream, every demand read eventually completes exactly once, and
@@ -1512,8 +1602,12 @@ mod prop_tests {
         Ok((done, enq_reads))
     }
 
-    fn conservation_holds(sched_idx: usize, reqs: Vec<(usize, u64, bool)>) -> CaseResult {
-        let mut mc = build(sched_idx, 4, false);
+    fn conservation_holds(
+        sched_idx: usize,
+        channels: u32,
+        reqs: Vec<(usize, u64, bool)>,
+    ) -> CaseResult {
+        let mut mc = build_any(sched_idx, channels, false);
         let (done, enq_reads) = drive(&mut mc, &reqs)?;
         prop_assert_eq!(done.len() as u64, enq_reads, "every read completes");
         let mut ids: Vec<u64> = done.iter().map(|c| c.id).collect();
@@ -1532,7 +1626,7 @@ mod prop_tests {
         // recorder changes no completion or counter, profiles every
         // demand read, and every breakdown sums exactly to its total
         // (record_read asserts per request in all build profiles).
-        let mut rec = build(sched_idx, 4, true);
+        let mut rec = build_any(sched_idx, channels, true);
         let (done_rec, _) = drive(&mut rec, &reqs)?;
         prop_assert_eq!(&done_rec, &done, "recorder must not perturb completions");
         prop_assert_eq!(rec.stats(), mc.stats(), "recorder must not perturb counters");
@@ -1551,11 +1645,14 @@ mod prop_tests {
     #[test]
     fn all_requests_complete_under_any_scheduler() {
         let g = (
-            range(0usize..4),
+            range(0usize..7),
+            range(0u32..3).map(|k| 1 << k),
             // 512 pages fit fast_test capacity
             vec_of((range(0usize..4), range(0u64..512), any_bool()), 1..40),
         );
-        check(Config::cases(32), &g, |(sched_idx, reqs)| conservation_holds(sched_idx, reqs));
+        check(Config::cases(32), &g, |(sched_idx, channels, reqs)| {
+            conservation_holds(sched_idx, channels, reqs)
+        });
     }
 
     /// Regression: the shrunk counterexample recorded by the old proptest
@@ -1565,12 +1662,12 @@ mod prop_tests {
     /// current 0..512 generator range; 511 is the boundary it pins).
     #[test]
     fn regression_single_read_highest_page_fcfs() {
-        conservation_holds(0, vec![(0, 511, false)]).unwrap();
+        conservation_holds(0, 1, vec![(0, 511, false)]).unwrap();
     }
 
-    fn build_any(idx: usize, recorded: bool) -> MemoryController {
+    fn build_any(idx: usize, channels: u32, recorded: bool) -> MemoryController {
         let ctrl = CtrlConfig { read_q_cap: 16, write_q_cap: 16, write_hi: 12, write_lo: 4 };
-        let mut mc = build_with(idx, DramConfig::fast_test(), ctrl);
+        let mut mc = build_with(idx, DramConfig { channels, ..DramConfig::fast_test() }, ctrl);
         if recorded {
             mc.attach_recorder(dbp_obs::Recorder::new(Default::default()));
         }
@@ -1591,26 +1688,48 @@ mod prop_tests {
         MemoryController::new(Dram::new(dram), ctrl, sched, 4)
     }
 
+    /// Both bank indexes of every channel equal a from-scratch rebuild from
+    /// the queues and the device's open rows (catches a missed
+    /// `swap_remove` relabel or a stale hit bit even on an illegal slot).
+    fn index_equals_rebuild(mc: &MemoryController) -> CaseResult {
+        let tables = mc.cand_r.iter().zip(&mc.read_q).chain(mc.cand_w.iter().zip(&mc.write_q));
+        for (table, q) in tables {
+            let mut want =
+                CandTable::new(table.valid.len(), table.banks_per_rank, table.words * 64);
+            for (i, r) in q.iter().enumerate() {
+                let hit = mc.dram.open_row(Loc::new(r.channel, r.rank, r.bank)) == Some(r.row);
+                want.insert(r, i, hit);
+            }
+            prop_assert_eq!(&table.members, &want.members, "members");
+            prop_assert_eq!(&table.hits, &want.hits, "hits");
+            prop_assert_eq!(&table.occupied, &want.occupied, "occupied");
+        }
+        Ok(())
+    }
+
     /// The bitset-ordered `pick` returns exactly what the exhaustive
-    /// queue walk does, for both queues of the channel, on every tick of
-    /// a feed-then-drain run; returns the deepest queue seen.
+    /// queue walk does, for both queues of every channel, and the bank
+    /// indexes match a rebuild, on every tick of a feed-then-drain run
+    /// that also keeps the per-channel calendar memos live; returns the
+    /// deepest queue seen.
     fn pick_equals_flat(
         mut mc: MemoryController,
         reqs: &[(usize, u64, bool)],
         masks: &[u64],
     ) -> Result<usize, String> {
+        let channels = mc.dram.cfg().channels;
         let mut feed = reqs.iter().copied().peekable();
         let (mut done, mut deepest) = (Vec::new(), 0);
         let mut now: Cycle = 0;
         let mut id = 0u64;
         while feed.peek().is_some() || mc.in_flight() > 0 {
-            for _ in 0..3 {
+            for _ in 0..3 * channels {
                 let Some(&(thread, page, is_write)) = feed.peek() else { break };
-                if !mc.can_accept(0, is_write) {
+                let addr = page << 12;
+                if !mc.can_accept(mc.channel_of(addr), is_write) {
                     break;
                 }
                 feed.next();
-                let addr = page << 12;
                 mc.enqueue(if is_write {
                     MemRequest::writeback(id, thread, addr, now)
                 } else {
@@ -1619,19 +1738,22 @@ mod prop_tests {
                 id += 1;
             }
             let urgent = masks[now as usize % masks.len()];
-            for is_write in [false, true] {
-                deepest = deepest.max(mc.queue_len(0, is_write));
+            for (ch, is_write) in (0..channels).flat_map(|ch| [(ch, false), (ch, true)]) {
+                deepest = deepest.max(mc.queue_len(ch, is_write));
                 prop_assert_eq!(
-                    mc.pick(0, now, is_write, urgent),
-                    mc.pick_flat(0, now, is_write, urgent),
-                    "cycle {}, is_write {}, urgent {:#b}",
+                    mc.pick(ch, now, is_write, urgent),
+                    mc.pick_flat(ch, now, is_write, urgent),
+                    "cycle {}, channel {}, is_write {}, urgent {:#b}",
                     now,
+                    ch,
                     is_write,
                     urgent
                 );
             }
-            prop_assert!(mc.legal.iter().all(|&w| w == 0), "pick must leave the bitset clear");
+            prop_assert!(mc.legal.iter().all(|&w| w == [0; 3]), "pick must leave the bitset clear");
             mc.tick(now, &mut done);
+            index_equals_rebuild(&mc)?;
+            mc.next_event(now);
             now += 1;
             prop_assert!(now < 500_000, "livelock: {} in flight", mc.in_flight());
         }
@@ -1640,11 +1762,13 @@ mod prop_tests {
 
     #[test]
     fn pick_matches_flat_scan_for_every_scheduler_page_policy_and_queue_cap() {
-        for (sched_idx, closed, cap) in (0..7usize)
+        for (sched_idx, closed, cap, channels) in (0..7usize)
             .flat_map(|s| [false, true].map(|c| (s, c)))
             .flat_map(|(s, c)| [5usize, 64, 100].map(|cap| (s, c, cap)))
+            .flat_map(|(s, c, cap)| [1u32, 2, 4].map(|ch| (s, c, cap, ch)))
         {
             let dram = DramConfig {
+                channels,
                 ranks_per_channel: 2,
                 row_policy: if closed { RowPolicy::Closed } else { RowPolicy::Open },
                 ..DramConfig::fast_test()
@@ -1656,10 +1780,11 @@ mod prop_tests {
                 write_lo: cap / 4,
             };
             let deepest = std::cell::Cell::new(0);
+            let n = cap * channels as usize;
             let g = (
                 // 1024 pages fit two fast_test ranks; enough requests to
                 // fill the queues to `cap` (a partial last bitset word).
-                vec_of((range(0usize..4), range(0u64..1024), any_bool()), cap * 3..cap * 4),
+                vec_of((range(0usize..4), range(0u64..1024), any_bool()), n * 3..n * 4),
                 vec_of(range(0u64..4), 1..8),
             );
             check(Config::cases(3), &g, |(reqs, masks)| {
@@ -1667,7 +1792,11 @@ mod prop_tests {
                 deepest.set(deepest.get().max(pick_equals_flat(mc, &reqs, &masks)?));
                 Ok(())
             });
-            assert_eq!(deepest.get(), cap, "scheduler {sched_idx}: queues must fill");
+            assert_eq!(
+                deepest.get(),
+                cap,
+                "scheduler {sched_idx}, {channels} channels: queues must fill"
+            );
         }
     }
 
@@ -1680,6 +1809,7 @@ mod prop_tests {
     /// jump would otherwise cross `refresh_due`).
     fn skip_equals_stepped(
         sched_idx: usize,
+        channels: u32,
         recorded: bool,
         reqs: &[(usize, u64, bool)],
     ) -> CaseResult {
@@ -1700,7 +1830,7 @@ mod prop_tests {
                 mc.enqueue(req);
             }
         };
-        let mut stepped = build_any(sched_idx, recorded);
+        let mut stepped = build_any(sched_idx, channels, recorded);
         feed(&mut stepped);
         let mut done_s = Vec::new();
         let mut now: Cycle = 0;
@@ -1710,7 +1840,7 @@ mod prop_tests {
             now += 1;
         }
 
-        let mut skipped = build_any(sched_idx, recorded);
+        let mut skipped = build_any(sched_idx, channels, recorded);
         feed(&mut skipped);
         let mut done_k = Vec::new();
         let mut now: Cycle = 0;
@@ -1773,11 +1903,12 @@ mod prop_tests {
     fn time_skipping_is_bit_exact_under_any_scheduler() {
         let g = (
             range(0usize..7),
+            range(0u32..3).map(|k| 1 << k),
             any_bool(),
             vec_of((range(0usize..4), range(0u64..512), any_bool()), 1..40),
         );
-        check(Config::cases(32), &g, |(sched_idx, recorded, reqs)| {
-            skip_equals_stepped(sched_idx, recorded, &reqs)
+        check(Config::cases(32), &g, |(sched_idx, channels, recorded, reqs)| {
+            skip_equals_stepped(sched_idx, channels, recorded, &reqs)
         });
     }
 
@@ -1788,8 +1919,8 @@ mod prop_tests {
     /// per-rank deadline advances identically.
     #[test]
     fn refresh_fires_exactly_across_jumps() {
-        let mut stepped = build_any(1, false);
-        let mut skipped = build_any(1, false);
+        let mut stepped = build_any(1, 1, false);
+        let mut skipped = build_any(1, 1, false);
         let mut done = Vec::new();
         let horizon: Cycle = 1_000; // five fast_test tREFI periods
         for now in 0..horizon {

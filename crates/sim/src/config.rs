@@ -153,6 +153,7 @@ impl SimConfig {
     /// Returns a description of the first violated requirement.
     pub fn validate(&self) -> Result<(), String> {
         self.dram.validate()?;
+        self.ctrl.validate()?;
         if self.cpu_per_dram == 0 {
             return Err("cpu_per_dram must be positive".into());
         }
@@ -197,6 +198,16 @@ mod tests {
             assert!(!s.name().is_empty());
             assert!(!k.label().is_empty());
         }
+    }
+
+    #[test]
+    fn validation_catches_bad_controller_sizing() {
+        let mut c = SimConfig::default();
+        c.ctrl.write_lo = c.ctrl.write_hi;
+        assert!(c.validate().unwrap_err().contains("write_lo"));
+        let mut c = SimConfig::default();
+        c.ctrl.read_q_cap = 0;
+        assert!(c.validate().unwrap_err().contains("read_q_cap"));
     }
 
     #[test]
