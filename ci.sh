@@ -13,12 +13,16 @@ cargo test -q --offline --locked --workspace
 cargo clippy --offline --locked --workspace -- -D warnings
 cargo fmt --all --check
 cargo check --benches --offline --locked --workspace
+# The repo benchmark is a package of its own that path-depends on these
+# crates; compile and test it here so a refactor that breaks the surface
+# it uses fails in this gate, not only in the external pipeline.
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 # Benches run with the package dir as cwd, so hand them an absolute path.
 # One warmup + five timed iterations: enough for a meaningful per-bench
 # *floor* (the statistic the perf gate compares), still cheap.
 DBP_BENCH_ITERS=5 DBP_BENCH_WARMUP=1 DBP_BENCH_JSON="$(pwd)/BENCH_results.json" \
     cargo bench -q --offline --locked -p dbp-bench --bench micro
-./target/release/jsonlint --require-key benchmarks BENCH_results.json
+./target/release/dbpreport --check --require-key benchmarks BENCH_results.json
 
 # Perf-regression gate: compare the fresh micro-bench *floors* (min_ns
 # — preemption only ever slows an iteration, so the floor is what a
@@ -34,15 +38,15 @@ DBP_BENCH_ITERS=5 DBP_BENCH_WARMUP=1 DBP_BENCH_JSON="$(pwd)/BENCH_results.json" 
 #   ./target/release/bench_all --perf-only --baseline BENCH_baseline.json \
 #       --bench-results BENCH_results.json --history-append BENCH_history.jsonl
 cp BENCH_history.jsonl target/ci-bench-history.jsonl
-DBP_PERF_GATE=1 DBP_PERF_TOLERANCE=0.6 ./target/release/bench_all --perf-only \
+./target/release/bench_all --perf-only --tolerance 0.6 \
     --baseline BENCH_baseline.json --bench-results BENCH_results.json \
     --perf-out "$(pwd)/PERF_summary.json" \
     --history-append "$(pwd)/target/ci-bench-history.jsonl"
-./target/release/jsonlint --require-key benchmarks --require-key gate_passed PERF_summary.json
+./target/release/dbpreport --check --require-key benchmarks --require-key gate_passed PERF_summary.json
 # The longitudinal history grew by exactly one line, and that line is a
 # schema-stamped JSON object of this run's medians.
 test "$(wc -l < target/ci-bench-history.jsonl)" -eq "$(($(wc -l < BENCH_history.jsonl) + 1))"
-tail -n 1 target/ci-bench-history.jsonl | ./target/release/jsonlint --require-key medians
+tail -n 1 target/ci-bench-history.jsonl | ./target/release/dbpreport --check --require-key medians
 
 # Telemetry smoke test: a tiny traced run must produce machine-readable
 # exports that the in-tree JSON parser accepts.
@@ -50,8 +54,8 @@ tail -n 1 target/ci-bench-history.jsonl | ./target/release/jsonlint --require-ke
     --instructions 30000 --warmup 10000 --epoch 20000 --policy dbp \
     --trace-out target/ci-trace.json --metrics-out target/ci-metrics.json \
     > /dev/null
-./target/release/jsonlint --require-key traceEvents target/ci-trace.json
-./target/release/jsonlint --require-key epochs --require-key events target/ci-metrics.json
+./target/release/dbpreport --check --require-key traceEvents target/ci-trace.json
+./target/release/dbpreport --check --require-key epochs --require-key events target/ci-metrics.json
 
 # Experiment-suite determinism gate: the quick suite's stdout (every
 # table of every experiment) must be byte-identical between the serial
@@ -60,24 +64,36 @@ tail -n 1 target/ci-bench-history.jsonl | ./target/release/jsonlint --require-ke
 # run also publishes the suite-timing JSON alongside BENCH_results.json,
 # and runs self-profiled — so the diff additionally proves an enabled
 # profiler does not perturb a single table of the suite.
-DBP_QUICK=1 DBP_JOBS=1 ./target/release/bench_all \
+DBP_JOBS=1 ./target/release/bench_all --quick \
     > target/ci-suite-serial.txt 2> /dev/null
-DBP_QUICK=1 DBP_JOBS=2 ./target/release/bench_all \
+DBP_JOBS=2 ./target/release/bench_all --quick \
     --json "$(pwd)/SUITE_timing.json" \
     --profile-out "$(pwd)/PROF_suite.json" \
     > target/ci-suite-parallel.txt
 diff target/ci-suite-serial.txt target/ci-suite-parallel.txt
 # Time-skip equivalence gate: the same quick suite driven by the
-# always-stepped core (DBP_NO_SKIP=1 pins every System to per-cycle
-# ticking) must print byte-identical tables. Together with the
-# byte-identity property tests this proves the event-driven skipping
-# path changes nothing observable end to end.
-DBP_QUICK=1 DBP_JOBS=2 DBP_NO_SKIP=1 ./target/release/bench_all \
+# always-stepped core (`--stepped` sets `SimConfig::time_skip = false`,
+# pinning every System to per-cycle ticking) must print byte-identical
+# tables. Together with the byte-identity property tests this proves the
+# event-driven skipping path changes nothing observable end to end.
+DBP_JOBS=2 ./target/release/bench_all --quick --stepped \
     > target/ci-suite-stepped.txt 2> /dev/null
 diff target/ci-suite-serial.txt target/ci-suite-stepped.txt
-./target/release/jsonlint --require-key experiments --require-key total_wall_ns SUITE_timing.json
-./target/release/jsonlint --require-key spans --require-key counters PROF_suite.json
-./target/release/dbpprof PROF_suite.json > /dev/null
+# ...and the stepped leg really is stepped: identical tables cannot show
+# an experiment that builds a fresh SimConfig and drops the flag, but
+# the profiler's skipped-cycle counter can. One experiment per way of
+# building a profiled System (run_grid, run_shared_grid, the latency
+# diagnostic) must skip nothing with --stepped and something without.
+./target/release/bench_all --quick --stepped --profile-out target/ci-prof-stepped.json \
+    fig1_motivation ext1_energy diag_interference > /dev/null 2>&1
+./target/release/bench_all --quick --profile-out target/ci-prof-skipping.json \
+    fig1_motivation ext1_energy diag_interference > /dev/null 2>&1
+grep -q '"sim/cycles_skipped":0' target/ci-prof-stepped.json
+# (`! cmd` is exempt from `set -e`, hence the explicit exits.)
+if grep -q '"sim/cycles_skipped":0' target/ci-prof-skipping.json; then exit 1; fi
+./target/release/dbpreport --check --require-key experiments --require-key total_wall_ns SUITE_timing.json
+./target/release/dbpreport --check --require-key spans --require-key counters PROF_suite.json
+./target/release/dbpreport PROF_suite.json > /dev/null
 
 # Latency-anatomy gate. The breakdown invariant (components sum exactly
 # to the total, u64 equality) asserts in every build profile; run the
@@ -90,21 +106,23 @@ cargo test -q --release --offline --locked -p dbp-obs record_read_rejects
 cargo test -q --release --offline --locked -p dbp-obs exact_sum
 
 # A profiled smoke run must export a schema-stamped profile document that
-# jsonlint accepts and dbpprof renders in all three modes; the folded
-# stacks are published as a CI artifact.
+# dbpreport validates and renders in all three modes; the folded stacks
+# are published as a CI artifact.
 ./target/release/dbpsim run --bench mcf,povray \
     --instructions 30000 --warmup 10000 --epoch 20000 --policy dbp \
     --profile-out target/ci-profile.json > /dev/null
-./target/release/jsonlint --require-key spans --require-key counters target/ci-profile.json
-./target/release/dbpprof target/ci-profile.json > /dev/null
-./target/release/dbpprof --chrome target/ci-profile-chrome.json target/ci-profile.json
-./target/release/jsonlint --require-key traceEvents target/ci-profile-chrome.json
-./target/release/dbpprof --folded target/ci-profile.json > PROF_folded.txt
+./target/release/dbpreport --check --require-key spans --require-key counters target/ci-profile.json
+./target/release/dbpreport target/ci-profile.json > /dev/null
+./target/release/dbpreport --chrome target/ci-profile-chrome.json target/ci-profile.json
+./target/release/dbpreport --check --require-key traceEvents target/ci-profile-chrome.json
+./target/release/dbpreport --folded target/ci-profile.json > PROF_folded.txt
 test -s PROF_folded.txt
+# The profile-only modes refuse any other document kind.
+if ./target/release/dbpreport --folded target/ci-metrics.json 2> /dev/null; then exit 1; fi
 
 # The export must be deterministic: two identical seeded runs produce
-# byte-identical --latency-out JSON, and both jsonlint modes (file arg
-# and stdin) plus the dbpreport renderer must accept it.
+# byte-identical --latency-out JSON, and dbpreport must validate it (file
+# argument and stdin) and render it.
 ./target/release/dbpsim run --bench mcf,libquantum \
     --instructions 30000 --warmup 10000 --epoch 20000 --policy shared \
     --latency-out target/ci-latency.json > /dev/null
@@ -112,8 +130,8 @@ test -s PROF_folded.txt
     --instructions 30000 --warmup 10000 --epoch 20000 --policy shared \
     --latency-out target/ci-latency-repeat.json > /dev/null
 diff target/ci-latency.json target/ci-latency-repeat.json
-./target/release/jsonlint --require-key interference --require-key cores target/ci-latency.json
-./target/release/jsonlint --require-key interference < target/ci-latency.json
+./target/release/dbpreport --check --require-key interference --require-key cores target/ci-latency.json
+./target/release/dbpreport --check --require-key interference < target/ci-latency.json
 ./target/release/dbpreport target/ci-latency.json > /dev/null
 ./target/release/dbpreport --md < target/ci-latency.json > /dev/null
 
@@ -121,8 +139,8 @@ diff target/ci-latency.json target/ci-latency-repeat.json
 # deterministic: two identical seeded runs must export byte-identical
 # --audit-out JSON (on top of the property test that proves the
 # simulation itself is byte-identical with the rack attached vs
-# detached). Both jsonlint and the two renderers must accept the
-# document, as well as the committed full-fidelity audit.
+# detached). dbpreport must validate and render the document, as well as
+# the committed full-fidelity audit.
 ./target/release/dbpsim run --bench mcf,libquantum \
     --instructions 30000 --warmup 10000 --epoch 20000 --policy dbp \
     --audit-out target/ci-audit.json > /dev/null
@@ -130,12 +148,11 @@ diff target/ci-latency.json target/ci-latency-repeat.json
     --instructions 30000 --warmup 10000 --epoch 20000 --policy dbp \
     --audit-out target/ci-audit-repeat.json > /dev/null
 diff target/ci-audit.json target/ci-audit-repeat.json
-./target/release/jsonlint --require-key shadows --require-key convergence target/ci-audit.json
-./target/release/dbpaudit target/ci-audit.json > /dev/null
-./target/release/dbpaudit --md target/ci-audit.json > /dev/null
+./target/release/dbpreport --check --require-key shadows --require-key convergence target/ci-audit.json
 ./target/release/dbpreport target/ci-audit.json > /dev/null
-./target/release/dbpaudit results/diag_audit.json > /dev/null
+./target/release/dbpreport --md target/ci-audit.json > /dev/null
+./target/release/dbpreport results/diag_audit.json > /dev/null
 
 # Publish the rendered interference diagnostic (quick mode) as a CI
 # artifact next to BENCH_results.json / SUITE_timing.json.
-DBP_QUICK=1 ./target/release/diag_interference > REPORT_interference.txt 2> /dev/null
+./target/release/bench_all --quick diag_interference > REPORT_interference.txt 2> /dev/null

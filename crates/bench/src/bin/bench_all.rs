@@ -1,47 +1,51 @@
-//! Run the entire experiment suite — all tables, figures, ablations and
-//! extensions — in one process, sharing one worker pool and one memoized
-//! solo-run cache across experiments.
+//! The one experiment binary: run the entire suite — all tables,
+//! figures, ablations and extensions — or just the experiments named on
+//! the command line, in one process, sharing one worker pool and one
+//! memoized solo-run cache across experiments.
 //!
-//! Run: `cargo run --release -p dbp-bench --bin bench_all`
-//!
-//! Flags / environment:
-//!
-//! - `--quick` (or `DBP_QUICK=1`) — reduced instruction targets
-//! - `--json <path>` (or `DBP_SUITE_JSON=<path>`) — write the suite
-//!   timing summary as JSON (CI publishes it next to
-//!   `BENCH_results.json`)
-//! - `--profile-out <path>` — self-profile the suite (spans + work
-//!   counters) and write the profile document there (render: `dbpprof`)
-//! - `--baseline <path>` — compare micro-bench medians against this
-//!   committed baseline (`BENCH_baseline.json`) and print a delta table
-//! - `--bench-results <path>` — the current medians for the comparison
-//!   (a `DBP_BENCH_JSON` artifact; required with `--baseline`)
-//! - `--perf-out <path>` — write the comparison as a perf-summary JSON
-//! - `--history-append <path>` — append one schema-stamped JSON line
-//!   with this run's micro-bench medians to the longitudinal history
-//!   (`BENCH_history.jsonl`; requires `--bench-results`)
-//! - `--perf-only` — skip the experiment suite; just compare and gate
-//! - `--tolerance <frac>` (or `DBP_PERF_TOLERANCE`) — relative noise
-//!   tolerance for the comparison (default 0.35)
-//! - `DBP_PERF_GATE=1` — a regressed or missing benchmark exits 1
-//!   (default: warn and exit 0)
-//! - `DBP_JOBS=n` — worker count (`1` forces the serial reference path)
+//! Run: `cargo run --release -p dbp-bench --bin bench_all -- [--quick] [NAME ...]`
+//! (`--help` lists every option). `bench_all NAME > results/NAME.txt`
+//! regenerates one committed table; `DBP_JOBS=n` sets the worker count
+//! (`1` forces the serial reference path).
 //!
 //! Experiment tables go to **stdout** and are byte-identical for any
-//! worker count; timing, progress, and the perf delta table go to
-//! **stderr**, so `bench_all > tables.txt` is diffable across `DBP_JOBS`
-//! settings — exactly what the CI determinism gate does. Every artifact
-//! write failure is a hard error: CI must never mistake a run whose
-//! output silently vanished for a successful one.
+//! worker count, with or without `--stepped`; timing, progress, and the
+//! perf delta table go to **stderr**, so `bench_all > tables.txt` is
+//! diffable across `DBP_JOBS` settings — exactly what the CI determinism
+//! gate does. Every artifact write failure is a hard error: CI must
+//! never mistake a run whose output silently vanished for a successful
+//! one, and under `--baseline` a regressed or missing benchmark exits 1.
 
 use dbp_bench::engine::Engine;
-use dbp_bench::{experiments, harness, perf};
+use dbp_bench::experiments::{self, Experiment};
+use dbp_bench::{harness, perf};
+use dbp_obs::cli::{Arg, CliSpec};
 use dbp_obs::export::{profile_document, suite_timing_document, SuiteExperimentTiming};
 use dbp_obs::{Json, Prof, Table};
 use dbp_util::bench::{fmt_ns, Stopwatch};
 
+const SPEC: CliSpec = CliSpec {
+    bin: "bench_all",
+    about: "run the experiment suite (or the named experiments) and the micro-bench perf gate",
+    positional: "[NAME ...]  experiments to run, in the order given (default: the whole registry)",
+    args: &[
+        Arg::flag("--quick", "reduced instruction targets (CI and smoke runs)"),
+        Arg::flag("--stepped", "pin the per-cycle stepped core (time-skip cross-check)"),
+        Arg::opt("--json", "path", "write the suite timing summary as JSON"),
+        Arg::opt("--profile-out", "path", "self-profile the suite; write the profile document"),
+        Arg::opt("--baseline", "path", "compare micro-bench floors against this baseline"),
+        Arg::opt("--bench-results", "path", "the current DBP_BENCH_JSON artifact to compare"),
+        Arg::opt("--perf-out", "path", "write the comparison as a perf-summary JSON"),
+        Arg::opt("--history-append", "path", "append this run's medians as one JSON line"),
+        Arg::flag("--perf-only", "skip the experiments; just compare and gate"),
+        Arg::opt("--tolerance", "frac", "relative noise tolerance (default 0.35)"),
+    ],
+};
+
 struct Opts {
+    experiments: Vec<Experiment>,
     quick: bool,
+    stepped: bool,
     json_path: Option<String>,
     profile_out: Option<String>,
     baseline: Option<String>,
@@ -52,75 +56,58 @@ struct Opts {
     tolerance: f64,
 }
 
-fn usage() -> &'static str {
-    "usage: bench_all [--quick] [--json <path>] [--profile-out <path>]\n\
-     \x20                [--baseline <path> --bench-results <path>] [--perf-out <path>]\n\
-     \x20                [--history-append <path>] [--perf-only] [--tolerance <frac>]\n\
-     \x20  (DBP_JOBS=n sets workers; DBP_PERF_GATE=1 makes regressions fatal)"
+/// A usage error: one line on stderr, exit 2 (as `CliSpec` does).
+fn usage_error(msg: &str) -> ! {
+    eprintln!("bench_all: {msg}");
+    std::process::exit(2);
 }
 
 fn parse_opts() -> Opts {
-    let mut opts = Opts {
-        quick: harness::quick(),
-        json_path: std::env::var("DBP_SUITE_JSON").ok().filter(|p| !p.trim().is_empty()),
-        profile_out: None,
-        baseline: None,
-        bench_results: None,
-        perf_out: None,
-        history_append: None,
-        perf_only: false,
-        tolerance: perf::tolerance_from_env(),
+    let parsed = SPEC.parse_or_exit();
+    let path = |name: &str| parsed.option(name).map(str::to_owned);
+    let registry = experiments::all();
+    let experiments = if parsed.files.is_empty() {
+        registry
+    } else {
+        let find = |name: &String| {
+            registry.iter().find(|e| e.name == name).copied().unwrap_or_else(|| {
+                let names: Vec<_> = registry.iter().map(|e| e.name).collect();
+                usage_error(&format!("unknown experiment `{name}`; one of: {}", names.join(" ")))
+            })
+        };
+        parsed.files.iter().map(find).collect()
     };
-    let mut args = std::env::args().skip(1);
-    let value = |flag: &str, args: &mut dyn Iterator<Item = String>| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("bench_all: {flag} needs a value");
-            std::process::exit(2);
-        })
+    let tolerance = match parsed.option("--tolerance") {
+        None => perf::DEFAULT_TOLERANCE,
+        Some(v) => match v.trim().parse::<f64>() {
+            Ok(t) if t.is_finite() && t >= 0.0 => t,
+            _ => usage_error(&format!("--tolerance needs a non-negative number, got `{v}`")),
+        },
     };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => opts.quick = true,
-            "--json" => opts.json_path = Some(value("--json", &mut args)),
-            "--profile-out" => opts.profile_out = Some(value("--profile-out", &mut args)),
-            "--baseline" => opts.baseline = Some(value("--baseline", &mut args)),
-            "--bench-results" => opts.bench_results = Some(value("--bench-results", &mut args)),
-            "--perf-out" => opts.perf_out = Some(value("--perf-out", &mut args)),
-            "--history-append" => {
-                opts.history_append = Some(value("--history-append", &mut args));
-            }
-            "--perf-only" => opts.perf_only = true,
-            "--tolerance" => {
-                let v = value("--tolerance", &mut args);
-                match v.trim().parse::<f64>() {
-                    Ok(t) if t.is_finite() && t >= 0.0 => opts.tolerance = t,
-                    _ => {
-                        eprintln!("bench_all: --tolerance needs a non-negative number, got `{v}`");
-                        std::process::exit(2);
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!("{}", usage());
-                std::process::exit(0);
-            }
-            other => {
-                eprintln!("bench_all: unknown argument `{other}` (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let opts = Opts {
+        experiments,
+        quick: parsed.flag("--quick"),
+        stepped: parsed.flag("--stepped"),
+        json_path: path("--json"),
+        profile_out: path("--profile-out"),
+        baseline: path("--baseline"),
+        bench_results: path("--bench-results"),
+        perf_out: path("--perf-out"),
+        history_append: path("--history-append"),
+        perf_only: parsed.flag("--perf-only"),
+        tolerance,
+    };
     if opts.baseline.is_some() && opts.bench_results.is_none() {
-        eprintln!("bench_all: --baseline needs --bench-results <path> (the current medians)");
-        std::process::exit(2);
+        usage_error("--baseline needs --bench-results <path> (the current medians)");
     }
     if opts.history_append.is_some() && opts.bench_results.is_none() {
-        eprintln!("bench_all: --history-append needs --bench-results <path> (the medians source)");
-        std::process::exit(2);
+        usage_error("--history-append needs --bench-results <path> (the medians source)");
     }
     if opts.perf_only && opts.baseline.is_none() {
-        eprintln!("bench_all: --perf-only without --baseline has nothing to do");
-        std::process::exit(2);
+        usage_error("--perf-only without --baseline has nothing to do");
+    }
+    if opts.perf_only && !parsed.files.is_empty() {
+        usage_error("--perf-only runs no experiments; drop the names");
     }
     opts
 }
@@ -137,16 +124,20 @@ fn write_or_die(what: &str, path: &str, doc: &Json) {
     }
 }
 
-fn load_floors(what: &str, path: &str) -> Vec<(String, u64)> {
+/// Read and parse the JSON document at `path`, or exit 1.
+fn load_json(what: &str, path: &str) -> Json {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("bench_all: cannot read {what} {path}: {e}");
         std::process::exit(1);
     });
-    let doc = dbp_obs::json::parse(&text).unwrap_or_else(|e| {
+    dbp_obs::json::parse(&text).unwrap_or_else(|e| {
         eprintln!("bench_all: {what} {path} is not valid JSON: {e}");
         std::process::exit(1);
-    });
-    perf::parse_floors(&doc).unwrap_or_else(|e| {
+    })
+}
+
+fn load_floors(what: &str, path: &str) -> Vec<(String, u64)> {
+    perf::parse_floors(&load_json(what, path)).unwrap_or_else(|e| {
         eprintln!("bench_all: {what} {path}: {e}");
         std::process::exit(1);
     })
@@ -156,17 +147,19 @@ fn run_suite(opts: &Opts) {
     let prof = if opts.profile_out.is_some() { Prof::enabled() } else { Prof::disabled() };
     let mut eng = Engine::from_env();
     eng.attach_profiler(&prof);
-    let cfg = harness::config_for(opts.quick);
+    let mut cfg = harness::config_for(opts.quick);
+    cfg.time_skip = !opts.stepped;
     eprintln!(
-        "bench_all: {} worker(s), {} config{}",
+        "bench_all: {} worker(s), {} config{}{}",
         eng.workers(),
         if opts.quick { "quick" } else { "full (Table 1)" },
+        if opts.stepped { ", stepped core" } else { "" },
         if prof.is_enabled() { ", self-profiling on" } else { "" }
     );
 
     let suite = Stopwatch::start();
     let mut rows: Vec<SuiteExperimentTiming> = Vec::new();
-    for exp in experiments::all() {
+    for exp in &opts.experiments {
         let before = eng.stats();
         let sw = Stopwatch::start();
         let body = (exp.render)(&eng, &cfg);
@@ -250,14 +243,7 @@ fn run_history_append(opts: &Opts) {
 
     let Some(path) = &opts.history_append else { return };
     let results_path = opts.bench_results.as_deref().expect("checked in parse_opts");
-    let text = std::fs::read_to_string(results_path).unwrap_or_else(|e| {
-        eprintln!("bench_all: cannot read bench results {results_path}: {e}");
-        std::process::exit(1);
-    });
-    let doc = dbp_obs::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("bench_all: bench results {results_path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
+    let doc = load_json("bench results", results_path);
     let now = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
@@ -292,9 +278,8 @@ fn run_perf_compare(opts: &Opts) -> bool {
     );
     eprint!("{}", perf::delta_table(&rows).render());
 
-    let gate_enforced = std::env::var("DBP_PERF_GATE").is_ok_and(|v| v.trim() == "1");
     if let Some(path) = &opts.perf_out {
-        let doc = perf::perf_summary_document(&rows, opts.tolerance, gate_enforced);
+        let doc = perf::perf_summary_document(&rows, opts.tolerance);
         write_or_die("perf summary JSON", path, &doc);
     }
     let failures = perf::gate_failures(&rows);
@@ -311,17 +296,8 @@ fn run_perf_compare(opts: &Opts) -> bool {
             f.current_ns.map_or_else(|| "-".into(), |n| fmt_ns(u128::from(n))),
         );
     }
-    if gate_enforced {
-        eprintln!("bench_all: perf gate FAILED ({} finding(s); DBP_PERF_GATE=1)", failures.len());
-        true
-    } else {
-        eprintln!(
-            "bench_all: perf gate would fail ({} finding(s)) — advisory only; \
-             set DBP_PERF_GATE=1 to enforce",
-            failures.len()
-        );
-        false
-    }
+    eprintln!("bench_all: perf gate FAILED ({} finding(s))", failures.len());
+    true
 }
 
 fn main() {

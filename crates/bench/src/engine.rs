@@ -109,6 +109,13 @@ enum JobOut {
     Shared(RunResult),
 }
 
+/// A grid's shared run: one `bench/shared_run` span, self-profiled into
+/// the engine's profiler, no telemetry recorder.
+fn shared_run(cfg: &SimConfig, mix: &Mix, prof: &Prof) -> RunResult {
+    let _s = prof.span("bench/shared_run");
+    runner::run_shared_instrumented(cfg, mix, dbp_obs::Recorder::disabled(), prof.clone())
+}
+
 impl Engine {
     /// An engine with an explicit worker count (tests force 1 vs many).
     pub fn with_workers(workers: usize) -> Self {
@@ -139,6 +146,13 @@ impl Engine {
     /// Profiling only observes — tables stay byte-identical.
     pub fn attach_profiler(&mut self, prof: &Prof) {
         self.prof = prof.clone();
+    }
+
+    /// The attached profiler (disabled unless
+    /// [`Engine::attach_profiler`] was called), for experiments that
+    /// build their own instrumented runs inside [`Engine::par_map`].
+    pub fn profiler(&self) -> &Prof {
+        &self.prof
     }
 
     /// Snapshot of the cumulative work counters.
@@ -215,10 +229,7 @@ impl Engine {
                     let _s = prof.span("bench/solo_run");
                     JobOut::Solo(runner::alone_ipc(&cfg, &mix, core))
                 }
-                Job::Shared { cfg, mix } => {
-                    let _s = prof.span("bench/shared_run");
-                    JobOut::Shared(runner::run_shared_profiled(&cfg, &mix, prof.clone()))
-                }
+                Job::Shared { cfg, mix } => JobOut::Shared(shared_run(&cfg, &mix, prof)),
             };
             // Pool workers die with the scope; hand this thread's span
             // tree back to the profiler while it is still complete.
@@ -277,10 +288,7 @@ impl Engine {
         self.stats.lock().expect("stats poisoned").shared_runs += jobs.len() as u64;
         let prof = &self.prof;
         let outs = pool::par_map(self.workers, jobs, |(cfg, mix)| {
-            let out = {
-                let _s = prof.span("bench/shared_run");
-                runner::run_shared_profiled(&cfg, &mix, prof.clone())
-            };
+            let out = shared_run(&cfg, &mix, prof);
             prof.flush_thread();
             out
         });

@@ -2,9 +2,9 @@
 //!
 //! Each takes the shared sweep [`Engine`] plus a configuration and
 //! returns a [`Table`] whose rows are the series the paper plots; the
-//! `src/bin/` wrappers print them via [`crate::run_bin`], and the
-//! `bench_all` binary runs the whole registry ([`all`]) in one process
-//! so the memoized solo-run cache is shared across experiments. See
+//! `bench_all` binary runs the registry ([`all`]) — whole, or the
+//! entries named on its command line — in one process so the memoized
+//! solo-run cache is shared across experiments. See
 //! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
 //! recorded paper-vs-measured outcomes.
 //!
@@ -15,9 +15,11 @@
 
 use dbp_core::policy::PolicyKind;
 use dbp_core::{BankDemandEstimator, EstimatorConfig, ThreadMemProfile};
+use dbp_obs::{AuditReport, LatencyReport, Prof, Recorder, RecorderConfig};
 use dbp_osmem::MigrationMode;
 use dbp_sim::metrics::gmean;
 use dbp_sim::report::{f3, pct, Table};
+use dbp_sim::runner::run_shared_instrumented;
 use dbp_sim::{MigrationCost, SimConfig, ThreadResult};
 use dbp_workloads::{mixes_4core, profiles, scale_mix, Mix, SyntheticTrace};
 
@@ -649,6 +651,15 @@ pub fn ext3_schedulers(eng: &Engine, cfg: &SimConfig) -> Table {
     t
 }
 
+/// The latency anatomy of `mix`'s shared run under `cfg`, self-profiled
+/// into `prof`. Each call owns a private recorder (its shared state is
+/// not `Send`), so this is safe to fan out across pool workers.
+fn latency_of(cfg: &SimConfig, mix: &Mix, prof: &Prof) -> LatencyReport {
+    let rec = Recorder::new(RecorderConfig::default());
+    run_shared_instrumented(cfg, mix, rec.clone(), prof.clone());
+    rec.snapshot().latency.unwrap_or_default()
+}
+
 /// Diagnostic: per-request latency anatomy and the interference
 /// attribution matrices for the Figure 1 motivation mix, under the three
 /// headline policies. This is the observability companion to Figures 1,
@@ -665,15 +676,16 @@ pub fn diag_interference(eng: &Engine, cfg: &SimConfig) -> String {
 
     let mix = Mix { name: "motivation", intensive_pct: 100, benchmarks: vec!["libquantum", "mcf"] };
     let combos = [harness::shared(), harness::equal_bp(), harness::dbp()];
-    let runs = eng.par_map(combos.iter().map(|combo| combo.apply(cfg)).collect(), |run_cfg| {
-        dbp_sim::runner::run_shared_latency(&run_cfg, &mix)
-    });
+    let runs: Vec<LatencyReport> = eng
+        .par_map(combos.iter().map(|combo| combo.apply(cfg)).collect(), |run_cfg| {
+            latency_of(&run_cfg, &mix, eng.profiler())
+        });
 
     let mut headline =
         Table::new(["policy", "reads", "mean", "p50", "p90", "p99", "bank x-core", "bus x-core"]);
     let mut out = String::new();
     let mut annotations = Vec::new();
-    for (combo, (_, rep)) in combos.iter().zip(&runs) {
+    for (combo, rep) in combos.iter().zip(&runs) {
         let mut all = dbp_obs::Histogram::new();
         for core in &rep.cores {
             all.merge(&core.read);
@@ -696,7 +708,7 @@ pub fn diag_interference(eng: &Engine, cfg: &SimConfig) -> String {
         "(read latency in DRAM cycles; x-core = cycles a core's oldest read was\n \
          blocked on a bank/the bus held by the other core)\n",
     );
-    for (combo, (_, rep)) in combos.iter().zip(&runs) {
+    for (combo, rep) in combos.iter().zip(&runs) {
         out.push_str(&format!("\n--- {} ---\n{}", combo.label, latency_report_text(rep)));
     }
     out
@@ -718,7 +730,7 @@ pub fn diag_interference(eng: &Engine, cfg: &SimConfig) -> String {
 /// Also publishes a machine-readable summary per live policy as a
 /// `bench_all --json` annotation (`diag_audit`). The full audit document
 /// for the DBP run is produced by `dbpsim run --mix mix50-1 --audit-out`
-/// and rendered by `dbpaudit` (see `results/diag_audit.json`).
+/// and rendered by `dbpreport` (see `results/diag_audit.json`).
 pub fn diag_audit(eng: &Engine, cfg: &SimConfig) -> String {
     use dbp_obs::audit::{
         calibration_table, convergence_summary, phase_shift_table, policy_table, prediction_table,
@@ -727,9 +739,12 @@ pub fn diag_audit(eng: &Engine, cfg: &SimConfig) -> String {
 
     let mix = mixes_4core().into_iter().find(|m| m.name == "mix50-1").expect("mix50-1 registered");
     let combos = [harness::dbp(), harness::equal_bp()];
-    let runs = eng.par_map(combos.iter().map(|combo| combo.apply(cfg)).collect(), |run_cfg| {
-        dbp_sim::runner::run_shared_audited(&run_cfg, &mix)
-    });
+    let runs: Vec<AuditReport> =
+        eng.par_map(combos.iter().map(|combo| combo.apply(cfg)).collect(), |run_cfg| {
+            let rec = Recorder::new(RecorderConfig { audit: true, ..Default::default() });
+            run_shared_instrumented(&run_cfg, &mix, rec.clone(), eng.profiler().clone());
+            rec.snapshot().audit.unwrap_or_default()
+        });
 
     let mut headline = Table::new([
         "live policy",
@@ -740,7 +755,7 @@ pub fn diag_audit(eng: &Engine, cfg: &SimConfig) -> String {
         "closest shadow",
     ]);
     let mut annotations = Vec::new();
-    for (combo, (_, rep)) in combos.iter().zip(&runs) {
+    for (combo, rep) in combos.iter().zip(&runs) {
         let samples: u64 = rep.prediction.iter().map(|p| p.samples).sum();
         let abs_err = if samples == 0 {
             f64::NAN
@@ -795,7 +810,7 @@ pub fn diag_audit(eng: &Engine, cfg: &SimConfig) -> String {
          decisions from measurement start until 3 unchanged in a row; |pred err| in\n \
          bank units; closest shadow = smallest mean allocation distance to live)\n",
     );
-    for (combo, (_, rep)) in combos.iter().zip(&runs) {
+    for (combo, rep) in combos.iter().zip(&runs) {
         out.push_str(&format!("\n--- live {} ---\n", combo.label));
         out.push_str(&policy_table(rep).to_string());
         out.push_str(&prediction_table(rep).to_string());
@@ -810,11 +825,13 @@ pub fn diag_audit(eng: &Engine, cfg: &SimConfig) -> String {
     out
 }
 
-/// A registered experiment: its binary name, the `== title ==` banner the
-/// binary prints, and a renderer producing the full stdout body (tables
-/// plus reading-direction footnotes).
+/// A registered experiment: its name, the `== title ==` banner
+/// `bench_all` prints, and a renderer producing the full stdout body
+/// (tables plus reading-direction footnotes).
+#[derive(Clone, Copy)]
 pub struct Experiment {
-    /// Binary name, e.g. `"fig4_ws_dbp"`.
+    /// The name `bench_all NAME` selects and `results/NAME.txt` is keyed
+    /// by, e.g. `"fig4_ws_dbp"`.
     pub name: &'static str,
     /// Banner title (printed as `== title ==`).
     pub title: &'static str,
@@ -1034,14 +1051,25 @@ mod tests {
     }
 
     #[test]
-    fn registry_names_match_binaries_and_are_unique() {
+    fn registry_names_are_unique_and_match_the_committed_results() {
         let exps = all();
         assert_eq!(exps.len(), 23);
-        let mut names: Vec<_> = exps.iter().map(|e| e.name).collect();
+        let mut names: Vec<_> = exps.iter().map(|e| e.name.to_owned()).collect();
         names.sort_unstable();
         let n = names.len();
         names.dedup();
         assert_eq!(names.len(), n);
+        // `results/NAME.txt` is `bench_all NAME > results/NAME.txt`: a
+        // renamed or dropped experiment must not leave a stale table.
+        let results = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results");
+        let mut stems: Vec<String> = std::fs::read_dir(results)
+            .expect("results/ is committed")
+            .map(|e| e.expect("readable entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "txt"))
+            .map(|p| p.file_stem().expect("stem").to_string_lossy().into_owned())
+            .collect();
+        stems.sort_unstable();
+        assert_eq!(names, stems);
     }
 
     #[test]
@@ -1071,8 +1099,7 @@ mod tests {
         let cfg = smoke_cfg();
         let mix =
             Mix { name: "motivation", intensive_pct: 100, benchmarks: vec!["libquantum", "mcf"] };
-        let report_for =
-            |combo: Combo| dbp_sim::runner::run_shared_latency(&combo.apply(&cfg), &mix).1;
+        let report_for = |combo: Combo| latency_of(&combo.apply(&cfg), &mix, &Prof::disabled());
         let shared = report_for(harness::shared());
         let equal = report_for(harness::equal_bp());
         let dbp = report_for(harness::dbp());

@@ -68,11 +68,6 @@ pub fn mcp() -> Combo {
     }
 }
 
-/// Whether `DBP_QUICK` mode is active.
-pub fn quick() -> bool {
-    std::env::var_os("DBP_QUICK").is_some()
-}
-
 /// The Table 1 system configuration, optionally scaled down to the
 /// quick (CI/smoke) instruction targets.
 pub fn config_for(quick: bool) -> SimConfig {
@@ -84,11 +79,6 @@ pub fn config_for(quick: bool) -> SimConfig {
         cfg.instr_feed_interval = 30_000;
     }
     cfg
-}
-
-/// The Table 1 system configuration, scaled down if `DBP_QUICK` is set.
-pub fn base_config() -> SimConfig {
-    config_for(quick())
 }
 
 #[cfg(test)]
@@ -106,14 +96,14 @@ mod tests {
     }
 
     #[test]
-    fn base_config_validates() {
-        base_config().validate().unwrap();
+    fn both_configs_validate() {
+        config_for(false).validate().unwrap();
+        config_for(true).validate().unwrap();
     }
 
     #[test]
     fn combo_apply_overrides_policy() {
-        let cfg = base_config();
-        let c = dbp().apply(&cfg);
+        let c = dbp().apply(&config_for(false));
         assert!(matches!(c.policy, PolicyKind::Dbp(_)));
     }
 }

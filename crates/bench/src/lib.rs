@@ -1,13 +1,14 @@
 //! Benchmark harness for the DBP reproduction.
 //!
-//! Every table and figure of the (reconstructed) evaluation has a binary
-//! in `src/bin/` that regenerates it; the experiment logic lives here so
-//! the integration tests can smoke-run scaled-down versions of each.
-//! The `bench_all` binary runs the whole registry in one process, which
-//! lets the [`engine`]'s memoized solo-run cache be shared across
-//! experiments.
+//! Every table and figure of the (reconstructed) evaluation is an entry
+//! of the [`experiments::all`] registry; the experiment logic lives here
+//! so the integration tests can smoke-run scaled-down versions of each.
+//! The `bench_all` binary is the one front door: it runs the whole
+//! registry — or just the experiments named on its command line — in one
+//! process, which lets the [`engine`]'s memoized solo-run cache be shared
+//! across experiments.
 //!
-//! Set `DBP_QUICK=1` to run every experiment at a reduced instruction
+//! `bench_all --quick` runs every experiment at a reduced instruction
 //! target (useful for CI and smoke tests); the shapes survive, the noise
 //! grows. Set `DBP_JOBS=n` to pin the worker count (`DBP_JOBS=1` forces
 //! the serial reference path).
@@ -15,8 +16,8 @@
 //! ```no_run
 //! // Regenerate Figure 4 (weighted speedup, DBP vs equal vs shared):
 //! let eng = dbp_bench::engine::Engine::from_env();
-//! let table = dbp_bench::experiments::fig4_ws_dbp(&eng, &dbp_bench::harness::base_config());
-//! println!("{table}");
+//! let cfg = dbp_bench::harness::config_for(false);
+//! println!("{}", dbp_bench::experiments::fig4_ws_dbp(&eng, &cfg));
 //! ```
 
 pub mod engine;
@@ -25,22 +26,3 @@ pub mod harness;
 pub mod micro;
 pub mod perf;
 pub mod pool;
-
-/// Entry point shared by the per-experiment binaries: look up `name` in
-/// the registry, run it through a fresh engine at the `DBP_QUICK`-aware
-/// base configuration, and print the banner plus body to stdout.
-///
-/// # Panics
-///
-/// Panics if `name` is not a registered experiment (a binary/registry
-/// mismatch is a build bug, not a runtime condition).
-pub fn run_bin(name: &str) {
-    let exp = experiments::all()
-        .into_iter()
-        .find(|e| e.name == name)
-        .unwrap_or_else(|| panic!("experiment `{name}` is not registered"));
-    let eng = engine::Engine::from_env();
-    let cfg = harness::base_config();
-    println!("== {} ==\n", exp.title);
-    println!("{}", (exp.render)(&eng, &cfg));
-}

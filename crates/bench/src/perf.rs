@@ -7,10 +7,9 @@
 //! structural slowdown (an accidental O(n²), a dropped memo) must move,
 //! while medians of tiny CI iteration counts mostly measure the host.
 //! On top of that the comparison uses a *relative tolerance* (default
-//! ±35%, `DBP_PERF_TOLERANCE` overrides): a benchmark only counts as
+//! ±35%, `bench_all --tolerance` overrides): a benchmark only counts as
 //! regressed when its floor exceeds `baseline * (1 + tolerance)`. The
-//! gate is advisory by default (`bench_all` warns and exits 0) and
-//! enforcing under `DBP_PERF_GATE=1`.
+//! gate is fatal: `bench_all --baseline` exits 1 on any finding.
 //!
 //! Statuses:
 //!
@@ -26,15 +25,6 @@ use dbp_obs::{Json, Table};
 
 /// Default relative noise tolerance for floor comparisons.
 pub const DEFAULT_TOLERANCE: f64 = 0.35;
-
-/// `DBP_PERF_TOLERANCE` if set to a non-negative number, else the default.
-pub fn tolerance_from_env() -> f64 {
-    std::env::var("DBP_PERF_TOLERANCE")
-        .ok()
-        .and_then(|v| v.trim().parse::<f64>().ok())
-        .filter(|t| t.is_finite() && *t >= 0.0)
-        .unwrap_or(DEFAULT_TOLERANCE)
-}
 
 /// Verdict for one benchmark of the comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -237,13 +227,12 @@ pub fn delta_table(rows: &[PerfRow]) -> Table {
 /// Build the `perf_summary` document `bench_all --perf-out` writes:
 /// version stamps, the comparison parameters, one row per benchmark, and
 /// the gate verdict CI scripts key off.
-pub fn perf_summary_document(rows: &[PerfRow], tolerance: f64, gate_enforced: bool) -> Json {
+pub fn perf_summary_document(rows: &[PerfRow], tolerance: f64) -> Json {
     let failures = gate_failures(rows);
     Json::obj([
         ("format_version", Json::uint(dbp_obs::export::FORMAT_VERSION)),
         ("schema_version", Json::str(dbp_obs::export::SCHEMA_VERSION)),
         ("tolerance", Json::num(tolerance)),
-        ("gate_enforced", Json::Bool(gate_enforced)),
         ("gate_passed", Json::Bool(failures.is_empty())),
         ("failures", Json::uint(failures.len() as u64)),
         (
@@ -282,7 +271,7 @@ mod tests {
         let rows = compare(&base, &base, DEFAULT_TOLERANCE);
         assert!(rows.iter().all(|r| r.status == PerfStatus::Ok));
         assert!(gate_failures(&rows).is_empty());
-        let doc = perf_summary_document(&rows, DEFAULT_TOLERANCE, false);
+        let doc = perf_summary_document(&rows, DEFAULT_TOLERANCE);
         assert_eq!(doc.get("gate_passed").and_then(Json::as_bool), Some(true));
     }
 
@@ -297,7 +286,7 @@ mod tests {
         let fails = gate_failures(&rows);
         assert_eq!(fails.len(), 1);
         assert_eq!(fails[0].name, "hot");
-        let doc = perf_summary_document(&rows, DEFAULT_TOLERANCE, true);
+        let doc = perf_summary_document(&rows, DEFAULT_TOLERANCE);
         assert_eq!(doc.get("gate_passed").and_then(Json::as_bool), Some(false));
         assert_eq!(doc.get("failures").and_then(Json::as_num), Some(1.0));
     }
@@ -384,10 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn tolerance_env_parses_defensively() {
-        // (Cannot set the var in-process without racing other tests;
-        // exercise the default path plus the numeric guards directly.)
-        assert_eq!(tolerance_from_env(), DEFAULT_TOLERANCE);
+    fn zero_tolerance_accepts_identical_floors() {
         assert!(compare(&set(&[("a", 100)]), &set(&[("a", 100)]), 0.0)
             .iter()
             .all(|r| r.status == PerfStatus::Ok));

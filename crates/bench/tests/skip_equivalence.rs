@@ -9,8 +9,8 @@
 //! diverged in the suite's scheduler-landscape table. The smaller
 //! 2-core `fast_test` property tests never caught it; only a 4-core
 //! quick-suite workload does, so it is pinned here. The full-suite
-//! `DBP_NO_SKIP=1` diff leg in ci.sh covers every other (scheduler,
-//! mix, policy) combination in release.
+//! `bench_all --stepped` diff leg in ci.sh covers every other
+//! (scheduler, mix, policy) combination in release.
 
 use dbp_bench::harness;
 use dbp_core::policy::PolicyKind;

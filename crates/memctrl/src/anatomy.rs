@@ -186,6 +186,60 @@ impl Anatomy {
         }
     }
 
+    /// Global bank index of `r`.
+    fn gbank_of(dram: &Dram, r: &MemRequest) -> usize {
+        let cfg = dram.cfg();
+        (((r.channel * cfg.ranks_per_channel) + r.rank) * cfg.banks_per_rank + r.bank) as usize
+    }
+
+    /// Pass 1 of both attribution forms: the oldest queued request per
+    /// bank (the blocker a younger same-bank request waits behind) and
+    /// the oldest queued demand read per core (the interference-matrix
+    /// subject).
+    fn scan_heads(&mut self, dram: &Dram, read_q: &[Vec<MemRequest>]) {
+        self.bank_head.fill(None);
+        self.oldest.fill(None);
+        for r in read_q.iter().flatten() {
+            let g = Self::gbank_of(dram, r);
+            let key = (r.arrival, r.id);
+            if self.bank_head[g].is_none_or(|(a, i, _)| key < (a, i)) {
+                self.bank_head[g] = Some((r.arrival, r.id, r.thread));
+            }
+            if r.kind == TrafficKind::Demand && self.oldest[r.thread].is_none_or(|o| key < o) {
+                self.oldest[r.thread] = Some(key);
+            }
+        }
+    }
+
+    /// Charge `len` cycles of `cause` to `r`'s wait components and, if
+    /// `r` is its core's oldest read, to the interfering core's matrix
+    /// entry.
+    fn charge(&mut self, r: &MemRequest, cause: Cause, len: u64) {
+        let (component, charge) = match cause {
+            Cause::Intrinsic => (None, None),
+            Cause::Queue { by, bus } => {
+                let c = if by == r.thread { 0 } else { 1 };
+                (Some(c), Some((bus, by)))
+            }
+            Cause::BankBusy { by } => (Some(2), by.map(|j| (false, j))),
+            Cause::Bus { by } => (Some(3), by.map(|j| (true, j))),
+        };
+        if let Some(c) = component {
+            if let Some(w) = self.waits.get_mut(&r.id) {
+                w[c] += len;
+            }
+        }
+        if self.oldest[r.thread] == Some((r.arrival, r.id)) {
+            if let Some((bus, holder)) = charge {
+                if bus {
+                    self.report.bus_interference.add(r.thread, holder, len);
+                } else {
+                    self.report.bank_interference.add(r.thread, holder, len);
+                }
+            }
+        }
+    }
+
     /// Charge one stall cycle to each queued demand read (and, for each
     /// core's oldest read, to the interfering core's matrix entry).
     /// `issued` is what each channel issued this cycle, if anything.
@@ -197,62 +251,14 @@ impl Anatomy {
         issued: &[Option<IssuedCmd>],
         closed_page: bool,
     ) {
-        let cfg = dram.cfg();
-        let (rpc, bpr) = (cfg.ranks_per_channel, cfg.banks_per_rank);
-        let gbank_of = |r: &MemRequest| (((r.channel * rpc) + r.rank) * bpr + r.bank) as usize;
-        // Pass 1: the oldest queued request per bank (the blocker a
-        // younger same-bank request waits behind) and the oldest queued
-        // demand read per core (the interference-matrix subject).
-        for slot in &mut self.bank_head {
-            *slot = None;
-        }
-        for slot in &mut self.oldest {
-            *slot = None;
-        }
-        for q in read_q {
-            for r in q {
-                let g = gbank_of(r);
-                let key = (r.arrival, r.id);
-                if self.bank_head[g].is_none_or(|(a, i, _)| key < (a, i)) {
-                    self.bank_head[g] = Some((r.arrival, r.id, r.thread));
-                }
-                if r.kind == TrafficKind::Demand && self.oldest[r.thread].is_none_or(|o| key < o) {
-                    self.oldest[r.thread] = Some(key);
-                }
-            }
-        }
+        self.scan_heads(dram, read_q);
         // Pass 2: classify each queued demand read's stall this cycle.
         for (chi, q) in read_q.iter().enumerate() {
             let ch_issued = issued.get(chi).copied().flatten();
-            for r in q {
-                if r.kind != TrafficKind::Demand {
-                    continue;
-                }
-                let g = gbank_of(r);
+            for r in q.iter().filter(|r| r.kind == TrafficKind::Demand) {
+                let g = Self::gbank_of(dram, r);
                 let cause = self.classify(now, dram, r, g, ch_issued, closed_page);
-                let (component, charge) = match cause {
-                    Cause::Intrinsic => (None, None),
-                    Cause::Queue { by, bus } => {
-                        let c = if by == r.thread { 0 } else { 1 };
-                        (Some(c), Some((bus, by)))
-                    }
-                    Cause::BankBusy { by } => (Some(2), by.map(|j| (false, j))),
-                    Cause::Bus { by } => (Some(3), by.map(|j| (true, j))),
-                };
-                if let Some(c) = component {
-                    if let Some(w) = self.waits.get_mut(&r.id) {
-                        w[c] += 1;
-                    }
-                }
-                if self.oldest[r.thread] == Some((r.arrival, r.id)) {
-                    if let Some((bus, holder)) = charge {
-                        if bus {
-                            self.report.bus_interference.add(r.thread, holder, 1);
-                        } else {
-                            self.report.bank_interference.add(r.thread, holder, 1);
-                        }
-                    }
-                }
+                self.charge(r, cause, 1);
             }
         }
     }
@@ -279,97 +285,49 @@ impl Anatomy {
         if count == 0 {
             return;
         }
-        let cfg = dram.cfg();
-        let (rpc, bpr) = (cfg.ranks_per_channel, cfg.banks_per_rank);
-        let gbank_of = |r: &MemRequest| (((r.channel * rpc) + r.rank) * bpr + r.bank) as usize;
-        for slot in &mut self.bank_head {
-            *slot = None;
-        }
-        for slot in &mut self.oldest {
-            *slot = None;
-        }
-        for q in read_q {
-            for r in q {
-                let g = gbank_of(r);
-                let key = (r.arrival, r.id);
-                if self.bank_head[g].is_none_or(|(a, i, _)| key < (a, i)) {
-                    self.bank_head[g] = Some((r.arrival, r.id, r.thread));
-                }
-                if r.kind == TrafficKind::Demand && self.oldest[r.thread].is_none_or(|o| key < o) {
-                    self.oldest[r.thread] = Some(key);
-                }
-            }
-        }
+        self.scan_heads(dram, read_q);
         let end = from + count;
-        for q in read_q {
-            for r in q {
-                if r.kind != TrafficKind::Demand {
-                    continue;
+        for r in read_q.iter().flatten().filter(|r| r.kind == TrafficKind::Demand) {
+            let g = Self::gbank_of(dram, r);
+            // First-segment cause and the cycle (if any) at which it
+            // switches to a bus/arbitration wait. Mirrors `classify`
+            // with `ch_issued = None` on every cycle of the window.
+            let behind_older =
+                self.bank_head[g].is_some_and(|(a, i, _)| (a, i) < (r.arrival, r.id));
+            let loc = Loc::new(r.channel, r.rank, r.bank);
+            let (first, switch_at) = if behind_older {
+                let (_, _, t) = self.bank_head[g].unwrap();
+                (Cause::Queue { by: t, bus: false }, None)
+            } else {
+                match dram.open_row(loc) {
+                    Some(row) if row == r.row => {
+                        let gate_clears =
+                            dram.read_bank_ready(loc).expect("open row must report a gate");
+                        let bank_cause = if self.row_owner[g] == Some(r.thread) {
+                            Cause::Intrinsic
+                        } else {
+                            Cause::BankBusy { by: self.row_owner[g] }
+                        };
+                        (bank_cause, Some(gate_clears))
+                    }
+                    Some(_) => (Cause::BankBusy { by: self.row_owner[g] }, None),
+                    None => {
+                        let act = Command::Activate { loc, row: r.row };
+                        // No command issued since `from - 1`, so the
+                        // channel's same-cycle adjustment can't apply:
+                        // this is exactly when `timing_ready` flips.
+                        let act_ready = dram
+                            .earliest_issue(&act, from)
+                            .expect("closed bank accepts an activate");
+                        (Cause::BankBusy { by: self.row_owner[g] }, Some(act_ready))
+                    }
                 }
-                let g = gbank_of(r);
-                // First-segment cause and the cycle (if any) at which it
-                // switches to a bus/arbitration wait. Mirrors `classify`
-                // with `ch_issued = None` on every cycle of the window.
-                let behind_older =
-                    self.bank_head[g].is_some_and(|(a, i, _)| (a, i) < (r.arrival, r.id));
-                let loc = Loc::new(r.channel, r.rank, r.bank);
-                let (first, switch_at) = if behind_older {
-                    let (_, _, t) = self.bank_head[g].unwrap();
-                    (Cause::Queue { by: t, bus: false }, None)
-                } else {
-                    match dram.open_row(loc) {
-                        Some(row) if row == r.row => {
-                            let gate_clears =
-                                dram.read_bank_ready(loc).expect("open row must report a gate");
-                            let bank_cause = if self.row_owner[g] == Some(r.thread) {
-                                Cause::Intrinsic
-                            } else {
-                                Cause::BankBusy { by: self.row_owner[g] }
-                            };
-                            (bank_cause, Some(gate_clears))
-                        }
-                        Some(_) => (Cause::BankBusy { by: self.row_owner[g] }, None),
-                        None => {
-                            let act = Command::Activate { loc, row: r.row };
-                            // No command issued since `from - 1`, so the
-                            // channel's same-cycle adjustment can't apply:
-                            // this is exactly when `timing_ready` flips.
-                            let act_ready = dram
-                                .earliest_issue(&act, from)
-                                .expect("closed bank accepts an activate");
-                            (Cause::BankBusy { by: self.row_owner[g] }, Some(act_ready))
-                        }
-                    }
-                };
-                let len1 = switch_at.map_or(count, |b| b.clamp(from, end) - from);
-                let bus_after = Cause::Bus { by: self.bus_owner[r.channel as usize] };
-                for (len, cause) in [(len1, first), (count - len1, bus_after)] {
-                    if len == 0 {
-                        continue;
-                    }
-                    let (component, charge) = match cause {
-                        Cause::Intrinsic => (None, None),
-                        Cause::Queue { by, bus } => {
-                            let c = if by == r.thread { 0 } else { 1 };
-                            (Some(c), Some((bus, by)))
-                        }
-                        Cause::BankBusy { by } => (Some(2), by.map(|j| (false, j))),
-                        Cause::Bus { by } => (Some(3), by.map(|j| (true, j))),
-                    };
-                    if let Some(c) = component {
-                        if let Some(w) = self.waits.get_mut(&r.id) {
-                            w[c] += len;
-                        }
-                    }
-                    if self.oldest[r.thread] == Some((r.arrival, r.id)) {
-                        if let Some((bus, holder)) = charge {
-                            if bus {
-                                self.report.bus_interference.add(r.thread, holder, len);
-                            } else {
-                                self.report.bank_interference.add(r.thread, holder, len);
-                            }
-                        }
-                    }
+            };
+            let len1 = switch_at.map_or(count, |b| b.clamp(from, end) - from);
+            let bus_after = Cause::Bus { by: self.bus_owner[r.channel as usize] };
+            for (len, cause) in [(len1, first), (count - len1, bus_after)] {
+                if len > 0 {
+                    self.charge(r, cause, len);
                 }
             }
         }

@@ -499,7 +499,7 @@ impl MemoryController {
             for ch in 0..self.dram.cfg().channels {
                 let chi = ch as usize;
                 let ic = if quiet(&self.queue_event[chi]) {
-                    self.tick_drain(ch);
+                    self.tick_drain(chi, 1);
                     None
                 } else {
                     self.issue_channel(ch, now)
@@ -615,10 +615,8 @@ impl MemoryController {
         // at executed ticks, so the hysteresis settles at the first
         // skipped tick exactly as `skip_ticks` replays it).
         let chi = ch as usize;
-        let wlen = self.write_q[chi].len();
-        let draining =
-            if self.draining[chi] { wlen > self.cfg.write_lo } else { wlen >= self.cfg.write_hi };
-        let use_writes = draining || (self.read_q[chi].is_empty() && wlen > 0);
+        let use_writes =
+            self.drain_next(chi) || (self.read_q[chi].is_empty() && !self.write_q[chi].is_empty());
         // Timing legality depends on (bank, command kind), never on
         // the row or column, so the candidate table answers for every
         // queued request with one cached query per class.
@@ -652,20 +650,8 @@ impl MemoryController {
             "skip window crosses a pending completion"
         );
         self.prof.sample_blp_n(count);
-        // Write-drain hysteresis: with static queues it settles at the
-        // first skipped tick; replicate that flip, then charge the window.
         for chi in 0..self.draining.len() {
-            let wlen = self.write_q[chi].len();
-            if self.draining[chi] {
-                if wlen <= self.cfg.write_lo {
-                    self.draining[chi] = false;
-                }
-            } else if wlen >= self.cfg.write_hi {
-                self.draining[chi] = true;
-            }
-            if self.draining[chi] {
-                self.stats.drain_cycles += count;
-            }
+            self.tick_drain(chi, count);
         }
         if self.anat.is_enabled() {
             let MemoryController { dram, read_q, anat, .. } = self;
@@ -682,21 +668,27 @@ impl MemoryController {
         }
     }
 
-    /// Per-tick write-drain hysteresis update and drain-cycle charge —
-    /// the part of [`MemoryController::issue_channel`] that must run on
-    /// every tick even when the calendar proves nothing can issue.
-    fn tick_drain(&mut self, ch: u32) {
-        let chi = ch as usize;
+    /// Write-drain hysteresis, the one definition: the drain mode a tick
+    /// settles into given the mode in force and the write-queue length
+    /// (enter at `write_hi`, leave at `write_lo`).
+    fn drain_next(&self, chi: usize) -> bool {
         let wlen = self.write_q[chi].len();
         if self.draining[chi] {
-            if wlen <= self.cfg.write_lo {
-                self.draining[chi] = false;
-            }
-        } else if wlen >= self.cfg.write_hi {
-            self.draining[chi] = true;
+            wlen > self.cfg.write_lo
+        } else {
+            wlen >= self.cfg.write_hi
         }
+    }
+
+    /// Settle channel `chi`'s drain mode and charge `count` ticks of it —
+    /// the part of [`MemoryController::issue_channel`] that must run on
+    /// every tick even when the calendar proves nothing can issue. With
+    /// static queues the mode settles at the first tick, so one call
+    /// covers a whole skipped window.
+    fn tick_drain(&mut self, chi: usize, count: Cycle) {
+        self.draining[chi] = self.drain_next(chi);
         if self.draining[chi] {
-            self.stats.drain_cycles += 1;
+            self.stats.drain_cycles += count;
         }
     }
 
@@ -713,8 +705,8 @@ impl MemoryController {
                 return Some(ic);
             }
         }
-        self.tick_drain(ch);
         let chi = ch as usize;
+        self.tick_drain(chi, 1);
         let use_writes =
             self.draining[chi] || (self.read_q[chi].is_empty() && !self.write_q[chi].is_empty());
         self.issue_from(ch, now, use_writes, urgent)

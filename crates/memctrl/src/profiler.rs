@@ -243,20 +243,14 @@ impl ProfilerState {
 
     /// Per-cycle BLP sampling.
     pub fn sample_blp(&mut self) {
-        for (t, p) in self.epoch.iter_mut().enumerate() {
-            let n = self.nonzero_banks[t];
-            if n > 0 {
-                p.blp_accum += u64::from(n);
-                p.blp_cycles += 1;
-            }
-        }
+        self.sample_blp_n(1);
     }
 
-    /// Bulk-equivalent of `count` consecutive [`Self::sample_blp`] calls.
+    /// `count` consecutive BLP samples.
     ///
-    /// Valid only while queue occupancy is static (no enqueue/service in
-    /// the window): `nonzero_banks` is then constant, so `count` samples
-    /// each add the same `n`.
+    /// For `count > 1`, valid only while queue occupancy is static (no
+    /// enqueue/service in the window): `nonzero_banks` is then constant,
+    /// so `count` samples each add the same `n`.
     pub fn sample_blp_n(&mut self, count: u64) {
         for (t, p) in self.epoch.iter_mut().enumerate() {
             let n = self.nonzero_banks[t];

@@ -1,17 +1,35 @@
-//! Render the simulator's JSON exports as human-readable tables.
+//! The one document tool: render, convert, or validate the simulator's
+//! JSON exports.
 //!
-//! `dbpreport` recognises every document the workspace produces —
-//! latency-anatomy exports (`dbpsim --latency-out`), metrics documents
-//! (`--metrics-out`), suite-timing documents (`bench_all --json`), and
-//! Chrome traces (`--trace-out`) — by their top-level keys, and renders
-//! aligned ANSI tables (or markdown with `--md`): latency percentiles,
-//! component breakdowns, interference heatmaps, and epoch time-series
-//! with sparklines.
+//! `dbpreport` recognises every document the workspace produces by its
+//! top-level keys — latency-anatomy exports (`dbpsim --latency-out`),
+//! decision audits (`--audit-out`), metrics documents (`--metrics-out`),
+//! suite-timing documents (`bench_all --json`), Chrome traces
+//! (`--trace-out`), and self-profiles (`--profile-out`) — and renders
+//! each in full as aligned tables (or markdown with `--md`): latency
+//! percentiles, component breakdowns and interference heatmaps; the
+//! live-vs-shadow policy comparison, prediction accuracy, calibration
+//! and convergence telemetry; epoch time-series with sparklines; work
+//! counters, the exact-sum span tree and the hottest paths.
 //!
-//! Usage: `dbpreport [--md] <file>...` (no files: read stdin).
+//! Modes (no files: read stdin):
+//!
+//! * `dbpreport [--md] [--top N] <file>...` — tables.
+//! * `dbpreport --folded <profile>...` — flamegraph-ready folded stacks
+//!   (`path;to;leaf self_ns`), pipe into `flamegraph.pl`.
+//! * `dbpreport --chrome <out.json> <profile>` — a Chrome `trace_event`
+//!   document (synthetic timeline, real durations).
+//! * `dbpreport --check [--require-key K]... <file>...` — strict JSON
+//!   validation over the in-tree parser, optionally demanding top-level
+//!   keys; what `ci.sh` gates every exported artifact with.
+//!
+//! Every input is processed; any failure makes the exit status nonzero.
 
 use std::process::ExitCode;
 
+use dbp_obs::audit::{
+    calibration_table, convergence_summary, phase_shift_table, policy_table, prediction_table,
+};
 use dbp_obs::cli::{read_inputs, Arg, CliSpec};
 use dbp_obs::export;
 use dbp_obs::json::{self, Json};
@@ -19,14 +37,40 @@ use dbp_obs::latency::{
     bank_latency_table, breakdown_table, interference_table, read_latency_table,
     write_latency_table, LatencyReport,
 };
-use dbp_obs::table::{push_table, sparkline, summary_line, Table};
+use dbp_obs::prof::{counter_table, span_table, top_self_table, Profile};
+use dbp_obs::table::{fmt_ns, push_table, sparkline, summary_line, Table};
+use dbp_obs::AuditReport;
 
 const SPEC: CliSpec = CliSpec {
     bin: "dbpreport",
-    about: "render dbpsim/bench_all JSON exports as aligned tables",
-    positional: "[file ...]  JSON exports to render (default: stdin)",
-    args: &[Arg::flag("--md", "emit markdown tables instead of aligned plain text")],
+    about: "render, convert, or validate dbpsim/bench_all JSON exports",
+    positional: "[file ...]  JSON exports (default: stdin)",
+    args: &[
+        Arg::flag("--md", "emit markdown tables instead of aligned plain text"),
+        Arg::opt("--top", "n", "rows in a profile's top-by-self-time table (default 10)"),
+        Arg::flag("--folded", "emit a profile's flamegraph folded stacks instead of tables"),
+        Arg::opt("--chrome", "out.json", "convert one profile to a Chrome trace_event file"),
+        Arg::flag("--check", "validate only: parse each document, print one ok line"),
+        Arg::opt("--require-key", "key", "with --check: demand a top-level key (repeatable)"),
+    ],
 };
+
+/// What to do with each input document.
+enum Mode {
+    /// `top` is `Some` only when `--top` was given: it then demands a
+    /// profile, like the other two profile-only modes.
+    Tables {
+        md: bool,
+        top: Option<usize>,
+    },
+    Folded,
+    Chrome {
+        out: String,
+    },
+    Check {
+        required_keys: Vec<String>,
+    },
+}
 
 fn render_latency(doc: &Json, md: bool) -> Result<String, String> {
     let report = LatencyReport::from_json(doc)?;
@@ -104,22 +148,15 @@ fn render_suite(doc: &Json, md: bool) -> Result<String, String> {
     Ok(out)
 }
 
-/// Self-profile documents get a summary here; `dbpprof` is the full
-/// renderer (folded stacks, Chrome export, top-N).
-fn render_profile(doc: &Json, md: bool) -> Result<String, String> {
-    let profile = dbp_obs::prof::Profile::from_json(doc)?;
+fn render_profile(doc: &Json, md: bool, top: usize) -> Result<String, String> {
+    let p = Profile::from_json(doc)?;
     let mut out = summary_line(doc);
-    out.push_str(&format!(
-        "self-profile: {} wall, {} counters (full rendering: dbpprof)\n",
-        dbp_obs::table::fmt_ns(u128::from(profile.total_ns())),
-        profile.counters.len()
-    ));
-    push_table(
-        &mut out,
-        "span tree (wall clock, exact-sum)",
-        &dbp_obs::prof::span_table(&profile),
-        md,
-    );
+    out.push_str(&format!("profiled wall time: {}\n", fmt_ns(u128::from(p.total_ns()))));
+    if !p.counters.is_empty() {
+        push_table(&mut out, "work counters", &counter_table(&p), md);
+    }
+    push_table(&mut out, "span tree (wall clock, exact-sum)", &span_table(&p), md);
+    push_table(&mut out, &format!("top {top} by self time"), &top_self_table(&p, top), md);
     Ok(out)
 }
 
@@ -140,74 +177,158 @@ fn render_trace(doc: &Json, _md: bool) -> Result<String, String> {
     ))
 }
 
-/// Decision-audit documents get a one-paragraph summary here; `dbpaudit`
-/// is the full renderer (policy/prediction/calibration tables).
 fn render_audit(doc: &Json, md: bool) -> Result<String, String> {
-    let report = dbp_obs::AuditReport::from_json(doc)?;
+    let report = AuditReport::from_json(doc)?;
     let mut out = summary_line(doc);
     out.push_str(&format!(
-        "decision audit: {} decision(s), {} shadow polic{} (full rendering: dbpaudit)\n",
-        report.convergence.decisions,
-        report.shadows.len(),
-        if report.shadows.len() == 1 { "y" } else { "ies" }
+        "decision audit: {} thread(s), {} bank unit(s), {} decision(s)\n",
+        report.threads, report.max_units, report.convergence.decisions
     ));
-    push_table(&mut out, "policy comparison", &dbp_obs::audit::policy_table(&report), md);
+    push_table(&mut out, "policy comparison (live vs shadows)", &policy_table(&report), md);
+    push_table(&mut out, "demand-prediction accuracy (bank units)", &prediction_table(&report), md);
+    push_table(
+        &mut out,
+        "calibration (predicted-demand bucket x achieved BLP)",
+        &calibration_table(&report),
+        md,
+    );
+    out.push('\n');
+    out.push_str(&convergence_summary(&report));
+    if !report.convergence.phase_shifts.is_empty() {
+        push_table(&mut out, "profile phase shifts", &phase_shift_table(&report), md);
+    }
+    if report.epochs.len() > 1 {
+        let errs: Vec<f64> = report.epochs.iter().filter_map(|e| e.mean_abs_pred_error).collect();
+        if !errs.is_empty() {
+            out.push_str(&format!("\n{:>18}  {}\n", "mean |pred err|", sparkline(&errs)));
+        }
+        for (s, shadow) in report.shadows.iter().enumerate() {
+            let dist: Vec<f64> = report
+                .epochs
+                .iter()
+                .filter_map(|e| e.shadow_distance.get(s).map(|&d| d as f64))
+                .collect();
+            out.push_str(&format!(
+                "{:>18}  {}\n",
+                format!("dist {}", shadow.name),
+                sparkline(&dist)
+            ));
+        }
+    }
     Ok(out)
 }
 
+const NOT_A_PROFILE: &str =
+    "not a profile document (--top, --folded and --chrome take --profile-out exports)";
+
+/// The top-level key that identifies each document kind, in routing
+/// order: latency, audit, metrics, suite timing, Chrome trace, profile.
+const KINDS: [&str; 6] =
+    ["interference", "shadows", "epochs", "experiments", "traceEvents", "spans"];
+
+fn kind_of(doc: &Json) -> Option<&'static str> {
+    KINDS.into_iter().find(|k| doc.get(k).is_some())
+}
+
 /// Route a parsed document to its renderer by its top-level keys.
-fn render_doc(doc: &Json, md: bool) -> Result<String, String> {
+fn render_doc(doc: &Json, md: bool, top: Option<usize>) -> Result<String, String> {
     export::check_schema_version(doc)?;
-    if doc.get("interference").is_some() {
-        render_latency(doc, md)
-    } else if doc.get("shadows").is_some() {
-        render_audit(doc, md)
-    } else if doc.get("epochs").is_some() {
-        render_metrics(doc, md)
-    } else if doc.get("experiments").is_some() {
-        render_suite(doc, md)
-    } else if doc.get("traceEvents").is_some() {
-        render_trace(doc, md)
-    } else if doc.get("spans").is_some() {
-        render_profile(doc, md)
-    } else {
-        Err("unrecognised document (expected a latency, audit, metrics, suite-timing, trace, or profile export)"
-            .to_string())
+    let kind = kind_of(doc);
+    if top.is_some() && kind != Some("spans") {
+        return Err(NOT_A_PROFILE.to_string());
+    }
+    match kind {
+        Some("interference") => render_latency(doc, md),
+        Some("shadows") => render_audit(doc, md),
+        Some("epochs") => render_metrics(doc, md),
+        Some("experiments") => render_suite(doc, md),
+        Some("traceEvents") => render_trace(doc, md),
+        Some("spans") => render_profile(doc, md, top.unwrap_or(10)),
+        _ => Err("unrecognised document (expected a latency, audit, metrics, suite-timing, trace, or profile export)"
+            .to_string()),
     }
 }
 
-fn process(label: &str, text: &str, md: bool) -> bool {
-    let doc = match json::parse(text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("dbpreport: {label}: {e}");
-            return false;
-        }
-    };
-    match render_doc(&doc, md) {
-        Ok(body) => {
+fn load_profile(doc: &Json) -> Result<Profile, String> {
+    export::check_schema_version(doc)?;
+    if kind_of(doc) != Some("spans") {
+        return Err(NOT_A_PROFILE.to_string());
+    }
+    Profile::from_json(doc)
+}
+
+/// Handle one input under `mode`; the error carries no label.
+fn process(label: &str, text: &str, mode: &Mode) -> Result<(), String> {
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    match mode {
+        Mode::Tables { md, top } => {
+            let body = render_doc(&doc, *md, *top)?;
             println!("== {label} ==");
             println!("{body}");
-            true
         }
-        Err(e) => {
-            eprintln!("dbpreport: {label}: {e}");
-            false
+        Mode::Folded => print!("{}", load_profile(&doc)?.folded()),
+        Mode::Chrome { out } => {
+            let trace = export::profile_chrome_trace(&load_profile(&doc)?);
+            std::fs::write(out, trace.to_json()).map_err(|e| format!("{out}: {e}"))?;
+            eprintln!("dbpreport: wrote Chrome trace to {out}");
+        }
+        Mode::Check { required_keys } => {
+            let missing: Vec<_> = required_keys.iter().filter(|k| doc.get(k).is_none()).collect();
+            if !missing.is_empty() {
+                return Err(format!("missing required key(s) {missing:?}"));
+            }
+            println!("dbpreport: {label}: ok ({} bytes)", text.len());
         }
     }
+    Ok(())
+}
+
+fn mode_of(parsed: &dbp_obs::cli::Parsed) -> Result<Mode, String> {
+    let top = match parsed.option("--top") {
+        None => None,
+        Some(v) => Some(v.parse().map_err(|_| format!("--top needs a number, got `{v}`"))?),
+    };
+    let required_keys: Vec<String> =
+        parsed.options("--require-key").into_iter().map(str::to_owned).collect();
+    let (check, folded, chrome) =
+        (parsed.flag("--check"), parsed.flag("--folded"), parsed.option("--chrome"));
+    if usize::from(check) + usize::from(folded) + usize::from(chrome.is_some()) > 1 {
+        return Err("--check, --folded and --chrome are mutually exclusive".to_string());
+    }
+    if !check && !required_keys.is_empty() {
+        return Err("--require-key needs --check".to_string());
+    }
+    // No file means stdin: one input.
+    if chrome.is_some() && parsed.files.len() > 1 {
+        return Err("--chrome takes exactly one input profile".to_string());
+    }
+    Ok(if check {
+        Mode::Check { required_keys }
+    } else if folded {
+        Mode::Folded
+    } else if let Some(out) = chrome {
+        Mode::Chrome { out: out.to_string() }
+    } else {
+        Mode::Tables { md: parsed.flag("--md"), top }
+    })
 }
 
 fn main() -> ExitCode {
     let parsed = SPEC.parse_or_exit();
-    let md = parsed.flag("--md");
+    let mode = match mode_of(&parsed) {
+        Ok(mode) => mode,
+        Err(e) => {
+            eprintln!("dbpreport: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut ok = true;
     for (label, input) in read_inputs(&parsed.files) {
-        match input {
-            Ok(text) => ok &= process(&label, &text, md),
-            Err(e) => {
-                eprintln!("dbpreport: {e}");
-                ok = false;
-            }
+        let result = input
+            .and_then(|text| process(&label, &text, &mode).map_err(|e| format!("{label}: {e}")));
+        if let Err(e) = result {
+            eprintln!("dbpreport: {e}");
+            ok = false;
         }
     }
     if ok {

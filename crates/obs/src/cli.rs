@@ -1,12 +1,12 @@
-//! Tiny shared argument parser for the observability bins.
+//! The workspace's one argument parser.
 //!
-//! `jsonlint`, `dbpreport`, `dbpprof`, and `dbpaudit` all take the same
-//! shape of command line — a few boolean flags, a few valued options
-//! (possibly repeated), and positional file paths with stdin as the
-//! fallback — and used to hand-roll it separately. A [`CliSpec`]
-//! declares the surface once; [`CliSpec::parse_or_exit`] gives every bin
-//! the same behaviour: `--help`/`-h` prints a uniformly formatted help
-//! text to stdout and exits 0, a usage error goes to stderr and exits 2.
+//! `dbpsim`, `bench_all`, and `dbpreport` all take the same shape of
+//! command line — a few boolean flags, a few valued options (possibly
+//! repeated), and positionals (a subcommand, experiment names, or file
+//! paths with stdin as the fallback). A [`CliSpec`] declares the
+//! surface once; [`CliSpec::parse_or_exit`] gives every bin the same
+//! behaviour: `--help`/`-h` prints a uniformly formatted help text to
+//! stdout and exits 0, a usage error goes to stderr and exits 2.
 //!
 //! The parser itself ([`CliSpec::try_parse`]) is pure and fully
 //! testable: it never touches the process environment or exits.

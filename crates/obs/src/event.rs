@@ -154,8 +154,7 @@ impl EventKind {
         }
     }
 
-    /// Human-readable one-liner for the stderr echo sink. Matches the
-    /// spirit of the old `DBP_TRACE_PLAN` dump.
+    /// Human-readable one-liner for the stderr echo sink.
     pub fn pretty(&self, cycle: u64) -> String {
         match self {
             EventKind::EpochStart { epoch } => format!("[epoch @{cycle}] epoch {epoch} closed"),

@@ -187,7 +187,7 @@ pub fn suite_timing_document(
 
 /// Build the self-profile document for `--profile-out`: version stamps,
 /// caller-provided run context, then the [`Profile`] body (span tree +
-/// work counters). Render it with the `dbpprof` bin; parse it back with
+/// work counters). Render it with the `dbpreport` bin; parse it back with
 /// [`Profile::from_json`].
 pub fn profile_document(p: &Profile, summary: Json) -> Json {
     let mut pairs = vec![

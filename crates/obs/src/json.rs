@@ -10,8 +10,8 @@
 //!   written as `null`, the same convention browsers' `JSON.stringify`
 //!   uses.
 //!
-//! The parser exists so tests (and the `jsonlint` binary used by CI's
-//! trace-export smoke test) can validate what the writer produced; it
+//! The parser exists so tests (and `dbpreport --check`, which gates CI's
+//! exported artifacts) can validate what the writer produced; it
 //! accepts exactly RFC 8259 documents.
 
 use std::fmt::Write as _;
@@ -560,7 +560,7 @@ mod tests {
     fn parser_rejects_every_truncation_of_a_valid_document() {
         // This document only becomes valid JSON at its final byte, so
         // every strict prefix must be rejected — the "writer died
-        // mid-flush" shape jsonlint exists to catch. All-ASCII, so every
+        // mid-flush" shape `dbpreport --check` exists to catch. All-ASCII, so every
         // byte offset is a char boundary.
         let doc = r#"{"a":[1,true,"xA"],"b":{"c":null,"d":-2.5e-1}}"#;
         assert!(parse(doc).is_ok());

@@ -14,14 +14,15 @@
 //!   `chrome://tracing` / Perfetto;
 //! * [`prof`] — host-side self-profiling: exact-sum wall-clock span
 //!   trees and monotonic work counters behind the same cheap-clone
-//!   disabled-is-one-branch handle shape as [`Recorder`]. Rendered by
-//!   the `dbpprof` bin;
+//!   disabled-is-one-branch handle shape as [`Recorder`];
 //! * [`audit`] — the policy decision audit data model (shadow-policy
 //!   comparison, demand-estimation accuracy, convergence telemetry),
-//!   fed by the simulator's epoch loop and rendered by the `dbpaudit`
-//!   bin;
-//! * [`cli`] — the shared argument parser behind every renderer bin's
+//!   fed by the simulator's epoch loop;
+//! * [`cli`] — the workspace's one argument parser, behind every bin's
 //!   uniform `--help`.
+//!
+//! The `dbpreport` bin renders, converts and validates every document
+//! kind above.
 //!
 //! The crate intentionally depends on nothing else in the workspace (or
 //! outside it) so any layer can use it without cycles.

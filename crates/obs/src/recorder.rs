@@ -27,7 +27,7 @@ pub struct RecorderConfig {
     /// overflow.
     pub event_capacity: usize,
     /// Pretty-print epoch-level events to stderr as they arrive
-    /// (back-compat behaviour of the `DBP_TRACE_PLAN` env var).
+    /// (what `dbpsim run --trace-plan` switches on).
     pub stderr_echo: bool,
     /// Ask the simulator to run the decision audit layer (shadow
     /// policies + estimator accuracy + convergence) and publish its

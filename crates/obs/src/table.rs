@@ -159,8 +159,7 @@ impl std::fmt::Display for Table {
 }
 
 /// Emit one captioned table in either plain (`render`) or markdown
-/// format — the shape every renderer bin (`dbpreport`, `dbpprof`,
-/// `dbpaudit`) emits.
+/// format — the shape every `dbpreport` renderer emits.
 pub fn push_table(out: &mut String, caption: &str, t: &Table, md: bool) {
     if md {
         out.push_str(&format!("\n**{caption}**\n\n"));

@@ -102,6 +102,10 @@ pub struct SimConfig {
     /// unthrottled). Caps the disruption a repartition can cause within
     /// one epoch; the remainder moves in later epochs.
     pub migration_budget_pages: Option<u64>,
+    /// Event-driven time skipping (see `System::maybe_skip`). Skipping
+    /// never changes a simulated outcome, only wall-clock speed; `false`
+    /// pins the per-cycle stepped core for cross-checks.
+    pub time_skip: bool,
 }
 
 impl Default for SimConfig {
@@ -127,6 +131,7 @@ impl Default for SimConfig {
             instr_feed_interval: 100_000,
             migration_lines_per_page: 128,
             migration_budget_pages: Some(128),
+            time_skip: true,
         }
     }
 }

@@ -96,7 +96,8 @@ pub fn alone_config(cfg: &SimConfig) -> SimConfig {
 /// Scheduler, policy, and the migration knobs are deliberately excluded:
 /// alone runs always execute under FR-FCFS/Unpartitioned (see
 /// [`alone_config`]), and with a static whole-machine partition no page
-/// ever migrates, so those fields cannot change the outcome. Everything
+/// ever migrates, so those fields cannot change the outcome; neither can
+/// `time_skip`, which is byte-identical by contract. Everything
 /// else — DRAM geometry/timing/mapping, controller queues, core model,
 /// cache hierarchy, clock ratio, epoch length (it sets the minimum
 /// warmup span), and the instruction targets — is included.
@@ -186,28 +187,21 @@ pub fn alone_ipcs(cfg: &SimConfig, mix: &Mix) -> Vec<f64> {
 
 /// The shared (co-scheduled) run of `mix` under `cfg`.
 pub fn run_shared(cfg: &SimConfig, mix: &Mix) -> RunResult {
-    let traces = (0..mix.cores()).map(|i| trace_for(mix, i)).collect();
-    let mut sys = System::new(cfg.clone(), traces);
-    sys.run()
+    run_shared_instrumented(cfg, mix, dbp_obs::Recorder::disabled(), dbp_obs::Prof::disabled())
 }
 
-/// [`run_shared`], emitting telemetry into `rec`. The recorder only
-/// observes: with a disabled recorder this is byte-identical to
-/// [`run_shared`] (the determinism suite asserts it for an enabled one
-/// too).
-pub fn run_shared_recorded(cfg: &SimConfig, mix: &Mix, rec: dbp_obs::Recorder) -> RunResult {
-    let traces = (0..mix.cores()).map(|i| trace_for(mix, i)).collect();
-    let mut sys = System::with_recorder(cfg.clone(), traces, rec);
-    sys.run()
-}
-
-/// [`run_shared`], with full instrumentation: telemetry into `rec`,
-/// host-side self-profiling spans/counters into `prof`. Both only
-/// observe — the simulated outcome is byte-identical to [`run_shared`].
+/// [`run_shared`], with full instrumentation: telemetry into `rec`
+/// (events, epoch series, latency anatomy and — with
+/// [`dbp_obs::RecorderConfig::audit`] — the decision audit), host-side
+/// self-profiling spans/counters into `prof`; pass a disabled handle for
+/// a half that is not wanted. Both only observe — the simulated outcome
+/// is byte-identical to [`run_shared`].
 ///
-/// Call [`dbp_obs::Prof::snapshot`] afterwards to read the profile; when
-/// this runs on a pool worker thread, call [`dbp_obs::Prof::flush_thread`]
-/// before the job returns (see the `Prof` docs for the contract).
+/// Read the results from [`dbp_obs::Recorder::snapshot`] and
+/// [`dbp_obs::Prof::snapshot`]; when this runs on a pool worker thread,
+/// call [`dbp_obs::Prof::flush_thread`] before the job returns (see the
+/// `Prof` docs for the contract). A recorder's shared state is not
+/// `Send`, so fan-outs build one per call.
 pub fn run_shared_instrumented(
     cfg: &SimConfig,
     mix: &Mix,
@@ -217,37 +211,6 @@ pub fn run_shared_instrumented(
     let traces = (0..mix.cores()).map(|i| trace_for(mix, i)).collect();
     let mut sys = System::with_instrumentation(cfg.clone(), traces, rec, prof);
     sys.run()
-}
-
-/// [`run_shared`], self-profiled only (no telemetry recorder).
-pub fn run_shared_profiled(cfg: &SimConfig, mix: &Mix, prof: dbp_obs::Prof) -> RunResult {
-    run_shared_instrumented(cfg, mix, dbp_obs::Recorder::disabled(), prof)
-}
-
-/// [`run_shared`], with per-request latency anatomy switched on: returns
-/// the run result plus the measured [`dbp_obs::LatencyReport`]
-/// (histograms, breakdowns, and the interference matrices).
-///
-/// Each call owns a private recorder, so this is safe to fan out across
-/// worker threads (the recorder's shared state is not `Send`; it never
-/// leaves this call).
-pub fn run_shared_latency(cfg: &SimConfig, mix: &Mix) -> (RunResult, dbp_obs::LatencyReport) {
-    let rec = dbp_obs::Recorder::new(Default::default());
-    let result = run_shared_recorded(cfg, mix, rec.clone());
-    let latency = rec.snapshot().latency.unwrap_or_default();
-    (result, latency)
-}
-
-/// [`run_shared`], with the decision audit layer switched on: shadow
-/// policies, demand-prediction accuracy, and convergence telemetry.
-/// Returns the run result plus the [`dbp_obs::AuditReport`]. The audit
-/// only observes — the simulated outcome is byte-identical to
-/// [`run_shared`] (a property test over all schedulers asserts it).
-pub fn run_shared_audited(cfg: &SimConfig, mix: &Mix) -> (RunResult, dbp_obs::AuditReport) {
-    let rec = dbp_obs::Recorder::new(dbp_obs::RecorderConfig { audit: true, ..Default::default() });
-    let result = run_shared_recorded(cfg, mix, rec.clone());
-    let audit = rec.snapshot().audit.unwrap_or_default();
-    (result, audit)
 }
 
 /// Alone runs + shared run + metrics in one call.
@@ -265,27 +228,6 @@ pub fn run_mix(cfg: &SimConfig, mix: &Mix) -> MixRun {
 /// [`MixRun::from_parts`]).
 pub fn run_mix_with_alone(cfg: &SimConfig, mix: &Mix, alone_ipcs: Vec<f64>) -> MixRun {
     MixRun::from_parts(mix, alone_ipcs, run_shared(cfg, mix))
-}
-
-/// [`run_mix`], with the *shared* run emitting telemetry into `rec`
-/// (alone runs are calibration, not the experiment, so they stay silent).
-pub fn run_mix_recorded(cfg: &SimConfig, mix: &Mix, rec: dbp_obs::Recorder) -> MixRun {
-    let alone_ipcs = alone_ipcs(cfg, mix);
-    MixRun::from_parts(mix, alone_ipcs, run_shared_recorded(cfg, mix, rec))
-}
-
-/// [`run_mix`], with the *shared* run fully instrumented (telemetry into
-/// `rec`, self-profiling into `prof`). Alone runs are calibration, not
-/// the experiment, so they stay unrecorded and unprofiled — a profile of
-/// this call measures the shared run's host cost only.
-pub fn run_mix_instrumented(
-    cfg: &SimConfig,
-    mix: &Mix,
-    rec: dbp_obs::Recorder,
-    prof: dbp_obs::Prof,
-) -> MixRun {
-    let alone_ipcs = alone_ipcs(cfg, mix);
-    MixRun::from_parts(mix, alone_ipcs, run_shared_instrumented(cfg, mix, rec, prof))
 }
 
 #[cfg(test)]
@@ -357,8 +299,10 @@ mod tests {
     fn alone_fingerprint_tracks_alone_relevant_fields_only() {
         let cfg = tiny_cfg();
         let base = alone_fingerprint(&cfg);
-        // Scheduler/policy/migration knobs cannot affect an alone run.
+        // Scheduler/policy/migration knobs and the stepped-core switch
+        // cannot affect an alone run.
         let mut c = cfg.clone();
+        c.time_skip = false;
         c.scheduler = SchedulerKind::Tcm(Default::default());
         c.policy = PolicyKind::Dbp(Default::default());
         c.migration_budget_pages = None;
@@ -373,88 +317,74 @@ mod tests {
         assert_ne!(alone_fingerprint(&c), base);
     }
 
+    /// Every observer at once — latency anatomy, decision audit, host
+    /// profiler — is deterministic and observation-only, with and without
+    /// a live partitioning policy underneath.
     #[test]
-    fn latency_anatomy_is_deterministic_and_observation_only() {
-        let cfg = tiny_cfg();
+    fn instrumented_run_is_deterministic_and_observation_only() {
         let mix = &mixes_4core()[0];
-        let (r1, l1) = run_shared_latency(&cfg, mix);
-        let (r2, l2) = run_shared_latency(&cfg, mix);
-        assert_eq!(l1, l2, "seeded runs must produce identical anatomy");
-        assert_eq!(l1.cores.len(), mix.cores());
-        assert_eq!(l1.bank_interference.n(), mix.cores());
-        assert!(l1.total_reads() > 0, "measured window must profile reads");
-        // Observation only: the recorded run's headline numbers match an
-        // unrecorded run of the same seed.
-        let plain = run_shared(&cfg, mix);
-        assert_eq!(plain.total_cycles, r1.total_cycles);
-        assert_eq!(r1.total_cycles, r2.total_cycles);
-        for (a, b) in plain.threads.iter().zip(&r1.threads) {
-            assert_eq!(a.ipc, b.ipc);
-            assert_eq!(a.reads, b.reads);
-        }
-    }
-
-    #[test]
-    fn audited_run_is_deterministic_and_observation_only() {
-        let cfg = SimConfig {
-            policy: dbp_core::policy::PolicyKind::Dbp(Default::default()),
-            ..tiny_cfg()
+        let observe = |cfg: &SimConfig| {
+            let rec = dbp_obs::Recorder::new(dbp_obs::RecorderConfig {
+                audit: true,
+                ..Default::default()
+            });
+            let prof = dbp_obs::Prof::enabled();
+            let r = run_shared_instrumented(cfg, mix, rec.clone(), prof.clone());
+            let t = rec.snapshot();
+            (r, t.latency.unwrap_or_default(), t.audit.unwrap_or_default(), prof.snapshot())
         };
-        let mix = &mixes_4core()[0];
-        let (r1, a1) = run_shared_audited(&cfg, mix);
-        let (r2, a2) = run_shared_audited(&cfg, mix);
-        assert_eq!(a1, a2, "seeded runs must produce identical audits");
-        assert_eq!(a1.threads, mix.cores());
-        assert_eq!(a1.shadows.len(), 3, "standard rack: equal, MCP, alt-DBP");
-        assert!(a1.convergence.decisions > 0, "run must span repartition decisions");
-        assert_eq!(a1.epochs.len() as u64, a1.convergence.decisions);
-        assert!(
-            a1.prediction.iter().any(|p| p.samples > 0),
-            "multi-epoch run must pair predictions with outcomes"
-        );
-        // Observation only: the audited run's headline numbers match an
-        // unaudited run of the same seed.
-        let plain = run_shared(&cfg, mix);
-        assert_eq!(plain.total_cycles, r1.total_cycles);
-        assert_eq!(r1.total_cycles, r2.total_cycles);
-        for (a, b) in plain.threads.iter().zip(&r1.threads) {
-            assert_eq!(a.ipc, b.ipc);
-            assert_eq!(a.reads, b.reads);
-        }
-    }
+        let dbp = PolicyKind::Dbp(Default::default());
+        for cfg in [tiny_cfg(), SimConfig { policy: dbp, ..tiny_cfg() }] {
+            let (r1, l1, a1, p) = observe(&cfg);
+            let (r2, l2, a2, _) = observe(&cfg);
+            assert_eq!(l1, l2, "seeded runs must produce identical anatomy");
+            assert_eq!(l1.cores.len(), mix.cores());
+            assert_eq!(l1.bank_interference.n(), mix.cores());
+            assert!(l1.total_reads() > 0, "measured window must profile reads");
+            assert_eq!(a1, a2, "seeded runs must produce identical audits");
+            assert_eq!(a1.threads, mix.cores());
+            assert_eq!(a1.shadows.len(), 3, "standard rack: equal, MCP, alt-DBP");
+            if cfg.policy == dbp {
+                assert!(a1.convergence.decisions > 0, "run must span repartition decisions");
+                assert_eq!(a1.epochs.len() as u64, a1.convergence.decisions);
+                assert!(
+                    a1.prediction.iter().any(|p| p.samples > 0),
+                    "multi-epoch run must pair predictions with outcomes"
+                );
+            }
+            // Observation only: the observed run's headline numbers match
+            // an unobserved run of the same seed.
+            let plain = run_shared(&cfg, mix);
+            assert_eq!(plain.total_cycles, r1.total_cycles);
+            assert_eq!(r1.total_cycles, r2.total_cycles);
+            for (a, b) in plain.threads.iter().zip(&r1.threads) {
+                assert_eq!(a.ipc, b.ipc);
+                assert_eq!(a.reads, b.reads);
+            }
 
-    #[test]
-    fn profiled_run_is_observation_only_and_sums_exactly() {
-        let cfg = tiny_cfg();
-        let mix = &mixes_4core()[0];
-        let plain = run_shared(&cfg, mix);
-        let prof = dbp_obs::Prof::enabled();
-        let r = run_shared_profiled(&cfg, mix, prof.clone());
-        // Observation only: identical simulated outcome.
-        assert_eq!(plain.total_cycles, r.total_cycles);
-        for (a, b) in plain.threads.iter().zip(&r.threads) {
-            assert_eq!(a.ipc, b.ipc);
-            assert_eq!(a.reads, b.reads);
+            assert!(!p.is_empty());
+            let roots: Vec<&str> = p.spans.iter().map(|s| s.name.as_str()).collect();
+            for phase in ["sim/warmup", "sim/measure", "sim/collect"] {
+                assert!(roots.contains(&phase), "missing root span {phase}: {roots:?}");
+            }
+            // The cycle counter is the ground truth the spans observe:
+            // every step — warmup and measured — increments it exactly once.
+            let stepped = p
+                .counters
+                .iter()
+                .find(|(n, _)| n == "sim/cycles_stepped")
+                .map(|&(_, v)| v)
+                .expect("cycle counter present");
+            let measure = p.spans.iter().find(|s| s.name == "sim/measure").unwrap();
+            let cores_tick: u64 = measure
+                .children
+                .iter()
+                .filter(|c| c.name == "sim/cores_tick")
+                .map(|c| c.count)
+                .sum();
+            assert!(stepped >= cores_tick, "steps span warmup too");
+            assert!(cores_tick > 0, "measured window must step");
         }
-        let p = prof.snapshot();
-        assert!(!p.is_empty());
-        let roots: Vec<&str> = p.spans.iter().map(|s| s.name.as_str()).collect();
-        for phase in ["sim/warmup", "sim/measure", "sim/collect"] {
-            assert!(roots.contains(&phase), "missing root span {phase}: {roots:?}");
-        }
-        // The cycle counter is the ground truth the spans observe: every
-        // step — warmup and measured — increments it exactly once.
-        let stepped = p
-            .counters
-            .iter()
-            .find(|(n, _)| n == "sim/cycles_stepped")
-            .map(|&(_, v)| v)
-            .expect("cycle counter present");
-        let measure = p.spans.iter().find(|s| s.name == "sim/measure").unwrap();
-        let cores_tick: u64 =
-            measure.children.iter().filter(|c| c.name == "sim/cores_tick").map(|c| c.count).sum();
-        assert!(stepped >= cores_tick, "steps span warmup too");
-        assert!(cores_tick > 0, "measured window must step");
     }
 
     #[test]

@@ -8,7 +8,7 @@ use dbp_core::{ColorTopology, ThreadMemProfile};
 use dbp_cpu::{Core, MemIssue, TraceSource};
 use dbp_dram::DramStats;
 use dbp_memctrl::{Completion, MemRequest, MemoryController, ThreadProf};
-use dbp_obs::{EpochSample, EventKind, FxHashMap, Prof, Recorder, RecorderConfig, ThreadSample};
+use dbp_obs::{EpochSample, EventKind, FxHashMap, Prof, Recorder, ThreadSample};
 use dbp_osmem::{ColorSet, MemoryManager, MigrationJob, OsStats};
 
 use crate::audit::ShadowRack;
@@ -67,7 +67,7 @@ pub struct System {
     rec: Recorder,
     /// Decision audit layer (shadow policies + estimator accuracy +
     /// convergence), built only when the recorder asked for it
-    /// ([`RecorderConfig::audit`]). Observation-only: the byte-identity
+    /// ([`dbp_obs::RecorderConfig::audit`]). Observation-only: the byte-identity
     /// property tests hold attached-vs-detached runs equal.
     audit: Option<ShadowRack>,
     /// Host-side self-profiler (wall-clock spans + work counters); named
@@ -76,10 +76,6 @@ pub struct System {
     host_prof: Prof,
     ctr_cycles: dbp_obs::prof::Counter,
     ctr_skipped: dbp_obs::prof::Counter,
-    /// Event-driven time skipping (see [`System::maybe_skip`]). On by
-    /// default; disabled by `DBP_NO_SKIP` or [`System::set_time_skip`]
-    /// for stepped-reference cross-checks.
-    time_skip: bool,
 }
 
 impl std::fmt::Debug for System {
@@ -99,15 +95,7 @@ impl System {
     ///
     /// Panics if `traces` is empty or the configuration is invalid.
     pub fn new(cfg: SimConfig, traces: Vec<Box<dyn TraceSource>>) -> Self {
-        // Back-compat: DBP_TRACE_PLAN used to switch on an ad-hoc eprintln
-        // dump of each epoch's profiles and plan; it now enables a recorder
-        // that pretty-prints the same (structured) events to stderr.
-        let rec = if std::env::var_os("DBP_TRACE_PLAN").is_some() {
-            Recorder::new(RecorderConfig { stderr_echo: true, ..Default::default() })
-        } else {
-            Recorder::disabled()
-        };
-        Self::with_recorder(cfg, traces, rec)
+        Self::with_recorder(cfg, traces, Recorder::disabled())
     }
 
     /// Build a system that emits telemetry into `rec` (see [`dbp_obs`]).
@@ -156,9 +144,6 @@ impl System {
         ctrl.attach_profiler(&prof);
         let ctr_cycles = prof.counter("sim/cycles_stepped");
         let ctr_skipped = prof.counter("sim/cycles_skipped");
-        // Any value (even "0") disables skipping: the variable is a CI
-        // cross-check switch, not a tristate.
-        let time_skip = std::env::var_os("DBP_NO_SKIP").is_none();
         let audit = if rec.audit_requested() {
             Some(ShadowRack::standard(&cfg, &topo, &plan))
         } else {
@@ -198,19 +183,16 @@ impl System {
             host_prof: prof,
             ctr_cycles,
             ctr_skipped,
-            time_skip,
         }
     }
 
-    /// Enable or disable event-driven time skipping. Skipping never
-    /// changes simulated outcomes (that is the invariant `DBP_NO_SKIP=1`
-    /// CI runs exist to police), only wall-clock speed.
+    /// Override [`SimConfig::time_skip`] on an already-built system.
     pub fn set_time_skip(&mut self, on: bool) {
-        self.time_skip = on;
+        self.cfg.time_skip = on;
     }
 
     /// The telemetry recorder this system emits into (disabled unless
-    /// built via [`System::with_recorder`] or `DBP_TRACE_PLAN`).
+    /// built via [`System::with_recorder`]).
     pub fn recorder(&self) -> &Recorder {
         &self.rec
     }
@@ -359,7 +341,7 @@ impl System {
     /// it. See DESIGN.md "Event-driven time skipping" for the calendar
     /// and the no-state-change proof obligations.
     fn maybe_skip(&mut self, bound: u64) {
-        if !self.time_skip {
+        if !self.cfg.time_skip {
             return;
         }
         let cur = self.cycle;
@@ -556,7 +538,7 @@ impl System {
         let channels = self.cfg.dram.channels;
         let write_cap = self.cfg.ctrl.write_q_cap;
         let charge_migration = self.cfg.migration_cost == MigrationCost::Charged;
-        let time_skip = self.time_skip;
+        let time_skip = self.cfg.time_skip;
         let System {
             cores,
             caches,
@@ -970,24 +952,23 @@ mod tests {
         cfg.epoch_cpu_cycles = 10_000;
         cfg.instr_feed_interval = 5_000;
         cfg.target_instructions = 40_000;
-        let arm = |skip: bool| {
+        let arm = |time_skip: bool| {
             let t0 = SyntheticTrace::new(profiles::by_name("mcf"), 11);
             let t1 = SyntheticTrace::new(profiles::by_name("libquantum"), 12);
             let prof = dbp_obs::Prof::enabled();
             let mut sys = System::with_instrumentation(
-                cfg.clone(),
+                SimConfig { time_skip, ..cfg.clone() },
                 vec![Box::new(t0), Box::new(t1)],
                 Recorder::disabled(),
                 prof,
             );
-            sys.set_time_skip(skip);
             let r = sys.run();
             let skipped = sys.profiler().counter("sim/cycles_skipped").get();
             (r, skipped, sys.cycle())
         };
         let (skipped_run, skipped_cycles, skipped_end) = arm(true);
         let (stepped_run, stepped_skipped, stepped_end) = arm(false);
-        assert_eq!(stepped_skipped, 0, "DBP_NO_SKIP semantics: no jumps");
+        assert_eq!(stepped_skipped, 0, "`time_skip: false` pins the stepped core: no jumps");
         assert!(skipped_cycles > 0, "memory-bound mix must expose idle windows");
         assert_eq!(skipped_run, stepped_run);
         assert_eq!(skipped_end, stepped_end);
@@ -999,6 +980,7 @@ mod prop_tests {
     use super::*;
     use crate::config::SchedulerKind;
     use dbp_core::policy::PolicyKind;
+    use dbp_obs::RecorderConfig;
     use dbp_util::prop::{check, range, Config};
     use dbp_util::{prop_assert, prop_assert_eq};
     use dbp_workloads::{profiles, SyntheticTrace};

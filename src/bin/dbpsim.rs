@@ -8,59 +8,45 @@
 //! $ dbpsim compare --mix mix75-1                # all policies side by side
 //! ```
 //!
-//! Argument parsing is hand-rolled (the workspace is dependency-minimal);
-//! see `dbpsim help` for the full grammar.
+//! `dbpsim help` (or `--help`) prints the full grammar.
 
 use std::process::ExitCode;
 
 use dbp_repro::dbp::policy::PolicyKind;
+use dbp_repro::obs::cli::{Arg, CliSpec, Parsed};
 use dbp_repro::obs::{export, Json, Prof, Recorder, RecorderConfig};
 use dbp_repro::sim::report::{f3, run_result_json, Table};
 use dbp_repro::sim::{runner, SchedulerKind, SimConfig};
 use dbp_repro::workloads::{mixes_4core, profiles, Mix};
 
-const HELP: &str = "\
-dbpsim — Dynamic Bank Partitioning simulator (HPCA 2014 reproduction)
-
-USAGE:
-    dbpsim <COMMAND> [OPTIONS]
-
-COMMANDS:
-    list                     List available mixes and benchmarks
-    run                      Measure one mix under one configuration
-    compare                  Measure one mix under every policy
-    help                     Show this message
-
-OPTIONS (run / compare):
-    --mix <name>             A predefined mix (see `dbpsim list`)
-    --bench <a,b,...>        Ad-hoc mix from benchmark names (alternative to --mix)
-    --policy <p>             shared | equal | dbp | mcp        [default: dbp]
-    --scheduler <s>          fcfs | frfcfs | frfcfs-cap | parbs | atlas |
-                             bliss | tcm                       [default: frfcfs]
-    --instructions <n>       Measured instructions per thread  [default: 1000000]
-    --warmup <n>             Warmup instructions per thread    [default: 500000]
-    --channels <n>           DRAM channels (power of two)      [default: 2]
-    --banks <n>              Banks per rank (power of two)     [default: 8]
-    --epoch <cycles>         Repartitioning epoch, CPU cycles  [default: 1000000]
-    --csv                    Emit CSV instead of an aligned table
-
-TELEMETRY (run only):
-    --trace-out <file>       Write a Chrome trace_event JSON of the shared
-                             run (open in chrome://tracing or ui.perfetto.dev)
-    --metrics-out <file>     Write per-epoch metrics + event log as JSON
-    --latency-out <file>     Write per-request latency anatomy as JSON:
-                             per-core/per-bank histograms, component
-                             breakdowns, and the core-by-core interference
-                             matrices (render with `dbpreport <file>`)
-    --profile-out <file>     Self-profile the shared run (host wall-clock
-                             spans + work counters) and write the profile
-                             JSON (render with `dbpprof <file>`)
-    --audit-out <file>       Run shadow policies alongside the live one
-                             (observation-only) and write the decision
-                             audit JSON: shadow-vs-live allocations,
-                             prediction accuracy, and convergence
-                             telemetry (render with `dbpaudit <file>`)
-";
+const SPEC: CliSpec = CliSpec {
+    bin: "dbpsim",
+    about: "Dynamic Bank Partitioning simulator (HPCA 2014 reproduction)",
+    positional: "<command>  list (mixes and benchmarks) | run (one mix, one configuration) | \
+                 compare (one mix, every policy) | help",
+    args: &[
+        Arg::opt("--mix", "name", "a predefined mix (see `dbpsim list`)"),
+        Arg::opt("--bench", "a,b,...", "ad-hoc mix from benchmark names (alternative to --mix)"),
+        Arg::opt("--policy", "p", "shared | equal | dbp | mcp (default dbp)"),
+        Arg::opt(
+            "--scheduler",
+            "s",
+            "fcfs | frfcfs | frfcfs-cap | parbs | atlas | bliss | tcm (default frfcfs)",
+        ),
+        Arg::opt("--instructions", "n", "measured instructions per thread (default 1000000)"),
+        Arg::opt("--warmup", "n", "warmup instructions per thread (default 500000)"),
+        Arg::opt("--channels", "n", "DRAM channels, a power of two (default 2)"),
+        Arg::opt("--banks", "n", "banks per rank, a power of two (default 8)"),
+        Arg::opt("--epoch", "cycles", "repartitioning epoch in CPU cycles (default 1000000)"),
+        Arg::flag("--csv", "emit CSV instead of an aligned table"),
+        Arg::opt("--trace-out", "file", "run: Chrome trace_event JSON of the shared run"),
+        Arg::opt("--metrics-out", "file", "run: per-epoch metrics + event log as JSON"),
+        Arg::opt("--latency-out", "file", "run: latency anatomy + interference matrices as JSON"),
+        Arg::opt("--profile-out", "file", "run: host self-profile (spans + work counters) as JSON"),
+        Arg::opt("--audit-out", "file", "run: decision audit (shadow policies, accuracy) as JSON"),
+        Arg::flag("--trace-plan", "run: pretty-print each epoch's profiles and plan to stderr"),
+    ],
+};
 
 fn parse_policy(s: &str) -> Result<PolicyKind, String> {
     match s {
@@ -104,68 +90,42 @@ struct Options {
     latency_out: Option<String>,
     profile_out: Option<String>,
     audit_out: Option<String>,
+    trace_plan: bool,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            mix: None,
-            bench: None,
-            policy: PolicyKind::Dbp(Default::default()),
-            scheduler: SchedulerKind::FrFcfs,
-            instructions: 1_000_000,
-            warmup: 500_000,
-            channels: 2,
-            banks: 8,
-            epoch: 1_000_000,
-            csv: false,
-            trace_out: None,
-            metrics_out: None,
-            latency_out: None,
-            profile_out: None,
-            audit_out: None,
-        }
-    }
+/// A numeric option's value, or `default` when it was not given.
+fn number<T>(parsed: &Parsed, name: &str, default: T) -> Result<T, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    parsed.option(name).map_or(Ok(default), |v| v.parse().map_err(|e| format!("{name}: {e}")))
 }
 
-fn parse_options(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value =
-            |name: &str| it.next().cloned().ok_or_else(|| format!("{name} requires a value"));
-        match arg.as_str() {
-            "--mix" => opts.mix = Some(value("--mix")?),
-            "--bench" => opts.bench = Some(value("--bench")?),
-            "--policy" => opts.policy = parse_policy(&value("--policy")?)?,
-            "--scheduler" => opts.scheduler = parse_scheduler(&value("--scheduler")?)?,
-            "--instructions" => {
-                opts.instructions =
-                    value("--instructions")?.parse().map_err(|e| format!("--instructions: {e}"))?;
-            }
-            "--warmup" => {
-                opts.warmup = value("--warmup")?.parse().map_err(|e| format!("--warmup: {e}"))?;
-            }
-            "--channels" => {
-                opts.channels =
-                    value("--channels")?.parse().map_err(|e| format!("--channels: {e}"))?;
-            }
-            "--banks" => {
-                opts.banks = value("--banks")?.parse().map_err(|e| format!("--banks: {e}"))?;
-            }
-            "--epoch" => {
-                opts.epoch = value("--epoch")?.parse().map_err(|e| format!("--epoch: {e}"))?;
-            }
-            "--csv" => opts.csv = true,
-            "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
-            "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?),
-            "--latency-out" => opts.latency_out = Some(value("--latency-out")?),
-            "--profile-out" => opts.profile_out = Some(value("--profile-out")?),
-            "--audit-out" => opts.audit_out = Some(value("--audit-out")?),
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    Ok(opts)
+fn parse_options(parsed: &Parsed) -> Result<Options, String> {
+    let text = |name: &str| parsed.option(name).map(str::to_owned);
+    Ok(Options {
+        mix: text("--mix"),
+        bench: text("--bench"),
+        policy: parsed
+            .option("--policy")
+            .map_or(Ok(PolicyKind::Dbp(Default::default())), parse_policy)?,
+        scheduler: parsed
+            .option("--scheduler")
+            .map_or(Ok(SchedulerKind::FrFcfs), parse_scheduler)?,
+        instructions: number(parsed, "--instructions", 1_000_000)?,
+        warmup: number(parsed, "--warmup", 500_000)?,
+        channels: number(parsed, "--channels", 2)?,
+        banks: number(parsed, "--banks", 8)?,
+        epoch: number(parsed, "--epoch", 1_000_000)?,
+        csv: parsed.flag("--csv"),
+        trace_out: text("--trace-out"),
+        metrics_out: text("--metrics-out"),
+        latency_out: text("--latency-out"),
+        profile_out: text("--profile-out"),
+        audit_out: text("--audit-out"),
+        trace_plan: parsed.flag("--trace-plan"),
+    })
 }
 
 fn resolve_mix(opts: &Options) -> Result<Mix, String> {
@@ -267,18 +227,23 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     let telemetry_wanted = opts.trace_out.is_some()
         || opts.metrics_out.is_some()
         || opts.latency_out.is_some()
-        || opts.audit_out.is_some();
+        || opts.audit_out.is_some()
+        || opts.trace_plan;
     let rec = if telemetry_wanted {
-        Recorder::new(RecorderConfig { audit: opts.audit_out.is_some(), ..Default::default() })
+        Recorder::new(RecorderConfig {
+            audit: opts.audit_out.is_some(),
+            stderr_echo: opts.trace_plan,
+            ..Default::default()
+        })
     } else {
         Recorder::disabled()
     };
     let prof = if opts.profile_out.is_some() { Prof::enabled() } else { Prof::disabled() };
-    let run = if telemetry_wanted || prof.is_enabled() {
-        runner::run_mix_instrumented(&cfg, &mix, rec.clone(), prof.clone())
-    } else {
-        runner::run_mix(&cfg, &mix)
-    };
+    // Alone runs are calibration, not the experiment: only the shared run
+    // is observed, so a profile measures its host cost alone.
+    let alone = runner::alone_ipcs(&cfg, &mix);
+    let shared = runner::run_shared_instrumented(&cfg, &mix, rec.clone(), prof.clone());
+    let run = runner::MixRun::from_parts(&mix, alone, shared);
     if telemetry_wanted {
         write_telemetry(opts, &cfg, &mix, &run, &rec)?;
     }
@@ -294,7 +259,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         std::fs::write(path, doc.to_json()).map_err(|e| format!("--profile-out {path}: {e}"))?;
         eprintln!(
             "wrote self-profile ({} root span(s), {} counter(s)) to {path} \
-             (render with `dbpprof {path}`)",
+             (render with `dbpreport {path}`)",
             profile.spans.len(),
             profile.counters.len()
         );
@@ -378,7 +343,7 @@ fn write_telemetry(
         std::fs::write(path, doc.to_json()).map_err(|e| format!("--audit-out {path}: {e}"))?;
         eprintln!(
             "wrote decision audit ({} decision(s), {} shadow policies) to {path} \
-             (render with `dbpaudit {path}`)",
+             (render with `dbpreport {path}`)",
             report.convergence.decisions,
             report.shadows.len()
         );
@@ -417,26 +382,26 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, rest) = match args.split_first() {
-        Some((c, rest)) => (c.as_str(), rest),
-        None => {
-            eprintln!("{HELP}");
+    let parsed = SPEC.parse_or_exit();
+    let outcome = match parsed.files.as_slice() {
+        [] => {
+            eprint!("{}", SPEC.help());
             return ExitCode::FAILURE;
         }
-    };
-    let outcome = match cmd {
-        "help" | "--help" | "-h" => {
-            println!("{HELP}");
-            Ok(())
-        }
-        "list" => {
-            cmd_list();
-            Ok(())
-        }
-        "run" => parse_options(rest).and_then(|o| cmd_run(&o)),
-        "compare" => parse_options(rest).and_then(|o| cmd_compare(&o)),
-        other => Err(format!("unknown command {other:?}; try `dbpsim help`")),
+        [cmd] => match cmd.as_str() {
+            "help" => {
+                print!("{}", SPEC.help());
+                Ok(())
+            }
+            "list" => {
+                cmd_list();
+                Ok(())
+            }
+            "run" => parse_options(&parsed).and_then(|o| cmd_run(&o)),
+            "compare" => parse_options(&parsed).and_then(|o| cmd_compare(&o)),
+            other => Err(format!("unknown command {other:?}; try `dbpsim help`")),
+        },
+        [_, extra, ..] => Err(format!("unexpected argument {extra:?}; try `dbpsim help`")),
     };
     match outcome {
         Ok(()) => ExitCode::SUCCESS,

@@ -11,7 +11,7 @@ fn help_prints_usage() {
     let out = dbpsim().arg("help").output().expect("spawn dbpsim");
     assert!(out.status.success());
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("USAGE"));
+    assert!(text.contains("usage: dbpsim"));
     assert!(text.contains("--policy"));
 }
 

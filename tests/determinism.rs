@@ -65,7 +65,7 @@ fn same_seed_reports_are_byte_identical() {
 /// invalidating them.
 #[test]
 fn tracing_does_not_perturb_the_simulation() {
-    use dbp_repro::obs::{Recorder, RecorderConfig};
+    use dbp_repro::obs::{Prof, Recorder, RecorderConfig};
 
     let mut cfg = SimConfig::fast_test();
     cfg.warmup_instructions = 20_000;
@@ -75,7 +75,7 @@ fn tracing_does_not_perturb_the_simulation() {
 
     let silent = runner::run_shared(&cfg, mix);
     let rec = Recorder::new(RecorderConfig::default());
-    let recorded = runner::run_shared_recorded(&cfg, mix, rec.clone());
+    let recorded = runner::run_shared_instrumented(&cfg, mix, rec.clone(), Prof::disabled());
 
     assert_eq!(silent, recorded, "an enabled recorder must not change the run");
     let t = rec.snapshot();
@@ -90,7 +90,7 @@ fn tracing_does_not_perturb_the_simulation() {
 /// lets `--profile-out` ride along on real experiments.
 #[test]
 fn profiling_does_not_perturb_the_simulation() {
-    use dbp_repro::obs::{export, Prof, Profile};
+    use dbp_repro::obs::{export, Prof, Profile, Recorder};
 
     let mut cfg = SimConfig::fast_test();
     cfg.warmup_instructions = 20_000;
@@ -100,7 +100,7 @@ fn profiling_does_not_perturb_the_simulation() {
 
     let silent = runner::run_shared(&cfg, mix);
     let prof = Prof::enabled();
-    let profiled = runner::run_shared_profiled(&cfg, mix, prof.clone());
+    let profiled = runner::run_shared_instrumented(&cfg, mix, Recorder::disabled(), prof.clone());
     assert_eq!(silent, profiled, "an enabled profiler must not change the run");
     assert_eq!(
         format!("{silent:#?}").into_bytes(),
