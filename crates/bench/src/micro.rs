@@ -15,15 +15,17 @@
 //! ```
 
 use dbp_cache::{Hierarchy, HierarchyConfig};
+use dbp_core::policy::PolicyKind;
 use dbp_cpu::{Core, CoreConfig, MemIssue, ReplaySource, TraceOp};
 use dbp_dram::{Command, Dram, DramConfig};
 use dbp_memctrl::scheduler::{FrFcfs, Tcm};
 use dbp_memctrl::{CtrlConfig, MemRequest, MemoryController};
 use dbp_obs::{Prof, Recorder};
 use dbp_osmem::{ColorSet, FrameAllocator};
+use dbp_sim::runner::trace_for;
 use dbp_sim::{SimConfig, System};
 use dbp_util::bench::Runner;
-use dbp_workloads::{profiles, SyntheticTrace};
+use dbp_workloads::{mixes_4core, profiles, scale_mix, SyntheticTrace};
 
 fn bench_dram_commands(r: &mut Runner) {
     let cfg = DramConfig::fast_test();
@@ -195,6 +197,27 @@ fn step_system(prof: Prof) -> System {
     System::with_instrumentation(cfg, traces, Recorder::disabled(), prof)
 }
 
+/// The repo benchmark's `scale16c` shape at micro-bench length: mix75-1
+/// scaled to 16 cores on 4 channels under DBP.
+fn step_system_16core() -> System {
+    let mut cfg = SimConfig::fast_test();
+    cfg.warmup_instructions = 0;
+    cfg.dram.channels = 4;
+    cfg.policy = PolicyKind::Dbp(Default::default());
+    let mixes = mixes_4core();
+    let base = mixes.iter().find(|m| m.name == "mix75-1").expect("mix75-1 left the mix set");
+    let mix = scale_mix(base, 16);
+    let traces = (0..mix.cores()).map(|i| trace_for(&mix, i)).collect();
+    System::new(cfg, traces)
+}
+
+fn advance_100k(mut sys: System) -> System {
+    while sys.cycle() < 100_000 {
+        sys.advance(100_000);
+    }
+    sys
+}
+
 fn bench_end_to_end(r: &mut Runner) {
     // The headline throughput number — and, versus its `_profiled` twin
     // below, the measured cost of an *enabled* profiler. (A disabled one
@@ -210,23 +233,22 @@ fn bench_end_to_end(r: &mut Runner) {
         "system/step_100k_cycles_4core",
         100_000, // simulated CPU cycles
         || step_system(Prof::disabled()),
-        |mut sys| {
-            while sys.cycle() < 100_000 {
-                sys.advance(100_000);
-            }
-            sys
-        },
+        advance_100k,
+    );
+    // Core-count scaling (ROADMAP 1(b)): four times the cores and twice
+    // the channels of the entry above, so a per-cycle cost linear in
+    // cores shows as this entry falling behind that one.
+    r.bench_batched(
+        "system/step_100k_cycles_16core_4ch",
+        100_000,
+        step_system_16core,
+        advance_100k,
     );
     r.bench_batched(
         "system/step_100k_cycles_4core_profiled",
         100_000,
         || step_system(Prof::enabled()),
-        |mut sys| {
-            while sys.cycle() < 100_000 {
-                sys.advance(100_000);
-            }
-            sys
-        },
+        advance_100k,
     );
 }
 
@@ -258,5 +280,6 @@ mod tests {
         assert_eq!(dedup.len(), names.len(), "duplicate bench names: {names:?}");
         assert!(names.contains(&"system/step_100k_cycles_4core"));
         assert!(names.contains(&"system/step_100k_cycles_4core_profiled"));
+        assert!(names.contains(&"system/step_100k_cycles_16core_4ch"));
     }
 }

@@ -32,10 +32,15 @@ fn parbs_quick_mix_skip_equals_stepped() {
         let traces = (0..mix.cores()).map(|i| trace_for(mix, i)).collect();
         let mut sys = System::new(cfg.clone(), traces);
         sys.set_time_skip(skip);
-        (sys.run(), sys.cycle())
+        let run = sys.run();
+        // `RunResult` carries no stall anatomy: a dormant core caught up
+        // wrongly shows only in its own counters.
+        let cores: Vec<_> = (0..mix.cores()).map(|i| *sys.core_stats(i)).collect();
+        (run, sys.cycle(), cores)
     };
     let skipped = arm(true);
     let stepped = arm(false);
     assert_eq!(skipped.1, stepped.1, "final cycle diverged");
     assert_eq!(skipped.0, stepped.0, "run result diverged");
+    assert_eq!(skipped.2, stepped.2, "core counters diverged");
 }

@@ -717,6 +717,8 @@ mod prop_tests {
     use crate::trace::ReplaySource;
     use dbp_util::prop::{any_bool, check, range, vec_of, CaseResult, Config, Gen};
     use dbp_util::{prop_assert, prop_assert_eq};
+    use std::cell::RefCell;
+    use std::rc::Rc;
 
     fn arb_trace() -> impl Gen<Value = Vec<TraceOp>> {
         vec_of(
@@ -801,18 +803,33 @@ mod prop_tests {
         }
     }
 
+    /// A trace source the test keeps a handle on, so forks can clone the
+    /// stream position the core under test has reached.
+    struct Shared(Rc<RefCell<ReplaySource>>);
+    impl TraceSource for Shared {
+        fn next_op(&mut self) -> TraceOp {
+            self.0.borrow_mut().next_op()
+        }
+    }
+
+    /// Traces of mostly long compute gaps (up to `max_gap`: sleepable
+    /// windows) with some back-to-back bursts (loads packed at the window
+    /// head), plus a ROB size, a width and a salt for [`mem_answer`].
+    fn windowed_case(max_gap: u32) -> impl Gen<Value = (Vec<TraceOp>, u64, u32, u64)> {
+        let op = (range(0u32..3), range(0..max_gap + 1), range(0u64..1_000_000), any_bool()).map(
+            |(burst, gap, page, is_write)| TraceOp {
+                gap: if burst == 0 { gap % 4 } else { gap },
+                addr: page << 6,
+                is_write,
+            },
+        );
+        (vec_of(op, 1..24), range(1u64..65), range(1u32..9), range(0u64..u64::MAX))
+    }
+
     /// `forward(now, h)` equals `h` stepped ticks for every `h` up to the
     /// horizon: same counters, same classification, same full state, and
     /// the same behaviour over the 64 ordinary ticks that follow.
     fn forward_equals_stepped(trace: Vec<TraceOp>, rob: u64, width: u32, salt: u64) -> CaseResult {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        struct Shared(Rc<RefCell<ReplaySource>>);
-        impl TraceSource for Shared {
-            fn next_op(&mut self) -> TraceOp {
-                self.0.borrow_mut().next_op()
-            }
-        }
         let src = Rc::new(RefCell::new(ReplaySource::new(trace)));
         let mut core = Core::new(CoreConfig { rob, width }, Box::new(Shared(src.clone())));
         let mut outstanding: Vec<u64> = Vec::new();
@@ -874,18 +891,95 @@ mod prop_tests {
 
     #[test]
     fn forward_equals_stepped_for_every_window_length() {
-        // Mostly long compute gaps (forward windows), some back-to-back
-        // bursts (loads packed at the window head).
-        let op = (range(0u32..3), range(0u32..2001), range(0u64..1_000_000), any_bool()).map(
-            |(burst, gap, page, is_write)| TraceOp {
-                gap: if burst == 0 { gap % 4 } else { gap },
-                addr: page << 6,
-                is_write,
-            },
-        );
-        let g = (vec_of(op, 1..24), range(1u64..65), range(1u32..9), range(0u64..u64::MAX));
-        check(Config::cases(48), &g, |(trace, rob, width, salt)| {
+        check(Config::cases(48), &windowed_case(2000), |(trace, rob, width, salt)| {
             forward_equals_stepped(trace, rob, width, salt)
+        });
+    }
+
+    /// The life of a dormant core in `System`: classified on its private
+    /// state, it sleeps until `wake` at the latest; whatever ends the nap
+    /// after `k` cycles first applies those `k` ticks in the recorded form
+    /// (`forward` for a compute horizon, `skip_cycles` for a blocked
+    /// core), then may deliver a DRAM fill, then ticks. For every `k` that
+    /// must leave exactly the state of `k` ordinary ticks (the blocked
+    /// core's poll answered `Retry`, as a memoised-stuck poll is) followed
+    /// by the same fill and tick.
+    fn dormancy_equals_stepped(trace: Vec<TraceOp>, rob: u64, width: u32, salt: u64) -> CaseResult {
+        /// A blocked core with no timer sleeps until a fill: any nap
+        /// length is legal, so a fixed few are tried.
+        const OPEN_ENDED: u64 = 24;
+        let src = Rc::new(RefCell::new(ReplaySource::new(trace)));
+        let mut core = Core::new(CoreConfig { rob, width }, Box::new(Shared(src.clone())));
+        let mut outstanding: Vec<u64> = Vec::new();
+        let mut now = 0u64;
+        let (mut naps, mut fills) = (0u32, 0u32);
+        for round in 0..600u64 {
+            let mix = salt.wrapping_add(round).wrapping_mul(0x2545_F491_4F6C_DD1D) >> 32;
+            let (nap, forward) = match core.idle_state() {
+                IdleState::Blocked { timer, .. } => {
+                    (timer.map_or(OPEN_ENDED, |t| t.saturating_sub(now)), false)
+                }
+                IdleState::Active => (core.compute_horizon(), true),
+            };
+            let catch_up = |c: &mut Core, k: u64| {
+                if forward {
+                    c.forward(now, k);
+                } else {
+                    c.skip_cycles(k);
+                }
+            };
+            let fill = (!outstanding.is_empty() && mix % 3 != 0)
+                .then(|| outstanding[mix as usize % outstanding.len()]);
+            if nap > 0 {
+                naps += 1;
+                let mut stepped = core.fork(Box::new(no_fetch));
+                for k in 0..=nap {
+                    let mut lazy = core.fork(Box::new(src.borrow().clone()));
+                    catch_up(&mut lazy, k);
+                    let mut eager = stepped.fork(Box::new(src.borrow().clone()));
+                    prop_assert!(lazy.same_state(&eager), "k {k} of {nap}: {lazy:?} vs {eager:?}");
+                    for c in [&mut lazy, &mut eager] {
+                        if let Some(id) = fill {
+                            c.complete(id);
+                        }
+                        c.tick(now + k, &mut |_, _, id| mem_answer(salt, now + k, id));
+                    }
+                    prop_assert!(
+                        lazy.same_state(&eager),
+                        "k {k} of {nap}, after the wake tick: {lazy:?} vs {eager:?}"
+                    );
+                    if k < nap {
+                        stepped.tick(now + k, &mut |_, _, _| MemIssue::Retry);
+                    }
+                }
+            }
+            // Live on from a nap length the salt picks.
+            let k = mix % (nap + 1);
+            catch_up(&mut core, k);
+            now += k;
+            if let Some(id) = fill {
+                core.complete(id);
+                outstanding.retain(|&o| o != id);
+                fills += 1;
+            }
+            core.tick(now, &mut |_, is_write, id| {
+                let ans = mem_answer(salt, now, id);
+                if ans == MemIssue::Pending && !is_write {
+                    outstanding.push(id);
+                }
+                ans
+            });
+            now += 1;
+        }
+        prop_assert!(naps > 0, "the case never slept");
+        prop_assert!(fills > 0 || outstanding.is_empty(), "no fill was ever delivered");
+        Ok(())
+    }
+
+    #[test]
+    fn dormant_catch_up_equals_stepped_for_every_nap_length() {
+        check(Config::cases(48), &windowed_case(400), |(trace, rob, width, salt)| {
+            dormancy_equals_stepped(trace, rob, width, salt)
         });
     }
 

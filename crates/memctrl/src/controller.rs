@@ -62,6 +62,8 @@ pub struct Completion {
     /// The id the request was enqueued with.
     pub id: u64,
     pub thread: ThreadId,
+    /// The line address the request was enqueued with.
+    pub line: u64,
 }
 
 /// Controller-level counters.
@@ -84,6 +86,7 @@ struct PendingRead {
     ready_at: Cycle,
     id: u64,
     thread: ThreadId,
+    line: u64,
     arrival: Cycle,
 }
 
@@ -480,7 +483,7 @@ impl MemoryController {
             self.pending.pop();
             self.prof.on_read_complete(p.thread, p.ready_at - p.arrival);
             self.stats.completed_reads += 1;
-            completed.push(Completion { id: p.id, thread: p.thread });
+            completed.push(Completion { id: p.id, thread: p.thread, line: p.line });
         }
         self.prof.sample_blp();
         {
@@ -1078,6 +1081,7 @@ impl MemoryController {
                         ready_at: data_end,
                         id: req.id,
                         thread: req.thread,
+                        line: req.addr,
                         arrival: req.arrival,
                     }));
                 }
@@ -1120,7 +1124,7 @@ mod tests {
         let mut m = mc(Box::new(FrFcfs), 1);
         m.enqueue(MemRequest::demand_read(7, 0, 0x40, 0));
         let done = run(&mut m, 50);
-        assert_eq!(done, vec![Completion { id: 7, thread: 0 }]);
+        assert_eq!(done, vec![Completion { id: 7, thread: 0, line: 0x40 }]);
         assert_eq!(m.stats().cmd_act, 1);
         assert_eq!(m.stats().cmd_rd, 1);
         // ACT(0) -> RD(tRCD=2) -> data at 2+CL+BURST=6.

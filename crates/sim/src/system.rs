@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use dbp_cache::{AccessLevel, Hierarchy, Mshr};
 use dbp_core::policy::PartitionPolicy;
 use dbp_core::{ColorTopology, ThreadMemProfile};
-use dbp_cpu::{Core, MemIssue, TraceSource};
+use dbp_cpu::{Core, CoreStats, IdleState, MemIssue, TraceSource};
 use dbp_dram::DramStats;
 use dbp_memctrl::{Completion, MemRequest, MemoryController, ThreadProf};
 use dbp_obs::{EpochSample, EventKind, FxHashMap, Prof, Recorder, ThreadSample};
@@ -38,8 +38,6 @@ pub struct System {
     policy: Box<dyn PartitionPolicy>,
     topo: ColorTopology,
     last_plan: Option<Vec<ColorSet>>,
-    /// Request id -> (core, line) for demand-read completions.
-    req_map: FxHashMap<u64, (usize, u64)>,
     next_req_id: u64,
     /// Copy traffic waiting for queue space.
     migration_backlog: MigrationBacklog,
@@ -52,9 +50,24 @@ pub struct System {
     /// is on: the stepped reference path stays a plain interpreter so
     /// the CI cross-check would expose a stale-verdict bug here.
     poll_stuck: Vec<bool>,
+    /// Per core: the wake calendar (see [`CoreClock`]). With time
+    /// skipping off every `wake` stays 0, so every core ticks every cycle.
+    clocks: Vec<CoreClock>,
     last_fed_instr: Vec<u64>,
     cycle: u64,
+    /// CPU cycle of the next DRAM tick, and that tick's DRAM cycle.
+    next_dram: u64,
+    dram_ticks: u64,
+    /// CPU cycles of the next repartition epoch / instruction feed (the
+    /// first of each is one interval in: neither fires at cycle 0).
+    next_epoch: u64,
+    next_feed: u64,
     finish_cycle: Vec<Option<u64>>,
+    /// Cores with `finish_cycle` unset / short of the warmup target.
+    /// Maintained where a core really ticks; the classification fences
+    /// keep a dormant core from crossing either threshold unobserved.
+    unfinished: usize,
+    behind: usize,
     completions: Vec<Completion>,
     stats: SysStats,
     // Measurement window (set when warmup ends).
@@ -76,6 +89,49 @@ pub struct System {
     host_prof: Prof,
     ctr_cycles: dbp_obs::prof::Counter,
     ctr_skipped: dbp_obs::prof::Counter,
+    ctr_core_ticks: dbp_obs::prof::Counter,
+    ctr_core_wakes: dbp_obs::prof::Counter,
+}
+
+/// One core's entry in the wake calendar. A core whose next ticks are
+/// provably private — blocked until a timer or a completion, or inside a
+/// memory-free compute horizon — goes dormant: it is not ticked again
+/// before `wake`, and the ticks it missed are applied in closed form only
+/// when something needs its state (see DESIGN.md "Event-driven time
+/// skipping").
+#[derive(Debug, Clone, Copy, Default)]
+struct CoreClock {
+    /// Every tick of cycles `< synced` has been applied to the core.
+    synced: u64,
+    /// First cycle the core must really tick; dormant while `> cycle`.
+    wake: u64,
+    /// Catch-up form of a dormant core: [`Core::forward`] (compute
+    /// horizon) or [`Core::skip_cycles`] (blocked).
+    forward: bool,
+}
+
+impl CoreClock {
+    /// Apply the ticks of cycles `synced..now` that the core slept through.
+    fn sync(&mut self, core: &mut Core, now: u64) {
+        let k = now - self.synced;
+        if k == 0 {
+            return;
+        }
+        debug_assert!(now <= self.wake, "slept past the wake time");
+        if self.forward {
+            core.forward(self.synced, k);
+        } else {
+            core.skip_cycles(k);
+        }
+        self.synced = now;
+    }
+
+    /// Whether this is a compute-horizon sleeper that has not been
+    /// classified since cycle `now - 1`: its true horizon may be later
+    /// than the recorded `wake`.
+    fn stale_horizon(&self, now: u64) -> bool {
+        self.forward && self.synced < now
+    }
 }
 
 impl std::fmt::Debug for System {
@@ -144,6 +200,8 @@ impl System {
         ctrl.attach_profiler(&prof);
         let ctr_cycles = prof.counter("sim/cycles_stepped");
         let ctr_skipped = prof.counter("sim/cycles_skipped");
+        let ctr_core_ticks = prof.counter("sim/core_ticks");
+        let ctr_core_wakes = prof.counter("sim/core_wakes");
         let audit = if rec.audit_requested() {
             Some(ShadowRack::standard(&cfg, &topo, &plan))
         } else {
@@ -155,16 +213,22 @@ impl System {
             mshrs: (0..n).map(|_| Mshr::new(cfg.mshrs)).collect(),
             waiting: (0..n).map(|_| FxHashMap::default()).collect(),
             last_plan: Some(plan),
-            req_map: FxHashMap::default(),
             next_req_id: 0,
             migration_backlog: MigrationBacklog::new(
                 cfg.migration_lines_per_page,
                 u64::from(cfg.dram.page_bytes),
             ),
             poll_stuck: vec![false; n],
+            clocks: vec![CoreClock::default(); n],
             last_fed_instr: vec![0; n],
             cycle: 0,
+            next_dram: 0,
+            dram_ticks: 0,
+            next_epoch: cfg.epoch_cpu_cycles,
+            next_feed: cfg.instr_feed_interval,
             finish_cycle: vec![None; n],
+            unfinished: n,
+            behind: if cfg.warmup_instructions > 0 { n } else { 0 },
             completions: Vec::new(),
             stats: SysStats::default(),
             measure_start: 0,
@@ -183,12 +247,17 @@ impl System {
             host_prof: prof,
             ctr_cycles,
             ctr_skipped,
+            ctr_core_ticks,
+            ctr_core_wakes,
         }
     }
 
     /// Override [`SimConfig::time_skip`] on an already-built system.
     pub fn set_time_skip(&mut self, on: bool) {
         self.cfg.time_skip = on;
+        // The stepped core ticks everyone every cycle; the skipping core
+        // re-derives each wake time after the core's next real tick.
+        self.wake_all();
     }
 
     /// The telemetry recorder this system emits into (disabled unless
@@ -211,6 +280,12 @@ impl System {
     /// Current CPU cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// Core `i`'s execution counters, brought up to the current cycle.
+    pub fn core_stats(&mut self, i: usize) -> &CoreStats {
+        self.clocks[i].sync(&mut self.cores[i], self.cycle);
+        self.cores[i].stats()
     }
 
     /// System counters.
@@ -238,7 +313,6 @@ impl System {
     pub fn run(&mut self) -> RunResult {
         if self.cfg.warmup_instructions > 0 {
             let _phase = self.host_prof.span("sim/warmup");
-            let warm = self.cfg.warmup_instructions;
             // Warmup must also span several repartition epochs (plus one
             // cycle, so no epoch boundary coincides with measurement
             // start): a dynamic policy's plan — smoothed and debounced —
@@ -246,7 +320,7 @@ impl System {
             // belong to warmup, not to the measured steady state.
             let min_cycles = 4 * self.cfg.epoch_cpu_cycles + 1;
             while self.cycle < self.cfg.max_cpu_cycles
-                && (self.cycle < min_cycles || self.cores.iter().any(|c| c.retired() < warm))
+                && (self.cycle < min_cycles || self.behind > 0)
             {
                 self.step();
                 // The skip bound is derived from the *post-step* state: a
@@ -255,7 +329,7 @@ impl System {
                 // cap can end the loop; once all cores are warm the jump
                 // must land exactly on the min-cycle clamp, because
                 // measurement starts there.
-                let behind = self.cores.iter().any(|c| c.retired() < warm);
+                let behind = self.behind > 0;
                 if self.cycle < self.cfg.max_cpu_cycles && (behind || self.cycle < min_cycles) {
                     let bound = if behind { self.cfg.max_cpu_cycles } else { min_cycles };
                     self.maybe_skip(bound);
@@ -265,14 +339,12 @@ impl System {
         }
         {
             let _phase = self.host_prof.span("sim/measure");
-            while self.cycle < self.cfg.max_cpu_cycles
-                && self.finish_cycle.iter().any(Option::is_none)
-            {
+            while self.cycle < self.cfg.max_cpu_cycles && self.unfinished > 0 {
                 self.step();
                 // Same post-step guard: if the step just finished the last
                 // core, stepped mode exits here — a jump would inflate the
                 // final cycle count.
-                if self.finish_cycle.iter().any(Option::is_none) {
+                if self.unfinished > 0 {
                     self.maybe_skip(self.cfg.max_cpu_cycles);
                 }
             }
@@ -289,7 +361,8 @@ impl System {
         // charged to an arbitrary slice of the measured window.
         self.osmem.conform_all();
         self.migration_backlog.clear();
-        self.poll_stuck.fill(false);
+        // The finish fence moves with `base_retired`: reclassify everyone.
+        self.wake_all();
         if let Some(rack) = &mut self.audit {
             rack.note_measurement_start(self.stats.repartitions);
         }
@@ -299,6 +372,7 @@ impl System {
             self.prof_base[i] = self.ctrl.prof().cumulative(i);
             self.finish_cycle[i] = None;
         }
+        self.unfinished = self.cores.len();
         self.dram_base = Some(self.ctrl.dram().stats().clone());
         self.os_base = *self.osmem.stats();
         self.sys_base = self.stats;
@@ -345,124 +419,121 @@ impl System {
             return;
         }
         let cur = self.cycle;
-        if cur >= bound {
+        // Calendar: the jump lands on the earliest of a core's wake time,
+        // the next epoch / feed boundary (those run code even with
+        // everyone idle) and the controller's next event.
+        let fixed = bound.min(self.next_epoch).min(self.next_feed);
+        if fixed <= cur {
             return;
         }
-        let n = self.cores.len();
-        if n > 64 {
-            return; // forward-plan bitmask: far above any simulated CMP
-        }
-        // Gate 1: every core must be either blocked — with any memory
-        // poll provably stuck at `Retry` for the whole window — or in a
-        // compute phase with a provable memory-free horizon. The blocked
-        // re-check mirrors `tick_cores`' pre-flight on *pure* views only:
-        // a peek that could allocate/migrate, a probe that would hit, or
-        // a free resource all mean the next tick mutates shared state —
-        // no skip.
-        let channels = self.cfg.dram.channels;
-        let write_cap = self.cfg.ctrl.write_q_cap;
-        let warm = self.cfg.warmup_instructions;
-        let mut target = bound;
-        let mut fwd: u64 = 0;
-        for i in 0..n {
-            match self.cores[i].idle_state() {
-                dbp_cpu::IdleState::Blocked { timer, mem_poll } => {
-                    if let Some(t) = timer {
-                        target = target.min(t);
-                    }
-                    let Some((vaddr, _)) = mem_poll else { continue };
-                    if self.poll_stuck[i] {
-                        continue; // memoised stuck verdict, still valid
-                    }
-                    let Some(pa) = self.osmem.peek(i, vaddr) else {
-                        return;
-                    };
-                    let line = pa & !63;
-                    if self.caches[i].probe(pa) || self.mshrs[i].contains(line) {
-                        return; // would hit or merge: the poll makes progress
-                    }
-                    let would_retry = self.mshrs[i].is_full()
-                        || !self.ctrl.can_accept(self.ctrl.channel_of(line), false)
-                        || (0..channels).any(|ch| self.ctrl.queue_len(ch, true) + 2 > write_cap);
-                    if !would_retry {
-                        return; // the poll would enqueue next tick
-                    }
-                }
-                dbp_cpu::IdleState::Active => {
-                    // Compute phase: `Core::forward` advances the window
-                    // in closed form, firing the core's own timers
-                    // internally, so they need no calendar entry — only
-                    // its next possible memory dispatch bounds the jump.
-                    let h = self.cores[i].compute_horizon();
-                    if h == 0 {
-                        return;
-                    }
-                    fwd |= 1 << i;
-                    target = target.min(cur + h);
-                    // Forwarded ticks retire instructions, but the warmup
-                    // exit (`run`) and the finish check (`step`) observe
-                    // `retired` on executed cycles only: end the window
-                    // before this core could cross either threshold.
-                    let retired = self.cores[i].retired();
-                    let width = self.cores[i].max_retire_per_cycle();
-                    let fence = |threshold: u64, target: &mut u64| {
-                        let room = threshold.saturating_sub(retired);
-                        *target = (*target).min(cur + room.saturating_sub(1) / width);
-                    };
-                    if retired < warm {
-                        fence(warm, &mut target);
-                    }
-                    if self.finish_cycle[i].is_none() {
-                        let done = self.base_retired[i] + self.cfg.target_instructions;
-                        fence(done, &mut target);
-                    }
-                }
-            }
-        }
-        // Gate 2: pending migration copy traffic that the controller
-        // would accept means the next DRAM tick enqueues — no skip. (If
-        // the queue is full it stays full for the whole window: nothing
-        // issues or completes before the controller's next event.)
+        // Pending migration copy traffic that the controller would accept
+        // means the next DRAM tick enqueues — no skip. (If the queue is
+        // full it stays full for the whole window: nothing issues or
+        // completes before the controller's next event.)
         if let Some((_, addr, is_write)) = self.migration_backlog.front() {
             if self.ctrl.can_accept(self.ctrl.channel_of(addr), is_write) {
                 return;
             }
         }
-        // Calendar: the jump lands on the earliest of the controller's
-        // next event, a core wake timer, and the next epoch / feed
-        // boundary (those run code even with everyone idle).
         let cpd = self.cfg.cpu_per_dram;
-        let next_mult = |n: u64, m: u64| if n.is_multiple_of(m) { n } else { (n / m + 1) * m };
-        target = target.min(next_mult(cur, self.cfg.epoch_cpu_cycles));
-        target = target.min(next_mult(cur, self.cfg.instr_feed_interval));
-        // The controller only acts on DRAM-tick cycles: when the window
-        // already ends at or before the first one, its calendar cannot
-        // lower `target` (`next_event` > `last_dram`, so scaled it is
-        // ≥ `from * cpd`) and the query is skipped.
-        let from = cur.div_ceil(cpd);
-        if target > from * cpd {
-            let last_dram = (cur - 1) / cpd;
-            target = target.min(self.ctrl.next_event(last_dram).saturating_mul(cpd));
-        }
-        if target <= cur {
-            return;
-        }
+        let mut ctrl_event = None;
+        let target = loop {
+            let Some((mut target, first)) = self.core_calendar(cur, fixed) else {
+                return;
+            };
+            // The controller only acts on DRAM-tick cycles: when the
+            // window already ends at or before the next one, its calendar
+            // cannot lower `target` (`next_event` is past the last
+            // executed DRAM tick, so scaled it is ≥ `next_dram`) and the
+            // query is skipped.
+            if target > self.next_dram {
+                let event = *ctrl_event.get_or_insert_with(|| {
+                    self.ctrl.next_event(self.dram_ticks - 1).saturating_mul(cpd)
+                });
+                target = target.min(event);
+            }
+            // A compute horizon assumes full-width dispatch, so it only
+            // grows while its core sleeps. When such a sleeper is what
+            // bounds the jump (or seems due right now), bring it up to
+            // date and ask again rather than execute a cycle in which
+            // nothing can happen.
+            match first {
+                Some(i) if self.clocks[i].wake == target && self.clocks[i].stale_horizon(cur) => {
+                    self.clocks[i].sync(&mut self.cores[i], cur);
+                    self.classify(i);
+                }
+                _ if target <= cur => return,
+                _ => break target,
+            }
+        };
         // Perform the jump: cycles [cur, target) are skipped, `target`
-        // itself executes as a normal step.
+        // itself executes as a normal step. Sleepers are not touched (they
+        // catch up when they wake); every core still awake is a
+        // queue-refused poller and took `k` more `Retry` ticks.
         let k = target - cur;
-        for (i, core) in self.cores.iter_mut().enumerate() {
-            if fwd & (1 << i) != 0 {
-                core.forward(cur, k);
-            } else {
+        for (clock, core) in self.clocks.iter_mut().zip(&mut self.cores) {
+            if clock.wake <= cur {
                 core.skip_cycles(k);
+                clock.synced = target;
             }
         }
-        let count = target.div_ceil(cpd) - from;
-        self.ctrl.skip_ticks(from, count);
+        let to = target.div_ceil(cpd);
+        self.ctrl.skip_ticks(self.dram_ticks, to - self.dram_ticks);
+        self.dram_ticks = to;
+        self.next_dram = to * cpd;
         if self.host_prof.is_enabled() {
             self.ctr_skipped.add(k);
         }
         self.cycle = target;
+    }
+
+    /// The cores' part of the jump calendar at cycle `cur`: the earliest
+    /// wake time on record (capped at `target`) and the sleeper that set
+    /// it — or `None` when an awake core can act at `cur`.
+    fn core_calendar(&mut self, cur: u64, mut target: u64) -> Option<(u64, Option<usize>)> {
+        let channels = self.cfg.dram.channels;
+        let write_cap = self.cfg.ctrl.write_q_cap;
+        let mut first = None;
+        for i in 0..self.clocks.len() {
+            let clock = self.clocks[i];
+            if clock.wake > cur || clock.stale_horizon(cur) {
+                if clock.wake < target {
+                    target = clock.wake;
+                    first = Some(i);
+                }
+                continue;
+            }
+            // An awake core holds the clock — unless all its next tick can
+            // do is repeat a poll the *shared* queues refuse. That verdict
+            // depends on what other cores enqueue, so it is proved here,
+            // per window, on pure views only: a peek that could
+            // allocate/migrate, a probe that would hit, or a free resource
+            // all mean the next tick mutates shared state — no skip. (A
+            // blocked sleeper whose wake time has come must tick.)
+            if clock.synced != cur {
+                return None;
+            }
+            let IdleState::Blocked { timer, mem_poll: Some((vaddr, _)) } =
+                self.cores[i].idle_state()
+            else {
+                return None;
+            };
+            if let Some(t) = timer {
+                target = target.min(t);
+            }
+            let pa = self.osmem.peek(i, vaddr)?;
+            let line = pa & !63;
+            if self.caches[i].probe(pa) || self.mshrs[i].contains(line) {
+                return None; // would hit or merge: the poll makes progress
+            }
+            let would_retry = self.mshrs[i].is_full()
+                || !self.ctrl.can_accept(self.ctrl.channel_of(line), false)
+                || (0..channels).any(|ch| self.ctrl.queue_len(ch, true) + 2 > write_cap);
+            if !would_retry {
+                return None; // the poll would enqueue next tick
+            }
+        }
+        Some((target, first))
     }
 
     fn step_impl<const PROF: bool>(&mut self) {
@@ -471,31 +542,32 @@ impl System {
         if PROF {
             self.ctr_cycles.incr();
         }
-        if cycle.is_multiple_of(self.cfg.cpu_per_dram) {
+        if cycle == self.next_dram {
             let _s = PROF.then(|| self.host_prof.span("sim/dram_tick"));
-            self.dram_tick(cycle / self.cfg.cpu_per_dram);
+            self.dram_tick(cycle);
         }
-        if cycle > 0 && cycle.is_multiple_of(self.cfg.epoch_cpu_cycles) {
+        // An epoch feeds instructions itself, so a feed boundary that
+        // coincides with one only advances.
+        let feed_due = cycle == self.next_feed;
+        if feed_due {
+            self.next_feed += self.cfg.instr_feed_interval;
+        }
+        if cycle == self.next_epoch {
+            self.next_epoch += self.cfg.epoch_cpu_cycles;
             let _s = PROF.then(|| self.host_prof.span("sim/policy_epoch"));
             self.repartition();
-        } else if cycle > 0 && cycle.is_multiple_of(self.cfg.instr_feed_interval) {
+        } else if feed_due {
             let _s = PROF.then(|| self.host_prof.span("sim/feed_instructions"));
             self.feed_instructions();
         }
-        let _s = PROF.then(|| self.host_prof.span("sim/cores_tick"));
-        self.tick_cores(cycle);
-        drop(_s);
-        for i in 0..self.cores.len() {
-            if self.finish_cycle[i].is_none()
-                && self.cores[i].retired() - self.base_retired[i] >= self.cfg.target_instructions
-            {
-                self.finish_cycle[i] = Some(cycle + 1);
-            }
-        }
+        self.tick_cores::<PROF>(cycle);
         self.cycle += 1;
     }
 
-    fn dram_tick(&mut self, dram_now: u64) {
+    fn dram_tick(&mut self, cycle: u64) {
+        let dram_now = self.dram_ticks;
+        self.dram_ticks += 1;
+        self.next_dram += self.cfg.cpu_per_dram;
         // Feed backlog copy traffic gently (up to 4 requests per cycle).
         // The span opens only when there is a backlog: most DRAM ticks
         // have none, and an always-on child would drown the signal (and
@@ -521,106 +593,193 @@ impl System {
         buf.clear();
         self.ctrl.tick(dram_now, &mut buf);
         for c in &buf {
-            let (core, line) = self.req_map.remove(&c.id).expect("completion for unknown request");
+            let (core, line) = (c.thread, c.line);
+            debug_assert!(
+                self.mshrs[core].contains(line),
+                "core {core} awaits no fill of {line:#x}"
+            );
             self.poll_stuck[core] = false;
             self.mshrs[core].complete(line);
+            // The fill changes what the core's next ticks can do: apply
+            // the ticks it slept through, deliver, and classify afresh (a
+            // core still blocked behind an older load sleeps on).
+            self.clocks[core].sync(&mut self.cores[core], cycle);
             if let Some(waiters) = self.waiting[core].remove(&line) {
                 for load in waiters {
                     self.cores[core].complete(load);
                 }
             }
+            if self.cfg.time_skip {
+                self.classify(core);
+            }
         }
         self.completions = buf;
     }
 
-    fn tick_cores(&mut self, cycle: u64) {
-        let dram_now = cycle / self.cfg.cpu_per_dram;
+    fn tick_cores<const PROF: bool>(&mut self, cycle: u64) {
+        // Opened by the first awake core: most executed cycles have none
+        // (they execute for the controller), and an empty span per cycle
+        // would cost two clock reads to record nothing.
+        let mut span = None;
+        for i in 0..self.cores.len() {
+            if self.clocks[i].wake > cycle {
+                continue;
+            }
+            if PROF {
+                span.get_or_insert_with(|| self.host_prof.span("sim/cores_tick"));
+                self.ctr_core_ticks.incr();
+            }
+            self.tick_core(i, cycle);
+            if PROF && self.clocks[i].wake > cycle + 1 {
+                self.ctr_core_wakes.incr();
+            }
+        }
+    }
+
+    /// Really tick core `i` at `cycle` (after any catch-up), observe the
+    /// run loop's two exit conditions, and put it back on the calendar.
+    fn tick_core(&mut self, i: usize, cycle: u64) {
+        let dram_now = self.dram_ticks - 1;
         let channels = self.cfg.dram.channels;
         let write_cap = self.cfg.ctrl.write_q_cap;
         let charge_migration = self.cfg.migration_cost == MigrationCost::Charged;
         let time_skip = self.cfg.time_skip;
-        let System {
-            cores,
-            caches,
-            mshrs,
-            waiting,
-            osmem,
-            ctrl,
-            req_map,
-            next_req_id,
-            migration_backlog,
-            poll_stuck,
-            ..
-        } = self;
-        for (i, core) in cores.iter_mut().enumerate() {
-            let cache = &mut caches[i];
-            let mshr = &mut mshrs[i];
-            let waits = &mut waiting[i];
-            let stuck = &mut poll_stuck[i];
-            let mut mem = |vaddr: u64, is_write: bool, load_id: u64| -> MemIssue {
-                if time_skip && *stuck {
-                    // Memoised verdict (see `poll_stuck`): this exact poll
-                    // already proved Retry-on-full-MSHR and nothing that
-                    // could change it has happened since.
+        let warm = self.cfg.warmup_instructions;
+        let System { osmem, ctrl, next_req_id, migration_backlog, .. } = self;
+        let core = &mut self.cores[i];
+        let cache = &mut self.caches[i];
+        let mshr = &mut self.mshrs[i];
+        let waits = &mut self.waiting[i];
+        let stuck = &mut self.poll_stuck[i];
+        let was_behind = core.retired() < warm;
+        self.clocks[i].sync(core, cycle);
+        let mut mem = |vaddr: u64, is_write: bool, load_id: u64| -> MemIssue {
+            if time_skip && *stuck {
+                // Memoised verdict (see `poll_stuck`): this exact poll
+                // already proved Retry-on-full-MSHR and nothing that
+                // could change it has happened since.
+                return MemIssue::Retry;
+            }
+            let tr = osmem.translate(i, vaddr);
+            if let Some(job) = tr.migration {
+                if charge_migration {
+                    migration_backlog.jobs.push_back(job);
+                }
+            }
+            let pa = tr.pa;
+            let line = pa & !63;
+            // Resource pre-flight (only if this will miss the caches).
+            let merged = mshr.contains(line);
+            if !cache.probe(pa) && !merged {
+                if mshr.is_full() {
+                    *stuck = true;
                     return MemIssue::Retry;
                 }
-                let tr = osmem.translate(i, vaddr);
-                if let Some(job) = tr.migration {
-                    if charge_migration {
-                        migration_backlog.jobs.push_back(job);
-                    }
+                if !ctrl.can_accept(ctrl.channel_of(line), false) {
+                    return MemIssue::Retry;
                 }
-                let pa = tr.pa;
-                let line = pa & !63;
-                // Resource pre-flight (only if this will miss the caches).
-                let merged = mshr.contains(line);
-                if !cache.probe(pa) && !merged {
-                    if mshr.is_full() {
-                        *stuck = true;
+                // Leave head-room for the up-to-two write-backs a fill
+                // can trigger.
+                for ch in 0..channels {
+                    if ctrl.queue_len(ch, true) + 2 > write_cap {
                         return MemIssue::Retry;
                     }
-                    if !ctrl.can_accept(ctrl.channel_of(line), false) {
-                        return MemIssue::Retry;
-                    }
-                    // Leave head-room for the up-to-two write-backs a fill
-                    // can trigger.
-                    for ch in 0..channels {
-                        if ctrl.queue_len(ch, true) + 2 > write_cap {
-                            return MemIssue::Retry;
-                        }
-                    }
                 }
-                let acc = cache.access(pa, is_write);
-                for wb in &acc.writebacks {
-                    let id = *next_req_id;
-                    *next_req_id += 1;
-                    ctrl.enqueue(MemRequest::writeback(id, i, *wb, dram_now));
-                }
-                match acc.level {
-                    AccessLevel::L1Hit | AccessLevel::L2Hit => {
-                        MemIssue::Done { latency: acc.latency }
+            }
+            let acc = cache.access(pa, is_write);
+            for wb in &acc.writebacks {
+                let id = *next_req_id;
+                *next_req_id += 1;
+                ctrl.enqueue(MemRequest::writeback(id, i, *wb, dram_now));
+            }
+            match acc.level {
+                AccessLevel::L1Hit | AccessLevel::L2Hit => MemIssue::Done { latency: acc.latency },
+                AccessLevel::MemoryMiss => {
+                    if !merged {
+                        mshr.alloc(line);
+                        let id = *next_req_id;
+                        *next_req_id += 1;
+                        ctrl.enqueue(MemRequest::demand_read(id, i, line, dram_now));
                     }
-                    AccessLevel::MemoryMiss => {
-                        if !merged {
-                            mshr.alloc(line);
-                            let id = *next_req_id;
-                            *next_req_id += 1;
-                            req_map.insert(id, (i, line));
-                            ctrl.enqueue(MemRequest::demand_read(id, i, line, dram_now));
-                        }
-                        if !is_write {
-                            waits.entry(line).or_default().push(load_id);
-                        }
-                        MemIssue::Pending
+                    if !is_write {
+                        waits.entry(line).or_default().push(load_id);
                     }
+                    MemIssue::Pending
                 }
-            };
-            core.tick(cycle, &mut mem);
+            }
+        };
+        core.tick(cycle, &mut mem);
+        self.clocks[i].synced = cycle + 1;
+        let retired = core.retired();
+        if was_behind && retired >= warm {
+            self.behind -= 1;
+        }
+        if self.finish_cycle[i].is_none()
+            && retired - self.base_retired[i] >= self.cfg.target_instructions
+        {
+            self.finish_cycle[i] = Some(cycle + 1);
+            self.unfinished -= 1;
+        }
+        if time_skip {
+            self.classify(i);
+        }
+    }
+
+    /// Put core `i`, current as of `synced`, on the wake calendar. The
+    /// verdict rests on core-private state only, so it holds until
+    /// something addressed to this core replaces it: a fill classifies
+    /// again, an epoch wakes everyone.
+    fn classify(&mut self, i: usize) {
+        let core = &mut self.cores[i];
+        let clock = &mut self.clocks[i];
+        let now = clock.synced;
+        match core.idle_state() {
+            IdleState::Blocked { timer, mem_poll } => {
+                // Window full, or a poll memoised stuck: nothing happens
+                // before the earliest timer. Any other poll is refused (if
+                // at all) by the shared queues: stay awake, and let
+                // `maybe_skip` prove the refusal window by window.
+                let private = mem_poll.is_none() || self.poll_stuck[i];
+                clock.wake = if private { timer.unwrap_or(u64::MAX) } else { now };
+                clock.forward = false;
+            }
+            IdleState::Active => {
+                // Compute phase: `Core::forward` advances the window in
+                // closed form, firing the core's own timers internally —
+                // only its next possible memory dispatch ends the nap.
+                let mut wake = now + core.compute_horizon();
+                // Forwarded ticks retire instructions, but the run loop's
+                // thresholds are observed on real ticks only: wake before
+                // this core could cross either.
+                let retired = core.retired();
+                let width = core.max_retire_per_cycle();
+                let fence = |threshold: u64| {
+                    now + threshold.saturating_sub(retired).saturating_sub(1) / width
+                };
+                if retired < self.cfg.warmup_instructions {
+                    wake = wake.min(fence(self.cfg.warmup_instructions));
+                }
+                if self.finish_cycle[i].is_none() {
+                    wake = wake.min(fence(self.base_retired[i] + self.cfg.target_instructions));
+                }
+                clock.wake = wake;
+                clock.forward = true;
+            }
+        }
+    }
+
+    /// Forget every per-core verdict: each core re-evaluates its poll,
+    /// ticks at the current cycle and is classified afresh.
+    fn wake_all(&mut self) {
+        self.poll_stuck.fill(false);
+        for clock in &mut self.clocks {
+            clock.wake = clock.wake.min(self.cycle);
         }
     }
 
     fn feed_instructions(&mut self) {
         for i in 0..self.cores.len() {
+            self.clocks[i].sync(&mut self.cores[i], self.cycle);
             let retired = self.cores[i].retired();
             let delta = retired - self.last_fed_instr[i];
             self.last_fed_instr[i] = retired;
@@ -631,7 +790,7 @@ impl System {
     fn repartition(&mut self) {
         self.feed_instructions();
         // Refilled budget / remapped pages can unstick any poll.
-        self.poll_stuck.fill(false);
+        self.wake_all();
         self.osmem.refill_migration_budget(self.cfg.migration_budget_pages);
         let epoch = self.stats.repartitions;
         let snap = self.ctrl.prof_mut().take_epoch();
@@ -981,63 +1140,129 @@ mod prop_tests {
     use crate::config::SchedulerKind;
     use dbp_core::policy::PolicyKind;
     use dbp_obs::RecorderConfig;
-    use dbp_util::prop::{check, range, Config};
+    use dbp_util::prop::{check, range, vec_of, Config};
     use dbp_util::{prop_assert, prop_assert_eq};
     use dbp_workloads::{profiles, SyntheticTrace};
 
+    /// The seven schedulers, by generator index.
+    fn scheduler(s: usize) -> SchedulerKind {
+        match s {
+            0 => SchedulerKind::Fcfs,
+            1 => SchedulerKind::FrFcfs,
+            2 => SchedulerKind::FrFcfsCap(Default::default()),
+            3 => SchedulerKind::ParBs(Default::default()),
+            4 => SchedulerKind::Atlas(Default::default()),
+            5 => SchedulerKind::Bliss(Default::default()),
+            _ => SchedulerKind::Tcm(Default::default()),
+        }
+    }
+
+    /// One arm's observable outcome in an equivalence test: every reported
+    /// metric, final simulated time, per-rank refresh schedules, DRAM
+    /// command counts, and each core's own counters — `RunResult` carries no
+    /// stall anatomy, so a lazy catch-up that drifted `cycles` or a stall
+    /// counter would pass every other comparison.
+    fn outcome(mut sys: System) -> (RunResult, u64, Vec<u64>, [u64; 4], Vec<CoreStats>) {
+        let run = sys.run();
+        let dram = sys.ctrl().dram();
+        let cfg = dram.cfg();
+        let deadlines = (0..cfg.channels)
+            .flat_map(|ch| (0..cfg.ranks_per_channel).map(move |rk| (ch, rk)))
+            .map(|(ch, rk)| dram.refresh_deadline(ch, rk))
+            .collect();
+        let s = dram.stats();
+        let commands = [s.activates, s.reads, s.writes, s.refreshes];
+        let cores = (0..sys.num_cores()).map(|i| *sys.core_stats(i)).collect();
+        (run, sys.cycle(), deadlines, commands, cores)
+    }
+
     /// Skip-on and stepped runs of random mixes must agree on every
-    /// reported metric, on final simulated time, and on per-rank refresh
-    /// schedules, under every scheduler and both partition policies.
+    /// reported metric, on final simulated time, on per-rank refresh
+    /// schedules and on every core's counters, under every scheduler and
+    /// partition policy, from 2 to 8 cores on 1 or 2 channels.
     #[test]
     fn time_skipping_is_bit_exact_end_to_end() {
         let names = ["mcf", "libquantum", "lbm", "povray", "gcc", "omnetpp"];
         let gen = (
-            range(0usize..7),           // scheduler
-            range(0usize..names.len()), // workload 0
-            range(0usize..names.len()), // workload 1
-            range(0u64..1000),          // seed base
-            range(0usize..2),           // policy: none / dbp
+            range(0usize..7),                              // scheduler
+            vec_of(range(0usize..names.len()), 2usize..9), // one workload per core
+            range(0u64..1000),                             // seed base
+            range(0usize..4),                              // policy: none / dbp / equal / mcp
+            range(1u32..3),                                // channels
         );
-        check(Config::cases(6), &gen, |(s, w0, w1, seed, pol)| {
+        check(Config::cases(8), &gen, |(s, workloads, seed, pol, channels)| {
             let mut cfg = SimConfig::fast_test();
+            cfg.dram.channels = channels;
             cfg.epoch_cpu_cycles = 10_000;
             cfg.instr_feed_interval = 5_000;
             cfg.target_instructions = 20_000;
-            cfg.scheduler = match s {
-                0 => SchedulerKind::Fcfs,
-                1 => SchedulerKind::FrFcfs,
-                2 => SchedulerKind::FrFcfsCap(Default::default()),
-                3 => SchedulerKind::ParBs(Default::default()),
-                4 => SchedulerKind::Atlas(Default::default()),
-                5 => SchedulerKind::Bliss(Default::default()),
-                _ => SchedulerKind::Tcm(Default::default()),
+            cfg.scheduler = scheduler(s);
+            cfg.policy = match pol {
+                0 => PolicyKind::Unpartitioned,
+                1 => PolicyKind::Dbp(Default::default()),
+                2 => PolicyKind::Equal,
+                _ => PolicyKind::Mcp(Default::default()),
             };
-            if pol == 1 {
-                cfg.policy = PolicyKind::Dbp(Default::default());
-            }
             let arm = |skip: bool| {
-                let t0 = SyntheticTrace::new(profiles::by_name(names[w0]), seed + 1);
-                let t1 = SyntheticTrace::new(profiles::by_name(names[w1]), seed + 2);
-                let mut sys = System::new(cfg.clone(), vec![Box::new(t0), Box::new(t1)]);
-                sys.set_time_skip(skip);
-                let run = sys.run();
-                let dram = sys.ctrl().dram();
-                let deadlines: Vec<u64> = (0..cfg.dram.channels)
-                    .flat_map(|ch| (0..cfg.dram.ranks_per_channel).map(move |rk| (ch, rk)))
-                    .map(|(ch, rk)| dram.refresh_deadline(ch, rk))
+                let traces = workloads
+                    .iter()
+                    .zip(seed + 1..)
+                    .map(|(&w, seed)| {
+                        Box::new(SyntheticTrace::new(profiles::by_name(names[w]), seed))
+                            as Box<dyn TraceSource>
+                    })
                     .collect();
-                let s = dram.stats();
-                (run, sys.cycle(), deadlines, (s.activates, s.reads, s.writes, s.refreshes))
+                let mut sys = System::new(cfg.clone(), traces);
+                sys.set_time_skip(skip);
+                outcome(sys)
             };
             let a = arm(true);
             let b = arm(false);
-            prop_assert_eq!(a.0, b.0);
+            prop_assert_eq!(&a.0, &b.0);
             prop_assert_eq!(a.1, b.1);
-            prop_assert_eq!(a.2, b.2);
+            prop_assert_eq!(&a.2, &b.2);
             prop_assert_eq!(a.3, b.3);
-            prop_assert!(a.3 .3 > 0, "run must span at least one refresh");
+            prop_assert_eq!(&a.4, &b.4);
+            prop_assert!(a.3[3] > 0, "run must span at least one refresh");
             Ok(())
         });
+    }
+
+    /// Skipping used to switch itself off above 64 cores (the forward
+    /// plan was a `u64` bitmask). 66 cores on 2 channels must skip, and
+    /// agree with the stepped run. `fast_test` shape at a quarter of its
+    /// length: the stepped arm ticks 66 cores every cycle, in debug.
+    #[test]
+    fn time_skipping_has_no_core_count_cap() {
+        let arm = |time_skip: bool| {
+            let traces = (0..66u64)
+                .map(|i| {
+                    // Mostly calm: every core polls the shared queues in
+                    // index order, so a saturating mix starves the last
+                    // cores for millions of cycles.
+                    let name = match i % 22 {
+                        0 => "mcf",
+                        11 => "libquantum",
+                        _ => "povray",
+                    };
+                    let profile = profiles::by_name(name);
+                    Box::new(SyntheticTrace::new(profile, i)) as Box<dyn TraceSource>
+                })
+                .collect();
+            let prof = dbp_obs::Prof::enabled();
+            let mut cfg = SimConfig { time_skip, ..SimConfig::fast_test() };
+            cfg.dram.rows_per_bank = 8192; // 66 footprints outgrow the test-sized DRAM
+            cfg.warmup_instructions = 5_000;
+            cfg.target_instructions = 20_000;
+            cfg.epoch_cpu_cycles = 10_000;
+            cfg.instr_feed_interval = 5_000;
+            let sys = System::with_instrumentation(cfg, traces, Recorder::disabled(), prof.clone());
+            (outcome(sys), prof.counter("sim/cycles_skipped").get())
+        };
+        let (skipped, skipped_cycles) = arm(true);
+        let (stepped, _) = arm(false);
+        assert!(skipped_cycles > 0, "66 cores must still expose idle windows");
+        assert_eq!(skipped, stepped);
     }
 
     /// Attaching the decision audit layer (shadow policies + estimator
@@ -1061,15 +1286,7 @@ mod prop_tests {
             cfg.epoch_cpu_cycles = 10_000;
             cfg.instr_feed_interval = 5_000;
             cfg.target_instructions = 20_000;
-            cfg.scheduler = match s {
-                0 => SchedulerKind::Fcfs,
-                1 => SchedulerKind::FrFcfs,
-                2 => SchedulerKind::FrFcfsCap(Default::default()),
-                3 => SchedulerKind::ParBs(Default::default()),
-                4 => SchedulerKind::Atlas(Default::default()),
-                5 => SchedulerKind::Bliss(Default::default()),
-                _ => SchedulerKind::Tcm(Default::default()),
-            };
+            cfg.scheduler = scheduler(s);
             if pol == 1 {
                 cfg.policy = PolicyKind::Dbp(Default::default());
             }
@@ -1081,34 +1298,18 @@ mod prop_tests {
                 } else {
                     Recorder::disabled()
                 };
-                let mut sys = System::with_recorder(
+                let sys = System::with_recorder(
                     cfg.clone(),
                     vec![Box::new(t0), Box::new(t1)],
                     rec.clone(),
                 );
-                let run = sys.run();
-                let dram = sys.ctrl().dram();
-                let deadlines: Vec<u64> = (0..cfg.dram.channels)
-                    .flat_map(|ch| (0..cfg.dram.ranks_per_channel).map(move |rk| (ch, rk)))
-                    .map(|(ch, rk)| dram.refresh_deadline(ch, rk))
-                    .collect();
-                let s = dram.stats();
-                (
-                    run,
-                    sys.cycle(),
-                    deadlines,
-                    (s.activates, s.reads, s.writes, s.refreshes),
-                    rec.snapshot().audit,
-                )
+                (outcome(sys), rec.snapshot().audit)
             };
             let a = arm(true);
             let b = arm(false);
             prop_assert_eq!(&a.0, &b.0);
-            prop_assert_eq!(a.1, b.1);
-            prop_assert_eq!(a.2, b.2);
-            prop_assert_eq!(a.3, b.3);
-            let report = a.4.expect("audited arm publishes a report");
-            prop_assert!(b.4.is_none(), "unobserved arm must not audit");
+            let report = a.1.expect("audited arm publishes a report");
+            prop_assert!(b.1.is_none(), "unobserved arm must not audit");
             prop_assert_eq!(report.threads, 2);
             prop_assert_eq!(report.shadows.len(), 3);
             prop_assert!(
