@@ -4,49 +4,26 @@
 # --offline  proves no network / registry access is needed (the build is
 #            path-dependencies only; see DESIGN.md "Hermetic builds").
 # --locked   proves Cargo.lock is in sync with the manifests.
-#
-# DBP_BENCH_ITERS keeps the bench compile-and-smoke cheap in CI.
 set -eux
 
 cargo build --release --offline --locked --workspace
 cargo test -q --offline --locked --workspace
 cargo clippy --offline --locked --workspace -- -D warnings
 cargo fmt --all --check
-cargo check --benches --offline --locked --workspace
 # The repo benchmark is a package of its own that path-depends on these
 # crates; compile and test it here so a refactor that breaks the surface
 # it uses fails in this gate, not only in the external pipeline.
 cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
-# Benches run with the package dir as cwd, so hand them an absolute path.
-# One warmup + five timed iterations: enough for a meaningful per-bench
-# *floor* (the statistic the perf gate compares), still cheap.
-DBP_BENCH_ITERS=5 DBP_BENCH_WARMUP=1 DBP_BENCH_JSON="$(pwd)/BENCH_results.json" \
-    cargo bench -q --offline --locked -p dbp-bench --bench micro
-./target/release/dbpreport --check --require-key benchmarks BENCH_results.json
-
-# Perf-regression gate: compare the fresh micro-bench *floors* (min_ns
-# — preemption only ever slows an iteration, so the floor is what a
-# structural slowdown must move) against the committed baseline and
-# publish the verdict as PERF_summary.json. Fatal — a regressed or
-# missing benchmark fails CI. The tolerance is widened from the ±35%
-# default because CI runs few iterations on shared runners: the gate
-# exists to catch structural slowdowns (an accidental O(n²), a dropped
-# memo), not scheduling jitter.
-# The history append is exercised on a scratch copy of the committed
-# BENCH_history.jsonl, so a CI run leaves the tree clean; a PR adds its
-# one real line itself:
-#   ./target/release/bench_all --perf-only --baseline BENCH_baseline.json \
-#       --bench-results BENCH_results.json --history-append BENCH_history.jsonl
-cp BENCH_history.jsonl target/ci-bench-history.jsonl
-./target/release/bench_all --perf-only --tolerance 0.6 \
-    --baseline BENCH_baseline.json --bench-results BENCH_results.json \
-    --perf-out "$(pwd)/PERF_summary.json" \
-    --history-append "$(pwd)/target/ci-bench-history.jsonl"
-./target/release/dbpreport --check --require-key benchmarks --require-key gate_passed PERF_summary.json
-# The longitudinal history grew by exactly one line, and that line is a
-# schema-stamped JSON object of this run's medians.
-test "$(wc -l < target/ci-bench-history.jsonl)" -eq "$(($(wc -l < BENCH_history.jsonl) + 1))"
-tail -n 1 target/ci-bench-history.jsonl | ./target/release/dbpreport --check --require-key medians
+# ...and run it once, briefly: the traced mem4c run executes the
+# benchmark's own fingerprint, stepped-vs-skipping, `results_match` and
+# profiler-observation-only checks and drives every per-layer driver, so
+# a refactor that breaks one fails here. It exits nonzero on a failed
+# simulation or check; its last stdout line is the result object. (It
+# writes only under the ignored benchmark/out and benchmark/target.)
+cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
+    run --workload mem4c --seconds 1 --traced > target/ci-benchmark.txt
+tail -n 1 target/ci-benchmark.txt \
+    | ./target/release/dbpreport --check --require-key metrics --require-key failed
 
 # Telemetry smoke test: a tiny traced run must produce machine-readable
 # exports that the in-tree JSON parser accepts.
@@ -61,8 +38,7 @@ tail -n 1 target/ci-bench-history.jsonl | ./target/release/dbpreport --check --r
 # table of every experiment) must be byte-identical between the serial
 # reference path (DBP_JOBS=1) and a parallel run (DBP_JOBS=2). Timing
 # goes to stderr, so the diff sees simulation results only. The parallel
-# run also publishes the suite-timing JSON alongside BENCH_results.json,
-# and runs self-profiled — so the diff additionally proves an enabled
+# run also publishes the suite-timing JSON, and runs self-profiled — so the diff additionally proves an enabled
 # profiler does not perturb a single table of the suite.
 DBP_JOBS=1 ./target/release/bench_all --quick \
     > target/ci-suite-serial.txt 2> /dev/null
@@ -154,5 +130,5 @@ diff target/ci-audit.json target/ci-audit-repeat.json
 ./target/release/dbpreport results/diag_audit.json > /dev/null
 
 # Publish the rendered interference diagnostic (quick mode) as a CI
-# artifact next to BENCH_results.json / SUITE_timing.json.
+# artifact next to SUITE_timing.json.
 ./target/release/bench_all --quick diag_interference > REPORT_interference.txt 2> /dev/null

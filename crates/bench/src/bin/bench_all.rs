@@ -9,16 +9,15 @@
 //! (`1` forces the serial reference path).
 //!
 //! Experiment tables go to **stdout** and are byte-identical for any
-//! worker count, with or without `--stepped`; timing, progress, and the
-//! perf delta table go to **stderr**, so `bench_all > tables.txt` is
-//! diffable across `DBP_JOBS` settings — exactly what the CI determinism
-//! gate does. Every artifact write failure is a hard error: CI must
-//! never mistake a run whose output silently vanished for a successful
-//! one, and under `--baseline` a regressed or missing benchmark exits 1.
+//! worker count, with or without `--stepped`; timing and progress go to
+//! **stderr**, so `bench_all > tables.txt` is diffable across `DBP_JOBS`
+//! settings — exactly what the CI determinism gate does. Every artifact
+//! write failure is a hard error: CI must never mistake a run whose
+//! output silently vanished for a successful one.
 
 use dbp_bench::engine::Engine;
 use dbp_bench::experiments::{self, Experiment};
-use dbp_bench::{harness, perf};
+use dbp_bench::harness;
 use dbp_obs::cli::{Arg, CliSpec};
 use dbp_obs::export::{profile_document, suite_timing_document, SuiteExperimentTiming};
 use dbp_obs::{Json, Prof, Table};
@@ -26,19 +25,13 @@ use dbp_util::bench::{fmt_ns, Stopwatch};
 
 const SPEC: CliSpec = CliSpec {
     bin: "bench_all",
-    about: "run the experiment suite (or the named experiments) and the micro-bench perf gate",
+    about: "run the experiment suite (or the named experiments)",
     positional: "[NAME ...]  experiments to run, in the order given (default: the whole registry)",
     args: &[
         Arg::flag("--quick", "reduced instruction targets (CI and smoke runs)"),
         Arg::flag("--stepped", "pin the per-cycle stepped core (time-skip cross-check)"),
         Arg::opt("--json", "path", "write the suite timing summary as JSON"),
         Arg::opt("--profile-out", "path", "self-profile the suite; write the profile document"),
-        Arg::opt("--baseline", "path", "compare micro-bench floors against this baseline"),
-        Arg::opt("--bench-results", "path", "the current DBP_BENCH_JSON artifact to compare"),
-        Arg::opt("--perf-out", "path", "write the comparison as a perf-summary JSON"),
-        Arg::opt("--history-append", "path", "append this run's medians as one JSON line"),
-        Arg::flag("--perf-only", "skip the experiments; just compare and gate"),
-        Arg::opt("--tolerance", "frac", "relative noise tolerance (default 0.35)"),
     ],
 };
 
@@ -48,12 +41,6 @@ struct Opts {
     stepped: bool,
     json_path: Option<String>,
     profile_out: Option<String>,
-    baseline: Option<String>,
-    bench_results: Option<String>,
-    perf_out: Option<String>,
-    history_append: Option<String>,
-    perf_only: bool,
-    tolerance: f64,
 }
 
 /// A usage error: one line on stderr, exit 2 (as `CliSpec` does).
@@ -77,39 +64,13 @@ fn parse_opts() -> Opts {
         };
         parsed.files.iter().map(find).collect()
     };
-    let tolerance = match parsed.option("--tolerance") {
-        None => perf::DEFAULT_TOLERANCE,
-        Some(v) => match v.trim().parse::<f64>() {
-            Ok(t) if t.is_finite() && t >= 0.0 => t,
-            _ => usage_error(&format!("--tolerance needs a non-negative number, got `{v}`")),
-        },
-    };
-    let opts = Opts {
+    Opts {
         experiments,
         quick: parsed.flag("--quick"),
         stepped: parsed.flag("--stepped"),
         json_path: path("--json"),
         profile_out: path("--profile-out"),
-        baseline: path("--baseline"),
-        bench_results: path("--bench-results"),
-        perf_out: path("--perf-out"),
-        history_append: path("--history-append"),
-        perf_only: parsed.flag("--perf-only"),
-        tolerance,
-    };
-    if opts.baseline.is_some() && opts.bench_results.is_none() {
-        usage_error("--baseline needs --bench-results <path> (the current medians)");
     }
-    if opts.history_append.is_some() && opts.bench_results.is_none() {
-        usage_error("--history-append needs --bench-results <path> (the medians source)");
-    }
-    if opts.perf_only && opts.baseline.is_none() {
-        usage_error("--perf-only without --baseline has nothing to do");
-    }
-    if opts.perf_only && !parsed.files.is_empty() {
-        usage_error("--perf-only runs no experiments; drop the names");
-    }
-    opts
 }
 
 /// Write `doc` to `path` or exit 1 — a vanished artifact must not look
@@ -122,25 +83,6 @@ fn write_or_die(what: &str, path: &str, doc: &Json) {
             std::process::exit(1);
         }
     }
-}
-
-/// Read and parse the JSON document at `path`, or exit 1.
-fn load_json(what: &str, path: &str) -> Json {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("bench_all: cannot read {what} {path}: {e}");
-        std::process::exit(1);
-    });
-    dbp_obs::json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("bench_all: {what} {path} is not valid JSON: {e}");
-        std::process::exit(1);
-    })
-}
-
-fn load_floors(what: &str, path: &str) -> Vec<(String, u64)> {
-    perf::parse_floors(&load_json(what, path)).unwrap_or_else(|e| {
-        eprintln!("bench_all: {what} {path}: {e}");
-        std::process::exit(1);
-    })
 }
 
 fn run_suite(opts: &Opts) {
@@ -236,77 +178,6 @@ fn run_suite(opts: &Opts) {
     }
 }
 
-/// Append this run's medians as one JSON line to the longitudinal
-/// history file. Append-only: history is a log, never rewritten.
-fn run_history_append(opts: &Opts) {
-    use std::io::Write;
-
-    let Some(path) = &opts.history_append else { return };
-    let results_path = opts.bench_results.as_deref().expect("checked in parse_opts");
-    let doc = load_json("bench results", results_path);
-    let now = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let line = perf::history_line(&doc, now).unwrap_or_else(|e| {
-        eprintln!("bench_all: bench results {results_path}: {e}");
-        std::process::exit(1);
-    });
-    let appended = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .and_then(|mut f| writeln!(f, "{}", line.to_json()));
-    match appended {
-        Ok(()) => eprintln!("bench_all: appended bench history line to {path}"),
-        Err(e) => {
-            eprintln!("bench_all: cannot append bench history {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Compare medians against the baseline; returns whether the gate failed.
-fn run_perf_compare(opts: &Opts) -> bool {
-    let Some(baseline_path) = &opts.baseline else { return false };
-    let results_path = opts.bench_results.as_deref().expect("checked in parse_opts");
-    let baseline = load_floors("baseline", baseline_path);
-    let current = load_floors("bench results", results_path);
-    let rows = perf::compare(&baseline, &current, opts.tolerance);
-    eprintln!(
-        "bench_all: perf comparison vs {baseline_path} (tolerance ±{:.0}%)",
-        opts.tolerance * 100.0
-    );
-    eprint!("{}", perf::delta_table(&rows).render());
-
-    if let Some(path) = &opts.perf_out {
-        let doc = perf::perf_summary_document(&rows, opts.tolerance);
-        write_or_die("perf summary JSON", path, &doc);
-    }
-    let failures = perf::gate_failures(&rows);
-    if failures.is_empty() {
-        eprintln!("bench_all: perf gate passed ({} benchmark(s) compared)", rows.len());
-        return false;
-    }
-    for f in &failures {
-        eprintln!(
-            "bench_all: perf {}: {} (baseline {}, current {})",
-            f.status.as_str(),
-            f.name,
-            f.baseline_ns.map_or_else(|| "-".into(), |n| fmt_ns(u128::from(n))),
-            f.current_ns.map_or_else(|| "-".into(), |n| fmt_ns(u128::from(n))),
-        );
-    }
-    eprintln!("bench_all: perf gate FAILED ({} finding(s))", failures.len());
-    true
-}
-
 fn main() {
-    let opts = parse_opts();
-    if !opts.perf_only {
-        run_suite(&opts);
-    }
-    run_history_append(&opts);
-    if run_perf_compare(&opts) {
-        std::process::exit(1);
-    }
+    run_suite(&parse_opts());
 }

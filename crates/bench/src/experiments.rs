@@ -461,7 +461,7 @@ pub fn abl1_alpha(eng: &Engine, cfg: &SimConfig) -> Table {
             label: "DBP",
             scheduler: harness::dbp().scheduler,
             policy: PolicyKind::Dbp(dbp_core::policy::DbpConfig {
-                estimator: EstimatorConfig { alpha, ..Default::default() },
+                estimator: EstimatorConfig { alpha },
                 ..Default::default()
             }),
         })

@@ -23,6 +23,4 @@
 pub mod engine;
 pub mod experiments;
 pub mod harness;
-pub mod micro;
-pub mod perf;
 pub mod pool;

@@ -26,11 +26,23 @@ fn an_unknown_name_is_a_usage_error_listing_the_registry() {
 }
 
 #[test]
-fn help_exits_zero_and_lists_the_flags() {
+fn help_exits_zero_and_lists_exactly_the_four_options() {
     let out = bench_all(&["--help"]);
     assert_eq!(out.status.code(), Some(0));
     let text = String::from_utf8_lossy(&out.stdout);
-    for flag in ["--quick", "--stepped", "--tolerance", "[NAME ...]"] {
-        assert!(text.contains(flag), "missing {flag} in:\n{text}");
-    }
+    assert!(text.contains("[NAME ...]"), "{text}");
+    let listed: Vec<&str> = text
+        .lines()
+        .filter_map(|l| l.trim_start().split(' ').next())
+        .filter(|w| w.starts_with("--") && *w != "--help")
+        .collect();
+    assert_eq!(listed, ["--quick", "--stepped", "--json", "--profile-out"], "{text}");
+}
+
+#[test]
+fn the_removed_perf_gate_options_are_unknown() {
+    let out = bench_all(&["--baseline", "x"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "nothing may run on a usage error");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--baseline"));
 }

@@ -12,35 +12,31 @@
 
 use crate::profile::ThreadMemProfile;
 
-/// Tuning knobs for [`BankDemandEstimator`].
+/// RBL above which demand is discounted (streaming threads).
+const HIGH_RBL: f64 = 0.85;
+/// Multiplier applied to the demand of high-RBL threads.
+const RBL_DISCOUNT: f64 = 0.5;
+/// Threads at or above this MPKI get at least [`BANDWIDTH_FLOOR_UNITS`]
+/// regardless of discounts: a heavily streaming thread still needs a
+/// second bank to overlap the next row activation with the current row's
+/// drain (and to absorb its write-backs).
+const BANDWIDTH_FLOOR_MPKI: f64 = 10.0;
+/// The floor applied to such threads.
+const BANDWIDTH_FLOOR_UNITS: u32 = 2;
+
+/// The one tuning knob of [`BankDemandEstimator`] (Ablation 1 sweeps it;
+/// the decision audit shadows it doubled).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EstimatorConfig {
     /// Head-room multiplier over measured BLP (paper intuition: a thread
     /// needs more banks than it currently reaches to avoid serialisation).
+    /// Must be finite and positive; `PolicyKind::validate` checks it.
     pub alpha: f64,
-    /// RBL above which demand is discounted (streaming threads).
-    pub high_rbl: f64,
-    /// Multiplier applied to the demand of high-RBL threads.
-    pub rbl_discount: f64,
-    /// Threads at or above this MPKI get at least
-    /// `bandwidth_floor_units` regardless of discounts: a heavily
-    /// streaming thread still needs a second bank to overlap the next
-    /// row activation with the current row's drain (and to absorb its
-    /// write-backs).
-    pub bandwidth_floor_mpki: f64,
-    /// The floor applied to such threads.
-    pub bandwidth_floor_units: u32,
 }
 
 impl Default for EstimatorConfig {
     fn default() -> Self {
-        EstimatorConfig {
-            alpha: 2.0,
-            high_rbl: 0.85,
-            rbl_discount: 0.5,
-            bandwidth_floor_mpki: 10.0,
-            bandwidth_floor_units: 2,
-        }
+        EstimatorConfig { alpha: 2.0 }
     }
 }
 
@@ -53,7 +49,6 @@ pub struct BankDemandEstimator {
 impl BankDemandEstimator {
     /// Build an estimator.
     pub fn new(cfg: EstimatorConfig) -> Self {
-        assert!(cfg.alpha > 0.0, "alpha must be positive");
         BankDemandEstimator { cfg }
     }
 
@@ -66,12 +61,12 @@ impl BankDemandEstimator {
     /// `1..=max_units`.
     pub fn demand(&self, profile: &ThreadMemProfile, max_units: u32) -> u32 {
         let mut d = self.cfg.alpha * profile.blp.max(1.0);
-        if profile.rbl >= self.cfg.high_rbl {
-            d *= self.cfg.rbl_discount;
+        if profile.rbl >= HIGH_RBL {
+            d *= RBL_DISCOUNT;
         }
         let mut d = d.round() as u32;
-        if profile.mpki >= self.cfg.bandwidth_floor_mpki {
-            d = d.max(self.cfg.bandwidth_floor_units);
+        if profile.mpki >= BANDWIDTH_FLOOR_MPKI {
+            d = d.max(BANDWIDTH_FLOOR_UNITS);
         }
         d.clamp(1, max_units.max(1))
     }
@@ -106,11 +101,5 @@ mod tests {
         assert_eq!(e.demand(&prof(0.0, 0.0), 32), 2); // max(blp,1)*alpha
         assert_eq!(e.demand(&prof(100.0, 0.0), 8), 8);
         assert!(e.demand(&prof(0.1, 0.99), 32) >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "alpha must be positive")]
-    fn zero_alpha_panics() {
-        let _ = BankDemandEstimator::new(EstimatorConfig { alpha: 0.0, ..Default::default() });
     }
 }

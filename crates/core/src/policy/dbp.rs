@@ -7,18 +7,19 @@ use crate::policy::{proportional_alloc, PartitionPolicy};
 use crate::profile::ThreadMemProfile;
 use crate::topology::ColorTopology;
 
+/// Threads below this MPKI are *non-intensive* and grouped onto a
+/// shared slice — they rarely conflict, so dedicating banks to each
+/// of them wastes parallelism the intensive threads need.
+const LOW_MPKI: f64 = 1.0;
+/// Minimum bank-unit demand attributed to the non-intensive group
+/// (it behaves like one thread with at least this much parallelism).
+const CALM_GROUP_FLOOR: u32 = 2;
+
 /// DBP tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DbpConfig {
-    /// Threads below this MPKI are *non-intensive* and grouped onto a
-    /// shared slice — they rarely conflict, so dedicating banks to each
-    /// of them wastes parallelism the intensive threads need.
-    pub low_mpki: f64,
     /// Demand-estimation parameters.
     pub estimator: EstimatorConfig,
-    /// Minimum bank-unit demand attributed to the non-intensive group
-    /// (it behaves like one thread with at least this much parallelism).
-    pub calm_group_floor: u32,
     /// Ablation switch: when false, non-intensive threads are *not*
     /// grouped and compete for dedicated units like everyone else.
     pub group_non_intensive: bool,
@@ -26,12 +27,7 @@ pub struct DbpConfig {
 
 impl Default for DbpConfig {
     fn default() -> Self {
-        DbpConfig {
-            low_mpki: 1.0,
-            estimator: EstimatorConfig::default(),
-            calm_group_floor: 2,
-            group_non_intensive: true,
-        }
+        DbpConfig { estimator: EstimatorConfig::default(), group_non_intensive: true }
     }
 }
 
@@ -65,7 +61,6 @@ pub struct Dbp {
 impl Dbp {
     /// Build the policy.
     pub fn new(cfg: DbpConfig) -> Self {
-        assert!(cfg.calm_group_floor >= 1, "calm group needs at least one unit");
         Dbp {
             est: BankDemandEstimator::new(cfg.estimator),
             cfg,
@@ -78,7 +73,7 @@ impl Dbp {
     }
 
     fn classify_intensive(&mut self, t: usize, profile: &ThreadMemProfile) -> bool {
-        let (enter, leave) = (self.cfg.low_mpki * 1.25, self.cfg.low_mpki * 0.75);
+        let (enter, leave) = (LOW_MPKI * 1.25, LOW_MPKI * 0.75);
         let now = if self.was_intensive[t] { profile.mpki >= leave } else { profile.mpki >= enter };
         self.was_intensive[t] = now;
         now
@@ -242,7 +237,7 @@ impl PartitionPolicy for Dbp {
         if !calm.is_empty() {
             let calm_max =
                 calm.iter().map(|&t| self.est.demand(&profiles[t], units)).max().unwrap_or(1);
-            demands.push(calm_max.max(self.cfg.calm_group_floor));
+            demands.push(calm_max.max(CALM_GROUP_FLOOR));
         }
         let mut counts = Self::water_fill(units, &demands);
         let prev_units: Vec<Vec<u32>> = intensive

@@ -69,6 +69,24 @@ impl PolicyKind {
         }
     }
 
+    /// Check the policy's parameters, so a bad value is an error before
+    /// anything is built rather than a meaningless plan later.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated requirement.
+    pub fn validate(&self) -> Result<(), String> {
+        if let PolicyKind::Dbp(cfg) = self {
+            let alpha = cfg.estimator.alpha;
+            if !(alpha.is_finite() && alpha > 0.0) {
+                return Err(format!(
+                    "DBP estimator alpha must be finite and positive, got {alpha}"
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Short label for tables.
     pub fn label(&self) -> &'static str {
         match self {

@@ -699,124 +699,97 @@ impl AuditReport {
     ///
     /// Returns a message naming the first missing or mistyped field.
     pub fn from_json(doc: &Json) -> Result<AuditReport, String> {
-        let uint = |j: &Json, k: &str| -> Result<u64, String> {
-            j.get(k)
-                .and_then(Json::as_num)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("missing numeric `{k}`"))
-        };
-        let num = |j: &Json, k: &str| -> Result<f64, String> {
-            j.get(k).and_then(Json::as_num).ok_or_else(|| format!("missing numeric `{k}`"))
-        };
-        let opt_uint = |j: &Json, k: &str| j.get(k).and_then(Json::as_num).map(|n| n as u64);
-        let arr = |j: &Json, k: &str| -> Result<Vec<Json>, String> {
-            j.get(k)
-                .and_then(Json::as_arr)
-                .map(<[Json]>::to_vec)
-                .ok_or_else(|| format!("missing array `{k}`"))
-        };
-        let churn = |j: &Json| -> Result<ChurnStats, String> {
-            let c = j.get("churn").ok_or("missing `churn`")?;
-            Ok(ChurnStats {
-                decisions: uint(c, "decisions")?,
-                changes: uint(c, "changes")?,
-                thread_changes: uint(c, "thread_changes")?,
-                flaps: uint(c, "flaps")?,
-            })
-        };
-        let policy = |j: &Json| -> Result<PolicyAudit, String> {
+        fn policy(j: &Json) -> Result<PolicyAudit, String> {
+            let c = j.req("churn")?;
             Ok(PolicyAudit {
-                name: j
-                    .get("name")
-                    .and_then(Json::as_str)
-                    .ok_or("missing policy `name`")?
-                    .to_string(),
-                churn: churn(j)?,
-                mean_distance: num(j, "mean_distance")?,
-                max_distance: uint(j, "max_distance")?,
-                agreement_epochs: uint(j, "agreement_epochs")?,
-                would_migrate_pages: uint(j, "would_migrate_pages")?,
+                name: j.req_str("name")?.to_string(),
+                churn: ChurnStats {
+                    decisions: c.req_u64("decisions")?,
+                    changes: c.req_u64("changes")?,
+                    thread_changes: c.req_u64("thread_changes")?,
+                    flaps: c.req_u64("flaps")?,
+                },
+                mean_distance: j.req_f64("mean_distance")?,
+                max_distance: j.req_u64("max_distance")?,
+                agreement_epochs: j.req_u64("agreement_epochs")?,
+                would_migrate_pages: j.req_u64("would_migrate_pages")?,
             })
-        };
-        let conv = doc.get("convergence").ok_or("missing `convergence`")?;
+        }
+        fn units(e: &Json, k: &str) -> Result<Vec<u64>, String> {
+            e.req_arr(k)?
+                .iter()
+                .map(|v| v.as_u64().ok_or_else(|| format!("non-integer entry in `{k}`")))
+                .collect()
+        }
+        let conv = doc.req("convergence")?;
         Ok(AuditReport {
-            threads: uint(doc, "threads")? as usize,
-            max_units: uint(doc, "max_units")? as u32,
-            live: policy(doc.get("live").ok_or("missing `live`")?)?,
-            shadows: arr(doc, "shadows")?.iter().map(policy).collect::<Result<_, _>>()?,
-            prediction: arr(doc, "prediction")?
+            threads: doc.req_u64("threads")? as usize,
+            max_units: doc.req_u64("max_units")? as u32,
+            live: policy(doc.req("live")?)?,
+            shadows: doc.req_arr("shadows")?.iter().map(policy).collect::<Result<_, _>>()?,
+            prediction: doc
+                .req_arr("prediction")?
                 .iter()
                 .map(|p| {
                     Ok(ThreadPrediction {
-                        thread: uint(p, "thread")? as usize,
-                        samples: uint(p, "samples")?,
-                        mean_err: num(p, "mean_err")?,
-                        mean_abs_err: num(p, "mean_abs_err")?,
-                        max_abs_err: uint(p, "max_abs_err")?,
-                        mean_predicted: num(p, "mean_predicted")?,
-                        mean_achieved_blp: num(p, "mean_achieved_blp")?,
-                        mean_achieved_rbl: num(p, "mean_achieved_rbl")?,
-                        mean_achieved_ipc: num(p, "mean_achieved_ipc")?,
+                        thread: p.req_u64("thread")? as usize,
+                        samples: p.req_u64("samples")?,
+                        mean_err: p.req_f64("mean_err")?,
+                        mean_abs_err: p.req_f64("mean_abs_err")?,
+                        max_abs_err: p.req_u64("max_abs_err")?,
+                        mean_predicted: p.req_f64("mean_predicted")?,
+                        mean_achieved_blp: p.req_f64("mean_achieved_blp")?,
+                        mean_achieved_rbl: p.req_f64("mean_achieved_rbl")?,
+                        mean_achieved_ipc: p.req_f64("mean_achieved_ipc")?,
                     })
                 })
                 .collect::<Result<_, String>>()?,
-            calibration: arr(doc, "calibration")?
+            calibration: doc
+                .req_arr("calibration")?
                 .iter()
                 .map(|c| {
                     Ok(CalibrationRow {
-                        thread: uint(c, "thread")? as usize,
-                        predicted_units: uint(c, "predicted_units")? as u32,
-                        samples: uint(c, "samples")?,
-                        mean_blp: num(c, "mean_blp")?,
-                        min_blp: num(c, "min_blp")?,
-                        max_blp: num(c, "max_blp")?,
+                        thread: c.req_u64("thread")? as usize,
+                        predicted_units: c.req_u64("predicted_units")? as u32,
+                        samples: c.req_u64("samples")?,
+                        mean_blp: c.req_f64("mean_blp")?,
+                        min_blp: c.req_f64("min_blp")?,
+                        max_blp: c.req_f64("max_blp")?,
                     })
                 })
                 .collect::<Result<_, String>>()?,
             convergence: Convergence {
-                decisions: uint(conv, "decisions")?,
-                measurement_start: opt_uint(conv, "measurement_start"),
-                epochs_to_stable: opt_uint(conv, "epochs_to_stable"),
-                stable_window: uint(conv, "stable_window")?,
-                flap_rate: num(conv, "flap_rate")?,
-                phase_shifts: arr(conv, "phase_shifts")?
+                decisions: conv.req_u64("decisions")?,
+                measurement_start: conv.opt_u64("measurement_start")?,
+                epochs_to_stable: conv.opt_u64("epochs_to_stable")?,
+                stable_window: conv.req_u64("stable_window")?,
+                flap_rate: conv.req_f64("flap_rate")?,
+                phase_shifts: conv
+                    .req_arr("phase_shifts")?
                     .iter()
                     .map(|s| {
                         Ok(PhaseShift {
-                            epoch: uint(s, "epoch")?,
-                            thread: uint(s, "thread")? as usize,
-                            metric: s
-                                .get("metric")
-                                .and_then(Json::as_str)
-                                .ok_or("missing shift `metric`")?
-                                .to_string(),
-                            epochs_to_restabilize: opt_uint(s, "epochs_to_restabilize"),
+                            epoch: s.req_u64("epoch")?,
+                            thread: s.req_u64("thread")? as usize,
+                            metric: s.req_str("metric")?.to_string(),
+                            epochs_to_restabilize: s.opt_u64("epochs_to_restabilize")?,
                         })
                     })
                     .collect::<Result<_, String>>()?,
             },
-            epochs: arr(doc, "epoch_rows")?
+            epochs: doc
+                .req_arr("epoch_rows")?
                 .iter()
                 .map(|e| {
-                    let units = |k: &str| -> Result<Vec<u64>, String> {
-                        arr(e, k)?
-                            .iter()
-                            .map(|v| {
-                                v.as_num()
-                                    .map(|n| n as u64)
-                                    .ok_or_else(|| format!("non-numeric entry in `{k}`"))
-                            })
-                            .collect()
-                    };
                     Ok(AuditEpochRow {
-                        epoch: uint(e, "epoch")?,
-                        live_changed: units("live_changed")?
+                        epoch: e.req_u64("epoch")?,
+                        live_changed: units(e, "live_changed")?
                             .into_iter()
                             .map(|t| t as usize)
                             .collect(),
                         mean_abs_pred_error: e.get("mean_abs_pred_error").and_then(Json::as_num),
-                        shadow_distance: units("shadow_distance")?,
-                        shadow_would_migrate: units("shadow_would_migrate")?,
+                        shadow_distance: units(e, "shadow_distance")?,
+                        shadow_would_migrate: units(e, "shadow_would_migrate")?,
                     })
                 })
                 .collect::<Result<_, String>>()?,

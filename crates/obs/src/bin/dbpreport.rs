@@ -96,44 +96,42 @@ fn render_latency(doc: &Json, md: bool) -> Result<String, String> {
 }
 
 fn render_metrics(doc: &Json, md: bool) -> Result<String, String> {
-    let epochs = doc.get("epochs").and_then(Json::as_arr).ok_or("missing epochs array")?;
+    let epochs = doc.req_arr("epochs")?;
     let mut out = summary_line(doc);
-    let num = |e: &Json, k: &str| e.get(k).and_then(Json::as_num).unwrap_or(0.0);
     let mut t = Table::new(["epoch", "cycle", "queue", "row hit", "bus util"]);
     for e in epochs {
         t.row([
-            format!("{}", num(e, "epoch")),
-            format!("{}", num(e, "cycle")),
-            format!("{}", num(e, "queue_depth")),
-            format!("{:.3}", num(e, "row_hit_rate")),
-            format!("{:.3}", num(e, "bus_utilisation")),
+            format!("{}", e.req_u64("epoch")?),
+            format!("{}", e.req_u64("cycle")?),
+            format!("{}", e.req_u64("queue_depth")?),
+            format!("{:.3}", e.req_f64("row_hit_rate")?),
+            format!("{:.3}", e.req_f64("bus_utilisation")?),
         ]);
     }
     push_table(&mut out, "epoch time-series", &t, md);
     for (key, label) in
         [("row_hit_rate", "row hit"), ("bus_utilisation", "bus util"), ("queue_depth", "queue")]
     {
-        let series: Vec<f64> = epochs.iter().map(|e| num(e, key)).collect();
+        let series = epochs.iter().map(|e| e.req_f64(key)).collect::<Result<Vec<f64>, _>>()?;
         out.push_str(&format!("{label:>8}  {}\n", sparkline(&series)));
     }
-    let events = doc.get("events").and_then(Json::as_arr).map_or(0, <[Json]>::len);
+    let events = doc.req_arr("events")?.len();
     out.push_str(&format!("events captured: {events}\n"));
     Ok(out)
 }
 
 fn render_suite(doc: &Json, md: bool) -> Result<String, String> {
-    let exps = doc.get("experiments").and_then(Json::as_arr).ok_or("missing experiments array")?;
     let mut out = String::new();
-    let workers = doc.get("workers").and_then(Json::as_num).unwrap_or(0.0);
-    let total = doc.get("total_wall_ns").and_then(Json::as_num).unwrap_or(0.0);
-    out.push_str(&format!("workers: {workers}  total wall: {:.2}s\n", total / 1e9));
+    let workers = doc.req_u64("workers")?;
+    let total = doc.req_u64("total_wall_ns")?;
+    out.push_str(&format!("workers: {workers}  total wall: {:.2}s\n", total as f64 / 1e9));
     let mut t = Table::new(["experiment", "wall (s)", "jobs", "cache hits"]);
-    for e in exps {
+    for e in doc.req_arr("experiments")? {
         t.row([
-            e.get("name").and_then(Json::as_str).unwrap_or("?").to_string(),
-            format!("{:.2}", e.get("wall_ns").and_then(Json::as_num).unwrap_or(0.0) / 1e9),
-            format!("{}", e.get("jobs").and_then(Json::as_num).unwrap_or(0.0)),
-            format!("{}", e.get("solo_cache_hits").and_then(Json::as_num).unwrap_or(0.0)),
+            e.req_str("name")?.to_string(),
+            format!("{:.2}", e.req_u64("wall_ns")? as f64 / 1e9),
+            format!("{}", e.req_u64("jobs")?),
+            format!("{}", e.req_u64("solo_cache_hits")?),
         ]);
     }
     push_table(&mut out, "experiments", &t, md);
@@ -161,7 +159,7 @@ fn render_profile(doc: &Json, md: bool, top: usize) -> Result<String, String> {
 }
 
 fn render_trace(doc: &Json, _md: bool) -> Result<String, String> {
-    let events = doc.get("traceEvents").and_then(Json::as_arr).ok_or("missing traceEvents")?;
+    let events = doc.req_arr("traceEvents")?;
     let (mut instants, mut counters, mut meta) = (0u64, 0u64, 0u64);
     for e in events {
         match e.get("ph").and_then(Json::as_str) {

@@ -101,21 +101,29 @@ pub fn metrics_document(t: &Telemetry, summary: Json) -> Json {
     ])
 }
 
-/// Build the latency-anatomy document for `dbpsim --latency-out`:
-/// version stamps, caller-provided run context, then the
-/// [`LatencyReport`] body (per-core/per-bank histograms and the
-/// interference matrices).
-pub fn latency_document(report: &LatencyReport, summary: Json) -> Json {
+/// The layout the per-run report documents share: the version stamps,
+/// the caller's `summary`, an optional `lead` field, then the keys of
+/// the report's own `body` object, flattened into the top level.
+fn stamped_document(summary: Json, lead: Option<(&str, Json)>, body: Json) -> Json {
     let mut pairs = vec![
         ("format_version".to_string(), Json::uint(FORMAT_VERSION)),
         ("schema_version".to_string(), Json::str(SCHEMA_VERSION)),
         ("summary".to_string(), summary),
     ];
-    match report.to_json() {
+    pairs.extend(lead.map(|(k, v)| (k.to_string(), v)));
+    match body {
         Json::Obj(body) => pairs.extend(body),
-        _ => unreachable!("LatencyReport::to_json returns an object"),
+        _ => unreachable!("report bodies are JSON objects"),
     }
     Json::Obj(pairs)
+}
+
+/// Build the latency-anatomy document for `dbpsim --latency-out`:
+/// version stamps, caller-provided run context, then the
+/// [`LatencyReport`] body (per-core/per-bank histograms and the
+/// interference matrices).
+pub fn latency_document(report: &LatencyReport, summary: Json) -> Json {
+    stamped_document(summary, None, report.to_json())
 }
 
 /// Build the decision-audit document for `dbpsim --audit-out`: version
@@ -125,20 +133,11 @@ pub fn latency_document(report: &LatencyReport, summary: Json) -> Json {
 /// deliberately not `epochs`, which routes a document to the metrics
 /// renderer).
 pub fn audit_document(report: &AuditReport, summary: Json) -> Json {
-    let mut pairs = vec![
-        ("format_version".to_string(), Json::uint(FORMAT_VERSION)),
-        ("schema_version".to_string(), Json::str(SCHEMA_VERSION)),
-        ("summary".to_string(), summary),
-    ];
-    match report.to_json() {
-        Json::Obj(body) => pairs.extend(body),
-        _ => unreachable!("AuditReport::to_json returns an object"),
-    }
-    Json::Obj(pairs)
+    stamped_document(summary, None, report.to_json())
 }
 
 /// Timing of one experiment inside a `bench_all` suite run, destined for
-/// the suite-timing JSON published next to `BENCH_results.json`.
+/// the suite-timing JSON (`bench_all --json`).
 #[derive(Debug, Clone)]
 pub struct SuiteExperimentTiming {
     /// Experiment (binary) name, e.g. `fig4_ws_dbp`.
@@ -153,8 +152,7 @@ pub struct SuiteExperimentTiming {
 
 /// Build the experiment-suite timing document: per-experiment wall clock
 /// and job counts, plus the pool configuration that produced them. CI
-/// publishes this alongside the micro-bench `BENCH_results.json` to
-/// track the suite's wall-clock trajectory across PRs. `annotations` are
+/// publishes it as `SUITE_timing.json`. `annotations` are
 /// extra key/value pairs experiments attached during the run (e.g. the
 /// interference diagnostic's percentile summaries).
 pub fn suite_timing_document(
@@ -190,17 +188,7 @@ pub fn suite_timing_document(
 /// work counters). Render it with the `dbpreport` bin; parse it back with
 /// [`Profile::from_json`].
 pub fn profile_document(p: &Profile, summary: Json) -> Json {
-    let mut pairs = vec![
-        ("format_version".to_string(), Json::uint(FORMAT_VERSION)),
-        ("schema_version".to_string(), Json::str(SCHEMA_VERSION)),
-        ("summary".to_string(), summary),
-        ("total_ns".to_string(), Json::uint(p.total_ns())),
-    ];
-    match p.to_json() {
-        Json::Obj(body) => pairs.extend(body),
-        _ => unreachable!("Profile::to_json returns an object"),
-    }
-    Json::Obj(pairs)
+    stamped_document(summary, Some(("total_ns", Json::uint(p.total_ns()))), p.to_json())
 }
 
 /// Render an aggregated [`Profile`] as a Chrome `trace_event` document.
@@ -553,6 +541,42 @@ mod tests {
         // A future-major producer is rejected before anyone reads the body.
         let future = json::parse(&doc.to_json().replace("\"1.0\"", "\"2.0\"")).unwrap();
         assert!(check_schema_version(&future).unwrap_err().contains("newer"));
+    }
+
+    #[test]
+    fn every_reader_rejects_a_negative_or_fractional_count_naming_the_field() {
+        type Load = fn(&Json) -> Result<(), String>;
+        let span = ProfSpan {
+            name: "run".to_string(),
+            count: 0,
+            total_ns: 0,
+            self_ns: 0,
+            max_ns: 0,
+            children: Vec::new(),
+        };
+        let profile = Profile { spans: vec![span], counters: Vec::new() };
+        let audit = crate::audit::AuditBuilder::new("DBP", Vec::new(), 1, 2, vec![vec![vec![0]]]);
+        let cases: [(&str, Json, Load); 4] = [
+            ("count", crate::Histogram::new().to_json(), |j| {
+                crate::Histogram::from_json(j).map(drop)
+            }),
+            ("count", LatencyReport::new(1, 1).to_json(), |j| {
+                LatencyReport::from_json(j).map(drop)
+            }),
+            ("decisions", audit.report().to_json(), |j| AuditReport::from_json(j).map(drop)),
+            ("count", profile.to_json(), |j| Profile::from_json(j).map(drop)),
+        ];
+        for (field, doc, load) in cases {
+            let text = doc.to_json();
+            load(&json::parse(&text).unwrap()).expect("the unedited document loads");
+            let good = format!("\"{field}\":0");
+            assert!(text.contains(&good), "{text}");
+            for bad in ["-3", "1.5", "1e30"] {
+                let edited = text.replacen(&good, &format!("\"{field}\":{bad}"), 1);
+                let err = load(&json::parse(&edited).unwrap()).expect_err(&edited);
+                assert!(err.contains(&format!("`{field}`")), "{field} = {bad}: {err}");
+            }
+        }
     }
 
     #[test]

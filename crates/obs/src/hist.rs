@@ -202,35 +202,28 @@ impl Histogram {
     /// Returns a message when a field is missing, malformed, or the
     /// bucket counts disagree with the recorded total.
     pub fn from_json(v: &Json) -> Result<Histogram, String> {
-        let field = |k: &str| -> Result<u64, String> {
-            v.get(k)
-                .and_then(Json::as_num)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("histogram missing numeric field {k:?}"))
-        };
         let mut h = Histogram {
             counts: Vec::new(),
-            count: field("count")?,
-            sum: field("sum")?,
-            min: field("min")?,
-            max: field("max")?,
+            count: v.req_u64("count")?,
+            sum: v.req_u64("sum")?,
+            min: v.req_u64("min")?,
+            max: v.req_u64("max")?,
         };
-        let buckets =
-            v.get("buckets").and_then(Json::as_arr).ok_or("histogram missing buckets array")?;
         let mut total = 0u64;
-        for b in buckets {
+        for b in v.req_arr("buckets")? {
             let pair =
                 b.as_arr().filter(|p| p.len() == 2).ok_or("bucket must be [index, count]")?;
-            let idx = pair[0].as_num().ok_or("bucket index must be a number")? as usize;
-            let c = pair[1].as_num().ok_or("bucket count must be a number")? as u64;
-            if idx > MAX_INDEX {
+            let idx = pair[0].as_u64().ok_or("bucket index must be a non-negative integer")?;
+            let c = pair[1].as_u64().ok_or("bucket count must be a non-negative integer")?;
+            if idx > MAX_INDEX as u64 {
                 return Err(format!("bucket index {idx} out of range"));
             }
+            let idx = idx as usize;
             if idx >= h.counts.len() {
                 h.counts.resize(idx + 1, 0);
             }
+            total = total.checked_add(c).ok_or("bucket counts overflow")?;
             h.counts[idx] += c;
-            total += c;
         }
         if total != h.count {
             return Err(format!("bucket counts sum to {total}, header says {}", h.count));

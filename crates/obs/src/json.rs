@@ -16,6 +16,9 @@
 
 use std::fmt::Write as _;
 
+/// 2^53: the largest integer up to which every integer is an exact `f64`.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
+
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -92,6 +95,84 @@ impl Json {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
+        }
+    }
+
+    /// The value as an unsigned integer: `None` unless it is a finite,
+    /// non-negative, integral number no larger than 2^53 (the range in
+    /// which the `f64` model is exact), so a reader never casts `-3` to 0
+    /// or `1e30` to `u64::MAX`.
+    pub fn as_u64(&self) -> Option<u64> {
+        let v = self.as_num()?;
+        ((0.0..=MAX_EXACT_INT).contains(&v) && v == v.trunc()).then_some(v as u64)
+    }
+
+    /// The required field `key`, whatever its type.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is absent.
+    pub fn req(&self, key: &str) -> Result<&Json, String> {
+        self.get(key).ok_or_else(|| format!("missing `{key}`"))
+    }
+
+    /// The required field `key`, read with `pick`; the error names the
+    /// key and what it must be.
+    fn req_as<'a, T>(
+        &'a self,
+        key: &str,
+        want: &str,
+        pick: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        pick(self.req(key)?).ok_or_else(|| format!("`{key}` must be {want}"))
+    }
+
+    /// The required unsigned-integer field `key` (see [`Json::as_u64`]).
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is absent or not such an integer.
+    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
+        self.req_as(key, "a non-negative integer", Json::as_u64)
+    }
+
+    /// The required numeric field `key`.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is absent or not a number.
+    pub fn req_f64(&self, key: &str) -> Result<f64, String> {
+        self.req_as(key, "a number", Json::as_num)
+    }
+
+    /// The required string field `key`.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is absent or not a string.
+    pub fn req_str(&self, key: &str) -> Result<&str, String> {
+        self.req_as(key, "a string", Json::as_str)
+    }
+
+    /// The required array field `key`.
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is absent or not an array.
+    pub fn req_arr(&self, key: &str) -> Result<&[Json], String> {
+        self.req_as(key, "an array", Json::as_arr)
+    }
+
+    /// The optional unsigned-integer field `key`: `None` when absent or
+    /// `null` (how the writers spell a missing value).
+    ///
+    /// # Errors
+    ///
+    /// Names the key when it is present but not such an integer.
+    pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
+        match self.get(key) {
+            None | Some(Json::Null) => Ok(None),
+            Some(_) => self.req_u64(key).map(Some),
         }
     }
 
@@ -583,5 +664,28 @@ mod tests {
         assert_eq!(v.get("missing"), None);
         assert_eq!(v.as_num(), None);
         assert_eq!(Json::num(1.0).get("k"), None);
+    }
+
+    #[test]
+    fn required_field_accessors_name_the_key_and_refuse_lossy_integers() {
+        let v =
+            parse(r#"{"n":3,"neg":-3,"frac":1.5,"huge":1e30,"s":"x","a":[1],"nil":null}"#).unwrap();
+        assert_eq!(v.req_u64("n"), Ok(3));
+        assert_eq!(v.req_f64("frac"), Ok(1.5));
+        assert_eq!(v.req_str("s"), Ok("x"));
+        assert_eq!(v.req_arr("a").map(<[Json]>::len), Ok(1));
+        assert_eq!(v.opt_u64("n"), Ok(Some(3)));
+        assert_eq!(v.opt_u64("nil"), Ok(None));
+        assert_eq!(v.opt_u64("absent"), Ok(None));
+        assert_eq!(v.req("nil"), Ok(&Json::Null));
+        assert!(v.req("absent").unwrap_err().contains("absent"));
+        for key in ["neg", "frac", "huge", "s", "absent"] {
+            assert!(v.req_u64(key).unwrap_err().contains(key), "{key}");
+        }
+        assert!(v.opt_u64("neg").unwrap_err().contains("neg"));
+        assert!(v.req_f64("s").unwrap_err().contains("`s`"));
+        assert!(v.req_str("n").unwrap_err().contains("`n`"));
+        assert!(v.req_arr("n").unwrap_err().contains("`n`"));
+        assert_eq!(Json::uint(1 << 53).as_u64(), Some(1 << 53));
     }
 }

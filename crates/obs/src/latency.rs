@@ -110,7 +110,8 @@ impl Matrix {
         for (i, row) in rows.iter().enumerate() {
             let cells = row.as_arr().filter(|r| r.len() == n).ok_or("matrix must be square")?;
             for (j, c) in cells.iter().enumerate() {
-                m.cells[i * n + j] = c.as_num().ok_or("matrix cells must be numbers")? as u64;
+                m.cells[i * n + j] =
+                    c.as_u64().ok_or("matrix cells must be non-negative integers")?;
             }
         }
         Ok(m)
@@ -229,36 +230,25 @@ impl LatencyReport {
     ///
     /// Returns a message naming the first malformed field.
     pub fn from_json(v: &Json) -> Result<LatencyReport, String> {
-        let cores_json = v.get("cores").and_then(Json::as_arr).ok_or("missing cores array")?;
+        let cores_json = v.req_arr("cores")?;
         let mut cores = Vec::with_capacity(cores_json.len());
         for c in cores_json {
             let mut components = [0u64; N_COMPONENTS];
-            let comp_json = c.get("components").ok_or("core missing components")?;
+            let comp_json = c.req("components")?;
             for (slot, name) in components.iter_mut().zip(COMPONENT_NAMES) {
-                *slot = comp_json
-                    .get(name)
-                    .and_then(Json::as_num)
-                    .ok_or_else(|| format!("core missing component {name:?}"))?
-                    as u64;
+                *slot = comp_json.req_u64(name)?;
             }
             cores.push(CoreLatency {
-                read: Histogram::from_json(c.get("read").ok_or("core missing read histogram")?)?,
-                write: Histogram::from_json(c.get("write").ok_or("core missing write histogram")?)?,
+                read: Histogram::from_json(c.req("read")?)?,
+                write: Histogram::from_json(c.req("write")?)?,
                 components,
             });
         }
-        let banks = v
-            .get("banks")
-            .and_then(Json::as_arr)
-            .ok_or("missing banks array")?
-            .iter()
-            .map(Histogram::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        let interference = v.get("interference").ok_or("missing interference object")?;
-        let bank_interference =
-            Matrix::from_json(interference.get("bank").ok_or("missing bank matrix")?)?;
-        let bus_interference =
-            Matrix::from_json(interference.get("bus").ok_or("missing bus matrix")?)?;
+        let banks =
+            v.req_arr("banks")?.iter().map(Histogram::from_json).collect::<Result<Vec<_>, _>>()?;
+        let interference = v.req("interference")?;
+        let bank_interference = Matrix::from_json(interference.req("bank")?)?;
+        let bus_interference = Matrix::from_json(interference.req("bus")?)?;
         if bank_interference.n() != cores.len() || bus_interference.n() != cores.len() {
             return Err("interference matrix size must match core count".into());
         }

@@ -545,22 +545,8 @@ impl Profile {
     /// Returns a message on missing/mistyped fields or an exact-sum
     /// violation.
     pub fn from_json(doc: &Json) -> Result<Profile, String> {
-        fn get_u64(j: &Json, key: &str) -> Result<u64, String> {
-            let v = j
-                .get(key)
-                .and_then(Json::as_num)
-                .ok_or_else(|| format!("span missing numeric {key:?}"))?;
-            if v < 0.0 {
-                return Err(format!("span {key:?} is negative"));
-            }
-            Ok(v as u64)
-        }
         fn span_from(j: &Json) -> Result<ProfSpan, String> {
-            let name = j
-                .get("name")
-                .and_then(Json::as_str)
-                .ok_or("span missing string \"name\"")?
-                .to_string();
+            let name = j.req_str("name")?.to_string();
             let children = match j.get("children") {
                 None => Vec::new(),
                 Some(c) => c
@@ -572,25 +558,21 @@ impl Profile {
             };
             Ok(ProfSpan {
                 name,
-                count: get_u64(j, "count")?,
-                total_ns: get_u64(j, "total_ns")?,
-                self_ns: get_u64(j, "self_ns")?,
-                max_ns: get_u64(j, "max_ns")?,
+                count: j.req_u64("count")?,
+                total_ns: j.req_u64("total_ns")?,
+                self_ns: j.req_u64("self_ns")?,
+                max_ns: j.req_u64("max_ns")?,
                 children,
             })
         }
-        let spans = doc
-            .get("spans")
-            .and_then(Json::as_arr)
-            .ok_or("profile document missing \"spans\" array")?
-            .iter()
-            .map(span_from)
-            .collect::<Result<Vec<_>, _>>()?;
+        let spans = doc.req_arr("spans")?.iter().map(span_from).collect::<Result<Vec<_>, _>>()?;
         let mut counters: Vec<(String, u64)> = Vec::new();
         if let Some(Json::Obj(pairs)) = doc.get("counters") {
             for (name, v) in pairs {
-                let v = v.as_num().ok_or_else(|| format!("counter {name:?} must be a number"))?;
-                counters.push((name.clone(), v as u64));
+                let v = v
+                    .as_u64()
+                    .ok_or_else(|| format!("counter {name:?} must be a non-negative integer"))?;
+                counters.push((name.clone(), v));
             }
         }
         let p = Profile { spans, counters };

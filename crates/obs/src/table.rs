@@ -6,8 +6,8 @@
 //! produced every committed `results/*.txt` table.
 
 /// Human-readable wall time: picks ns/us/ms/s to keep 3-4 significant
-/// digits. Shared by the micro-bench report, the experiment-suite
-/// timing summary, and the self-profiler tables. (Lives here rather
+/// digits. Shared by the experiment-suite timing summary and the
+/// self-profiler tables. (Lives here rather
 /// than `dbp-util` because util depends on this crate, not the other
 /// way round; `dbp_util::bench::fmt_ns` re-exports it.)
 pub fn fmt_ns(ns: u128) -> String {

@@ -66,7 +66,7 @@ impl ShadowRack {
             PolicyKind::Dbp(dbp) => dbp.estimator,
             _ => EstimatorConfig::default(),
         };
-        let alt_estimator = EstimatorConfig { alpha: estimator_cfg.alpha * 2.0, ..estimator_cfg };
+        let alt_estimator = EstimatorConfig { alpha: estimator_cfg.alpha * 2.0 };
         let alt_dbp = match cfg.policy {
             PolicyKind::Dbp(dbp) => DbpConfig { estimator: alt_estimator, ..dbp },
             _ => DbpConfig { estimator: alt_estimator, ..DbpConfig::default() },

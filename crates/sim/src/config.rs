@@ -159,6 +159,7 @@ impl SimConfig {
     pub fn validate(&self) -> Result<(), String> {
         self.dram.validate()?;
         self.ctrl.validate()?;
+        self.policy.validate()?;
         if self.cpu_per_dram == 0 {
             return Err("cpu_per_dram must be positive".into());
         }
@@ -181,6 +182,8 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dbp_core::policy::DbpConfig;
+    use dbp_core::EstimatorConfig;
 
     #[test]
     fn defaults_validate() {
@@ -213,6 +216,15 @@ mod tests {
         let mut c = SimConfig::default();
         c.ctrl.read_q_cap = 0;
         assert!(c.validate().unwrap_err().contains("read_q_cap"));
+    }
+
+    #[test]
+    fn validation_catches_bad_estimator_alpha() {
+        for alpha in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let dbp = DbpConfig { estimator: EstimatorConfig { alpha }, ..Default::default() };
+            let c = SimConfig { policy: PolicyKind::Dbp(dbp), ..SimConfig::fast_test() };
+            assert!(c.validate().unwrap_err().contains("alpha"), "alpha = {alpha}");
+        }
     }
 
     #[test]

@@ -989,7 +989,7 @@ impl MigrationBacklog {
 mod tests {
     use super::*;
     use crate::config::SchedulerKind;
-    use dbp_core::policy::PolicyKind;
+    use dbp_core::policy::{DbpConfig, PolicyKind};
     use dbp_cpu::TraceOp;
     use dbp_workloads::{profiles, SyntheticTrace};
 
@@ -1019,6 +1019,20 @@ mod tests {
         assert!(r.reached_target);
         assert!(r.threads[0].ipc > 0.0);
         assert!(r.threads[0].reads > 0, "stream must miss to DRAM");
+    }
+
+    #[test]
+    #[should_panic(expected = "DBP estimator alpha must be finite and positive")]
+    fn a_bad_policy_parameter_is_a_validate_error_not_a_constructor_assert() {
+        let estimator = dbp_core::EstimatorConfig { alpha: 0.0 };
+        let policy = PolicyKind::Dbp(DbpConfig { estimator, ..Default::default() });
+        let cfg = SimConfig { policy, ..small_cfg() };
+        let _ = System::with_instrumentation(
+            cfg,
+            vec![stream_trace(1)],
+            Recorder::disabled(),
+            Prof::disabled(),
+        );
     }
 
     #[test]

@@ -1,66 +1,14 @@
-//! A criterion-free micro-bench runner.
-//!
-//! Each benchmark is `warmup` untimed iterations followed by `iters`
-//! timed ones; the report prints min / median / p95 wall time per
-//! iteration plus per-element throughput when the benchmark declares how
-//! many logical elements one iteration processes.
-//!
-//! Environment knobs (useful in CI, where `DBP_BENCH_ITERS=5` keeps the
-//! suite cheap):
-//!
-//! - `DBP_BENCH_ITERS`   — timed iterations per benchmark (default 30)
-//! - `DBP_BENCH_WARMUP`  — warmup iterations per benchmark (default 5)
-//! - `DBP_BENCH_JSON`    — also write the summaries as JSON to this file
-//!   (CI uses it to track the perf trajectory across PRs)
-//!
-//! ```no_run
-//! let mut r = dbp_util::bench::Runner::from_env();
-//! r.bench("sum_1k", 1024, || (0..1024u64).sum::<u64>());
-//! r.finish();
-//! ```
+//! Coarse wall-clock timing for the experiment suite: `bench_all` times
+//! each experiment and the whole run with a [`Stopwatch`] and prints the
+//! result with [`fmt_ns`]. Performance itself is measured by the
+//! `benchmark/` package, not here.
 
-use std::hint::black_box;
 use std::time::Instant;
 
-/// Iteration counts for one [`Runner`].
-#[derive(Debug, Clone, Copy)]
-pub struct BenchConfig {
-    pub warmup_iters: u32,
-    pub iters: u32,
-}
-
-impl Default for BenchConfig {
-    fn default() -> Self {
-        BenchConfig { warmup_iters: 5, iters: 30 }
-    }
-}
-
-/// One benchmark's timing summary, in nanoseconds per iteration.
-#[derive(Debug, Clone)]
-pub struct Summary {
-    pub name: String,
-    pub min_ns: u128,
-    pub median_ns: u128,
-    pub p95_ns: u128,
-    /// Logical elements processed per iteration (0 = unspecified).
-    pub elements: u64,
-}
-
-impl Summary {
-    /// Millions of elements per second at the median, if declared.
-    pub fn melems_per_sec(&self) -> Option<f64> {
-        if self.elements == 0 || self.median_ns == 0 {
-            return None;
-        }
-        Some(self.elements as f64 * 1e3 / self.median_ns as f64)
-    }
-}
-
 /// Human-readable wall time: picks ns/us/ms/s to keep 3-4 significant
-/// digits. Shared by the micro-bench report and the experiment-suite
-/// timing summary. (The implementation lives in `dbp_obs::table` so the
-/// profiler tables can use it too; re-exported here for callers that
-/// predate the move.)
+/// digits. (The implementation lives in `dbp_obs::table` so the profiler
+/// tables can use it too; re-exported here for callers that predate the
+/// move.)
 pub use dbp_obs::table::fmt_ns;
 
 /// A wall-clock stopwatch for coarse phase timing (suite experiments,
@@ -84,192 +32,9 @@ impl Stopwatch {
     }
 }
 
-/// Runs benchmarks and accumulates their [`Summary`] rows.
-#[derive(Debug, Default)]
-pub struct Runner {
-    cfg: BenchConfig,
-    results: Vec<Summary>,
-}
-
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
-impl Runner {
-    /// A runner with explicit iteration counts.
-    pub fn new(cfg: BenchConfig) -> Self {
-        Runner { cfg, results: Vec::new() }
-    }
-
-    /// A runner honouring `DBP_BENCH_ITERS` / `DBP_BENCH_WARMUP`.
-    pub fn from_env() -> Self {
-        Runner::new(BenchConfig {
-            warmup_iters: env_u32("DBP_BENCH_WARMUP", BenchConfig::default().warmup_iters),
-            iters: env_u32("DBP_BENCH_ITERS", BenchConfig::default().iters),
-        })
-    }
-
-    /// Time `routine` with a fresh `setup()` value per iteration (the
-    /// setup cost is excluded, like criterion's `iter_batched`).
-    pub fn bench_batched<S, T>(
-        &mut self,
-        name: &str,
-        elements: u64,
-        mut setup: impl FnMut() -> S,
-        mut routine: impl FnMut(S) -> T,
-    ) -> &Summary {
-        for _ in 0..self.cfg.warmup_iters {
-            black_box(routine(setup()));
-        }
-        let mut samples: Vec<u128> = Vec::with_capacity(self.cfg.iters as usize);
-        for _ in 0..self.cfg.iters.max(1) {
-            let input = setup();
-            let start = Instant::now();
-            black_box(routine(input));
-            samples.push(start.elapsed().as_nanos());
-        }
-        samples.sort_unstable();
-        let summary = Summary {
-            name: name.to_owned(),
-            min_ns: samples[0],
-            median_ns: samples[samples.len() / 2],
-            // Nearest-rank p95.
-            p95_ns: samples[(samples.len() * 95).div_ceil(100).saturating_sub(1)],
-            elements,
-        };
-        self.results.push(summary);
-        self.results.last().expect("just pushed")
-    }
-
-    /// Time `routine` alone (state persists across iterations).
-    pub fn bench<T>(
-        &mut self,
-        name: &str,
-        elements: u64,
-        mut routine: impl FnMut() -> T,
-    ) -> &Summary {
-        self.bench_batched(name, elements, || (), |()| routine())
-    }
-
-    /// All summaries so far.
-    pub fn results(&self) -> &[Summary] {
-        &self.results
-    }
-
-    /// Render the report table.
-    pub fn report(&self) -> String {
-        let mut t = dbp_obs::Table::new(["benchmark", "min", "median", "p95", "throughput"]);
-        t.align_left(0);
-        for s in &self.results {
-            let tp = s
-                .melems_per_sec()
-                .map(|m| format!("{m:.2} Melem/s"))
-                .unwrap_or_else(|| "-".to_owned());
-            t.row([s.name.clone(), fmt_ns(s.min_ns), fmt_ns(s.median_ns), fmt_ns(s.p95_ns), tp]);
-        }
-        t.render()
-    }
-
-    /// The summaries as a JSON document (one object per benchmark).
-    pub fn json_report(&self) -> dbp_obs::Json {
-        use dbp_obs::Json;
-        Json::obj([(
-            "benchmarks",
-            Json::arr(self.results.iter().map(|s| {
-                let mut pairs = vec![
-                    ("name".to_string(), Json::str(&s.name)),
-                    ("min_ns".to_string(), Json::uint(s.min_ns as u64)),
-                    ("median_ns".to_string(), Json::uint(s.median_ns as u64)),
-                    ("p95_ns".to_string(), Json::uint(s.p95_ns as u64)),
-                    ("elements".to_string(), Json::uint(s.elements)),
-                ];
-                if let Some(m) = s.melems_per_sec() {
-                    pairs.push(("melems_per_sec".to_string(), Json::num(m)));
-                }
-                Json::Obj(pairs)
-            })),
-        )])
-    }
-
-    /// Write [`Runner::json_report`] to `path`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the underlying I/O error.
-    pub fn write_json(&self, path: &str) -> std::io::Result<()> {
-        std::fs::write(path, self.json_report().to_json())
-    }
-
-    /// Print the report to stdout; when `DBP_BENCH_JSON` names a file,
-    /// also write [`Runner::json_report`] there. A failed write is a
-    /// hard error (`exit(1)`): CI must never mistake a bench run whose
-    /// artifact silently vanished for a successful one.
-    pub fn finish(&self) {
-        print!("{}", self.report());
-        if let Ok(path) = std::env::var("DBP_BENCH_JSON") {
-            if !path.trim().is_empty() {
-                match self.write_json(&path) {
-                    Ok(()) => eprintln!("bench: wrote JSON summaries to {path}"),
-                    Err(e) => {
-                        eprintln!("bench: cannot write {path}: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn summaries_are_ordered_and_named() {
-        let mut r = Runner::new(BenchConfig { warmup_iters: 1, iters: 9 });
-        r.bench("spin", 64, || {
-            let mut acc = 0u64;
-            for i in 0..1000u64 {
-                acc = acc.wrapping_add(i * i);
-            }
-            acc
-        });
-        let s = &r.results()[0];
-        assert_eq!(s.name, "spin");
-        assert!(s.min_ns <= s.median_ns && s.median_ns <= s.p95_ns);
-        assert!(s.melems_per_sec().is_some());
-    }
-
-    #[test]
-    fn batched_setup_not_timed_and_report_renders() {
-        let mut r = Runner::new(BenchConfig { warmup_iters: 0, iters: 3 });
-        r.bench_batched("consume_vec", 0, || vec![1u8; 1024], |v| v.len());
-        let report = r.report();
-        assert!(report.contains("consume_vec"));
-        assert!(report.contains("median"));
-        // elements = 0 -> no throughput column value.
-        assert!(report.contains(" -"));
-    }
-
-    #[test]
-    fn env_override_parses() {
-        assert_eq!(env_u32("DBP_BENCH_NO_SUCH_VAR", 17), 17);
-    }
-
-    #[test]
-    fn write_json_surfaces_io_errors() {
-        let mut r = Runner::new(BenchConfig { warmup_iters: 0, iters: 1 });
-        r.bench("spin", 1, || ());
-        assert!(r.write_json("/nonexistent-dir-for-sure/bench.json").is_err());
-    }
-
-    #[test]
-    fn fmt_ns_picks_sane_units() {
-        assert_eq!(fmt_ns(12), "12 ns");
-        assert_eq!(fmt_ns(1_500), "1.500 us");
-        assert_eq!(fmt_ns(2_000_000), "2.000 ms");
-        assert_eq!(fmt_ns(3_210_000_000), "3.210 s");
-    }
 
     #[test]
     fn stopwatch_is_monotonic() {
@@ -277,20 +42,5 @@ mod tests {
         let a = sw.elapsed_ns();
         let b = sw.elapsed_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn json_report_round_trips() {
-        let mut r = Runner::new(BenchConfig { warmup_iters: 0, iters: 3 });
-        r.bench("spin", 64, || std::hint::black_box(2u64 + 2));
-        r.bench("no_elements", 0, || ());
-        let text = r.json_report().to_json();
-        let doc = dbp_obs::json::parse(&text).expect("bench JSON must parse");
-        let benches = doc.get("benchmarks").and_then(|b| b.as_arr()).unwrap();
-        assert_eq!(benches.len(), 2);
-        assert_eq!(benches[0].get("name").and_then(|n| n.as_str()), Some("spin"));
-        assert!(benches[0].get("median_ns").and_then(|n| n.as_num()).is_some());
-        // elements = 0 -> no throughput key.
-        assert!(benches[1].get("melems_per_sec").is_none());
     }
 }
