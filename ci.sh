@@ -77,6 +77,13 @@ if grep -q '"sim/cycles_skipped":0' target/ci-prof-skipping.json; then exit 1; f
 cargo test -q --release --offline --locked -p dbp-memctrl breakdown_components_sum
 cargo test -q --release --offline --locked -p dbp-obs record_read_rejects
 
+# Skip-vs-stepped gate on optimised code. The closed forms' strongest
+# guards (`pick_flat`, the `Core::forward` replay, calendar-memo
+# re-derivation) are debug-only, while the benchmark and every table run
+# in release: prove the property-level equality there too.
+cargo test -q --release --offline --locked -p dbp-memctrl time_skipping_is_bit_exact
+cargo test -q --release --offline --locked -p dbp-sim time_skipping_is_bit_exact_end_to_end
+
 # Self-profiling gate. The span exact-sum invariant (self + children ==
 # total, u64 equality) likewise asserts in every build profile.
 cargo test -q --release --offline --locked -p dbp-obs exact_sum

@@ -31,5 +31,5 @@ pub mod stats;
 
 pub use cache::{AccessOutcome, Cache, CacheConfig};
 pub use hierarchy::{AccessLevel, Hierarchy, HierarchyAccess, HierarchyConfig};
-pub use mshr::{Mshr, MshrAlloc};
+pub use mshr::Mshr;
 pub use stats::CacheStats;

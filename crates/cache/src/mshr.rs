@@ -1,29 +1,17 @@
-//! Miss-status holding registers: track outstanding misses and merge
-//! secondary misses to the same line.
+//! Miss-status holding registers: track outstanding misses, merge
+//! secondary misses to the same line, and remember who waits on each fill.
 
 use dbp_obs::FxHashMap;
 
-/// Result of trying to allocate an MSHR for a missing line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MshrAlloc {
-    /// First miss to this line: a memory request must be sent.
-    Primary,
-    /// An earlier miss to the same line is already outstanding; this
-    /// access piggybacks on it.
-    Merged,
-    /// No free entries; the requester must stall and retry.
-    Full,
-}
-
 /// A bounded file of miss-status holding registers.
 ///
-/// Keys are line-aligned physical addresses. Each entry counts how many
-/// accesses are waiting on the fill.
+/// Keys are line-aligned physical addresses. An entry *is* the list of
+/// load ids waiting on the line's fill, in arrival order; a store miss
+/// holds an entry but waits for nothing (stores are posted).
 #[derive(Debug, Clone)]
 pub struct Mshr {
-    entries: FxHashMap<u64, u32>,
+    entries: FxHashMap<u64, Vec<u64>>,
     capacity: usize,
-    peak: usize,
 }
 
 impl Mshr {
@@ -36,27 +24,30 @@ impl Mshr {
         assert!(capacity > 0, "MSHR capacity must be positive");
         let mut entries = FxHashMap::default();
         entries.reserve(capacity);
-        Mshr { entries, capacity, peak: 0 }
+        Mshr { entries, capacity }
     }
 
-    /// Try to record a miss on `line_addr`.
-    pub fn alloc(&mut self, line_addr: u64) -> MshrAlloc {
-        if let Some(waiters) = self.entries.get_mut(&line_addr) {
-            *waiters += 1;
-            return MshrAlloc::Merged;
-        }
-        if self.entries.len() >= self.capacity {
-            return MshrAlloc::Full;
-        }
-        self.entries.insert(line_addr, 1);
-        self.peak = self.peak.max(self.entries.len());
-        MshrAlloc::Primary
+    /// Record a miss on `line_addr`, queueing `waiter` (a load id; `None`
+    /// for a store) for the fill. Returns whether this is the first miss
+    /// to the line — a memory request must be sent — rather than one
+    /// merged into an outstanding entry.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a first miss while the file is full: the requester must
+    /// stall on [`Mshr::is_full`] unless [`Mshr::contains`] the line.
+    pub fn miss(&mut self, line_addr: u64, waiter: Option<u64>) -> bool {
+        let outstanding = self.entries.len();
+        self.entries.entry(line_addr).or_default().extend(waiter);
+        assert!(self.entries.len() <= self.capacity, "MSHR file is full");
+        self.entries.len() > outstanding
     }
 
-    /// Complete the fill of `line_addr`, returning how many accesses were
-    /// waiting (0 if the line was not outstanding).
-    pub fn complete(&mut self, line_addr: u64) -> u32 {
-        self.entries.remove(&line_addr).unwrap_or(0)
+    /// Complete the fill of `line_addr`, returning the loads that were
+    /// waiting on it in arrival order (none if the line was not
+    /// outstanding).
+    pub fn complete(&mut self, line_addr: u64) -> Vec<u64> {
+        self.entries.remove(&line_addr).unwrap_or_default()
     }
 
     /// Whether `line_addr` has an outstanding miss.
@@ -78,11 +69,6 @@ impl Mshr {
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }
-
-    /// High-water mark of concurrently outstanding lines.
-    pub fn peak(&self) -> usize {
-        self.peak
-    }
 }
 
 #[cfg(test)]
@@ -90,44 +76,52 @@ mod tests {
     use super::*;
 
     #[test]
-    fn primary_then_merge() {
+    fn first_miss_then_merge_and_fill_returns_waiters_in_arrival_order() {
         let mut m = Mshr::new(4);
-        assert_eq!(m.alloc(0x40), MshrAlloc::Primary);
-        assert_eq!(m.alloc(0x40), MshrAlloc::Merged);
+        assert!(m.miss(0x40, Some(7)), "first miss sends a request");
+        assert!(!m.miss(0x40, Some(3)), "second miss merges");
+        assert!(!m.miss(0x40, Some(9)));
         assert_eq!(m.len(), 1);
-        assert_eq!(m.complete(0x40), 2);
+        assert_eq!(m.complete(0x40), [7, 3, 9]);
         assert!(m.is_empty());
     }
 
     #[test]
-    fn fills_up_and_rejects() {
+    fn store_miss_holds_an_entry_with_no_waiter() {
+        let mut m = Mshr::new(4);
+        assert!(m.miss(0x80, None));
+        assert!(m.contains(0x80));
+        // A load merging into the store's entry is the only waiter.
+        assert!(!m.miss(0x80, Some(1)));
+        assert_eq!(m.complete(0x80), [1]);
+        assert!(m.miss(0xc0, None));
+        assert_eq!(m.complete(0xc0), [0u64; 0]);
+    }
+
+    #[test]
+    fn full_file_still_merges() {
         let mut m = Mshr::new(2);
-        assert_eq!(m.alloc(0), MshrAlloc::Primary);
-        assert_eq!(m.alloc(64), MshrAlloc::Primary);
-        assert_eq!(m.alloc(128), MshrAlloc::Full);
-        // Merging into an existing entry still works when full.
-        assert_eq!(m.alloc(64), MshrAlloc::Merged);
+        assert!(m.miss(0, Some(0)));
+        assert!(m.miss(64, Some(1)));
+        assert!(m.is_full());
+        assert!(!m.miss(64, Some(2)), "merging needs no free entry");
         m.complete(0);
-        assert_eq!(m.alloc(128), MshrAlloc::Primary);
+        assert!(!m.is_full());
+        assert!(m.miss(128, Some(3)));
     }
 
     #[test]
-    fn complete_unknown_line_returns_zero() {
+    #[should_panic(expected = "MSHR file is full")]
+    fn first_miss_on_a_full_file_panics() {
+        let mut m = Mshr::new(1);
+        m.miss(0, None);
+        m.miss(64, None);
+    }
+
+    #[test]
+    fn complete_unknown_line_returns_no_waiter() {
         let mut m = Mshr::new(2);
-        assert_eq!(m.complete(0xdead), 0);
-    }
-
-    #[test]
-    fn peak_tracks_high_water() {
-        let mut m = Mshr::new(8);
-        for i in 0..5u64 {
-            m.alloc(i * 64);
-        }
-        for i in 0..5u64 {
-            m.complete(i * 64);
-        }
-        assert_eq!(m.peak(), 5);
-        assert!(m.is_empty());
+        assert!(m.complete(0xdead).is_empty());
     }
 
     #[test]

@@ -20,6 +20,23 @@ impl Default for CoreConfig {
     }
 }
 
+impl CoreConfig {
+    /// Check that the window and the pipeline width are usable.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first violated requirement.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.rob == 0 {
+            return Err("rob must be positive".into());
+        }
+        if self.width == 0 {
+            return Err("width must be positive".into());
+        }
+        Ok(())
+    }
+}
+
 /// How the memory system answered a just-dispatched access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemIssue {
@@ -124,8 +141,12 @@ impl std::fmt::Debug for Core {
 
 impl Core {
     /// Build a core reading from `source`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` fails [`CoreConfig::validate`].
     pub fn new(cfg: CoreConfig, source: Box<dyn TraceSource>) -> Self {
-        assert!(cfg.rob > 0 && cfg.width > 0, "rob and width must be positive");
+        cfg.validate().expect("invalid CoreConfig");
         Core {
             cfg,
             source,
@@ -234,25 +255,31 @@ impl Core {
     /// caller must ensure none does). Zero means the very next tick might
     /// call `mem`.
     ///
-    /// Fetches the next trace op into the one-op lookahead slot when it
-    /// is empty (and the window has room, mirroring `dispatch`): the op
-    /// is consumed in the same order either way, so core behaviour is
-    /// unchanged — only the cycle at which the fetch happens moves, and
-    /// that cycle is not observable outside the core.
+    /// Fetches the next trace op into the one-op lookahead slot when the
+    /// window has room, as `dispatch` would: the op is consumed in the
+    /// same order either way, so core behaviour is unchanged — only the
+    /// cycle at which the fetch happens moves, and that cycle is not
+    /// observable outside the core.
     pub fn compute_horizon(&mut self) -> u64 {
-        if self.pending.is_none() && self.dispatched - self.retired < self.cfg.rob {
+        if self.pending.is_none() && self.dispatched - self.retired >= self.cfg.rob {
+            return 0;
+        }
+        // Dispatch advances at most `width` per tick, so the memory op at
+        // `p.seq` stays out of reach for this many ticks even if every one
+        // of them dispatches at full width.
+        let p = self.fetch();
+        (p.seq - self.dispatched) / u64::from(self.cfg.width)
+    }
+
+    /// The memory op in the one-op lookahead slot, drawn from the trace
+    /// when the slot is empty.
+    fn fetch(&mut self) -> PendingOp {
+        *self.pending.get_or_insert_with(|| {
             let TraceOp { gap, addr, is_write } = self.source.next_op();
             let seq = self.stream_pos + u64::from(gap);
             self.stream_pos = seq + 1;
-            self.pending = Some(PendingOp { seq, addr, is_write });
-        }
-        match self.pending {
-            None => 0,
-            // Dispatch advances at most `width` per tick, so the memory
-            // op at `p.seq` stays out of reach for this many ticks even
-            // if every one of them dispatches at full width.
-            Some(p) => (p.seq - self.dispatched) / u64::from(self.cfg.width),
-        }
+            PendingOp { seq, addr, is_write }
+        })
     }
 
     /// Advance `ticks` cycles starting at cycle `start`, none of which may
@@ -430,13 +457,7 @@ impl Core {
                 self.stats.window_full_cycles += 1;
                 return;
             }
-            if self.pending.is_none() {
-                let TraceOp { gap, addr, is_write } = self.source.next_op();
-                let seq = self.stream_pos + u64::from(gap);
-                self.stream_pos = seq + 1;
-                self.pending = Some(PendingOp { seq, addr, is_write });
-            }
-            let p = self.pending.expect("just fetched");
+            let p = self.fetch();
             if self.dispatched < p.seq {
                 // Dispatch compute instructions up to the memory op.
                 let room = self.cfg.rob - (self.dispatched - self.retired);

@@ -1,5 +1,6 @@
 //! DRAM organisation (geometry) and device-level policy configuration.
 
+use crate::command::Loc;
 use crate::timing::TimingParams;
 use crate::MappingScheme;
 
@@ -91,6 +92,14 @@ impl DramConfig {
         self.channels * self.ranks_per_channel * self.banks_per_rank
     }
 
+    /// Flat index of the bank at `loc`, in `0..total_banks()`: channel-major,
+    /// then rank, then bank. The one definition every per-bank table
+    /// (device state, statistics, profiling, latency anatomy) is indexed by.
+    pub fn flat_bank(&self, loc: Loc) -> usize {
+        ((loc.channel * self.ranks_per_channel + loc.rank) * self.banks_per_rank + loc.bank)
+            as usize
+    }
+
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         u64::from(self.total_banks()) * u64::from(self.rows_per_bank) * u64::from(self.row_bytes)
@@ -168,6 +177,9 @@ mod tests {
         // 32 banks * 16384 rows * 8 KiB = 4 GiB
         assert_eq!(c.capacity_bytes(), 4 << 30);
         assert_eq!(c.total_frames(), (4u64 << 30) / 4096);
+        assert_eq!(c.flat_bank(Loc::new(0, 0, 0)), 0);
+        assert_eq!(c.flat_bank(Loc::new(0, 1, 2)), 10);
+        assert_eq!(c.flat_bank(Loc::new(1, 1, 7)), c.total_banks() as usize - 1);
     }
 
     #[test]

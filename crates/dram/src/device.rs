@@ -22,8 +22,9 @@ pub struct IssueResult {
 pub enum ColumnGate {
     /// Every timing constraint except command-bus arbitration holds.
     Ready,
-    /// The bank is not ready: tRCD after its activate, or rank refresh.
-    Bank,
+    /// The bank is not ready before the given cycle: tRCD after its
+    /// activate, or rank refresh.
+    Bank(Cycle),
     /// Only bus-level spacing blocks it: tCCD, write-to-read turnaround,
     /// data-bus occupancy, or the rank-switch penalty.
     Bus,
@@ -78,8 +79,9 @@ impl Dram {
 
     /// Register this device's work counters with a host self-profiler.
     /// The `dram/timing_queries` counter measures how often the
-    /// controller polls the timing oracle — the per-cycle scan cost the
-    /// event-driven core (ROADMAP item 1) is meant to eliminate.
+    /// controller polls the timing oracle — the scan cost the candidate
+    /// table and the per-channel calendars (DESIGN.md "Event-driven time
+    /// skipping") keep proportional to issued commands.
     pub fn attach_profiler(&mut self, prof: &dbp_obs::Prof) {
         self.timing_queries = prof.counter("dram/timing_queries");
     }
@@ -104,7 +106,7 @@ impl Dram {
     }
 
     fn bank_idx(&self, loc: Loc) -> usize {
-        self.rank_idx(loc.channel, loc.rank) * self.cfg.banks_per_rank as usize + loc.bank as usize
+        self.cfg.flat_bank(loc)
     }
 
     /// The row currently open in the addressed bank, if any.
@@ -124,14 +126,19 @@ impl Dram {
     /// (activating an already-open bank, reading a closed or mismatched
     /// bank, refreshing a rank with open rows).
     pub fn earliest_issue(&self, cmd: &Command, now: Cycle) -> Option<Cycle> {
-        let mut at = self.earliest_issue_inner(cmd, now)?;
+        let mut at = self.timing_ready(cmd, now)?;
         if self.channels[cmd.channel() as usize].last_cmd_at == Some(at) {
             at += 1;
         }
         Some(at)
     }
 
-    fn earliest_issue_inner(&self, cmd: &Command, now: Cycle) -> Option<Cycle> {
+    /// Earliest cycle `>= now` at which `cmd` satisfies every bank / rank /
+    /// data-bus timing constraint, ignoring command-bus arbitration
+    /// ([`Dram::earliest_issue`] adds that). The latency-anatomy
+    /// classifier uses it to separate "the device is not ready" from
+    /// "another command won the slot".
+    pub fn timing_ready(&self, cmd: &Command, now: Cycle) -> Option<Cycle> {
         self.timing_queries.incr();
         let t = &self.cfg.timing;
         match *cmd {
@@ -198,29 +205,24 @@ impl Dram {
         matches!(self.earliest_issue(cmd, now), Some(at) if at == now)
     }
 
-    /// Whether `cmd` satisfies every bank/rank/data-bus timing constraint
-    /// at `now`, ignoring command-bus arbitration. Diagnostic query used
-    /// by the latency-anatomy classifier to separate "the device is not
-    /// ready" from "another command won the slot".
-    pub fn timing_ready(&self, cmd: &Command, now: Cycle) -> bool {
-        matches!(self.earliest_issue_inner(cmd, now), Some(at) if at == now)
-    }
-
-    /// Which resource class is gating a row-hit `Read` at `now`:
-    /// [`ColumnGate::Bank`] when the bank itself is not ready (tRCD after
-    /// ACT, rank refresh), [`ColumnGate::Bus`] when only data/command-bus
-    /// spacing blocks it (tCCD, write-to-read turnaround, burst
-    /// occupancy, rank-switch penalty), [`ColumnGate::Ready`] when every
-    /// constraint except command-bus arbitration is satisfied. `None`
-    /// when the bank has no open row or `cmd` is not a `Read`.
-    pub fn column_gate(&self, cmd: &Command, now: Cycle) -> Option<ColumnGate> {
-        let Command::Read { loc, .. } = *cmd else { return None };
+    /// Which resource class is gating a row-hit read of the bank at `loc`
+    /// at `now`: [`ColumnGate::Bank`] when the bank itself is not ready
+    /// (tRCD after ACT, rank refresh; it carries the cycle that gate
+    /// clears, so a time-skipping caller finds the class transition inside
+    /// a window in which no command issues with this one query),
+    /// [`ColumnGate::Bus`] when only data/command-bus spacing blocks it
+    /// (tCCD, write-to-read turnaround, burst occupancy, rank-switch
+    /// penalty), [`ColumnGate::Ready`] when every constraint except
+    /// command-bus arbitration is satisfied. `None` when the bank has no
+    /// open row.
+    pub fn column_gate(&self, loc: Loc, now: Cycle) -> Option<ColumnGate> {
         let b = &self.banks[self.bank_idx(loc)];
         b.open_row?;
         let t = &self.cfg.timing;
         let r = &self.ranks[self.rank_idx(loc.channel, loc.rank)];
-        if b.next_read.max(r.refresh_done) > now {
-            return Some(ColumnGate::Bank);
+        let bank_ready = b.next_read.max(r.refresh_done);
+        if bank_ready > now {
+            return Some(ColumnGate::Bank(bank_ready));
         }
         let ch = &self.channels[loc.channel as usize];
         let data_gate = ch.data_start(loc.rank, t.t_rtrs).saturating_sub(Cycle::from(t.cl));
@@ -228,19 +230,6 @@ impl Dram {
             return Some(ColumnGate::Bus);
         }
         Some(ColumnGate::Ready)
-    }
-
-    /// The cycle at which the bank-side gate on a row-hit read clears
-    /// ([`Dram::column_gate`] stops reporting [`ColumnGate::Bank`]): the
-    /// max of the bank's column-read timing and the rank's refresh
-    /// recovery. `None` when the bank has no open row. Lets a
-    /// time-skipping caller compute, in one query, where the gate class
-    /// transitions inside a window in which no command issues.
-    pub fn read_bank_ready(&self, loc: Loc) -> Option<Cycle> {
-        let b = &self.banks[self.bank_idx(loc)];
-        b.open_row?;
-        let r = &self.ranks[self.rank_idx(loc.channel, loc.rank)];
-        Some(b.next_read.max(r.refresh_done))
     }
 
     /// Issue `cmd` at `now`, updating all timing state.
@@ -273,7 +262,6 @@ impl Dram {
             }
             Command::Read { loc, auto_pre, .. } => {
                 let bi = self.bank_idx(loc);
-                let ri = self.rank_idx(loc.channel, loc.rank);
                 let data_start = now + Cycle::from(t.cl);
                 let data_end = data_start + Cycle::from(t.t_burst);
                 let ch = &mut self.channels[loc.channel as usize];
@@ -292,7 +280,6 @@ impl Dram {
                     b.next_act = b.next_act.max(pre_at + Cycle::from(t.t_rp));
                     self.stats.record_precharge(bi);
                 }
-                let _ = ri;
                 self.stats.record_read(bi, t.t_burst);
                 IssueResult { data_ready_at: Some(data_end) }
             }
@@ -528,33 +515,18 @@ mod tests {
     #[test]
     fn column_gate_tracks_bank_then_bus_then_ready() {
         let mut d = dev();
-        let rd = Command::read(0, 0, 0, 5, 0, false);
+        let loc = Loc::new(0, 0, 0);
         // Closed bank: no gate at all.
-        assert_eq!(d.column_gate(&rd, 0), None);
+        assert_eq!(d.column_gate(loc, 0), None);
         d.issue(&Command::activate(0, 0, 0, 5), 0);
-        // During tRCD the bank itself is not ready.
-        assert_eq!(d.column_gate(&rd, 1), Some(ColumnGate::Bank));
+        // During tRCD the bank itself is not ready, and says until when.
         let ready_at = Cycle::from(t().t_rcd);
-        assert_eq!(d.column_gate(&rd, ready_at), Some(ColumnGate::Ready));
-        d.issue(&rd, ready_at);
+        assert_eq!(d.column_gate(loc, ready_at - 1), Some(ColumnGate::Bank(ready_at)));
+        assert_eq!(d.column_gate(loc, ready_at), Some(ColumnGate::Ready));
+        d.issue(&Command::read(0, 0, 0, 5, 0, false), ready_at);
         // Immediately after a read, only column/bus spacing (tCCD, data
         // burst) blocks the next read on the same open row.
-        assert_eq!(d.column_gate(&rd, ready_at + 1), Some(ColumnGate::Bus));
-        // Non-read commands report no gate.
-        assert_eq!(d.column_gate(&Command::precharge(0, 0, 0), ready_at), None);
-    }
-
-    #[test]
-    fn read_bank_ready_matches_column_gate_transition() {
-        let mut d = dev();
-        let loc = Loc::new(0, 0, 0);
-        let rd = Command::read(0, 0, 0, 5, 0, false);
-        assert_eq!(d.read_bank_ready(loc), None, "closed bank has no gate");
-        d.issue(&Command::activate(0, 0, 0, 5), 0);
-        let b = d.read_bank_ready(loc).unwrap();
-        assert_eq!(b, Cycle::from(t().t_rcd));
-        assert_eq!(d.column_gate(&rd, b - 1), Some(ColumnGate::Bank));
-        assert_ne!(d.column_gate(&rd, b), Some(ColumnGate::Bank));
+        assert_eq!(d.column_gate(loc, ready_at + 1), Some(ColumnGate::Bus));
     }
 
     #[test]
@@ -570,8 +542,9 @@ mod tests {
         // Open a row elsewhere is impossible during tRFC, so emulate a
         // pre-refresh open row by checking timing_ready on an ACT.
         let act = Command::activate(0, 0, 0, 3);
-        assert!(!d.timing_ready(&act, tr + 1));
-        assert!(d.timing_ready(&act, tr + Cycle::from(t().t_rfc)));
+        let recovered = tr + Cycle::from(t().t_rfc);
+        assert_eq!(d.timing_ready(&act, tr + 1), Some(recovered));
+        assert_eq!(d.timing_ready(&act, recovered), Some(recovered));
     }
 
     #[test]
@@ -583,9 +556,7 @@ mod tests {
         let act2 = Command::activate(0, 0, 2, 1);
         assert!(!d.can_issue(&act2, 0), "command bus busy");
         // tRRD pushes the other bank's ACT out; at tRRD it is timing-ready.
-        assert!(!d.timing_ready(&act2, 0));
-        let at = Cycle::from(t().t_rrd);
-        assert!(d.timing_ready(&act2, at));
+        assert_eq!(d.timing_ready(&act2, 0), Some(Cycle::from(t().t_rrd)));
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::Cycle;
 
 /// Counters accumulated by [`crate::Dram`] as commands issue.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DramStats {
     /// Total ACT commands.
     pub activates: u64,

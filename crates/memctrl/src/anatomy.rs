@@ -33,7 +33,7 @@
 //! core can hold your bank, so the cross-core bank matrix provably
 //! zeroes while bus contention stays visible.
 
-use dbp_dram::{ColumnGate, Command, CommandKind, Cycle, Dram, Loc};
+use dbp_dram::{ColumnGate, Command, CommandKind, Cycle, Dram};
 use dbp_obs::latency::{LatencyReport, BANK_BUSY, BUS, INTRINSIC, QUEUE_OTHER, QUEUE_SAME};
 use dbp_obs::FxHashMap;
 
@@ -186,12 +186,6 @@ impl Anatomy {
         }
     }
 
-    /// Global bank index of `r`.
-    fn gbank_of(dram: &Dram, r: &MemRequest) -> usize {
-        let cfg = dram.cfg();
-        (((r.channel * cfg.ranks_per_channel) + r.rank) * cfg.banks_per_rank + r.bank) as usize
-    }
-
     /// Pass 1 of both attribution forms: the oldest queued request per
     /// bank (the blocker a younger same-bank request waits behind) and
     /// the oldest queued demand read per core (the interference-matrix
@@ -200,7 +194,7 @@ impl Anatomy {
         self.bank_head.fill(None);
         self.oldest.fill(None);
         for r in read_q.iter().flatten() {
-            let g = Self::gbank_of(dram, r);
+            let g = dram.cfg().flat_bank(r.loc());
             let key = (r.arrival, r.id);
             if self.bank_head[g].is_none_or(|(a, i, _)| key < (a, i)) {
                 self.bank_head[g] = Some((r.arrival, r.id, r.thread));
@@ -249,15 +243,13 @@ impl Anatomy {
         dram: &Dram,
         read_q: &[Vec<MemRequest>],
         issued: &[Option<IssuedCmd>],
-        closed_page: bool,
     ) {
         self.scan_heads(dram, read_q);
         // Pass 2: classify each queued demand read's stall this cycle.
         for (chi, q) in read_q.iter().enumerate() {
             let ch_issued = issued.get(chi).copied().flatten();
             for r in q.iter().filter(|r| r.kind == TrafficKind::Demand) {
-                let g = Self::gbank_of(dram, r);
-                let cause = self.classify(now, dram, r, g, ch_issued, closed_page);
+                let (cause, _) = self.classify(now, dram, r, ch_issued);
                 self.charge(r, cause, 1);
             }
         }
@@ -273,8 +265,8 @@ impl Anatomy {
     /// open row) keeps the same cause all window, while a bank-gated
     /// request (tRCD tail, refresh recovery, or a closed bank's ACT
     /// spacing) switches to a pure bus/arbitration wait the cycle the
-    /// bank-side constraint clears — a boundary the device reports in
-    /// one query ([`Dram::read_bank_ready`] / [`Dram::earliest_issue`]).
+    /// bank-side constraint clears — the boundary [`Anatomy::classify`]
+    /// reports beside the cause.
     pub(crate) fn attribute_span(
         &mut self,
         from: Cycle,
@@ -288,42 +280,10 @@ impl Anatomy {
         self.scan_heads(dram, read_q);
         let end = from + count;
         for r in read_q.iter().flatten().filter(|r| r.kind == TrafficKind::Demand) {
-            let g = Self::gbank_of(dram, r);
-            // First-segment cause and the cycle (if any) at which it
-            // switches to a bus/arbitration wait. Mirrors `classify`
-            // with `ch_issued = None` on every cycle of the window.
-            let behind_older =
-                self.bank_head[g].is_some_and(|(a, i, _)| (a, i) < (r.arrival, r.id));
-            let loc = Loc::new(r.channel, r.rank, r.bank);
-            let (first, switch_at) = if behind_older {
-                let (_, _, t) = self.bank_head[g].unwrap();
-                (Cause::Queue { by: t, bus: false }, None)
-            } else {
-                match dram.open_row(loc) {
-                    Some(row) if row == r.row => {
-                        let gate_clears =
-                            dram.read_bank_ready(loc).expect("open row must report a gate");
-                        let bank_cause = if self.row_owner[g] == Some(r.thread) {
-                            Cause::Intrinsic
-                        } else {
-                            Cause::BankBusy { by: self.row_owner[g] }
-                        };
-                        (bank_cause, Some(gate_clears))
-                    }
-                    Some(_) => (Cause::BankBusy { by: self.row_owner[g] }, None),
-                    None => {
-                        let act = Command::Activate { loc, row: r.row };
-                        // No command issued since `from - 1`, so the
-                        // channel's same-cycle adjustment can't apply:
-                        // this is exactly when `timing_ready` flips.
-                        let act_ready = dram
-                            .earliest_issue(&act, from)
-                            .expect("closed bank accepts an activate");
-                        (Cause::BankBusy { by: self.row_owner[g] }, Some(act_ready))
-                    }
-                }
-            };
-            let len1 = switch_at.map_or(count, |b| b.clamp(from, end) - from);
+            // The window's first cycle decides the cause; it holds until
+            // the bank-side gate (if that is the cause) clears.
+            let (first, clears_at) = self.classify(from, dram, r, None);
+            let len1 = clears_at.map_or(count, |b| b.min(end) - from);
             let bus_after = Cause::Bus { by: self.bus_owner[r.channel as usize] };
             for (len, cause) in [(len1, first), (count - len1, bus_after)] {
                 if len > 0 {
@@ -333,31 +293,33 @@ impl Anatomy {
         }
     }
 
-    /// Decide what kept `r` from advancing this cycle (precedence in the
-    /// module docs).
+    /// Decide what kept `r` from advancing at cycle `now` (precedence in
+    /// the module docs). When the cause is a bank-side timing gate, also
+    /// report the cycle (`> now`) it clears: with nothing issuing in
+    /// between, the cause holds up to that cycle and is a pure
+    /// bus/arbitration wait from it on.
     fn classify(
         &self,
         now: Cycle,
         dram: &Dram,
         r: &MemRequest,
-        gbank: usize,
         ch_issued: Option<IssuedCmd>,
-        closed_page: bool,
-    ) -> Cause {
+    ) -> (Cause, Option<Cycle>) {
+        let loc = r.loc();
+        let gbank = dram.cfg().flat_bank(loc);
+        let bank_busy = Cause::BankBusy { by: self.row_owner[gbank] };
         // 1. Our own ACT/PRE issued: service in progress (a PRE for a row
         // conflict still counts against the bank's previous owner).
         if let Some(ic) = ch_issued {
             if ic.id == Some(r.id) {
-                return match ic.kind {
-                    IssuedKind::Precharge => Cause::BankBusy { by: self.row_owner[gbank] },
-                    _ => Cause::Intrinsic,
-                };
+                let own_precharge = ic.kind == IssuedKind::Precharge;
+                return (if own_precharge { bank_busy } else { Cause::Intrinsic }, None);
             }
         }
         // 2. An older request queued on the same bank goes first.
         if let Some((a, i, t)) = self.bank_head[gbank] {
             if (a, i) < (r.arrival, r.id) {
-                return Cause::Queue { by: t, bus: false };
+                return (Cause::Queue { by: t, bus: false }, None);
             }
         }
         // 3. Someone else's command landed on our bank (e.g. a draining
@@ -366,46 +328,44 @@ impl Anatomy {
         if let Some(ic) = ch_issued {
             if ic.rank == r.rank {
                 if ic.kind == IssuedKind::Refresh {
-                    return Cause::BankBusy { by: None };
+                    return (Cause::BankBusy { by: None }, None);
                 }
                 if ic.bank == Some(r.bank) {
-                    return match ic.thread {
+                    let cause = match ic.thread {
                         Some(j) => Cause::Queue { by: j, bus: false },
                         // Refresh-preparation precharge.
                         None => Cause::BankBusy { by: None },
                     };
+                    return (cause, None);
                 }
             }
         }
         // 4. We head our bank's queue: ask the device what gates us.
-        let loc = Loc::new(r.channel, r.rank, r.bank);
         match dram.open_row(loc) {
-            Some(row) if row == r.row => {
-                let rd = Command::Read { loc, column: r.column, auto_pre: closed_page };
-                match dram.column_gate(&rd, now) {
-                    Some(ColumnGate::Bank) => {
-                        // tRCD after our own activate is intrinsic service.
-                        if self.row_owner[gbank] == Some(r.thread) {
-                            Cause::Intrinsic
-                        } else {
-                            Cause::BankBusy { by: self.row_owner[gbank] }
-                        }
-                    }
-                    Some(ColumnGate::Bus) => Cause::Bus { by: self.bus_owner[r.channel as usize] },
-                    Some(ColumnGate::Ready) | None => self.arbitration_loss(r, ch_issued),
+            Some(row) if row == r.row => match dram.column_gate(loc, now) {
+                Some(ColumnGate::Bank(clears_at)) => {
+                    // tRCD after our own activate is intrinsic service.
+                    let own_row = self.row_owner[gbank] == Some(r.thread);
+                    (if own_row { Cause::Intrinsic } else { bank_busy }, Some(clears_at))
                 }
-            }
+                Some(ColumnGate::Bus) => {
+                    (Cause::Bus { by: self.bus_owner[r.channel as usize] }, None)
+                }
+                Some(ColumnGate::Ready) | None => (self.arbitration_loss(r, ch_issued), None),
+            },
             // Another row is open: conflict, blamed on whoever opened it
             // (the diagonal is allowed — own-thread conflicts count too,
             // but only off-diagonals are cross-core interference).
-            Some(_) => Cause::BankBusy { by: self.row_owner[gbank] },
+            Some(_) => (bank_busy, None),
             None => {
                 let act = Command::Activate { loc, row: r.row };
-                if dram.timing_ready(&act, now) {
-                    self.arbitration_loss(r, ch_issued)
-                } else {
+                let ready_at =
+                    dram.timing_ready(&act, now).expect("closed bank accepts an activate");
+                if ready_at > now {
                     // tRP tail, tRRD/tFAW spacing, or refresh window.
-                    Cause::BankBusy { by: self.row_owner[gbank] }
+                    (bank_busy, Some(ready_at))
+                } else {
+                    (self.arbitration_loss(r, ch_issued), None)
                 }
             }
         }

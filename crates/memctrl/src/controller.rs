@@ -72,11 +72,6 @@ pub struct CtrlStats {
     pub enq_reads: u64,
     pub enq_writes: u64,
     pub completed_reads: u64,
-    pub cmd_act: u64,
-    pub cmd_pre: u64,
-    pub cmd_rd: u64,
-    pub cmd_wr: u64,
-    pub cmd_ref: u64,
     /// Cycles any channel spent in write-drain mode.
     pub drain_cycles: u64,
 }
@@ -316,11 +311,11 @@ impl MemoryController {
     }
 
     /// Attach a host self-profiler: wall-clock spans around scheduling /
-    /// issue / anatomy, plus the work counters that size ROADMAP item 1
-    /// (`memctrl/idle_ticks` is the wasted-poll number the event
-    /// calendar would skip, `memctrl/blocked_ticks` the polls with work
-    /// in flight but no issuable command). Observation-only: attaching
-    /// changes no scheduling decision.
+    /// issue / anatomy, plus the work counters the event calendar is
+    /// sized by (`memctrl/idle_ticks`: polls with nothing in flight;
+    /// `memctrl/blocked_ticks`: polls with work in flight but no issuable
+    /// command; skipped cycles count as polls). Observation-only:
+    /// attaching changes no scheduling decision.
     pub fn attach_profiler(&mut self, prof: &dbp_obs::Prof) {
         self.host_prof = prof.clone();
         self.ctr_enq = prof.counter("memctrl/requests_enqueued");
@@ -328,6 +323,11 @@ impl MemoryController {
         self.ctr_idle = prof.counter("memctrl/idle_ticks");
         self.ctr_blocked = prof.counter("memctrl/blocked_ticks");
         self.dram.attach_profiler(prof);
+    }
+
+    /// The queue sizing this controller was built with.
+    pub fn cfg(&self) -> &CtrlConfig {
+        &self.cfg
     }
 
     /// The underlying device (read-only).
@@ -400,11 +400,6 @@ impl MemoryController {
             + self.pending.len()
     }
 
-    fn global_bank(&self, r: &MemRequest) -> usize {
-        let c = self.dram.cfg();
-        ((r.channel * c.ranks_per_channel + r.rank) * c.banks_per_rank + r.bank) as usize
-    }
-
     /// Whether a request for `channel` can be accepted right now.
     pub fn can_accept(&self, channel: u32, is_write: bool) -> bool {
         if is_write {
@@ -434,7 +429,7 @@ impl MemoryController {
         req.row = d.row;
         req.column = d.column;
         assert!(self.can_accept(d.channel, req.is_write), "queue full on channel {}", d.channel);
-        let gbank = self.global_bank(&req);
+        let gbank = self.dram.cfg().flat_bank(req.loc());
         self.queue_event[d.channel as usize] = None;
         self.ctr_enq.incr();
         self.prof.on_enqueue(req.thread, gbank, req.is_write, req.kind != TrafficKind::Migration);
@@ -520,15 +515,24 @@ impl MemoryController {
             // wait for its final cycle and the components stay strictly
             // below the total latency (the remainder is intrinsic).
             let _s = PROF.then(|| self.host_prof.span("memctrl/anatomy"));
-            let MemoryController { dram, read_q, anat, issued, closed_page, .. } = self;
-            anat.attribute_cycle(now, dram, read_q, issued, *closed_page);
+            let MemoryController { dram, read_q, anat, issued, .. } = self;
+            anat.attribute_cycle(now, dram, read_q, issued);
         }
         if watch_polls {
-            if in_flight_at_start == 0 {
-                self.ctr_idle.incr();
-            } else if !any_issued {
-                self.ctr_blocked.incr();
-            }
+            self.charge_polls(in_flight_at_start, any_issued, 1);
+        }
+    }
+
+    /// Charge `count` polls that began with `in_flight` requests to the
+    /// work counters: idle with nothing in flight, blocked with work in
+    /// flight but no command issued. Skipped cycles are still simulated
+    /// time, so the stepped tick and the skipped window charge the same
+    /// denominators through here.
+    fn charge_polls(&self, in_flight: usize, issued: bool, count: u64) {
+        if in_flight == 0 {
+            self.ctr_idle.add(count);
+        } else if !issued {
+            self.ctr_blocked.add(count);
         }
     }
 
@@ -585,14 +589,12 @@ impl MemoryController {
         // Refresh urgency is constant inside the window: it flips ON
         // only at a deadline (a calendar entry below) and OFF only
         // when the REF issues (an executed tick).
-        let mut urgent: u64 = 0;
+        let urgent = self.urgent_ranks(ch, now);
         for rank in 0..self.dram.cfg().ranks_per_channel {
-            let deadline = self.dram.refresh_deadline(ch, rank);
-            if now < deadline {
+            if urgent >> rank & 1 == 0 {
                 // Urgency flips at the deadline tick.
-                at = at.min(deadline);
+                at = at.min(self.dram.refresh_deadline(ch, rank));
             } else {
-                urgent |= 1 << rank;
                 // Already urgent: wake when the refresh machinery can
                 // act (the REF itself, or a precharge clearing the way).
                 let rf = Command::RefreshRank { channel: ch, rank };
@@ -611,15 +613,11 @@ impl MemoryController {
         }
         // A queued request wakes the controller when its next command
         // first becomes timing-legal — but only requests in the queue
-        // the drain mode would actually serve can issue, and an
-        // urgent rank admits no new activates (both mirror
-        // `issue_channel`/`pick`, and both are static inside the
-        // window: queue contents and write-queue length only change
-        // at executed ticks, so the hysteresis settles at the first
-        // skipped tick exactly as `skip_ticks` replays it).
+        // the next tick serves can issue, and an urgent rank admits no
+        // new activates. Both are static inside the window: queue
+        // contents and write-queue length only change at executed ticks.
         let chi = ch as usize;
-        let use_writes =
-            self.drain_next(chi) || (self.read_q[chi].is_empty() && !self.write_q[chi].is_empty());
+        let use_writes = self.serves_writes(chi);
         // Timing legality depends on (bank, command kind), never on
         // the row or column, so the candidate table answers for every
         // queued request with one cached query per class.
@@ -661,13 +659,7 @@ impl MemoryController {
             anat.attribute_span(from, count, dram, read_q);
         }
         if self.host_prof.is_enabled() && self.ctr_idle.is_enabled() {
-            // Skipped cycles are still simulated time: count them against
-            // the same idle/blocked denominators the stepped core uses.
-            if self.in_flight() == 0 {
-                self.ctr_idle.add(count);
-            } else {
-                self.ctr_blocked.add(count);
-            }
+            self.charge_polls(self.in_flight(), false, count);
         }
     }
 
@@ -683,6 +675,24 @@ impl MemoryController {
         }
     }
 
+    /// Which queue channel `chi` serves on its next tick: the writes while
+    /// draining, or opportunistically when no read waits. Reads the
+    /// *settled* drain mode ([`MemoryController::drain_next`] is idempotent
+    /// because `write_lo < write_hi`), so the answer is the same before
+    /// and after [`MemoryController::tick_drain`] ran for the tick.
+    fn serves_writes(&self, chi: usize) -> bool {
+        self.drain_next(chi) || (self.read_q[chi].is_empty() && !self.write_q[chi].is_empty())
+    }
+
+    /// The ranks of channel `ch` whose refresh is due at or before `now`,
+    /// one bit per rank: they admit no new activates and are pushed
+    /// toward their REF.
+    fn urgent_ranks(&self, ch: u32, now: Cycle) -> u64 {
+        (0..self.dram.cfg().ranks_per_channel)
+            .filter(|&rank| self.dram.refresh_urgent(ch, rank, now))
+            .fold(0, |urgent, rank| urgent | 1 << rank)
+    }
+
     /// Settle channel `chi`'s drain mode and charge `count` ticks of it —
     /// the part of [`MemoryController::issue_channel`] that must run on
     /// every tick even when the calendar proves nothing can issue. With
@@ -696,13 +706,7 @@ impl MemoryController {
     }
 
     fn issue_channel(&mut self, ch: u32, now: Cycle) -> Option<IssuedCmd> {
-        // Ranks with an overdue refresh: no new activates; push toward REF.
-        let mut urgent: u64 = 0;
-        for rank in 0..self.dram.cfg().ranks_per_channel {
-            if self.dram.refresh_urgent(ch, rank, now) {
-                urgent |= 1 << rank;
-            }
-        }
+        let urgent = self.urgent_ranks(ch, now);
         if urgent != 0 {
             if let Some(ic) = self.try_refresh(ch, now, urgent) {
                 return Some(ic);
@@ -710,9 +714,7 @@ impl MemoryController {
         }
         let chi = ch as usize;
         self.tick_drain(chi, 1);
-        let use_writes =
-            self.draining[chi] || (self.read_q[chi].is_empty() && !self.write_q[chi].is_empty());
-        self.issue_from(ch, now, use_writes, urgent)
+        self.issue_from(ch, now, self.serves_writes(chi), urgent)
     }
 
     /// Consume the cycle with refresh work if needed; reports what issued.
@@ -727,7 +729,6 @@ impl MemoryController {
                     self.dram.issue(&rf, now);
                     // REF needs every bank closed, so no kinds change.
                     self.cand_mark_stale(ch as usize);
-                    self.stats.cmd_ref += 1;
                     self.ctr_cmds.incr();
                     return Some(IssuedCmd {
                         rank,
@@ -747,7 +748,6 @@ impl MemoryController {
                         self.dram.issue(&Command::precharge(ch, rank, bank), now);
                         self.cand_mark_stale(ch as usize);
                         self.cand_rekind_bank(ch as usize, rank, bank);
-                        self.stats.cmd_pre += 1;
                         self.ctr_cmds.incr();
                         return Some(IssuedCmd {
                             rank,
@@ -776,7 +776,7 @@ impl MemoryController {
     fn cand_insert(&mut self, chi: usize, is_write: bool, idx: usize) {
         let (table, q, dram) = self.cand_parts(chi, is_write);
         let r = &q[idx];
-        let hit = dram.open_row(Loc::new(r.channel, r.rank, r.bank)) == Some(r.row);
+        let hit = dram.open_row(r.loc()) == Some(r.row);
         table.insert(r, idx, hit);
     }
 
@@ -935,8 +935,7 @@ impl MemoryController {
         }
         let res = best.map(|(i, kind, hit)| {
             let r = &queue[i];
-            let loc = Loc::new(ch, r.rank, r.bank);
-            (i, class_command(kind, is_write, *closed_page, loc, r.row, r.column), hit)
+            (i, class_command(kind, is_write, *closed_page, r.loc(), r.row, r.column), hit)
         });
         #[cfg(debug_assertions)]
         debug_assert_eq!(
@@ -961,7 +960,7 @@ impl MemoryController {
         let queue = if is_write { &self.write_q[ch as usize] } else { &self.read_q[ch as usize] };
         let mut best: Option<(usize, Command, bool)> = None;
         for (i, r) in queue.iter().enumerate() {
-            let loc = Loc::new(ch, r.rank, r.bank);
+            let loc = r.loc();
             let (cmd, hit) = match self.dram.open_row(loc) {
                 Some(row) if row == r.row => {
                     let cmd = if is_write {
@@ -1027,13 +1026,6 @@ impl MemoryController {
         let res = self.dram.issue(&cmd, now);
         self.cand_mark_stale(chi);
         self.ctr_cmds.incr();
-        match cmd.kind() {
-            CommandKind::Activate => self.stats.cmd_act += 1,
-            CommandKind::Precharge => self.stats.cmd_pre += 1,
-            CommandKind::Read => self.stats.cmd_rd += 1,
-            CommandKind::Write => self.stats.cmd_wr += 1,
-            CommandKind::RefreshRank => {}
-        }
         let loc = cmd.loc().expect("pick never returns REF");
         // Row-state changes re-classify the bank's queued candidates.
         if matches!(cmd.kind(), CommandKind::Activate | CommandKind::Precharge) {
@@ -1057,7 +1049,7 @@ impl MemoryController {
                 // The auto-precharge closed the row under the survivors.
                 self.cand_rekind_bank(chi, loc.rank, loc.bank);
             }
-            let gbank = self.global_bank(&req);
+            let gbank = self.dram.cfg().flat_bank(loc);
             let t_burst = self.dram.cfg().timing.t_burst;
             self.prof.on_serviced(
                 req.thread,
@@ -1087,10 +1079,7 @@ impl MemoryController {
                 }
             }
         } else if cmd.kind() == CommandKind::Activate {
-            let gbank = ((loc.channel * self.dram.cfg().ranks_per_channel + loc.rank)
-                * self.dram.cfg().banks_per_rank
-                + loc.bank) as usize;
-            self.anat.note_activate(gbank, thread);
+            self.anat.note_activate(self.dram.cfg().flat_bank(loc), thread);
         }
         Some(issued)
     }
@@ -1125,8 +1114,8 @@ mod tests {
         m.enqueue(MemRequest::demand_read(7, 0, 0x40, 0));
         let done = run(&mut m, 50);
         assert_eq!(done, vec![Completion { id: 7, thread: 0, line: 0x40 }]);
-        assert_eq!(m.stats().cmd_act, 1);
-        assert_eq!(m.stats().cmd_rd, 1);
+        assert_eq!(m.dram().stats().activates, 1);
+        assert_eq!(m.dram().stats().reads, 1);
         // ACT(0) -> RD(tRCD=2) -> data at 2+CL+BURST=6.
         assert!(m.prof().epoch(0).avg_read_latency() >= 6.0);
     }
@@ -1141,7 +1130,7 @@ mod tests {
         m.enqueue(MemRequest::demand_read(1, 0, 64, 0));
         let done = run(&mut m, 60);
         assert_eq!(done.len(), 2);
-        assert_eq!(m.stats().cmd_act, 1, "second read must reuse the open row");
+        assert_eq!(m.dram().stats().activates, 1, "second read must reuse the open row");
         assert_eq!(m.prof().epoch(0).row_hits, 1);
         assert_eq!(m.prof().epoch(0).row_misses, 1);
         let _ = row_bytes;
@@ -1159,8 +1148,8 @@ mod tests {
         let done = run(&mut m, 100);
         assert_eq!(done.len(), 2);
         assert_eq!(m.prof().epoch(0).row_conflicts, 1);
-        assert!(m.stats().cmd_pre >= 1);
-        assert_eq!(m.stats().cmd_act, 2);
+        assert!(m.dram().stats().precharges >= 1);
+        assert_eq!(m.dram().stats().activates, 2);
     }
 
     #[test]
@@ -1195,7 +1184,7 @@ mod tests {
             m.enqueue(MemRequest::writeback(i, 0, i * 4096, 0));
         }
         run(&mut m, 500);
-        assert!(m.stats().cmd_wr as usize >= hi - m.cfg.write_lo);
+        assert!(m.dram().stats().writes as usize >= hi - m.cfg.write_lo);
         assert!(m.stats().drain_cycles > 0);
     }
 
@@ -1206,7 +1195,7 @@ mod tests {
         // because no reads are pending.
         m.enqueue(MemRequest::writeback(0, 0, 0x40, 0));
         run(&mut m, 100);
-        assert_eq!(m.stats().cmd_wr, 1);
+        assert_eq!(m.dram().stats().writes, 1);
         assert_eq!(m.stats().drain_cycles, 0);
     }
 
@@ -1215,7 +1204,7 @@ mod tests {
         let mut m = mc(Box::new(FrFcfs), 1);
         let t_refi = Cycle::from(m.dram().cfg().timing.t_refi);
         run(&mut m, t_refi + 50);
-        assert!(m.stats().cmd_ref >= 1);
+        assert!(m.dram().stats().refreshes >= 1);
     }
 
     #[test]
@@ -1228,7 +1217,7 @@ mod tests {
         for now in 0..t_refi + 100 {
             m.tick(now, &mut done);
         }
-        assert!(m.stats().cmd_ref >= 1);
+        assert!(m.dram().stats().refreshes >= 1);
     }
 
     #[test]
@@ -1290,7 +1279,7 @@ mod tests {
         m.enqueue(MemRequest::migration(0, 0, 0x40, false, 0));
         let done = run(&mut m, 100);
         assert!(done.is_empty());
-        assert_eq!(m.stats().cmd_rd, 1);
+        assert_eq!(m.dram().stats().reads, 1);
     }
 
     #[test]
@@ -1339,6 +1328,7 @@ mod tests {
 
         assert_eq!(done_plain, done_prof);
         assert_eq!(plain.stats(), profiled.stats());
+        assert_eq!(plain.dram().stats(), profiled.dram().stats());
 
         let snap = prof.snapshot(); // asserts exact-sum
         let get = |name: &str| {
@@ -1349,10 +1339,10 @@ mod tests {
                 .unwrap_or_else(|| panic!("missing counter {name}"))
         };
         assert_eq!(get("memctrl/requests_enqueued"), 6);
-        let s = profiled.stats();
+        let s = profiled.dram().stats();
         assert_eq!(
             get("memctrl/commands_issued"),
-            s.cmd_act + s.cmd_pre + s.cmd_rd + s.cmd_wr + s.cmd_ref
+            s.activates + s.precharges + s.reads + s.writes + s.refreshes
         );
         // Six reads drain quickly; most of the 200 polls find nothing.
         assert!(get("memctrl/idle_ticks") > 0);
@@ -1463,6 +1453,7 @@ mod anatomy_tests {
         let done_rec = run(&mut recorded, 4_000);
         assert_eq!(done_plain, done_rec);
         assert_eq!(plain.stats(), recorded.stats());
+        assert_eq!(plain.dram().stats(), recorded.dram().stats());
         assert!(plain.latency_report().is_none());
         assert!(recorded.latency_report().is_some());
     }
@@ -1616,7 +1607,7 @@ mod prop_tests {
             let p = mc.prof().cumulative(t);
             classified += p.row_hits + p.row_misses + p.row_conflicts;
         }
-        prop_assert_eq!(classified, mc.stats().cmd_rd + mc.stats().cmd_wr);
+        prop_assert_eq!(classified, mc.dram().stats().reads + mc.dram().stats().writes);
 
         // Latency anatomy is observation-only: re-running with a live
         // recorder changes no completion or counter, profiles every
@@ -1626,6 +1617,7 @@ mod prop_tests {
         let (done_rec, _) = drive(&mut rec, &reqs)?;
         prop_assert_eq!(&done_rec, &done, "recorder must not perturb completions");
         prop_assert_eq!(rec.stats(), mc.stats(), "recorder must not perturb counters");
+        prop_assert_eq!(rec.dram().stats(), mc.dram().stats(), "nor any issued command");
         let rep = rec.latency_report().expect("recorder attached");
         prop_assert_eq!(rep.total_reads(), enq_reads, "every demand read profiled");
         for core in &rep.cores {
@@ -1693,7 +1685,7 @@ mod prop_tests {
             let mut want =
                 CandTable::new(table.valid.len(), table.banks_per_rank, table.words * 64);
             for (i, r) in q.iter().enumerate() {
-                let hit = mc.dram.open_row(Loc::new(r.channel, r.rank, r.bank)) == Some(r.row);
+                let hit = mc.dram.open_row(r.loc()) == Some(r.row);
                 want.insert(r, i, hit);
             }
             prop_assert_eq!(&table.members, &want.members, "members");
@@ -1854,6 +1846,7 @@ mod prop_tests {
         prop_assert!(jumped || reqs.is_empty(), "the skipping drive must actually jump");
         prop_assert_eq!(&done_k, &done_s, "completions must match exactly");
         prop_assert_eq!(skipped.stats(), stepped.stats(), "counters must match");
+        prop_assert_eq!(skipped.dram().stats(), stepped.dram().stats(), "commands must match");
         for t in 0..4 {
             prop_assert_eq!(
                 stepped.prof().cumulative(t),
@@ -1874,24 +1867,9 @@ mod prop_tests {
                 );
             }
         }
-        if recorded {
-            let (a, b) = (
-                stepped.latency_report().expect("recorded"),
-                skipped.latency_report().expect("recorded"),
-            );
-            prop_assert_eq!(a.total_reads(), b.total_reads());
-            for (ca, cb) in a.cores.iter().zip(&b.cores) {
-                prop_assert_eq!(&ca.components, &cb.components, "stall attribution must match");
-            }
-            prop_assert_eq!(
-                a.bus_interference.off_diagonal_sum(),
-                b.bus_interference.off_diagonal_sum()
-            );
-            prop_assert_eq!(
-                a.bank_interference.off_diagonal_sum(),
-                b.bank_interference.off_diagonal_sum()
-            );
-        }
+        // Every histogram, stall component and interference-matrix cell.
+        prop_assert_eq!(stepped.latency_report(), skipped.latency_report());
+        prop_assert_eq!(stepped.latency_report().is_some(), recorded);
         Ok(())
     }
 
@@ -1933,9 +1911,10 @@ mod prop_tests {
         }
         assert!(done.is_empty());
         assert_eq!(stepped.stats(), skipped.stats());
-        assert!(stepped.stats().cmd_ref >= 4, "horizon spans several tREFI");
+        assert_eq!(stepped.dram().stats(), skipped.dram().stats());
+        assert!(stepped.dram().stats().refreshes >= 4, "horizon spans several tREFI");
         assert!(
-            ticked < 2 * stepped.stats().cmd_ref + 4,
+            ticked < 2 * stepped.dram().stats().refreshes + 4,
             "idle stretches must be skipped, not stepped ({ticked} ticks)"
         );
         assert_eq!(stepped.dram().refresh_deadline(0, 0), skipped.dram().refresh_deadline(0, 0));

@@ -97,7 +97,8 @@ impl ThreadProf {
         }
     }
 
-    fn accumulate(&mut self, other: &ThreadProf) {
+    /// Fieldwise `self += other`: fold windows (epochs, threads) together.
+    pub fn accumulate(&mut self, other: &ThreadProf) {
         self.reads += other.reads;
         self.writes += other.writes;
         self.served_reads += other.served_reads;

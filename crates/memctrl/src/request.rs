@@ -1,6 +1,6 @@
 //! Memory requests as seen by the controller.
 
-use dbp_dram::Cycle;
+use dbp_dram::{Cycle, Loc};
 
 use crate::ThreadId;
 
@@ -79,6 +79,11 @@ impl MemRequest {
             column: 0,
             classified: false,
         }
+    }
+
+    /// The bank the request targets (valid once the controller decoded it).
+    pub fn loc(&self) -> Loc {
+        Loc::new(self.channel, self.rank, self.bank)
     }
 
     /// Stable tie-break: older first, then lower id.

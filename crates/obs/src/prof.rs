@@ -1,10 +1,10 @@
 //! Host-side self-profiling: wall-clock span trees and work counters.
 //!
 //! The simulator can explain every *simulated* cycle (the latency
-//! anatomy), but ROADMAP item 1 — the event-driven core — needs to know
-//! where the *host's* nanoseconds go and how much of the tick loop is
-//! wasted polling. This module provides both instruments with the same
-//! discipline the anatomy uses:
+//! anatomy), but the event-driven core (DESIGN.md "Event-driven time
+//! skipping") needs to know where the *host's* nanoseconds go and how
+//! much of the tick loop is wasted polling. This module provides both
+//! instruments with the same discipline the anatomy uses:
 //!
 //! * **Spans** — hierarchical wall-clock regions over a monotonic clock
 //!   ([`std::time::Instant`]). Each thread keeps its own span stack and

@@ -176,11 +176,15 @@ impl MemoryManager {
     /// and performing a lazy migration if the page violates the thread's
     /// current partition.
     pub fn translate(&mut self, thread: ThreadId, vaddr: u64) -> Translation {
+        // The pure-lookup case is `peek`, by construction.
+        if let Some(pa) = self.peek(thread, vaddr) {
+            return Translation { pa, allocated: false, migration: None };
+        }
         let vpn = vaddr >> self.page_bits;
         let offset = vaddr & ((1 << self.page_bits) - 1);
         if let Some(frame) = self.tables[thread].translate(vpn) {
-            let violates = !self.partitions[thread].contains(self.allocator.color_of(frame));
-            if violates && self.mode == MigrationMode::Lazy && self.take_budget(thread) {
+            // Resident, yet `peek` refused: a lazy migration is due.
+            if self.take_budget(thread) {
                 if let Some(new_frame) = self.allocator.alloc(&self.partitions[thread]) {
                     self.allocator.free(frame);
                     self.tables[thread].map(vpn, new_frame);
@@ -212,12 +216,12 @@ impl MemoryManager {
         Translation { pa: (frame << self.page_bits) | offset, allocated: true, migration: None }
     }
 
-    /// Side-effect-free translation probe: `Some(pa)` only when a call to
-    /// [`MemoryManager::translate`] would be a pure lookup — the page is
-    /// resident and would not trigger a lazy migration (nor any migration
-    /// bookkeeping such as budget deferral). `None` means translating now
-    /// could mutate state, so a time-skipping caller must not assume the
-    /// access repeats identically.
+    /// Side-effect-free translation, and [`MemoryManager::translate`]'s own
+    /// fast path: `Some(pa)` exactly when translating is a pure lookup —
+    /// the page is resident and would not trigger a lazy migration (nor
+    /// any migration bookkeeping such as budget deferral). `None` means
+    /// translating now mutates state, so a time-skipping caller must not
+    /// assume the access repeats identically.
     pub fn peek(&self, thread: ThreadId, vaddr: u64) -> Option<u64> {
         let vpn = vaddr >> self.page_bits;
         let offset = vaddr & ((1 << self.page_bits) - 1);
@@ -472,7 +476,7 @@ mod tests {
     }
 
     #[test]
-    fn peek_is_pure_and_mirrors_translate() {
+    fn peek_is_pure_and_is_translates_fast_path() {
         let mut mm = MemoryManager::new(&cfg(), 1, MigrationMode::Lazy);
         mm.set_partition(0, ColorSet::from_iter([0u32]));
         // Not resident: peek refuses (translate would demand-allocate).

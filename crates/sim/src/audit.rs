@@ -121,12 +121,13 @@ impl ShadowRack {
         topo: &ColorTopology,
         osmem: &MemoryManager,
     ) {
-        let achieved = snap
+        let achieved = profiles
             .iter()
-            .map(|p| ProfileSample {
-                mpki: p.mpki(),
-                rbl: p.rbl(),
-                blp: p.blp(),
+            .zip(snap)
+            .map(|(m, p)| ProfileSample {
+                mpki: m.mpki,
+                rbl: m.rbl,
+                blp: m.blp,
                 ipc: p.instructions as f64 / self.epoch_cpu_cycles.max(1) as f64,
             })
             .collect();

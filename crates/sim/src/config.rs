@@ -160,6 +160,18 @@ impl SimConfig {
         self.dram.validate()?;
         self.ctrl.validate()?;
         self.policy.validate()?;
+        self.core.validate().map_err(|e| format!("core: {e}"))?;
+        // One line size end to end: a miss moves exactly one DRAM burst.
+        let burst = self.dram.burst_bytes();
+        for (level, cache) in [("l1", &self.hierarchy.l1), ("l2", &self.hierarchy.l2)] {
+            cache.validate().map_err(|e| format!("hierarchy.{level}: {e}"))?;
+            if cache.line_bytes != burst {
+                return Err(format!(
+                    "hierarchy.{level}.line_bytes ({}) must equal the DRAM burst ({burst} bytes)",
+                    cache.line_bytes
+                ));
+            }
+        }
         if self.cpu_per_dram == 0 {
             return Err("cpu_per_dram must be positive".into());
         }
@@ -184,11 +196,16 @@ mod tests {
     use super::*;
     use dbp_core::policy::DbpConfig;
     use dbp_core::EstimatorConfig;
+    use dbp_workloads::{profiles, SyntheticTrace};
 
     #[test]
-    fn defaults_validate() {
-        SimConfig::default().validate().unwrap();
-        SimConfig::fast_test().validate().unwrap();
+    fn defaults_validate_and_build() {
+        for cfg in [SimConfig::default(), SimConfig::fast_test()] {
+            cfg.validate().unwrap();
+            let trace = SyntheticTrace::new(profiles::by_name("mcf"), 1);
+            let sys = crate::System::new(cfg, vec![Box::new(trace)]);
+            assert_eq!(sys.num_cores(), 1);
+        }
     }
 
     #[test]
@@ -224,6 +241,33 @@ mod tests {
             let dbp = DbpConfig { estimator: EstimatorConfig { alpha }, ..Default::default() };
             let c = SimConfig { policy: PolicyKind::Dbp(dbp), ..SimConfig::fast_test() };
             assert!(c.validate().unwrap_err().contains("alpha"), "alpha = {alpha}");
+        }
+    }
+
+    /// Shapes that used to panic in `Core::new` / `Cache::new` /
+    /// `Hierarchy::new` after `validate()` had passed — or, for a line
+    /// that is not one DRAM burst, were accepted and mis-simulated.
+    #[test]
+    fn validation_covers_core_and_hierarchy() {
+        let edit = |f: fn(&mut SimConfig)| {
+            let mut c = SimConfig::fast_test();
+            f(&mut c);
+            c.validate().unwrap_err()
+        };
+        for (err, field) in [
+            (edit(|c| c.core.rob = 0), "core: rob"),
+            (edit(|c| c.core.width = 0), "core: width"),
+            (edit(|c| c.hierarchy.l1.ways = 0), "hierarchy.l1: ways"),
+            (
+                edit(|c| {
+                    c.hierarchy.l1.line_bytes = 128;
+                    c.hierarchy.l2.line_bytes = 128;
+                }),
+                "hierarchy.l1.line_bytes (128)",
+            ),
+            (edit(|c| c.hierarchy.l2.line_bytes = 32), "hierarchy.l2.line_bytes (32)"),
+        ] {
+            assert!(err.contains(field), "{field}: {err}");
         }
     }
 

@@ -8,7 +8,7 @@ use dbp_core::{ColorTopology, ThreadMemProfile};
 use dbp_cpu::{Core, CoreStats, IdleState, MemIssue, TraceSource};
 use dbp_dram::DramStats;
 use dbp_memctrl::{Completion, MemRequest, MemoryController, ThreadProf};
-use dbp_obs::{EpochSample, EventKind, FxHashMap, Prof, Recorder, ThreadSample};
+use dbp_obs::{EpochSample, EventKind, Prof, Recorder, ThreadSample};
 use dbp_osmem::{ColorSet, MemoryManager, MigrationJob, OsStats};
 
 use crate::audit::ShadowRack;
@@ -30,9 +30,11 @@ pub struct System {
     cfg: SimConfig,
     cores: Vec<Core>,
     caches: Vec<Hierarchy>,
+    /// Per core: outstanding lines and the loads waiting on each fill.
     mshrs: Vec<Mshr>,
-    /// Per core: line address -> load ids waiting on the fill.
-    waiting: Vec<FxHashMap<u64, Vec<u64>>>,
+    /// Address bits that name a line: one DRAM burst, which `validate`
+    /// holds equal to both cache levels' line size.
+    line_mask: u64,
     osmem: MemoryManager,
     ctrl: MemoryController,
     policy: Box<dyn PartitionPolicy>,
@@ -134,6 +136,50 @@ impl CoreClock {
     }
 }
 
+/// Why a demand miss cannot enter the memory system this cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    /// The core's own MSHR file is full. Core-private: the verdict holds
+    /// until a fill is delivered to this core (see `System::poll_stuck`).
+    Mshr,
+    /// A controller queue lacks room. Shared: the verdict depends on what
+    /// other cores enqueue, so it holds only while nothing issues.
+    Queues,
+}
+
+/// The admission rule of a demand miss of `line` (not resident, not
+/// merged): it needs a free MSHR, room in its channel's read queue, and
+/// head-room in every write queue for the up-to-two write-backs a fill
+/// can trigger. The one definition: `tick_core` answers `Retry` from it,
+/// `core_calendar` proves a skipped window from it.
+fn miss_refusal(mshr: &Mshr, ctrl: &MemoryController, line: u64) -> Option<Refusal> {
+    if mshr.is_full() {
+        return Some(Refusal::Mshr);
+    }
+    let write_cap = ctrl.cfg().write_q_cap;
+    let queues_full = !ctrl.can_accept(ctrl.channel_of(line), false)
+        || (0..ctrl.dram().cfg().channels).any(|ch| ctrl.queue_len(ch, true) + 2 > write_cap);
+    queues_full.then_some(Refusal::Queues)
+}
+
+/// The policy-facing view of one thread's profiling window.
+fn mem_profile(p: &ThreadProf) -> ThreadMemProfile {
+    ThreadMemProfile {
+        mpki: p.mpki(),
+        rbl: p.rbl(),
+        blp: p.blp(),
+        reads: p.reads,
+        bus_cycles: p.bus_cycles,
+    }
+}
+
+/// Row-hit rate over a set of threads' windows: the `rbl` of their sum.
+fn row_hit_rate(windows: &[ThreadProf]) -> f64 {
+    let mut all = ThreadProf::default();
+    windows.iter().for_each(|p| all.accumulate(p));
+    all.rbl()
+}
+
 impl std::fmt::Debug for System {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
@@ -207,16 +253,18 @@ impl System {
         } else {
             None
         };
+        let line_bytes = u64::from(cfg.dram.burst_bytes());
         System {
             cores: traces.into_iter().map(|t| Core::new(cfg.core, t)).collect(),
             caches: (0..n).map(|_| Hierarchy::new(cfg.hierarchy)).collect(),
             mshrs: (0..n).map(|_| Mshr::new(cfg.mshrs)).collect(),
-            waiting: (0..n).map(|_| FxHashMap::default()).collect(),
+            line_mask: !(line_bytes - 1),
             last_plan: Some(plan),
             next_req_id: 0,
             migration_backlog: MigrationBacklog::new(
                 cfg.migration_lines_per_page,
                 u64::from(cfg.dram.page_bytes),
+                line_bytes,
             ),
             poll_stuck: vec![false; n],
             clocks: vec![CoreClock::default(); n],
@@ -448,6 +496,7 @@ impl System {
             // query is skipped.
             if target > self.next_dram {
                 let event = *ctrl_event.get_or_insert_with(|| {
+                    let _s = self.host_prof.span("memctrl/next_event");
                     self.ctrl.next_event(self.dram_ticks - 1).saturating_mul(cpd)
                 });
                 target = target.min(event);
@@ -491,8 +540,6 @@ impl System {
     /// wake time on record (capped at `target`) and the sleeper that set
     /// it — or `None` when an awake core can act at `cur`.
     fn core_calendar(&mut self, cur: u64, mut target: u64) -> Option<(u64, Option<usize>)> {
-        let channels = self.cfg.dram.channels;
-        let write_cap = self.cfg.ctrl.write_q_cap;
         let mut first = None;
         for i in 0..self.clocks.len() {
             let clock = self.clocks[i];
@@ -522,16 +569,14 @@ impl System {
                 target = target.min(t);
             }
             let pa = self.osmem.peek(i, vaddr)?;
-            let line = pa & !63;
+            let line = pa & self.line_mask;
             if self.caches[i].probe(pa) || self.mshrs[i].contains(line) {
                 return None; // would hit or merge: the poll makes progress
             }
-            let would_retry = self.mshrs[i].is_full()
-                || !self.ctrl.can_accept(self.ctrl.channel_of(line), false)
-                || (0..channels).any(|ch| self.ctrl.queue_len(ch, true) + 2 > write_cap);
-            if !would_retry {
-                return None; // the poll would enqueue next tick
-            }
+            // Nothing issues or completes inside the window, so a refusal
+            // now is a refusal on every tick of it; no refusal means the
+            // poll enqueues next tick.
+            miss_refusal(&self.mshrs[i], &self.ctrl, line)?;
         }
         Some((target, first))
     }
@@ -599,15 +644,13 @@ impl System {
                 "core {core} awaits no fill of {line:#x}"
             );
             self.poll_stuck[core] = false;
-            self.mshrs[core].complete(line);
+            let waiters = self.mshrs[core].complete(line);
             // The fill changes what the core's next ticks can do: apply
             // the ticks it slept through, deliver, and classify afresh (a
             // core still blocked behind an older load sleeps on).
             self.clocks[core].sync(&mut self.cores[core], cycle);
-            if let Some(waiters) = self.waiting[core].remove(&line) {
-                for load in waiters {
-                    self.cores[core].complete(load);
-                }
+            for load in waiters {
+                self.cores[core].complete(load);
             }
             if self.cfg.time_skip {
                 self.classify(core);
@@ -640,8 +683,7 @@ impl System {
     /// run loop's two exit conditions, and put it back on the calendar.
     fn tick_core(&mut self, i: usize, cycle: u64) {
         let dram_now = self.dram_ticks - 1;
-        let channels = self.cfg.dram.channels;
-        let write_cap = self.cfg.ctrl.write_q_cap;
+        let line_mask = self.line_mask;
         let charge_migration = self.cfg.migration_cost == MigrationCost::Charged;
         let time_skip = self.cfg.time_skip;
         let warm = self.cfg.warmup_instructions;
@@ -649,7 +691,6 @@ impl System {
         let core = &mut self.cores[i];
         let cache = &mut self.caches[i];
         let mshr = &mut self.mshrs[i];
-        let waits = &mut self.waiting[i];
         let stuck = &mut self.poll_stuck[i];
         let was_behind = core.retired() < warm;
         self.clocks[i].sync(core, cycle);
@@ -667,23 +708,12 @@ impl System {
                 }
             }
             let pa = tr.pa;
-            let line = pa & !63;
+            let line = pa & line_mask;
             // Resource pre-flight (only if this will miss the caches).
-            let merged = mshr.contains(line);
-            if !cache.probe(pa) && !merged {
-                if mshr.is_full() {
-                    *stuck = true;
+            if !cache.probe(pa) && !mshr.contains(line) {
+                if let Some(why) = miss_refusal(mshr, ctrl, line) {
+                    *stuck |= why == Refusal::Mshr;
                     return MemIssue::Retry;
-                }
-                if !ctrl.can_accept(ctrl.channel_of(line), false) {
-                    return MemIssue::Retry;
-                }
-                // Leave head-room for the up-to-two write-backs a fill
-                // can trigger.
-                for ch in 0..channels {
-                    if ctrl.queue_len(ch, true) + 2 > write_cap {
-                        return MemIssue::Retry;
-                    }
                 }
             }
             let acc = cache.access(pa, is_write);
@@ -695,14 +725,10 @@ impl System {
             match acc.level {
                 AccessLevel::L1Hit | AccessLevel::L2Hit => MemIssue::Done { latency: acc.latency },
                 AccessLevel::MemoryMiss => {
-                    if !merged {
-                        mshr.alloc(line);
+                    if mshr.miss(line, (!is_write).then_some(load_id)) {
                         let id = *next_req_id;
                         *next_req_id += 1;
                         ctrl.enqueue(MemRequest::demand_read(id, i, line, dram_now));
-                    }
-                    if !is_write {
-                        waits.entry(line).or_default().push(load_id);
                     }
                     MemIssue::Pending
                 }
@@ -794,51 +820,33 @@ impl System {
         self.osmem.refill_migration_budget(self.cfg.migration_budget_pages);
         let epoch = self.stats.repartitions;
         let snap = self.ctrl.prof_mut().take_epoch();
+        let profiles: Vec<ThreadMemProfile> = snap.iter().map(mem_profile).collect();
         if self.rec.is_enabled() {
             self.rec.emit(EventKind::EpochStart { epoch });
-            for (t, p) in snap.iter().enumerate() {
-                self.rec.emit(EventKind::ThreadProfile {
-                    thread: t,
-                    mpki: p.mpki(),
-                    rbl: p.rbl(),
-                    blp: p.blp(),
-                });
+            for (thread, &ThreadMemProfile { mpki, rbl, blp, .. }) in profiles.iter().enumerate() {
+                self.rec.emit(EventKind::ThreadProfile { thread, mpki, rbl, blp });
             }
             let epoch_dram_cycles = self.cfg.epoch_cpu_cycles / self.cfg.cpu_per_dram;
-            let (mut hits, mut rows) = (0u64, 0u64);
-            for p in &snap {
-                hits += p.row_hits;
-                rows += p.row_hits + p.row_misses + p.row_conflicts;
-            }
             self.rec.sample(EpochSample {
                 epoch,
                 cycle: self.cycle,
                 queue_depth: self.ctrl.in_flight() as u64,
-                row_hit_rate: if rows == 0 { 0.0 } else { hits as f64 / rows as f64 },
+                row_hit_rate: row_hit_rate(&snap),
                 bus_utilisation: snap.iter().map(|p| p.bus_cycles).sum::<u64>() as f64
                     / epoch_dram_cycles.max(1) as f64,
                 threads: snap
                     .iter()
-                    .map(|p| ThreadSample {
-                        mpki: p.mpki(),
-                        rbl: p.rbl(),
-                        blp: p.blp(),
-                        reads: p.reads,
+                    .zip(&profiles)
+                    .map(|(p, &ThreadMemProfile { mpki, rbl, blp, reads, .. })| ThreadSample {
+                        mpki,
+                        rbl,
+                        blp,
+                        reads,
                         avg_read_latency: p.avg_read_latency(),
                     })
                     .collect(),
             });
         }
-        let profiles: Vec<ThreadMemProfile> = snap
-            .iter()
-            .map(|p| ThreadMemProfile {
-                mpki: p.mpki(),
-                rbl: p.rbl(),
-                blp: p.blp(),
-                reads: p.reads,
-                bus_cycles: p.bus_cycles,
-            })
-            .collect();
         let plan = self.policy.partition(&profiles, &self.topo, self.last_plan.as_deref());
         if let Some(rack) = &mut self.audit {
             rack.observe(epoch, &profiles, &snap, &plan, &self.topo, &self.osmem);
@@ -877,20 +885,26 @@ impl System {
             self.rec.set_audit(rack.report());
         }
         let target = self.cfg.target_instructions;
-        let threads: Vec<ThreadResult> = (0..self.cores.len())
-            .map(|i| {
-                let prof = self.ctrl.prof().cumulative(i).delta(&self.prof_base[i]);
+        // Each thread's measured window of the controller's profile.
+        let windows: Vec<ThreadProf> = (0..self.cores.len())
+            .map(|i| self.ctrl.prof().cumulative(i).delta(&self.prof_base[i]))
+            .collect();
+        let threads: Vec<ThreadResult> = windows
+            .iter()
+            .enumerate()
+            .map(|(i, prof)| {
                 let cycles = self.finish_cycle[i].unwrap_or(self.cycle) - self.measure_start;
                 let retired = (self.cores[i].retired() - self.base_retired[i]).min(target);
+                let ThreadMemProfile { mpki, rbl, blp, reads, .. } = mem_profile(prof);
                 ThreadResult {
                     ipc: retired as f64 / cycles.max(1) as f64,
                     cycles_to_target: cycles,
                     reached_target: self.finish_cycle[i].is_some(),
-                    mpki: prof.mpki(),
-                    rbl: prof.rbl(),
-                    blp: prof.blp(),
+                    mpki,
+                    rbl,
+                    blp,
                     avg_read_latency: prof.avg_read_latency(),
-                    reads: prof.reads,
+                    reads,
                 }
             })
             .collect();
@@ -902,20 +916,7 @@ impl System {
         RunResult {
             total_cycles: self.cycle - self.measure_start,
             reached_target: self.finish_cycle.iter().all(Option::is_some),
-            row_hit_rate: {
-                let mut hits = 0u64;
-                let mut total = 0u64;
-                for i in 0..self.cores.len() {
-                    let p = self.ctrl.prof().cumulative(i).delta(&self.prof_base[i]);
-                    hits += p.row_hits;
-                    total += p.row_hits + p.row_misses + p.row_conflicts;
-                }
-                if total == 0 {
-                    0.0
-                } else {
-                    hits as f64 / total as f64
-                }
-            },
+            row_hit_rate: row_hit_rate(&windows),
             dram: crate::metrics::DramActivity {
                 activates: dram_stats.activates,
                 reads: dram_stats.reads,
@@ -953,9 +954,9 @@ struct MigrationBacklog {
 }
 
 impl MigrationBacklog {
-    fn new(lines_per_page: u32, page_bytes: u64) -> Self {
+    fn new(lines_per_page: u32, page_bytes: u64, line_bytes: u64) -> Self {
         let pairs = u64::from(lines_per_page / 2).max(1);
-        let stride = (page_bytes / pairs).max(64);
+        let stride = (page_bytes / pairs).max(line_bytes);
         MigrationBacklog { jobs: VecDeque::new(), cursor: 0, pairs, stride, page_bytes }
     }
 
@@ -1172,11 +1173,11 @@ mod prop_tests {
     }
 
     /// One arm's observable outcome in an equivalence test: every reported
-    /// metric, final simulated time, per-rank refresh schedules, DRAM
-    /// command counts, and each core's own counters — `RunResult` carries no
-    /// stall anatomy, so a lazy catch-up that drifted `cycles` or a stall
-    /// counter would pass every other comparison.
-    fn outcome(mut sys: System) -> (RunResult, u64, Vec<u64>, [u64; 4], Vec<CoreStats>) {
+    /// metric, final simulated time, per-rank refresh schedules, every DRAM
+    /// counter (per-bank ones included), and each core's own counters —
+    /// `RunResult` carries no stall anatomy, so a lazy catch-up that
+    /// drifted `cycles` or a stall counter would pass every other comparison.
+    fn outcome(mut sys: System) -> (RunResult, u64, Vec<u64>, DramStats, Vec<CoreStats>) {
         let run = sys.run();
         let dram = sys.ctrl().dram();
         let cfg = dram.cfg();
@@ -1184,8 +1185,7 @@ mod prop_tests {
             .flat_map(|ch| (0..cfg.ranks_per_channel).map(move |rk| (ch, rk)))
             .map(|(ch, rk)| dram.refresh_deadline(ch, rk))
             .collect();
-        let s = dram.stats();
-        let commands = [s.activates, s.reads, s.writes, s.refreshes];
+        let commands = dram.stats().clone();
         let cores = (0..sys.num_cores()).map(|i| *sys.core_stats(i)).collect();
         (run, sys.cycle(), deadlines, commands, cores)
     }
@@ -1235,9 +1235,9 @@ mod prop_tests {
             prop_assert_eq!(&a.0, &b.0);
             prop_assert_eq!(a.1, b.1);
             prop_assert_eq!(&a.2, &b.2);
-            prop_assert_eq!(a.3, b.3);
+            prop_assert_eq!(&a.3, &b.3);
             prop_assert_eq!(&a.4, &b.4);
-            prop_assert!(a.3[3] > 0, "run must span at least one refresh");
+            prop_assert!(a.3.refreshes > 0, "run must span at least one refresh");
             Ok(())
         });
     }
