@@ -25,14 +25,26 @@ cargo run --release --offline --locked --manifest-path benchmark/Cargo.toml -- \
 tail -n 1 target/ci-benchmark.txt \
     | ./target/release/dbpreport --check --require-key metrics --require-key failed
 
-# Telemetry smoke test: a tiny traced run must produce machine-readable
-# exports that the in-tree JSON parser accepts.
-./target/release/dbpsim run --bench mcf,povray \
-    --instructions 30000 --warmup 10000 --epoch 20000 --policy dbp \
-    --trace-out target/ci-trace.json --metrics-out target/ci-metrics.json \
-    > /dev/null
+# Telemetry gate: a tiny seeded run exports its Chrome trace and its one
+# run document, which must carry every section (`--check` parses with the
+# in-tree parser). The exports are deterministic and the shadow rack
+# observation-only: a repeat of the run must write a byte-identical
+# report, latency anatomy and decision audit included. dbpreport renders
+# it plain, as markdown, and from stdin.
+run_report() {
+    ./target/release/dbpsim run --bench mcf,libquantum \
+        --instructions 30000 --warmup 10000 --epoch 20000 --policy dbp \
+        --trace-out target/ci-trace.json --report-out "$1" > /dev/null
+}
+run_report target/ci-report.json
+run_report target/ci-report-repeat.json
+diff target/ci-report.json target/ci-report-repeat.json
 ./target/release/dbpreport --check --require-key traceEvents target/ci-trace.json
-./target/release/dbpreport --check --require-key epochs --require-key events target/ci-metrics.json
+./target/release/dbpreport --check --require-key epochs --require-key latency \
+    --require-key audit --require-key schema_version target/ci-report.json
+./target/release/dbpreport target/ci-report.json > /dev/null
+./target/release/dbpreport --md target/ci-report.json > /dev/null
+./target/release/dbpreport < target/ci-report.json > /dev/null
 
 # Experiment-suite determinism gate: the quick suite's stdout (every
 # table of every experiment) must be byte-identical between the serial
@@ -101,40 +113,7 @@ cargo test -q --release --offline --locked -p dbp-obs exact_sum
 ./target/release/dbpreport --folded target/ci-profile.json > PROF_folded.txt
 test -s PROF_folded.txt
 # The profile-only modes refuse any other document kind.
-if ./target/release/dbpreport --folded target/ci-metrics.json 2> /dev/null; then exit 1; fi
-
-# The export must be deterministic: two identical seeded runs produce
-# byte-identical --latency-out JSON, and dbpreport must validate it (file
-# argument and stdin) and render it.
-./target/release/dbpsim run --bench mcf,libquantum \
-    --instructions 30000 --warmup 10000 --epoch 20000 --policy shared \
-    --latency-out target/ci-latency.json > /dev/null
-./target/release/dbpsim run --bench mcf,libquantum \
-    --instructions 30000 --warmup 10000 --epoch 20000 --policy shared \
-    --latency-out target/ci-latency-repeat.json > /dev/null
-diff target/ci-latency.json target/ci-latency-repeat.json
-./target/release/dbpreport --check --require-key interference --require-key cores target/ci-latency.json
-./target/release/dbpreport --check --require-key interference < target/ci-latency.json
-./target/release/dbpreport target/ci-latency.json > /dev/null
-./target/release/dbpreport --md < target/ci-latency.json > /dev/null
-
-# Decision-audit gate. The shadow rack is observation-only and fully
-# deterministic: two identical seeded runs must export byte-identical
-# --audit-out JSON (on top of the property test that proves the
-# simulation itself is byte-identical with the rack attached vs
-# detached). dbpreport must validate and render the document, as well as
-# the committed full-fidelity audit.
-./target/release/dbpsim run --bench mcf,libquantum \
-    --instructions 30000 --warmup 10000 --epoch 20000 --policy dbp \
-    --audit-out target/ci-audit.json > /dev/null
-./target/release/dbpsim run --bench mcf,libquantum \
-    --instructions 30000 --warmup 10000 --epoch 20000 --policy dbp \
-    --audit-out target/ci-audit-repeat.json > /dev/null
-diff target/ci-audit.json target/ci-audit-repeat.json
-./target/release/dbpreport --check --require-key shadows --require-key convergence target/ci-audit.json
-./target/release/dbpreport target/ci-audit.json > /dev/null
-./target/release/dbpreport --md target/ci-audit.json > /dev/null
-./target/release/dbpreport results/diag_audit.json > /dev/null
+if ./target/release/dbpreport --folded target/ci-report.json 2> /dev/null; then exit 1; fi
 
 # Publish the rendered interference diagnostic (quick mode) as a CI
 # artifact next to SUITE_timing.json.

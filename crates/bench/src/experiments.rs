@@ -382,72 +382,71 @@ fn sweep_row(eng: &Engine, cfg: &SimConfig, mixes: &[Mix], combos: &[Combo]) -> 
     ws.iter().zip(&ms).map(|(w, m)| (gmean(w), gmean(m))).collect()
 }
 
-/// Figure 9: sensitivity to banks per channel (8/16/32 total banks).
-pub fn fig9_banks_sweep(eng: &Engine, cfg: &SimConfig) -> Table {
-    let combos = [harness::shared(), harness::equal_bp(), harness::dbp()];
-    let mut t = Table::new(["banks", "shared WS/MS", "equal-BP WS/MS", "DBP WS/MS"]);
-    for banks in [4u32, 8, 16] {
-        let mut c = cfg.clone();
-        c.dram.banks_per_rank = banks;
-        c.dram.rows_per_bank = cfg.dram.rows_per_bank * cfg.dram.banks_per_rank / banks;
-        let row = sweep_row(eng, &c, &sweep_mixes(), &combos);
-        let total = banks * c.dram.channels * c.dram.ranks_per_channel;
-        let mut cells = vec![total.to_string()];
+/// A sweep table: one row per `(label, config, mixes)` point, the label
+/// followed by each combo's `WS/MS` gmeans over the point's mixes.
+fn sweep_table(
+    eng: &Engine,
+    headers: impl IntoIterator<Item = &'static str>,
+    combos: &[Combo],
+    points: impl IntoIterator<Item = (String, SimConfig, Vec<Mix>)>,
+) -> Table {
+    let mut t = Table::new(headers);
+    for (label, cfg, mixes) in points {
+        let mut cells = vec![label];
+        let row = sweep_row(eng, &cfg, &mixes, combos);
         cells.extend(row.iter().map(|(w, m)| format!("{w:.3}/{m:.3}")));
         t.row(cells);
     }
     t
+}
+
+/// Figure 9: sensitivity to banks per channel (8/16/32 total banks).
+pub fn fig9_banks_sweep(eng: &Engine, cfg: &SimConfig) -> Table {
+    let combos = [harness::shared(), harness::equal_bp(), harness::dbp()];
+    let points = [4u32, 8, 16].map(|banks| {
+        let mut c = cfg.clone();
+        c.dram.banks_per_rank = banks;
+        c.dram.rows_per_bank = cfg.dram.rows_per_bank * cfg.dram.banks_per_rank / banks;
+        let total = banks * c.dram.channels * c.dram.ranks_per_channel;
+        (total.to_string(), c, sweep_mixes())
+    });
+    sweep_table(eng, ["banks", "shared WS/MS", "equal-BP WS/MS", "DBP WS/MS"], &combos, points)
 }
 
 /// Figure 10: sensitivity to channel count (1/2/4).
 pub fn fig10_channels_sweep(eng: &Engine, cfg: &SimConfig) -> Table {
     let combos = [harness::shared(), harness::equal_bp(), harness::dbp(), harness::mcp()];
-    let mut t =
-        Table::new(["channels", "shared WS/MS", "equal-BP WS/MS", "DBP WS/MS", "MCP WS/MS"]);
-    for channels in [1u32, 2, 4] {
+    let headers = ["channels", "shared WS/MS", "equal-BP WS/MS", "DBP WS/MS", "MCP WS/MS"];
+    let points = [1u32, 2, 4].map(|channels| {
         let mut c = cfg.clone();
         c.dram.channels = channels;
         c.dram.rows_per_bank = cfg.dram.rows_per_bank * cfg.dram.channels / channels;
-        let row = sweep_row(eng, &c, &sweep_mixes(), &combos);
-        let mut cells = vec![channels.to_string()];
-        cells.extend(row.iter().map(|(w, m)| format!("{w:.3}/{m:.3}")));
-        t.row(cells);
-    }
-    t
+        (channels.to_string(), c, sweep_mixes())
+    });
+    sweep_table(eng, headers, &combos, points)
 }
 
 /// Figure 11: sensitivity to core count (2/4/8) with scaled mixes.
 pub fn fig11_cores_sweep(eng: &Engine, cfg: &SimConfig) -> Table {
     let combos = [harness::shared(), harness::equal_bp(), harness::dbp()];
-    let mut t = Table::new(["cores", "shared WS/MS", "equal-BP WS/MS", "DBP WS/MS"]);
-    let base: Vec<Mix> = {
-        let all = mixes_4core();
-        vec![all[2].clone(), all[6].clone(), all[12].clone()]
-    };
-    for cores in [2usize, 4, 8] {
-        let mixes: Vec<Mix> = base.iter().map(|m| scale_mix(m, cores)).collect();
-        let row = sweep_row(eng, cfg, &mixes, &combos);
-        let mut cells = vec![cores.to_string()];
-        cells.extend(row.iter().map(|(w, m)| format!("{w:.3}/{m:.3}")));
-        t.row(cells);
-    }
-    t
+    let all = mixes_4core();
+    let points = [2usize, 4, 8].map(|cores| {
+        let mixes = [&all[2], &all[6], &all[12]].map(|m| scale_mix(m, cores)).to_vec();
+        (cores.to_string(), cfg.clone(), mixes)
+    });
+    sweep_table(eng, ["cores", "shared WS/MS", "equal-BP WS/MS", "DBP WS/MS"], &combos, points)
 }
 
 /// Figure 12: sensitivity to the repartitioning epoch length.
 pub fn fig12_epoch_sweep(eng: &Engine, cfg: &SimConfig) -> Table {
     let combos = [harness::dbp(), harness::dbp_tcm()];
-    let mut t = Table::new(["epoch (CPU cycles)", "DBP WS/MS", "DBP-TCM WS/MS"]);
-    for epoch in [250_000u64, 500_000, 1_000_000, 2_000_000] {
+    let points = [250_000u64, 500_000, 1_000_000, 2_000_000].map(|epoch| {
         let mut c = cfg.clone();
         c.epoch_cpu_cycles = epoch;
         c.instr_feed_interval = c.instr_feed_interval.min(epoch);
-        let row = sweep_row(eng, &c, &sweep_mixes(), &combos);
-        let mut cells = vec![epoch.to_string()];
-        cells.extend(row.iter().map(|(w, m)| format!("{w:.3}/{m:.3}")));
-        t.row(cells);
-    }
-    t
+        (epoch.to_string(), c, sweep_mixes())
+    });
+    sweep_table(eng, ["epoch (CPU cycles)", "DBP WS/MS", "DBP-TCM WS/MS"], &combos, points)
 }
 
 /// Ablation 1: the demand head-room coefficient alpha (one combo per
@@ -621,28 +620,19 @@ pub fn ext2_mapping(eng: &Engine, cfg: &SimConfig) -> Table {
 /// ATLAS, BLISS, TCM. The paper's orthogonality claim predicts the DBP
 /// column improves *every* scheduler's fairness.
 pub fn ext3_schedulers(eng: &Engine, cfg: &SimConfig) -> Table {
-    use dbp_sim::SchedulerKind;
-    let schedulers: Vec<(&'static str, SchedulerKind)> = vec![
-        ("FCFS", SchedulerKind::Fcfs),
-        ("FR-FCFS", SchedulerKind::FrFcfs),
-        ("FR-FCFS+Cap", SchedulerKind::FrFcfsCap(Default::default())),
-        ("PAR-BS", SchedulerKind::ParBs(Default::default())),
-        ("ATLAS", SchedulerKind::Atlas(Default::default())),
-        ("BLISS", SchedulerKind::Bliss(Default::default())),
-        ("TCM", SchedulerKind::Tcm(Default::default())),
-    ];
+    let schedulers = dbp_sim::SchedulerKind::named();
     let combos: Vec<Combo> = schedulers
         .iter()
-        .flat_map(|&(label, sched)| {
+        .flat_map(|&(_, sched)| {
             [PolicyKind::Unpartitioned, PolicyKind::Dbp(Default::default())]
                 .into_iter()
-                .map(move |policy| Combo { label, scheduler: sched, policy })
+                .map(move |policy| Combo { label: sched.label(), scheduler: sched, policy })
         })
         .collect();
     let rows = sweep_row(eng, cfg, &sweep_mixes(), &combos);
     let mut t = Table::new(["scheduler", "shared WS/MS", "+DBP WS/MS"]);
-    for (si, (label, _)) in schedulers.iter().enumerate() {
-        let mut cells = vec![(*label).to_owned()];
+    for (si, (_, sched)) in schedulers.iter().enumerate() {
+        let mut cells = vec![sched.label().to_owned()];
         for (w, m) in &rows[2 * si..2 * si + 2] {
             cells.push(format!("{w:.3}/{m:.3}"));
         }
@@ -728,9 +718,9 @@ pub fn diag_interference(eng: &Engine, cfg: &SimConfig) -> String {
 /// keeps its distance.
 ///
 /// Also publishes a machine-readable summary per live policy as a
-/// `bench_all --json` annotation (`diag_audit`). The full audit document
-/// for the DBP run is produced by `dbpsim run --mix mix50-1 --audit-out`
-/// and rendered by `dbpreport` (see `results/diag_audit.json`).
+/// `bench_all --json` annotation (`diag_audit`). The full audit of the
+/// DBP run is the `audit` section of `dbpsim run --mix mix50-1
+/// --report-out`, rendered by `dbpreport`.
 pub fn diag_audit(eng: &Engine, cfg: &SimConfig) -> String {
     use dbp_obs::audit::{
         calibration_table, convergence_summary, phase_shift_table, policy_table, prediction_table,

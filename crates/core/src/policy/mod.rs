@@ -58,6 +58,19 @@ pub enum PolicyKind {
 }
 
 impl PolicyKind {
+    /// The four comparable policies under their command-line names,
+    /// default-configured (`RestrictFirst` is measurement-only and has
+    /// none): the one list that parsing, help text and "every policy"
+    /// loops share.
+    pub fn named() -> [(&'static str, PolicyKind); 4] {
+        [
+            ("shared", PolicyKind::Unpartitioned),
+            ("equal", PolicyKind::Equal),
+            ("dbp", PolicyKind::Dbp(Default::default())),
+            ("mcp", PolicyKind::Mcp(Default::default())),
+        ]
+    }
+
     /// Instantiate the policy.
     pub fn build(&self) -> Box<dyn PartitionPolicy> {
         match *self {
@@ -178,13 +191,8 @@ mod tests {
 
     #[test]
     fn policy_kind_builds_all() {
-        for kind in [
-            PolicyKind::Unpartitioned,
-            PolicyKind::Equal,
-            PolicyKind::Dbp(DbpConfig::default()),
-            PolicyKind::Mcp(McpConfig::default()),
-            PolicyKind::RestrictFirst(2),
-        ] {
+        let named = PolicyKind::named().map(|(_, kind)| kind);
+        for kind in named.into_iter().chain([PolicyKind::RestrictFirst(2)]) {
             let p = kind.build();
             assert!(!p.name().is_empty());
             assert!(!kind.label().is_empty());

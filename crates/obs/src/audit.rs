@@ -46,7 +46,7 @@
 //!   against the previous epoch (MPKI by > max(2.0, 30 %) or BLP
 //!   by > 1.0).
 
-use crate::json::Json;
+use crate::json::json_record;
 use crate::table::Table;
 
 /// Consecutive unchanged decisions required before the allocation counts
@@ -93,17 +93,132 @@ pub struct EpochObservation {
     pub shadows: Vec<ShadowEpoch>,
 }
 
-/// Decision-churn counters for one policy (live or shadow).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ChurnStats {
-    /// Repartition decisions observed.
-    pub decisions: u64,
-    /// Decisions that changed at least one thread's allocation.
-    pub changes: u64,
-    /// Sum over decisions of threads whose allocation changed.
-    pub thread_changes: u64,
-    /// A→B→A toggles (see the module docs).
-    pub flaps: u64,
+json_record! {
+    /// Decision-churn counters for one policy (live or shadow).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ChurnStats {
+        /// Repartition decisions observed.
+        pub decisions: u64,
+        /// Decisions that changed at least one thread's allocation.
+        pub changes: u64,
+        /// Sum over decisions of threads whose allocation changed.
+        pub thread_changes: u64,
+        /// A→B→A toggles (see the module docs).
+        pub flaps: u64,
+    }
+
+    /// Aggregate audit of one policy across the run.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct PolicyAudit {
+        /// Display label (e.g. `DBP`, `equal-BP`, `DBP(alpha=4)`).
+        pub name: String,
+        pub churn: ChurnStats,
+        /// Mean per-decision allocation distance to the live plan (always 0
+        /// for the live policy itself).
+        pub mean_distance: f64,
+        /// Largest single-decision distance to the live plan.
+        pub max_distance: u64,
+        /// Decisions whose plan matched the live plan exactly.
+        pub agreement_epochs: u64,
+        /// Total pages that violated this policy's proposed partitions.
+        pub would_migrate_pages: u64,
+    }
+
+    /// Prediction-accuracy aggregates for one thread.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct ThreadPrediction {
+        pub thread: usize,
+        /// Paired (prediction, next-epoch outcome) samples.
+        pub samples: u64,
+        /// Mean signed error, units (predicted − realised demand).
+        pub mean_err: f64,
+        /// Mean absolute error, units.
+        pub mean_abs_err: f64,
+        /// Largest absolute error, units.
+        pub max_abs_err: u64,
+        /// Mean predicted demand, units.
+        pub mean_predicted: f64,
+        /// Mean BLP the thread actually achieved in the predicted epochs.
+        pub mean_achieved_blp: f64,
+        /// Mean row-hit fraction achieved in the predicted epochs.
+        pub mean_achieved_rbl: f64,
+        /// Mean IPC achieved in the predicted epochs.
+        pub mean_achieved_ipc: f64,
+    }
+
+    /// One cell of the per-thread calibration table: all epochs in which
+    /// `predicted_units` was forecast for `thread`, against what it then
+    /// achieved.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct CalibrationRow {
+        pub thread: usize,
+        pub predicted_units: u32,
+        pub samples: u64,
+        pub mean_blp: f64,
+        pub min_blp: f64,
+        pub max_blp: f64,
+    }
+
+    /// A detected profile-phase shift and how long the live allocation took
+    /// to restabilise afterwards.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct PhaseShift {
+        /// Decision index at which the shift was detected.
+        pub epoch: u64,
+        pub thread: usize,
+        /// Which profile dimension moved (`mpki` or `blp`).
+        pub metric: String,
+        /// Decisions until the first [`STABLE_WINDOW`]-long run of unchanged
+        /// live decisions starting at or after the shift; `None` if the run
+        /// ended first.
+        pub epochs_to_restabilize: Option<u64>,
+    }
+
+    /// Convergence telemetry for the live policy.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct Convergence {
+        /// Total decisions observed.
+        pub decisions: u64,
+        /// Decision index at which measurement began (end of warmup), if the
+        /// run had a measured phase.
+        pub measurement_start: Option<u64>,
+        /// Decisions from measurement start to the first stable window.
+        pub epochs_to_stable: Option<u64>,
+        /// The window length the stability metrics use.
+        pub stable_window: u64,
+        /// Live-policy flap rate (see [`ChurnStats::flap_rate`]).
+        pub flap_rate: f64,
+        pub phase_shifts: Vec<PhaseShift>,
+    }
+
+    /// Per-decision audit row (the exported time series).
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct AuditEpochRow {
+        pub epoch: u64,
+        /// Threads whose live allocation changed this decision.
+        pub live_changed: Vec<usize>,
+        /// Mean absolute prediction error across threads, units; `None` for
+        /// the first decision (nothing to pair against yet).
+        pub mean_abs_pred_error: Option<f64>,
+        /// Per shadow: allocation distance to the live plan.
+        pub shadow_distance: Vec<u64>,
+        /// Per shadow: pages violating the shadow's proposed partition.
+        pub shadow_would_migrate: Vec<u64>,
+    }
+
+    /// The complete audit of one run.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct AuditReport {
+        pub threads: usize,
+        /// Bank units available to a single thread's allocation.
+        pub max_units: u32,
+        pub live: PolicyAudit,
+        pub shadows: Vec<PolicyAudit>,
+        pub prediction: Vec<ThreadPrediction>,
+        pub calibration: Vec<CalibrationRow>,
+        pub convergence: Convergence,
+        pub epochs as "epoch_rows": Vec<AuditEpochRow>,
+    }
 }
 
 impl ChurnStats {
@@ -116,119 +231,6 @@ impl ChurnStats {
             self.flaps as f64 / cells as f64
         }
     }
-}
-
-/// Aggregate audit of one policy across the run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct PolicyAudit {
-    /// Display label (e.g. `DBP`, `equal-BP`, `DBP(alpha=4)`).
-    pub name: String,
-    pub churn: ChurnStats,
-    /// Mean per-decision allocation distance to the live plan (always 0
-    /// for the live policy itself).
-    pub mean_distance: f64,
-    /// Largest single-decision distance to the live plan.
-    pub max_distance: u64,
-    /// Decisions whose plan matched the live plan exactly.
-    pub agreement_epochs: u64,
-    /// Total pages that violated this policy's proposed partitions.
-    pub would_migrate_pages: u64,
-}
-
-/// Prediction-accuracy aggregates for one thread.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ThreadPrediction {
-    pub thread: usize,
-    /// Paired (prediction, next-epoch outcome) samples.
-    pub samples: u64,
-    /// Mean signed error, units (predicted − realised demand).
-    pub mean_err: f64,
-    /// Mean absolute error, units.
-    pub mean_abs_err: f64,
-    /// Largest absolute error, units.
-    pub max_abs_err: u64,
-    /// Mean predicted demand, units.
-    pub mean_predicted: f64,
-    /// Mean BLP the thread actually achieved in the predicted epochs.
-    pub mean_achieved_blp: f64,
-    /// Mean row-hit fraction achieved in the predicted epochs.
-    pub mean_achieved_rbl: f64,
-    /// Mean IPC achieved in the predicted epochs.
-    pub mean_achieved_ipc: f64,
-}
-
-/// One cell of the per-thread calibration table: all epochs in which
-/// `predicted_units` was forecast for `thread`, against what it then
-/// achieved.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CalibrationRow {
-    pub thread: usize,
-    pub predicted_units: u32,
-    pub samples: u64,
-    pub mean_blp: f64,
-    pub min_blp: f64,
-    pub max_blp: f64,
-}
-
-/// A detected profile-phase shift and how long the live allocation took
-/// to restabilise afterwards.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseShift {
-    /// Decision index at which the shift was detected.
-    pub epoch: u64,
-    pub thread: usize,
-    /// Which profile dimension moved (`mpki` or `blp`).
-    pub metric: String,
-    /// Decisions until the first [`STABLE_WINDOW`]-long run of unchanged
-    /// live decisions starting at or after the shift; `None` if the run
-    /// ended first.
-    pub epochs_to_restabilize: Option<u64>,
-}
-
-/// Convergence telemetry for the live policy.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Convergence {
-    /// Total decisions observed.
-    pub decisions: u64,
-    /// Decision index at which measurement began (end of warmup), if the
-    /// run had a measured phase.
-    pub measurement_start: Option<u64>,
-    /// Decisions from measurement start to the first stable window.
-    pub epochs_to_stable: Option<u64>,
-    /// The window length the stability metrics use.
-    pub stable_window: u64,
-    /// Live-policy flap rate (see [`ChurnStats::flap_rate`]).
-    pub flap_rate: f64,
-    pub phase_shifts: Vec<PhaseShift>,
-}
-
-/// Per-decision audit row (the exported time series).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AuditEpochRow {
-    pub epoch: u64,
-    /// Threads whose live allocation changed this decision.
-    pub live_changed: Vec<usize>,
-    /// Mean absolute prediction error across threads, units; `None` for
-    /// the first decision (nothing to pair against yet).
-    pub mean_abs_pred_error: Option<f64>,
-    /// Per shadow: allocation distance to the live plan.
-    pub shadow_distance: Vec<u64>,
-    /// Per shadow: pages violating the shadow's proposed partition.
-    pub shadow_would_migrate: Vec<u64>,
-}
-
-/// The complete audit of one run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AuditReport {
-    pub threads: usize,
-    /// Bank units available to a single thread's allocation.
-    pub max_units: u32,
-    pub live: PolicyAudit,
-    pub shadows: Vec<PolicyAudit>,
-    pub prediction: Vec<ThreadPrediction>,
-    pub calibration: Vec<CalibrationRow>,
-    pub convergence: Convergence,
-    pub epochs: Vec<AuditEpochRow>,
 }
 
 // ---------------------------------------------------------------------
@@ -574,230 +576,6 @@ fn symmetric_distance(a: &[u32], b: &[u32]) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// JSON
-// ---------------------------------------------------------------------
-
-fn churn_json(c: &ChurnStats) -> Json {
-    Json::obj([
-        ("decisions", Json::uint(c.decisions)),
-        ("changes", Json::uint(c.changes)),
-        ("thread_changes", Json::uint(c.thread_changes)),
-        ("flaps", Json::uint(c.flaps)),
-    ])
-}
-
-fn policy_json(p: &PolicyAudit) -> Json {
-    Json::obj([
-        ("name", Json::str(&p.name)),
-        ("churn", churn_json(&p.churn)),
-        ("mean_distance", Json::num(p.mean_distance)),
-        ("max_distance", Json::uint(p.max_distance)),
-        ("agreement_epochs", Json::uint(p.agreement_epochs)),
-        ("would_migrate_pages", Json::uint(p.would_migrate_pages)),
-    ])
-}
-
-impl AuditReport {
-    /// Render as an order-preserving JSON object (the body of
-    /// `export::audit_document`).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            ("threads", Json::uint(self.threads as u64)),
-            ("max_units", Json::uint(u64::from(self.max_units))),
-            ("live", policy_json(&self.live)),
-            ("shadows", Json::arr(self.shadows.iter().map(policy_json))),
-            (
-                "prediction",
-                Json::arr(self.prediction.iter().map(|p| {
-                    Json::obj([
-                        ("thread", Json::uint(p.thread as u64)),
-                        ("samples", Json::uint(p.samples)),
-                        ("mean_err", Json::num(p.mean_err)),
-                        ("mean_abs_err", Json::num(p.mean_abs_err)),
-                        ("max_abs_err", Json::uint(p.max_abs_err)),
-                        ("mean_predicted", Json::num(p.mean_predicted)),
-                        ("mean_achieved_blp", Json::num(p.mean_achieved_blp)),
-                        ("mean_achieved_rbl", Json::num(p.mean_achieved_rbl)),
-                        ("mean_achieved_ipc", Json::num(p.mean_achieved_ipc)),
-                    ])
-                })),
-            ),
-            (
-                "calibration",
-                Json::arr(self.calibration.iter().map(|c| {
-                    Json::obj([
-                        ("thread", Json::uint(c.thread as u64)),
-                        ("predicted_units", Json::uint(u64::from(c.predicted_units))),
-                        ("samples", Json::uint(c.samples)),
-                        ("mean_blp", Json::num(c.mean_blp)),
-                        ("min_blp", Json::num(c.min_blp)),
-                        ("max_blp", Json::num(c.max_blp)),
-                    ])
-                })),
-            ),
-            (
-                "convergence",
-                Json::obj([
-                    ("decisions", Json::uint(self.convergence.decisions)),
-                    (
-                        "measurement_start",
-                        self.convergence.measurement_start.map_or(Json::Null, Json::uint),
-                    ),
-                    (
-                        "epochs_to_stable",
-                        self.convergence.epochs_to_stable.map_or(Json::Null, Json::uint),
-                    ),
-                    ("stable_window", Json::uint(self.convergence.stable_window)),
-                    ("flap_rate", Json::num(self.convergence.flap_rate)),
-                    (
-                        "phase_shifts",
-                        Json::arr(self.convergence.phase_shifts.iter().map(|s| {
-                            Json::obj([
-                                ("epoch", Json::uint(s.epoch)),
-                                ("thread", Json::uint(s.thread as u64)),
-                                ("metric", Json::str(&s.metric)),
-                                (
-                                    "epochs_to_restabilize",
-                                    s.epochs_to_restabilize.map_or(Json::Null, Json::uint),
-                                ),
-                            ])
-                        })),
-                    ),
-                ]),
-            ),
-            (
-                "epoch_rows",
-                Json::arr(self.epochs.iter().map(|e| {
-                    Json::obj([
-                        ("epoch", Json::uint(e.epoch)),
-                        (
-                            "live_changed",
-                            Json::arr(e.live_changed.iter().map(|&t| Json::uint(t as u64))),
-                        ),
-                        (
-                            "mean_abs_pred_error",
-                            e.mean_abs_pred_error.map_or(Json::Null, Json::num),
-                        ),
-                        (
-                            "shadow_distance",
-                            Json::arr(e.shadow_distance.iter().map(|&d| Json::uint(d))),
-                        ),
-                        (
-                            "shadow_would_migrate",
-                            Json::arr(e.shadow_would_migrate.iter().map(|&d| Json::uint(d))),
-                        ),
-                    ])
-                })),
-            ),
-        ])
-    }
-
-    /// Parse a report back out of a document produced by
-    /// [`AuditReport::to_json`] / `export::audit_document`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first missing or mistyped field.
-    pub fn from_json(doc: &Json) -> Result<AuditReport, String> {
-        fn policy(j: &Json) -> Result<PolicyAudit, String> {
-            let c = j.req("churn")?;
-            Ok(PolicyAudit {
-                name: j.req_str("name")?.to_string(),
-                churn: ChurnStats {
-                    decisions: c.req_u64("decisions")?,
-                    changes: c.req_u64("changes")?,
-                    thread_changes: c.req_u64("thread_changes")?,
-                    flaps: c.req_u64("flaps")?,
-                },
-                mean_distance: j.req_f64("mean_distance")?,
-                max_distance: j.req_u64("max_distance")?,
-                agreement_epochs: j.req_u64("agreement_epochs")?,
-                would_migrate_pages: j.req_u64("would_migrate_pages")?,
-            })
-        }
-        fn units(e: &Json, k: &str) -> Result<Vec<u64>, String> {
-            e.req_arr(k)?
-                .iter()
-                .map(|v| v.as_u64().ok_or_else(|| format!("non-integer entry in `{k}`")))
-                .collect()
-        }
-        let conv = doc.req("convergence")?;
-        Ok(AuditReport {
-            threads: doc.req_u64("threads")? as usize,
-            max_units: doc.req_u64("max_units")? as u32,
-            live: policy(doc.req("live")?)?,
-            shadows: doc.req_arr("shadows")?.iter().map(policy).collect::<Result<_, _>>()?,
-            prediction: doc
-                .req_arr("prediction")?
-                .iter()
-                .map(|p| {
-                    Ok(ThreadPrediction {
-                        thread: p.req_u64("thread")? as usize,
-                        samples: p.req_u64("samples")?,
-                        mean_err: p.req_f64("mean_err")?,
-                        mean_abs_err: p.req_f64("mean_abs_err")?,
-                        max_abs_err: p.req_u64("max_abs_err")?,
-                        mean_predicted: p.req_f64("mean_predicted")?,
-                        mean_achieved_blp: p.req_f64("mean_achieved_blp")?,
-                        mean_achieved_rbl: p.req_f64("mean_achieved_rbl")?,
-                        mean_achieved_ipc: p.req_f64("mean_achieved_ipc")?,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
-            calibration: doc
-                .req_arr("calibration")?
-                .iter()
-                .map(|c| {
-                    Ok(CalibrationRow {
-                        thread: c.req_u64("thread")? as usize,
-                        predicted_units: c.req_u64("predicted_units")? as u32,
-                        samples: c.req_u64("samples")?,
-                        mean_blp: c.req_f64("mean_blp")?,
-                        min_blp: c.req_f64("min_blp")?,
-                        max_blp: c.req_f64("max_blp")?,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
-            convergence: Convergence {
-                decisions: conv.req_u64("decisions")?,
-                measurement_start: conv.opt_u64("measurement_start")?,
-                epochs_to_stable: conv.opt_u64("epochs_to_stable")?,
-                stable_window: conv.req_u64("stable_window")?,
-                flap_rate: conv.req_f64("flap_rate")?,
-                phase_shifts: conv
-                    .req_arr("phase_shifts")?
-                    .iter()
-                    .map(|s| {
-                        Ok(PhaseShift {
-                            epoch: s.req_u64("epoch")?,
-                            thread: s.req_u64("thread")? as usize,
-                            metric: s.req_str("metric")?.to_string(),
-                            epochs_to_restabilize: s.opt_u64("epochs_to_restabilize")?,
-                        })
-                    })
-                    .collect::<Result<_, String>>()?,
-            },
-            epochs: doc
-                .req_arr("epoch_rows")?
-                .iter()
-                .map(|e| {
-                    Ok(AuditEpochRow {
-                        epoch: e.req_u64("epoch")?,
-                        live_changed: units(e, "live_changed")?
-                            .into_iter()
-                            .map(|t| t as usize)
-                            .collect(),
-                        mean_abs_pred_error: e.get("mean_abs_pred_error").and_then(Json::as_num),
-                        shadow_distance: units(e, "shadow_distance")?,
-                        shadow_would_migrate: units(e, "shadow_would_migrate")?,
-                    })
-                })
-                .collect::<Result<_, String>>()?,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------
 // Tables
 // ---------------------------------------------------------------------
 
@@ -1088,35 +866,6 @@ mod tests {
         assert_eq!(shift.thread, 0);
         // Decision 1 changed the plan; decisions 2.. are quiet.
         assert_eq!(shift.epochs_to_restabilize, Some(1));
-    }
-
-    #[test]
-    fn json_round_trip_is_lossless() {
-        let mut b = builder2();
-        let a = plan(&[&[0, 1], &[2, 3]]);
-        let c = plan(&[&[0, 1, 2], &[3]]);
-        b.observe(&obs(0, a.clone(), c.clone(), [1.0, 2.5], [4, 1]));
-        b.note_measurement_start(1);
-        let mut shifted = obs(1, c.clone(), a.clone(), [3.0, 1.0], [2, 2]);
-        shifted.achieved[1].mpki = 40.0;
-        b.observe(&shifted);
-        b.observe(&obs(2, c.clone(), a.clone(), [3.0, 1.0], [2, 2]));
-        let r = b.report();
-        let doc = r.to_json();
-        let text = doc.to_json();
-        let parsed = crate::json::parse(&text).expect("audit JSON parses");
-        let back = AuditReport::from_json(&parsed).expect("audit JSON loads");
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn from_json_names_missing_fields() {
-        let doc = crate::json::parse(r#"{"threads": 2}"#).unwrap();
-        let err = AuditReport::from_json(&doc).unwrap_err();
-        assert!(err.contains("convergence"), "{err}");
-        let doc = crate::json::parse(r#"{"threads": 2, "convergence": {}}"#).unwrap();
-        let err = AuditReport::from_json(&doc).unwrap_err();
-        assert!(err.contains("max_units"), "{err}");
     }
 
     #[test]

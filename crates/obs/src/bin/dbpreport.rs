@@ -1,16 +1,16 @@
 //! The one document tool: render, convert, or validate the simulator's
 //! JSON exports.
 //!
-//! `dbpreport` recognises every document the workspace produces by its
-//! top-level keys — latency-anatomy exports (`dbpsim --latency-out`),
-//! decision audits (`--audit-out`), metrics documents (`--metrics-out`),
+//! `dbpreport` recognises the four documents the workspace produces by
+//! one top-level key each — run reports (`dbpsim --report-out`),
 //! suite-timing documents (`bench_all --json`), Chrome traces
 //! (`--trace-out`), and self-profiles (`--profile-out`) — and renders
-//! each in full as aligned tables (or markdown with `--md`): latency
+//! each in full as aligned tables (or markdown with `--md`). A run report
+//! renders section by section: epoch time-series with sparklines; latency
 //! percentiles, component breakdowns and interference heatmaps; the
 //! live-vs-shadow policy comparison, prediction accuracy, calibration
-//! and convergence telemetry; epoch time-series with sparklines; work
-//! counters, the exact-sum span tree and the hottest paths.
+//! and convergence telemetry. A profile renders its work counters, the
+//! exact-sum span tree and the hottest paths.
 //!
 //! Modes (no files: read stdin):
 //!
@@ -31,7 +31,7 @@ use dbp_obs::audit::{
     calibration_table, convergence_summary, phase_shift_table, policy_table, prediction_table,
 };
 use dbp_obs::cli::{read_inputs, Arg, CliSpec};
-use dbp_obs::export;
+use dbp_obs::export::{self, SuiteExperimentTiming};
 use dbp_obs::json::{self, Json};
 use dbp_obs::latency::{
     bank_latency_table, breakdown_table, interference_table, read_latency_table,
@@ -39,7 +39,7 @@ use dbp_obs::latency::{
 };
 use dbp_obs::prof::{counter_table, span_table, top_self_table, Profile};
 use dbp_obs::table::{fmt_ns, push_table, sparkline, summary_line, Table};
-use dbp_obs::AuditReport;
+use dbp_obs::{AuditReport, EpochSample};
 
 const SPEC: CliSpec = CliSpec {
     bin: "dbpreport",
@@ -72,13 +72,52 @@ enum Mode {
     },
 }
 
-fn render_latency(doc: &Json, md: bool) -> Result<String, String> {
-    let report = LatencyReport::from_json(doc)?;
+/// A run report: the summary line, then one block of tables per section
+/// the run recorded.
+fn render_run(doc: &Json, md: bool) -> Result<String, String> {
+    let epochs: Vec<EpochSample> = doc.field("epochs")?;
     let mut out = summary_line(doc);
-    out.push_str(&format!("demand reads profiled: {}\n", report.total_reads()));
-    push_table(&mut out, "read latency (DRAM cycles)", &read_latency_table(&report), md);
-    push_table(&mut out, "read latency breakdown (% of total)", &breakdown_table(&report), md);
-    push_table(&mut out, "writeback latency (DRAM cycles)", &write_latency_table(&report), md);
+    out.push_str(&epoch_tables(&epochs, doc.req_arr("events")?.len(), md));
+    if let Some(report) = doc.field::<Option<LatencyReport>>("latency")? {
+        out.push('\n');
+        out.push_str(&latency_tables(&report, md));
+    }
+    if let Some(report) = doc.field::<Option<AuditReport>>("audit")? {
+        out.push('\n');
+        out.push_str(&audit_tables(&report, md));
+    }
+    Ok(out)
+}
+
+fn epoch_tables(epochs: &[EpochSample], events: usize, md: bool) -> String {
+    let mut out = String::new();
+    let mut t = Table::new(["epoch", "cycle", "queue", "row hit", "bus util"]);
+    for e in epochs {
+        t.row([
+            e.epoch.to_string(),
+            e.cycle.to_string(),
+            e.queue_depth.to_string(),
+            format!("{:.3}", e.row_hit_rate),
+            format!("{:.3}", e.bus_utilisation),
+        ]);
+    }
+    push_table(&mut out, "epoch time-series", &t, md);
+    let mut spark = |label: &str, value: fn(&EpochSample) -> f64| {
+        let series: Vec<f64> = epochs.iter().map(value).collect();
+        out.push_str(&format!("{label:>8}  {}\n", sparkline(&series)));
+    };
+    spark("row hit", |e| e.row_hit_rate);
+    spark("bus util", |e| e.bus_utilisation);
+    spark("queue", |e| e.queue_depth as f64);
+    out.push_str(&format!("events captured: {events}\n"));
+    out
+}
+
+fn latency_tables(report: &LatencyReport, md: bool) -> String {
+    let mut out = format!("demand reads profiled: {}\n", report.total_reads());
+    push_table(&mut out, "read latency (DRAM cycles)", &read_latency_table(report), md);
+    push_table(&mut out, "read latency breakdown (% of total)", &breakdown_table(report), md);
+    push_table(&mut out, "writeback latency (DRAM cycles)", &write_latency_table(report), md);
     push_table(
         &mut out,
         "bank interference (cycles core i blocked on a bank held by core j)",
@@ -91,47 +130,22 @@ fn render_latency(doc: &Json, md: bool) -> Result<String, String> {
         &interference_table(&report.bus_interference),
         md,
     );
-    push_table(&mut out, "per-bank read latency", &bank_latency_table(&report), md);
-    Ok(out)
-}
-
-fn render_metrics(doc: &Json, md: bool) -> Result<String, String> {
-    let epochs = doc.req_arr("epochs")?;
-    let mut out = summary_line(doc);
-    let mut t = Table::new(["epoch", "cycle", "queue", "row hit", "bus util"]);
-    for e in epochs {
-        t.row([
-            format!("{}", e.req_u64("epoch")?),
-            format!("{}", e.req_u64("cycle")?),
-            format!("{}", e.req_u64("queue_depth")?),
-            format!("{:.3}", e.req_f64("row_hit_rate")?),
-            format!("{:.3}", e.req_f64("bus_utilisation")?),
-        ]);
-    }
-    push_table(&mut out, "epoch time-series", &t, md);
-    for (key, label) in
-        [("row_hit_rate", "row hit"), ("bus_utilisation", "bus util"), ("queue_depth", "queue")]
-    {
-        let series = epochs.iter().map(|e| e.req_f64(key)).collect::<Result<Vec<f64>, _>>()?;
-        out.push_str(&format!("{label:>8}  {}\n", sparkline(&series)));
-    }
-    let events = doc.req_arr("events")?.len();
-    out.push_str(&format!("events captured: {events}\n"));
-    Ok(out)
+    push_table(&mut out, "per-bank read latency", &bank_latency_table(report), md);
+    out
 }
 
 fn render_suite(doc: &Json, md: bool) -> Result<String, String> {
     let mut out = String::new();
-    let workers = doc.req_u64("workers")?;
-    let total = doc.req_u64("total_wall_ns")?;
+    let workers: u64 = doc.field("workers")?;
+    let total: u64 = doc.field("total_wall_ns")?;
     out.push_str(&format!("workers: {workers}  total wall: {:.2}s\n", total as f64 / 1e9));
     let mut t = Table::new(["experiment", "wall (s)", "jobs", "cache hits"]);
-    for e in doc.req_arr("experiments")? {
+    for e in doc.field::<Vec<SuiteExperimentTiming>>("experiments")? {
         t.row([
-            e.req_str("name")?.to_string(),
-            format!("{:.2}", e.req_u64("wall_ns")? as f64 / 1e9),
-            format!("{}", e.req_u64("jobs")?),
-            format!("{}", e.req_u64("solo_cache_hits")?),
+            e.name,
+            format!("{:.2}", e.wall_ns as f64 / 1e9),
+            e.jobs.to_string(),
+            e.solo_cache_hits.to_string(),
         ]);
     }
     push_table(&mut out, "experiments", &t, md);
@@ -175,25 +189,23 @@ fn render_trace(doc: &Json, _md: bool) -> Result<String, String> {
     ))
 }
 
-fn render_audit(doc: &Json, md: bool) -> Result<String, String> {
-    let report = AuditReport::from_json(doc)?;
-    let mut out = summary_line(doc);
-    out.push_str(&format!(
+fn audit_tables(report: &AuditReport, md: bool) -> String {
+    let mut out = format!(
         "decision audit: {} thread(s), {} bank unit(s), {} decision(s)\n",
         report.threads, report.max_units, report.convergence.decisions
-    ));
-    push_table(&mut out, "policy comparison (live vs shadows)", &policy_table(&report), md);
-    push_table(&mut out, "demand-prediction accuracy (bank units)", &prediction_table(&report), md);
+    );
+    push_table(&mut out, "policy comparison (live vs shadows)", &policy_table(report), md);
+    push_table(&mut out, "demand-prediction accuracy (bank units)", &prediction_table(report), md);
     push_table(
         &mut out,
         "calibration (predicted-demand bucket x achieved BLP)",
-        &calibration_table(&report),
+        &calibration_table(report),
         md,
     );
     out.push('\n');
-    out.push_str(&convergence_summary(&report));
+    out.push_str(&convergence_summary(report));
     if !report.convergence.phase_shifts.is_empty() {
-        push_table(&mut out, "profile phase shifts", &phase_shift_table(&report), md);
+        push_table(&mut out, "profile phase shifts", &phase_shift_table(report), md);
     }
     if report.epochs.len() > 1 {
         let errs: Vec<f64> = report.epochs.iter().filter_map(|e| e.mean_abs_pred_error).collect();
@@ -213,16 +225,15 @@ fn render_audit(doc: &Json, md: bool) -> Result<String, String> {
             ));
         }
     }
-    Ok(out)
+    out
 }
 
 const NOT_A_PROFILE: &str =
     "not a profile document (--top, --folded and --chrome take --profile-out exports)";
 
-/// The top-level key that identifies each document kind, in routing
-/// order: latency, audit, metrics, suite timing, Chrome trace, profile.
-const KINDS: [&str; 6] =
-    ["interference", "shadows", "epochs", "experiments", "traceEvents", "spans"];
+/// The top-level key that identifies each document kind: run report,
+/// suite timing, Chrome trace, profile.
+const KINDS: [&str; 4] = ["epochs", "experiments", "traceEvents", "spans"];
 
 fn kind_of(doc: &Json) -> Option<&'static str> {
     KINDS.into_iter().find(|k| doc.get(k).is_some())
@@ -236,13 +247,11 @@ fn render_doc(doc: &Json, md: bool, top: Option<usize>) -> Result<String, String
         return Err(NOT_A_PROFILE.to_string());
     }
     match kind {
-        Some("interference") => render_latency(doc, md),
-        Some("shadows") => render_audit(doc, md),
-        Some("epochs") => render_metrics(doc, md),
+        Some("epochs") => render_run(doc, md),
         Some("experiments") => render_suite(doc, md),
         Some("traceEvents") => render_trace(doc, md),
         Some("spans") => render_profile(doc, md, top.unwrap_or(10)),
-        _ => Err("unrecognised document (expected a latency, audit, metrics, suite-timing, trace, or profile export)"
+        _ => Err("unrecognised document (expected a run report, suite timing, trace or profile)"
             .to_string()),
     }
 }
@@ -333,5 +342,25 @@ fn main() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const LATENCY_BODY: &str = r#""cores":[],"banks":[],"interference":{"bank":[],"bus":[]}"#;
+
+    #[test]
+    fn a_report_renders_its_sections_and_a_bare_section_is_refused() {
+        let report = format!(r#"{{"epochs":[],"events":[],"latency":{{{LATENCY_BODY}}}}}"#);
+        let text = render_doc(&json::parse(&report).unwrap(), false, None).expect("renders");
+        assert!(text.contains("events captured: 0\n\ndemand reads profiled: 0\n"), "{text}");
+        assert!(!text.contains("decision audit"), "no audit section was exported: {text}");
+        // The pre-1.1 latency document carried the same body at top level:
+        // it must be refused, not routed to some renderer by a stray key.
+        let bare = format!(r#"{{"format_version":1,"schema_version":"1.0",{LATENCY_BODY}}}"#);
+        let err = render_doc(&json::parse(&bare).unwrap(), false, None).unwrap_err();
+        assert!(err.starts_with("unrecognised document"), "{err}");
     }
 }

@@ -2,30 +2,33 @@
 //!
 //! Two formats are produced from the same [`Telemetry`]:
 //!
-//! * a **metrics document** — run summary + the full epoch time series +
-//!   the event log, meant for scripted analysis (plotting Fig. 3-style
-//!   demand convergence, counting repartitions, ...);
+//! * the **run document** ([`run_document`]) — run summary, the full
+//!   epoch time series and the event log, then the latency anatomy and
+//!   the decision audit as nested sections: everything one run recorded,
+//!   under one envelope, for scripted analysis and `dbpreport`;
 //! * a **Chrome `trace_event` document** — loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>, with instant events
 //!   for every trace event and counter tracks for the epoch metrics.
 //!   Timestamps are CPU cycles reported in the `ts` microsecond field,
 //!   i.e. the UI's "microsecond" axis reads in cycles.
+//!
+//! The host side has two documents of its own: the self-profile
+//! ([`profile_document`]; separate because a profile taken with the
+//! recorder live measures the recorder) and `bench_all`'s suite timing.
 
-use crate::audit::AuditReport;
 use crate::event::TraceEvent;
-use crate::json::Json;
-use crate::latency::LatencyReport;
+use crate::json::{json_record, Json, JsonValue};
 use crate::prof::{ProfSpan, Profile};
 use crate::recorder::{EpochSample, Telemetry};
 
-/// Format version stamped into both documents so downstream tooling can
+/// Format version stamped into every document so downstream tooling can
 /// detect schema changes across PRs.
 pub const FORMAT_VERSION: u64 = 1;
 
 /// Semantic schema version (`major.minor`) stamped into the versioned
 /// documents. Bump the minor for additive changes; bump the major when a
 /// consumer written against the old layout would misread the new one.
-pub const SCHEMA_VERSION: &str = "1.0";
+pub const SCHEMA_VERSION: &str = "1.1";
 
 /// The highest major schema version this crate's readers understand.
 pub const SCHEMA_MAJOR: u64 = 1;
@@ -67,87 +70,48 @@ fn event_json(ev: &TraceEvent) -> Json {
     Json::Obj(pairs)
 }
 
-fn epoch_json(s: &EpochSample) -> Json {
-    Json::obj([
-        ("epoch", Json::uint(s.epoch)),
-        ("cycle", Json::uint(s.cycle)),
-        ("queue_depth", Json::uint(s.queue_depth)),
-        ("row_hit_rate", Json::num(s.row_hit_rate)),
-        ("bus_utilisation", Json::num(s.bus_utilisation)),
-        (
-            "threads",
-            Json::arr(s.threads.iter().map(|t| {
-                Json::obj([
-                    ("mpki", Json::num(t.mpki)),
-                    ("rbl", Json::num(t.rbl)),
-                    ("blp", Json::num(t.blp)),
-                    ("reads", Json::uint(t.reads)),
-                    ("avg_read_latency", Json::num(t.avg_read_latency)),
-                ])
-            })),
-        ),
-    ])
+/// A versioned document: both version stamps, then `body`'s keys.
+fn stamped(body: impl IntoIterator<Item = (&'static str, Json)>) -> Json {
+    let stamps = [
+        ("format_version", Json::uint(FORMAT_VERSION)),
+        ("schema_version", Json::str(SCHEMA_VERSION)),
+    ];
+    Json::obj(stamps.into_iter().chain(body))
 }
 
-/// Build the metrics document. `summary` is caller-provided run context
-/// (config, end-of-run aggregates) and is embedded verbatim.
-pub fn metrics_document(t: &Telemetry, summary: Json) -> Json {
-    Json::obj([
-        ("format_version", Json::uint(FORMAT_VERSION)),
+/// Build the one per-run document (`dbpsim run --report-out`): the
+/// stamps, the caller's `summary` (run context, embedded verbatim), the
+/// epoch time series, the event log, then one nested section per report
+/// the run published — `latency` (per-core / per-bank histograms and the
+/// interference matrices) and `audit` (shadow-policy comparison,
+/// prediction accuracy, calibration, convergence and the per-decision
+/// `epoch_rows`). A section the run did not produce is left out.
+pub fn run_document(t: &Telemetry, summary: Json) -> Json {
+    let always = [
         ("summary", summary),
-        ("epochs", Json::arr(t.series.iter().map(epoch_json))),
+        ("epochs", t.series.to_json()),
         ("events", Json::arr(t.events.iter().map(event_json))),
         ("dropped_events", Json::uint(t.dropped_events)),
-    ])
-}
-
-/// The layout the per-run report documents share: the version stamps,
-/// the caller's `summary`, an optional `lead` field, then the keys of
-/// the report's own `body` object, flattened into the top level.
-fn stamped_document(summary: Json, lead: Option<(&str, Json)>, body: Json) -> Json {
-    let mut pairs = vec![
-        ("format_version".to_string(), Json::uint(FORMAT_VERSION)),
-        ("schema_version".to_string(), Json::str(SCHEMA_VERSION)),
-        ("summary".to_string(), summary),
     ];
-    pairs.extend(lead.map(|(k, v)| (k.to_string(), v)));
-    match body {
-        Json::Obj(body) => pairs.extend(body),
-        _ => unreachable!("report bodies are JSON objects"),
+    let latency = t.latency.as_ref().map(|r| ("latency", r.to_json()));
+    let audit = t.audit.as_ref().map(|r| ("audit", r.to_json()));
+    stamped(always.into_iter().chain(latency).chain(audit))
+}
+
+json_record! {
+    /// Timing of one experiment inside a `bench_all` suite run, destined for
+    /// the suite-timing JSON (`bench_all --json`).
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct SuiteExperimentTiming {
+        /// Experiment (binary) name, e.g. `fig4_ws_dbp`.
+        pub name: String,
+        /// Wall-clock for this experiment, nanoseconds.
+        pub wall_ns: u128,
+        /// Simulation jobs dispatched (shared + solo + auxiliary runs).
+        pub jobs: u64,
+        /// Solo runs answered from the memoized cache instead of re-running.
+        pub solo_cache_hits: u64,
     }
-    Json::Obj(pairs)
-}
-
-/// Build the latency-anatomy document for `dbpsim --latency-out`:
-/// version stamps, caller-provided run context, then the
-/// [`LatencyReport`] body (per-core/per-bank histograms and the
-/// interference matrices).
-pub fn latency_document(report: &LatencyReport, summary: Json) -> Json {
-    stamped_document(summary, None, report.to_json())
-}
-
-/// Build the decision-audit document for `dbpsim --audit-out`: version
-/// stamps, caller-provided run context, then the [`AuditReport`] body
-/// (shadow-policy comparison, prediction accuracy, calibration,
-/// convergence, and the per-decision time series under `epoch_rows` —
-/// deliberately not `epochs`, which routes a document to the metrics
-/// renderer).
-pub fn audit_document(report: &AuditReport, summary: Json) -> Json {
-    stamped_document(summary, None, report.to_json())
-}
-
-/// Timing of one experiment inside a `bench_all` suite run, destined for
-/// the suite-timing JSON (`bench_all --json`).
-#[derive(Debug, Clone)]
-pub struct SuiteExperimentTiming {
-    /// Experiment (binary) name, e.g. `fig4_ws_dbp`.
-    pub name: String,
-    /// Wall-clock for this experiment, nanoseconds.
-    pub wall_ns: u128,
-    /// Simulation jobs dispatched (shared + solo + auxiliary runs).
-    pub jobs: u64,
-    /// Solo runs answered from the memoized cache instead of re-running.
-    pub solo_cache_hits: u64,
 }
 
 /// Build the experiment-suite timing document: per-experiment wall clock
@@ -162,33 +126,22 @@ pub fn suite_timing_document(
     rows: &[SuiteExperimentTiming],
     annotations: &[(String, Json)],
 ) -> Json {
-    Json::obj([
-        ("format_version", Json::uint(FORMAT_VERSION)),
-        ("schema_version", Json::str(SCHEMA_VERSION)),
+    stamped([
         ("workers", Json::uint(workers as u64)),
         ("quick", Json::Bool(quick)),
         ("total_wall_ns", Json::uint(total_wall_ns as u64)),
-        (
-            "experiments",
-            Json::arr(rows.iter().map(|r| {
-                Json::obj([
-                    ("name", Json::str(&r.name)),
-                    ("wall_ns", Json::uint(r.wall_ns as u64)),
-                    ("jobs", Json::uint(r.jobs)),
-                    ("solo_cache_hits", Json::uint(r.solo_cache_hits)),
-                ])
-            })),
-        ),
+        ("experiments", Json::arr(rows.iter().map(JsonValue::to_json))),
         ("annotations", Json::Obj(annotations.to_vec())),
     ])
 }
 
-/// Build the self-profile document for `--profile-out`: version stamps,
-/// caller-provided run context, then the [`Profile`] body (span tree +
-/// work counters). Render it with the `dbpreport` bin; parse it back with
-/// [`Profile::from_json`].
+/// Build the self-profile document for `--profile-out`: the stamps and
+/// `summary`, `total_ns`, then the [`Profile`] body's own keys (span tree
+/// and work counters) at top level. Render it with the `dbpreport` bin;
+/// parse it back with [`Profile::from_json`].
 pub fn profile_document(p: &Profile, summary: Json) -> Json {
-    stamped_document(summary, Some(("total_ns", Json::uint(p.total_ns()))), p.to_json())
+    let head = [("summary", summary), ("total_ns", Json::uint(p.total_ns()))];
+    stamped(head.into_iter().chain(p.json_pairs()))
 }
 
 /// Render an aggregated [`Profile`] as a Chrome `trace_event` document.
@@ -343,10 +296,18 @@ pub fn chrome_trace(t: &Telemetry) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::{AuditBuilder, AuditReport, EpochObservation, ProfileSample, ShadowEpoch};
     use crate::event::{EventKind, MigrationCause};
     use crate::json;
+    use crate::latency::LatencyReport;
     use crate::recorder::{Recorder, RecorderConfig, ThreadSample};
 
+    /// 2^53, the largest integer the `f64` number model carries exactly.
+    const BIG: u64 = 1 << 53;
+
+    /// A small run with both report sections, between them exercising
+    /// every shape a record field takes: `Some` and `None`, empty and
+    /// non-empty vectors, nested records, 2^53.
     fn sample_telemetry() -> Telemetry {
         let r = Recorder::new(RecorderConfig::default());
         r.set_cycle(1_000_000);
@@ -381,33 +342,213 @@ mod tests {
                 ThreadSample { mpki: 0.0, rbl: 0.0, blp: 0.0, reads: 0, avg_read_latency: 0.0 },
             ],
         });
+        // Two cores, two banks, two threads, nothing symmetric: a reader
+        // that transposes a matrix or swaps core and bank order fails.
+        let mut latency = LatencyReport::new(2, 2);
+        latency.record_read(0, 1, 120, [10, 20, 30, 40, 20]);
+        latency.record_read(1, 0, 40, [0, 0, 0, 0, 40]);
+        latency.record_write(1, 60);
+        latency.bank_interference.add(1, 0, BIG);
+        latency.bus_interference.add(0, 1, 5);
+        let plan = |t0: &[u32], t1: &[u32]| vec![t0.to_vec(), t1.to_vec()];
+        let equal = plan(&[0, 1], &[2, 3]);
+        let mut audit = AuditBuilder::new(
+            "DBP",
+            vec!["equal-BP".to_string()],
+            2,
+            8,
+            vec![equal.clone(), equal.clone()],
+        );
+        for (epoch, mpki, live, would_migrate_pages) in
+            [(0, 1.0, equal.clone(), BIG), (1, 40.0, plan(&[0, 1, 2], &[3]), 0)]
+        {
+            audit.observe(&EpochObservation {
+                epoch,
+                live_units: live,
+                achieved: vec![
+                    ProfileSample { mpki: 0.5, rbl: 0.25, blp: 3.5, ipc: 1.5 },
+                    ProfileSample { mpki, rbl: 0.5, blp: 1.25, ipc: 0.75 },
+                ],
+                predicted_units: vec![4, 1],
+                shadows: vec![ShadowEpoch { units: equal.clone(), would_migrate_pages }],
+            });
+            audit.note_measurement_start(1);
+        }
+        r.set_latency(latency);
+        r.set_audit(audit.report());
         r.snapshot()
     }
 
+    fn suite_row() -> SuiteExperimentTiming {
+        SuiteExperimentTiming {
+            name: "fig4_ws_dbp".to_string(),
+            wall_ns: u128::from(BIG),
+            jobs: 105,
+            solo_cache_hits: 0,
+        }
+    }
+
+    fn span_tree() -> ProfSpan {
+        let leaf = ProfSpan { name: "leaf".to_string(), count: BIG, ..Default::default() };
+        ProfSpan { name: "run".to_string(), children: vec![leaf], ..Default::default() }
+    }
+
+    /// Value to `Json` to text, parsed and read back: nothing is lost.
+    fn round_trips<T: JsonValue + PartialEq + std::fmt::Debug>(v: &T) {
+        let text = v.to_json().to_json();
+        let back = T::from_json(&json::parse(&text).expect("writer output parses"));
+        assert_eq!(back.as_ref(), Ok(v), "{text}");
+    }
+
+    /// [`round_trips`], and every key of the record is load-bearing: with
+    /// it deleted the reader either names it, or reads it as the `null`
+    /// an `Option` field accepts, never as anything else.
+    fn is_a_record<T: JsonValue + PartialEq + std::fmt::Debug>(v: &T) {
+        round_trips(v);
+        let Json::Obj(pairs) = v.to_json() else { panic!("{v:?} is not written as an object") };
+        for i in 0..pairs.len() {
+            let mut cut = pairs.clone();
+            let (key, _) = cut.remove(i);
+            match T::from_json(&Json::Obj(cut)) {
+                Ok(back) => assert_eq!(back.to_json().get(&key), Some(&Json::Null), "{key}"),
+                Err(e) => assert!(e.contains(&format!("missing `{key}`")), "{key}: {e}"),
+            }
+        }
+    }
+
     #[test]
-    fn metrics_document_round_trips_and_has_samples() {
-        let t = sample_telemetry();
-        let doc = metrics_document(&t, Json::obj([("policy", Json::str("dbp"))]));
-        let text = doc.to_json();
-        let back = json::parse(&text).expect("metrics doc must be valid JSON");
-        assert_eq!(back.get("format_version").and_then(Json::as_num), Some(1.0));
+    fn every_record_round_trips_and_names_each_missing_key() {
+        let run = sample_telemetry();
+        let audit = run.audit.expect("sample has an audit");
+        assert_eq!(audit.epochs[0].mean_abs_pred_error, None);
+        assert!(audit.epochs[1].mean_abs_pred_error.is_some());
+        is_a_record(&audit);
+        is_a_record(&audit.live);
+        is_a_record(&audit.live.churn);
+        is_a_record(&audit.prediction[1]);
+        is_a_record(&audit.calibration[1]);
+        is_a_record(&audit.convergence);
+        is_a_record(&audit.convergence.phase_shifts[0]);
+        is_a_record(&audit.epochs[0]);
+        is_a_record(&audit.epochs[1]);
+        is_a_record(&run.series[0]);
+        is_a_record(&run.series[0].threads[0]);
+        is_a_record(&suite_row());
+        is_a_record(&span_tree());
+        // Written by hand, around the named `components`, derived keys
+        // (`mean`, `p99`, ...) and the checks a reader of outside input owes.
+        let latency = run.latency.expect("sample has a latency anatomy");
+        is_a_record(&latency.cores[1]);
+        round_trips(&latency);
+        round_trips(&latency.cores[1].write);
+        round_trips(&latency.bank_interference);
+    }
+
+    #[test]
+    fn readers_refuse_a_narrowed_integer_and_a_mistyped_option() {
+        let text = sample_telemetry().audit.to_json().to_json();
+        let load = |from: &str, to: &str| {
+            assert!(text.contains(from), "{from} in {text}");
+            AuditReport::from_json(&json::parse(&text.replacen(from, to, 1)).unwrap()).unwrap_err()
+        };
+        // 2^32 + 8 must not load as 8.
         assert_eq!(
-            back.get("summary").and_then(|s| s.get("policy")).and_then(Json::as_str),
-            Some("dbp")
+            load("\"max_units\":8", "\"max_units\":4294967304"),
+            "`max_units` 4294967304 does not fit u32"
         );
-        let epochs = back.get("epochs").and_then(Json::as_arr).unwrap();
-        assert_eq!(epochs.len(), 1);
-        let threads = epochs[0].get("threads").and_then(Json::as_arr).unwrap();
-        assert_eq!(threads.len(), 2);
-        assert_eq!(threads[0].get("mpki").and_then(Json::as_num), Some(12.5));
-        let events = back.get("events").and_then(Json::as_arr).unwrap();
-        assert_eq!(events.len(), 4);
-        // Thread-scoped event carries its thread id at top level.
-        assert_eq!(events[3].get("thread").and_then(Json::as_num), Some(1.0));
         assert_eq!(
-            events[3].get("args").and_then(|a| a.get("cause")).and_then(Json::as_str),
-            Some("lazy")
+            load("\"predicted_units\":4", "\"predicted_units\":4294967300"),
+            "`calibration` [0] `predicted_units` 4294967300 does not fit u32"
         );
+        // An `Option` is absent, `null`, or its type: never silently `None`.
+        assert_eq!(
+            load("\"mean_abs_pred_error\":2.5", "\"mean_abs_pred_error\":\"2.5\""),
+            "`epoch_rows` [1] `mean_abs_pred_error` must be a number"
+        );
+    }
+
+    /// A run document as schema 1.1 spells it, byte for byte: a writer
+    /// change that moves it, or a reader change that can no longer load
+    /// it, has broken every stored report.
+    const RUN_DOCUMENT: &str = concat!(
+        r#"{"format_version":1,"schema_version":"1.1","summary":{"policy":"dbp"},"#,
+        r#""epochs":[{"epoch":0,"cycle":1000000,"queue_depth":5,"row_hit_rate":0.6,"#,
+        r#""bus_utilisation":0.3,"threads":[{"mpki":12.5,"rbl":0.8,"blp":2.4,"reads":100,"#,
+        r#""avg_read_latency":210},{"mpki":0,"rbl":0,"blp":0,"reads":0,"avg_read_latency":0}]}],"#,
+        r#""events":[{"name":"epoch_start","cycle":1000000,"args":{"epoch":0}},"#,
+        r#"{"name":"thread_profile","cycle":1000000,"thread":0,"args":{"mpki":12.5,"rbl":0.8,"#,
+        r#""blp":2.4}},{"name":"repartition_plan","cycle":1000000,"args":{"epoch":0,"#,
+        r#""plan":["t0:{0,1}","t1:{2,3}"],"changed_threads":[1]}},{"name":"page_migration","#,
+        r#""cycle":1000000,"thread":1,"args":{"vpn":77,"old_frame":3,"new_frame":9,"#,
+        r#""cause":"lazy"}}],"dropped_events":0,"latency":{"cores":[{"read":{"count":1,"sum":120,"#,
+        r#""min":120,"max":120,"mean":120,"p50":120,"p90":120,"p99":120,"buckets":[[62,1]]},"#,
+        r#""write":{"count":0,"sum":0,"min":0,"max":0,"mean":0,"p50":0,"p90":0,"p99":0,"#,
+        r#""buckets":[]},"components":{"queue_same_core":10,"queue_other_core":20,"bank_busy":30,"#,
+        r#""bus_contention":40,"intrinsic":20}},{"read":{"count":1,"sum":40,"min":40,"max":40,"#,
+        r#""mean":40,"p50":40,"p90":40,"p99":40,"buckets":[[36,1]]},"write":{"count":1,"sum":60,"#,
+        r#""min":60,"max":60,"mean":60,"p50":60,"p90":60,"p99":60,"buckets":[[46,1]]},"#,
+        r#""components":{"queue_same_core":0,"queue_other_core":0,"bank_busy":0,"#,
+        r#""bus_contention":0,"intrinsic":40}}],"banks":[{"count":1,"sum":40,"min":40,"max":40,"#,
+        r#""mean":40,"p50":40,"p90":40,"p99":40,"buckets":[[36,1]]},{"count":1,"sum":120,"#,
+        r#""min":120,"max":120,"mean":120,"p50":120,"p90":120,"p99":120,"buckets":[[62,1]]}],"#,
+        r#""interference":{"bank":[[0,0],[9007199254740992,0]],"bus":[[0,5],[0,0]]}},"#,
+        r#""audit":{"threads":2,"max_units":8,"live":{"name":"DBP","churn":{"decisions":2,"#,
+        r#""changes":1,"thread_changes":2,"flaps":0},"mean_distance":0,"max_distance":0,"#,
+        r#""agreement_epochs":0,"would_migrate_pages":0},"shadows":[{"name":"equal-BP","#,
+        r#""churn":{"decisions":2,"changes":0,"thread_changes":0,"flaps":0},"mean_distance":1,"#,
+        r#""max_distance":2,"agreement_epochs":1,"would_migrate_pages":9007199254740992}],"#,
+        r#""prediction":[{"thread":0,"samples":1,"mean_err":-3,"mean_abs_err":3,"max_abs_err":3,"#,
+        r#""mean_predicted":4,"mean_achieved_blp":3.5,"mean_achieved_rbl":0.25,"#,
+        r#""mean_achieved_ipc":1.5},{"thread":1,"samples":1,"mean_err":-2,"mean_abs_err":2,"#,
+        r#""max_abs_err":2,"mean_predicted":1,"mean_achieved_blp":1.25,"mean_achieved_rbl":0.5,"#,
+        r#""mean_achieved_ipc":0.75}],"calibration":[{"thread":0,"predicted_units":4,"samples":1,"#,
+        r#""mean_blp":3.5,"min_blp":3.5,"max_blp":3.5},{"thread":1,"predicted_units":1,"#,
+        r#""samples":1,"mean_blp":1.25,"min_blp":1.25,"max_blp":1.25}],"#,
+        r#""convergence":{"decisions":2,"measurement_start":1,"epochs_to_stable":null,"#,
+        r#""stable_window":3,"flap_rate":0,"phase_shifts":[{"epoch":1,"thread":1,"metric":"mpki","#,
+        r#""epochs_to_restabilize":null}]},"epoch_rows":[{"epoch":0,"live_changed":[],"#,
+        r#""mean_abs_pred_error":null,"shadow_distance":[0],"#,
+        r#""shadow_would_migrate":[9007199254740992]},{"epoch":1,"live_changed":[0,1],"#,
+        r#""mean_abs_pred_error":2.5,"shadow_distance":[2],"shadow_would_migrate":[0]}]}}"#,
+    );
+
+    #[test]
+    fn run_document_matches_its_pinned_text_and_loads_back() {
+        let run = sample_telemetry();
+        let doc = run_document(&run, Json::obj([("policy", Json::str("dbp"))]));
+        assert_eq!(doc.to_json(), RUN_DOCUMENT);
+        let back = json::parse(RUN_DOCUMENT).expect("pinned text parses");
+        check_schema_version(&back).expect("own schema version is accepted");
+        assert_eq!(back.field("epochs").as_ref(), Ok(&run.series));
+        assert_eq!(back.req_arr("events").map(<[Json]>::len), Ok(run.events.len()));
+        assert_eq!(back.field("dropped_events"), Ok(run.dropped_events));
+        assert_eq!(back.field("latency"), Ok(run.latency));
+        assert_eq!(back.field("audit"), Ok(run.audit));
+        // A run that published no report exports no section.
+        let bare = run_document(&Telemetry::default(), Json::Null);
+        assert!(
+            bare.get("epochs").is_some() && bare.get("latency").or(bare.get("audit")).is_none()
+        );
+    }
+
+    /// The two host documents as text. Renaming a `json_record!` field
+    /// renames its key, and a round trip cannot notice: a literal does.
+    #[test]
+    fn host_documents_keep_their_layout() {
+        let ann = [("diag".to_string(), Json::obj([("reads", Json::uint(7))]))];
+        assert_eq!(
+            suite_timing_document(4, true, 9_999_999, &[suite_row()], &ann).to_json(),
+            r#"{"format_version":1,"schema_version":"1.1","workers":4,"quick":true,"total_wall_ns":9999999,"experiments":[{"name":"fig4_ws_dbp","wall_ns":9007199254740992,"jobs":105,"solo_cache_hits":0}],"annotations":{"diag":{"reads":7}}}"#
+        );
+        let p = Profile { spans: vec![span_tree()], counters: vec![("cycles".to_string(), 42)] };
+        let text = profile_document(&p, Json::obj([("mix", Json::str("mix-a"))])).to_json();
+        assert_eq!(
+            text,
+            r#"{"format_version":1,"schema_version":"1.1","summary":{"mix":"mix-a"},"total_ns":0,"spans":[{"name":"run","count":0,"total_ns":0,"self_ns":0,"max_ns":0,"children":[{"name":"leaf","count":9007199254740992,"total_ns":0,"self_ns":0,"max_ns":0,"children":[]}]}],"counters":{"cycles":42}}"#
+        );
+        let back = json::parse(&text).unwrap();
+        assert!(check_schema_version(&back).is_ok());
+        assert_eq!(Profile::from_json(&back), Ok(p));
     }
 
     #[test]
@@ -443,104 +584,6 @@ mod tests {
             .collect();
         assert!(names.contains(&"sim"));
         assert!(names.contains(&"thread 1"));
-    }
-
-    #[test]
-    fn suite_timing_document_round_trips() {
-        let rows = vec![
-            SuiteExperimentTiming {
-                name: "fig4_ws_dbp".to_string(),
-                wall_ns: 1_234_567,
-                jobs: 105,
-                solo_cache_hits: 120,
-            },
-            SuiteExperimentTiming {
-                name: "table3_mixes".to_string(),
-                wall_ns: 1_000,
-                jobs: 0,
-                solo_cache_hits: 0,
-            },
-        ];
-        let ann = vec![("diag".to_string(), Json::obj([("reads", Json::uint(7))]))];
-        let doc = suite_timing_document(4, true, 9_999_999, &rows, &ann);
-        let back = json::parse(&doc.to_json()).expect("suite timing doc must be valid JSON");
-        assert_eq!(back.get("format_version").and_then(Json::as_num), Some(1.0));
-        assert_eq!(back.get("schema_version").and_then(Json::as_str), Some(SCHEMA_VERSION));
-        assert_eq!(back.get("workers").and_then(Json::as_num), Some(4.0));
-        assert_eq!(back.get("total_wall_ns").and_then(Json::as_num), Some(9_999_999.0));
-        let exps = back.get("experiments").and_then(Json::as_arr).unwrap();
-        assert_eq!(exps.len(), 2);
-        assert_eq!(exps[0].get("name").and_then(Json::as_str), Some("fig4_ws_dbp"));
-        assert_eq!(exps[0].get("jobs").and_then(Json::as_num), Some(105.0));
-        assert_eq!(exps[0].get("solo_cache_hits").and_then(Json::as_num), Some(120.0));
-        assert_eq!(
-            back.get("annotations")
-                .and_then(|a| a.get("diag"))
-                .and_then(|d| d.get("reads"))
-                .and_then(Json::as_num),
-            Some(7.0)
-        );
-        assert!(check_schema_version(&back).is_ok());
-    }
-
-    #[test]
-    fn latency_document_round_trips_with_schema() {
-        let mut report = LatencyReport::new(2, 4);
-        report.record_read(0, 2, 120, [10, 20, 30, 40, 20]);
-        report.record_write(1, 55);
-        report.bank_interference.add(0, 1, 20);
-        let doc = latency_document(&report, Json::obj([("policy", Json::str("none"))]));
-        let back = json::parse(&doc.to_json()).expect("latency doc must be valid JSON");
-        assert!(check_schema_version(&back).is_ok());
-        assert_eq!(back.get("schema_version").and_then(Json::as_str), Some(SCHEMA_VERSION));
-        assert_eq!(
-            back.get("summary").and_then(|s| s.get("policy")).and_then(Json::as_str),
-            Some("none")
-        );
-        let parsed = LatencyReport::from_json(&back).expect("body must reconstruct");
-        assert_eq!(parsed, report);
-    }
-
-    #[test]
-    fn audit_document_round_trips_with_schema() {
-        use crate::audit::{AuditBuilder, EpochObservation, ProfileSample, ShadowEpoch};
-
-        let mut b = AuditBuilder::new(
-            "DBP",
-            vec!["equal-BP".to_string()],
-            2,
-            4,
-            vec![vec![vec![0, 1], vec![2, 3]], vec![vec![0, 1], vec![2, 3]]],
-        );
-        b.observe(&EpochObservation {
-            epoch: 0,
-            live_units: vec![vec![0, 1, 2], vec![3]],
-            achieved: vec![ProfileSample::default(), ProfileSample::default()],
-            predicted_units: vec![3, 1],
-            shadows: vec![ShadowEpoch {
-                units: vec![vec![0, 1], vec![2, 3]],
-                would_migrate_pages: 5,
-            }],
-        });
-        let report = b.report();
-        let doc = audit_document(&report, Json::obj([("mix", Json::str("mix50-1"))]));
-        let back = json::parse(&doc.to_json()).expect("audit doc must be valid JSON");
-        assert!(check_schema_version(&back).is_ok());
-        assert_eq!(back.get("schema_version").and_then(Json::as_str), Some(SCHEMA_VERSION));
-        assert_eq!(
-            back.get("summary").and_then(|s| s.get("mix")).and_then(Json::as_str),
-            Some("mix50-1")
-        );
-        // The per-decision series exports as `epoch_rows`, NOT `epochs`:
-        // `dbpreport` routes metrics documents by the `epochs` key, so an
-        // audit document must never carry it at top level.
-        assert!(back.get("epoch_rows").is_some());
-        assert!(back.get("epochs").is_none(), "audit docs must not collide with metrics routing");
-        let parsed = AuditReport::from_json(&back).expect("body must reconstruct");
-        assert_eq!(parsed, report);
-        // A future-major producer is rejected before anyone reads the body.
-        let future = json::parse(&doc.to_json().replace("\"1.0\"", "\"2.0\"")).unwrap();
-        assert!(check_schema_version(&future).unwrap_err().contains("newer"));
     }
 
     #[test]
@@ -621,31 +664,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_document_round_trips_with_schema() {
-        let prof = crate::prof::Prof::enabled();
-        {
-            let _run = prof.span("run");
-            let _tick = prof.span("tick");
-        }
-        prof.counter("cycles").add(42);
-        let p = prof.snapshot();
-        let doc = profile_document(&p, Json::obj([("mix", Json::str("mix-a"))]));
-        let back = json::parse(&doc.to_json()).expect("profile doc must be valid JSON");
-        assert!(check_schema_version(&back).is_ok());
-        assert_eq!(back.get("schema_version").and_then(Json::as_str), Some(SCHEMA_VERSION));
-        assert_eq!(
-            back.get("summary").and_then(|s| s.get("mix")).and_then(Json::as_str),
-            Some("mix-a")
-        );
-        assert_eq!(back.get("total_ns").and_then(Json::as_num), Some(p.total_ns() as f64));
-        let parsed = Profile::from_json(&back).expect("body must reconstruct");
-        assert_eq!(parsed, p);
-        // A future-major producer is rejected before anyone reads the body.
-        let future = json::parse(&doc.to_json().replace("\"1.0\"", "\"2.0\"")).unwrap();
-        assert!(check_schema_version(&future).unwrap_err().contains("newer"));
-    }
-
-    #[test]
     fn profile_chrome_trace_packs_children_inside_parents() {
         let p = Profile {
             spans: vec![ProfSpan {
@@ -691,8 +709,6 @@ mod tests {
     #[test]
     fn empty_telemetry_exports_cleanly() {
         let t = Telemetry::default();
-        let m = metrics_document(&t, Json::Obj(Vec::new()));
-        assert!(json::parse(&m.to_json()).is_ok());
         let c = chrome_trace(&t);
         let back = json::parse(&c.to_json()).unwrap();
         assert!(back.get("traceEvents").and_then(Json::as_arr).is_some());

@@ -9,7 +9,7 @@
 //! extraction are deterministic, so histograms built on different worker
 //! threads and merged in a fixed order serialise byte-identically.
 
-use crate::json::Json;
+use crate::json::{Json, JsonValue};
 
 /// Sub-buckets per power-of-two octave (and the size of the linear
 /// region at the bottom).
@@ -170,9 +170,25 @@ impl Histogram {
         self.sum = self.sum.saturating_add(other.sum);
     }
 
+    /// Per-bucket `(low, high, count)` triples for the non-empty buckets
+    /// (ascending), for downstream renderers.
+    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
+        self.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| **c > 0)
+            .map(|(i, c)| {
+                let (lo, hi) = bucket_bounds(i);
+                (lo, hi, *c)
+            })
+            .collect()
+    }
+}
+
+impl JsonValue for Histogram {
     /// JSON form: summary fields plus the non-empty buckets as sparse
     /// `[index, count]` pairs.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         Json::obj([
             ("count", Json::uint(self.count)),
             ("sum", Json::uint(self.sum)),
@@ -195,19 +211,16 @@ impl Histogram {
         ])
     }
 
-    /// Rebuild a histogram from its [`Histogram::to_json`] form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when a field is missing, malformed, or the
-    /// bucket counts disagree with the recorded total.
-    pub fn from_json(v: &Json) -> Result<Histogram, String> {
+    /// Rebuild a histogram from that form: an error when a field is
+    /// missing, malformed, or the bucket counts disagree with the
+    /// recorded total.
+    fn from_json(v: &Json) -> Result<Histogram, String> {
         let mut h = Histogram {
             counts: Vec::new(),
-            count: v.req_u64("count")?,
-            sum: v.req_u64("sum")?,
-            min: v.req_u64("min")?,
-            max: v.req_u64("max")?,
+            count: v.field("count")?,
+            sum: v.field("sum")?,
+            min: v.field("min")?,
+            max: v.field("max")?,
         };
         let mut total = 0u64;
         for b in v.req_arr("buckets")? {
@@ -229,20 +242,6 @@ impl Histogram {
             return Err(format!("bucket counts sum to {total}, header says {}", h.count));
         }
         Ok(h)
-    }
-
-    /// Per-bucket `(low, high, count)` triples for the non-empty buckets
-    /// (ascending), for downstream renderers.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| {
-                let (lo, hi) = bucket_bounds(i);
-                (lo, hi, *c)
-            })
-            .collect()
     }
 }
 

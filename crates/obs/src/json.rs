@@ -13,6 +13,10 @@
 //! The parser exists so tests (and `dbpreport --check`, which gates CI's
 //! exported artifacts) can validate what the writer produced; it
 //! accepts exactly RFC 8259 documents.
+//!
+//! [`JsonValue`] ties a type to its one JSON spelling, and `json_record!`
+//! derives a struct's writer and reader from its field list, so no record
+//! in this crate spells its keys more than once.
 
 use std::fmt::Write as _;
 
@@ -116,63 +120,25 @@ impl Json {
         self.get(key).ok_or_else(|| format!("missing `{key}`"))
     }
 
-    /// The required field `key`, read with `pick`; the error names the
-    /// key and what it must be.
-    fn req_as<'a, T>(
-        &'a self,
-        key: &str,
-        want: &str,
-        pick: impl FnOnce(&'a Json) -> Option<T>,
-    ) -> Result<T, String> {
-        pick(self.req(key)?).ok_or_else(|| format!("`{key}` must be {want}"))
-    }
-
-    /// The required unsigned-integer field `key` (see [`Json::as_u64`]).
-    ///
-    /// # Errors
-    ///
-    /// Names the key when it is absent or not such an integer.
-    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
-        self.req_as(key, "a non-negative integer", Json::as_u64)
-    }
-
-    /// The required numeric field `key`.
-    ///
-    /// # Errors
-    ///
-    /// Names the key when it is absent or not a number.
-    pub fn req_f64(&self, key: &str) -> Result<f64, String> {
-        self.req_as(key, "a number", Json::as_num)
-    }
-
-    /// The required string field `key`.
-    ///
-    /// # Errors
-    ///
-    /// Names the key when it is absent or not a string.
-    pub fn req_str(&self, key: &str) -> Result<&str, String> {
-        self.req_as(key, "a string", Json::as_str)
-    }
-
-    /// The required array field `key`.
+    /// The required array field `key`, borrowed.
     ///
     /// # Errors
     ///
     /// Names the key when it is absent or not an array.
     pub fn req_arr(&self, key: &str) -> Result<&[Json], String> {
-        self.req_as(key, "an array", Json::as_arr)
+        self.req(key)?.as_arr().ok_or_else(|| format!("`{key}` must be an array"))
     }
 
-    /// The optional unsigned-integer field `key`: `None` when absent or
-    /// `null` (how the writers spell a missing value).
+    /// The field `key` read as a `T`. An absent key reads as `null`, which
+    /// only an `Option` accepts (how the writers spell a missing value).
     ///
     /// # Errors
     ///
-    /// Names the key when it is present but not such an integer.
-    pub fn opt_u64(&self, key: &str) -> Result<Option<u64>, String> {
+    /// Names the key when it is absent or does not hold a `T`.
+    pub fn field<T: JsonValue>(&self, key: &str) -> Result<T, String> {
         match self.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(_) => self.req_u64(key).map(Some),
+            Some(v) => T::from_json(v).map_err(|e| format!("`{key}` {e}")),
+            None => T::from_json(&Json::Null).map_err(|_| format!("missing `{key}`")),
         }
     }
 
@@ -215,6 +181,119 @@ impl Json {
         }
     }
 }
+
+/// A value with one JSON spelling, written and read back by the same
+/// type. Scalars, `Option`, `Vec` and every `json_record!` struct
+/// implement it, so a record's reader and writer both follow from its
+/// field list. Reader errors say what the value "must be"; the enclosing
+/// [`Json::field`] / `Vec` prefixes the key or index that held it.
+pub trait JsonValue: Sized {
+    /// The value as JSON.
+    fn to_json(&self) -> Json;
+
+    /// Read the value back.
+    ///
+    /// # Errors
+    ///
+    /// Returns what `v` must be instead.
+    fn from_json(v: &Json) -> Result<Self, String>;
+}
+
+macro_rules! json_uint {
+    ($($t:ty),*) => {$(
+        impl JsonValue for $t {
+            fn to_json(&self) -> Json {
+                Json::Num(*self as f64)
+            }
+            fn from_json(v: &Json) -> Result<Self, String> {
+                let n = v.as_u64().ok_or("must be a non-negative integer")?;
+                <$t>::try_from(n).map_err(|_| format!("{n} does not fit {}", stringify!($t)))
+            }
+        }
+    )*};
+}
+json_uint!(u64, u32, usize, u128);
+
+impl JsonValue for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        v.as_num().ok_or_else(|| "must be a number".to_string())
+    }
+}
+
+impl JsonValue for String {
+    fn to_json(&self) -> Json {
+        Json::Str(self.clone())
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        v.as_str().map(str::to_owned).ok_or_else(|| "must be a string".to_string())
+    }
+}
+
+/// `None` is `null`; anything else must be a `T`.
+impl<T: JsonValue> JsonValue for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        match v {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
+        }
+    }
+}
+
+impl<T: JsonValue> JsonValue for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::arr(self.iter().map(T::to_json))
+    }
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let items = v.as_arr().ok_or("must be an array")?;
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| T::from_json(item).map_err(|e| format!("[{i}] {e}")))
+            .collect()
+    }
+}
+
+/// Declare structs whose JSON object has exactly their fields, in
+/// declaration order, as keys (`pub field as "key": T` renames one): the
+/// one field list yields the struct, its writer and its reader.
+macro_rules! json_record {
+    ($(
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $( $(#[$fmeta:meta])* pub $field:ident $(as $key:literal)? : $ty:ty ),* $(,)?
+        }
+    )+) => {$(
+        $(#[$meta])*
+        pub struct $name {
+            $( $(#[$fmeta])* pub $field: $ty ),*
+        }
+
+        impl $crate::json::JsonValue for $name {
+            fn to_json(&self) -> $crate::json::Json {
+                $crate::json::Json::obj([
+                    $( (
+                        $crate::json::json_record!(@key $field $($key)?),
+                        $crate::json::JsonValue::to_json(&self.$field),
+                    ) ),*
+                ])
+            }
+            fn from_json(v: &$crate::json::Json) -> Result<Self, String> {
+                Ok($name {
+                    $( $field: v.field($crate::json::json_record!(@key $field $($key)?))? ),*
+                })
+            }
+        }
+    )+};
+    (@key $field:ident) => { stringify!($field) };
+    (@key $field:ident $key:literal) => { $key };
+}
+pub(crate) use json_record;
 
 fn write_num(v: f64, out: &mut String) {
     if !v.is_finite() {
@@ -667,25 +746,36 @@ mod tests {
     }
 
     #[test]
-    fn required_field_accessors_name_the_key_and_refuse_lossy_integers() {
-        let v =
-            parse(r#"{"n":3,"neg":-3,"frac":1.5,"huge":1e30,"s":"x","a":[1],"nil":null}"#).unwrap();
-        assert_eq!(v.req_u64("n"), Ok(3));
-        assert_eq!(v.req_f64("frac"), Ok(1.5));
-        assert_eq!(v.req_str("s"), Ok("x"));
-        assert_eq!(v.req_arr("a").map(<[Json]>::len), Ok(1));
-        assert_eq!(v.opt_u64("n"), Ok(Some(3)));
-        assert_eq!(v.opt_u64("nil"), Ok(None));
-        assert_eq!(v.opt_u64("absent"), Ok(None));
+    fn field_names_the_key_and_refuses_lossy_integers() {
+        let v = parse(
+            r#"{"n":3,"neg":-3,"frac":1.5,"huge":1e30,"wide":4294967304,"s":"x","a":[1,"y"],"nil":null}"#,
+        )
+        .unwrap();
+        assert_eq!(v.field::<u64>("n"), Ok(3));
+        assert_eq!(v.field::<f64>("frac"), Ok(1.5));
+        assert_eq!(v.field::<String>("s"), Ok("x".to_string()));
+        assert_eq!(v.req_arr("a").map(<[Json]>::len), Ok(2));
+        assert_eq!(v.field::<Option<u64>>("n"), Ok(Some(3)));
+        assert_eq!(v.field::<Option<u64>>("nil"), Ok(None));
+        assert_eq!(v.field::<Option<u64>>("absent"), Ok(None));
         assert_eq!(v.req("nil"), Ok(&Json::Null));
-        assert!(v.req("absent").unwrap_err().contains("absent"));
-        for key in ["neg", "frac", "huge", "s", "absent"] {
-            assert!(v.req_u64(key).unwrap_err().contains(key), "{key}");
+        assert_eq!(v.req("absent").unwrap_err(), "missing `absent`");
+        assert_eq!(v.field::<u64>("absent").unwrap_err(), "missing `absent`");
+        for key in ["neg", "frac", "huge", "s", "nil"] {
+            assert!(
+                v.field::<u64>(key).unwrap_err().contains(&format!("`{key}` must be")),
+                "{key}"
+            );
         }
-        assert!(v.opt_u64("neg").unwrap_err().contains("neg"));
-        assert!(v.req_f64("s").unwrap_err().contains("`s`"));
-        assert!(v.req_str("n").unwrap_err().contains("`n`"));
+        // Narrower integers are range-checked, never cast.
+        assert_eq!(v.field::<u64>("wide"), Ok(4_294_967_304));
+        assert_eq!(v.field::<u32>("wide").unwrap_err(), "`wide` 4294967304 does not fit u32");
+        // `Option` forgives absence, not a mistyped value.
+        assert!(v.field::<Option<u64>>("neg").unwrap_err().contains("`neg`"));
+        assert!(v.field::<Option<f64>>("s").unwrap_err().contains("`s` must be a number"));
+        assert!(v.field::<String>("n").unwrap_err().contains("`n`"));
         assert!(v.req_arr("n").unwrap_err().contains("`n`"));
+        assert_eq!(v.field::<Vec<u64>>("a").unwrap_err(), "`a` [1] must be a non-negative integer");
         assert_eq!(Json::uint(1 << 53).as_u64(), Some(1 << 53));
     }
 }

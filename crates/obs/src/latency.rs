@@ -15,7 +15,7 @@
 //! matrix while shared-channel bus contention remains visible.
 
 use crate::hist::Histogram;
-use crate::json::Json;
+use crate::json::{Json, JsonValue};
 use crate::table::Table;
 
 /// Number of additive latency components.
@@ -92,18 +92,17 @@ impl Matrix {
             *a += b;
         }
     }
+}
 
+impl JsonValue for Matrix {
     /// JSON form: an array of row arrays.
-    pub fn to_json(&self) -> Json {
+    fn to_json(&self) -> Json {
         Json::arr((0..self.n).map(|i| Json::arr((0..self.n).map(|j| Json::uint(self.get(i, j))))))
     }
 
-    /// Rebuild from the [`Matrix::to_json`] form.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the value is not a square numeric matrix.
-    pub fn from_json(v: &Json) -> Result<Matrix, String> {
+    /// Rebuild from that form: an error unless the value is a square
+    /// matrix of non-negative integers.
+    fn from_json(v: &Json) -> Result<Matrix, String> {
         let rows = v.as_arr().ok_or("matrix must be an array of rows")?;
         let n = rows.len();
         let mut m = Matrix::new(n);
@@ -128,6 +127,35 @@ pub struct CoreLatency {
     /// Summed cycles per component across all reads; the five entries
     /// add up exactly to `read.sum()`.
     pub components: [u64; N_COMPONENTS],
+}
+
+impl CoreLatency {
+    /// The component totals as a `name: cycles` object keyed by
+    /// [`COMPONENT_NAMES`].
+    fn components_json(&self) -> Json {
+        Json::obj(COMPONENT_NAMES.into_iter().zip(self.components.map(Json::uint)))
+    }
+}
+
+/// Written by hand: `components` is an array in memory and a named
+/// object in JSON.
+impl JsonValue for CoreLatency {
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("read", self.read.to_json()),
+            ("write", self.write.to_json()),
+            ("components", self.components_json()),
+        ])
+    }
+
+    fn from_json(v: &Json) -> Result<CoreLatency, String> {
+        let named = v.req("components")?;
+        let mut components = [0u64; N_COMPONENTS];
+        for (slot, name) in components.iter_mut().zip(COMPONENT_NAMES) {
+            *slot = named.field(name).map_err(|e| format!("`components` {e}"))?;
+        }
+        Ok(CoreLatency { read: v.field("read")?, write: v.field("write")?, components })
+    }
 }
 
 /// The full anatomy of one measured run.
@@ -190,71 +218,6 @@ impl LatencyReport {
         self.cores.iter().map(|c| c.read.count()).sum()
     }
 
-    /// JSON body: `cores`, `banks`, and `interference` keys (the export
-    /// layer wraps this with version and summary fields).
-    pub fn to_json(&self) -> Json {
-        Json::obj([
-            (
-                "cores",
-                Json::arr(self.cores.iter().map(|c| {
-                    Json::obj([
-                        ("read", c.read.to_json()),
-                        ("write", c.write.to_json()),
-                        (
-                            "components",
-                            Json::obj(
-                                COMPONENT_NAMES
-                                    .iter()
-                                    .zip(c.components)
-                                    .map(|(name, v)| (*name, Json::uint(v))),
-                            ),
-                        ),
-                    ])
-                })),
-            ),
-            ("banks", Json::arr(self.banks.iter().map(Histogram::to_json))),
-            (
-                "interference",
-                Json::obj([
-                    ("bank", self.bank_interference.to_json()),
-                    ("bus", self.bus_interference.to_json()),
-                ]),
-            ),
-        ])
-    }
-
-    /// Rebuild from a JSON value carrying the [`LatencyReport::to_json`]
-    /// keys (extra keys, e.g. the export wrapper's, are ignored).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message naming the first malformed field.
-    pub fn from_json(v: &Json) -> Result<LatencyReport, String> {
-        let cores_json = v.req_arr("cores")?;
-        let mut cores = Vec::with_capacity(cores_json.len());
-        for c in cores_json {
-            let mut components = [0u64; N_COMPONENTS];
-            let comp_json = c.req("components")?;
-            for (slot, name) in components.iter_mut().zip(COMPONENT_NAMES) {
-                *slot = comp_json.req_u64(name)?;
-            }
-            cores.push(CoreLatency {
-                read: Histogram::from_json(c.req("read")?)?,
-                write: Histogram::from_json(c.req("write")?)?,
-                components,
-            });
-        }
-        let banks =
-            v.req_arr("banks")?.iter().map(Histogram::from_json).collect::<Result<Vec<_>, _>>()?;
-        let interference = v.req("interference")?;
-        let bank_interference = Matrix::from_json(interference.req("bank")?)?;
-        let bus_interference = Matrix::from_json(interference.req("bus")?)?;
-        if bank_interference.n() != cores.len() || bus_interference.n() != cores.len() {
-            return Err("interference matrix size must match core count".into());
-        }
-        Ok(LatencyReport { cores, banks, bank_interference, bus_interference })
-    }
-
     /// A compact percentile/interference summary, used by `bench_all`'s
     /// suite JSON annotations.
     pub fn summary_json(&self) -> Json {
@@ -270,21 +233,44 @@ impl LatencyReport {
                         ("p90", Json::uint(c.read.value_at_quantile(0.90))),
                         ("p99", Json::uint(c.read.value_at_quantile(0.99))),
                         ("max", Json::uint(c.read.max())),
-                        (
-                            "components",
-                            Json::obj(
-                                COMPONENT_NAMES
-                                    .iter()
-                                    .zip(c.components)
-                                    .map(|(name, v)| (*name, Json::uint(v))),
-                            ),
-                        ),
+                        ("components", c.components_json()),
                     ])
                 })),
             ),
             ("bank_interference_cross_core", Json::uint(self.bank_interference.off_diagonal_sum())),
             ("bus_interference_cross_core", Json::uint(self.bus_interference.off_diagonal_sum())),
         ])
+    }
+}
+
+impl JsonValue for LatencyReport {
+    /// JSON body: `cores`, `banks`, and `interference` keys.
+    fn to_json(&self) -> Json {
+        Json::obj([
+            ("cores", self.cores.to_json()),
+            ("banks", self.banks.to_json()),
+            (
+                "interference",
+                Json::obj([
+                    ("bank", self.bank_interference.to_json()),
+                    ("bus", self.bus_interference.to_json()),
+                ]),
+            ),
+        ])
+    }
+
+    /// Rebuild from a JSON value carrying those keys: an error names the
+    /// first malformed field, or a matrix that does not match the cores.
+    fn from_json(v: &Json) -> Result<LatencyReport, String> {
+        let cores: Vec<CoreLatency> = v.field("cores")?;
+        let banks = v.field("banks")?;
+        let interference = v.req("interference")?;
+        let bank_interference: Matrix = interference.field("bank")?;
+        let bus_interference: Matrix = interference.field("bus")?;
+        if bank_interference.n() != cores.len() || bus_interference.n() != cores.len() {
+            return Err("interference matrix size must match core count".into());
+        }
+        Ok(LatencyReport { cores, banks, bank_interference, bus_interference })
     }
 }
 
@@ -434,14 +420,6 @@ mod tests {
         other.add(0, 2, 9);
         m.merge(&other);
         assert_eq!(m.get(0, 2), 10);
-    }
-
-    #[test]
-    fn json_round_trips() {
-        let r = sample();
-        let text = r.to_json().to_json();
-        let back = LatencyReport::from_json(&json::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, r);
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! `dbp-obs` — the zero-dependency telemetry substrate of the simulator.
 //!
-//! Three pieces, layered bottom-up:
+//! Its pieces, layered bottom-up:
 //!
 //! * [`json`] — a minimal order-preserving JSON model with a strict
 //!   RFC 8259 parser and a writer (non-finite floats serialise as
-//!   `null`, matching `JSON.stringify`);
+//!   `null`, matching `JSON.stringify`), and [`json::JsonValue`]: each exported
+//!   record declares its field list once and gets its writer and reader
+//!   from it;
 //! * [`event`] + [`recorder`] — the typed event taxonomy and the
 //!   cheap-clone [`Recorder`] handle the whole stack emits into. A
 //!   disabled recorder reduces every call to a `None` check, so
 //!   instrumentation never perturbs the simulation;
-//! * [`export`] — renders captured [`Telemetry`] as a metrics JSON
-//!   document and a Chrome `trace_event` file for
-//!   `chrome://tracing` / Perfetto;
+//! * [`export`] — renders captured [`Telemetry`] as the one run
+//!   document (epochs, events, `latency` and `audit` sections) and as a
+//!   Chrome `trace_event` file for `chrome://tracing` / Perfetto;
 //! * [`prof`] — host-side self-profiling: exact-sum wall-clock span
 //!   trees and monotonic work counters behind the same cheap-clone
 //!   disabled-is-one-branch handle shape as [`Recorder`];
@@ -21,8 +23,8 @@
 //! * [`cli`] — the workspace's one argument parser, behind every bin's
 //!   uniform `--help`.
 //!
-//! The `dbpreport` bin renders, converts and validates every document
-//! kind above.
+//! The `dbpreport` bin renders, converts and validates the four
+//! documents: run report, suite timing, Chrome trace, self-profile.
 //!
 //! The crate intentionally depends on nothing else in the workspace (or
 //! outside it) so any layer can use it without cycles.

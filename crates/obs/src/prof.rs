@@ -39,7 +39,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
-use crate::json::Json;
+use crate::json::{json_record, Json, JsonValue};
 use crate::table::{fmt_ns, Table};
 
 /// Sentinel parent index for root spans inside a [`SpanTree`].
@@ -382,23 +382,25 @@ impl Counter {
     }
 }
 
-/// One aggregated span path in a [`Profile`]: occurrence count, total
-/// wall time, self time (total minus direct children), and the single
-/// longest occurrence.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ProfSpan {
-    /// Span name (the leaf segment; the path is the ancestor chain).
-    pub name: String,
-    /// How many times this path was entered.
-    pub count: u64,
-    /// Wall-clock nanoseconds spent inside, children included.
-    pub total_ns: u64,
-    /// Nanoseconds not accounted to any child: `total_ns - Σ children.total_ns`.
-    pub self_ns: u64,
-    /// The longest single occurrence, nanoseconds.
-    pub max_ns: u64,
-    /// Child spans, sorted by name.
-    pub children: Vec<ProfSpan>,
+json_record! {
+    /// One aggregated span path in a [`Profile`]: occurrence count, total
+    /// wall time, self time (total minus direct children), and the single
+    /// longest occurrence.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct ProfSpan {
+        /// Span name (the leaf segment; the path is the ancestor chain).
+        pub name: String,
+        /// How many times this path was entered.
+        pub count: u64,
+        /// Wall-clock nanoseconds spent inside, children included.
+        pub total_ns: u64,
+        /// Nanoseconds not accounted to any child: `total_ns - Σ children.total_ns`.
+        pub self_ns: u64,
+        /// The longest single occurrence, nanoseconds.
+        pub max_ns: u64,
+        /// Child spans, sorted by name.
+        pub children: Vec<ProfSpan>,
+    }
 }
 
 impl ProfSpan {
@@ -514,26 +516,16 @@ impl Profile {
         out
     }
 
-    /// The span/counter body as JSON (embedded by
-    /// [`crate::export::profile_document`]).
+    /// The body's two keys, which [`crate::export::profile_document`]
+    /// lays out at its top level.
+    pub(crate) fn json_pairs(&self) -> [(&'static str, Json); 2] {
+        let counters = self.counters.iter().map(|(n, v)| (n.clone(), Json::uint(*v)));
+        [("spans", self.spans.to_json()), ("counters", Json::Obj(counters.collect()))]
+    }
+
+    /// The span/counter body as JSON.
     pub fn to_json(&self) -> Json {
-        fn span_json(s: &ProfSpan) -> Json {
-            Json::obj([
-                ("name", Json::str(&s.name)),
-                ("count", Json::uint(s.count)),
-                ("total_ns", Json::uint(s.total_ns)),
-                ("self_ns", Json::uint(s.self_ns)),
-                ("max_ns", Json::uint(s.max_ns)),
-                ("children", Json::arr(s.children.iter().map(span_json))),
-            ])
-        }
-        Json::obj([
-            ("spans", Json::arr(self.spans.iter().map(span_json))),
-            (
-                "counters",
-                Json::Obj(self.counters.iter().map(|(n, v)| (n.clone(), Json::uint(*v))).collect()),
-            ),
-        ])
+        Json::obj(self.json_pairs())
     }
 
     /// Reconstruct a profile from a parsed `profile_document` (or any
@@ -545,27 +537,7 @@ impl Profile {
     /// Returns a message on missing/mistyped fields or an exact-sum
     /// violation.
     pub fn from_json(doc: &Json) -> Result<Profile, String> {
-        fn span_from(j: &Json) -> Result<ProfSpan, String> {
-            let name = j.req_str("name")?.to_string();
-            let children = match j.get("children") {
-                None => Vec::new(),
-                Some(c) => c
-                    .as_arr()
-                    .ok_or("span \"children\" must be an array")?
-                    .iter()
-                    .map(span_from)
-                    .collect::<Result<_, _>>()?,
-            };
-            Ok(ProfSpan {
-                name,
-                count: j.req_u64("count")?,
-                total_ns: j.req_u64("total_ns")?,
-                self_ns: j.req_u64("self_ns")?,
-                max_ns: j.req_u64("max_ns")?,
-                children,
-            })
-        }
-        let spans = doc.req_arr("spans")?.iter().map(span_from).collect::<Result<Vec<_>, _>>()?;
+        let spans = doc.field("spans")?;
         let mut counters: Vec<(String, u64)> = Vec::new();
         if let Some(Json::Obj(pairs)) = doc.get("counters") {
             for (name, v) in pairs {

@@ -14,6 +14,7 @@ use std::rc::Rc;
 
 use crate::audit::AuditReport;
 use crate::event::{EventKind, TraceEvent};
+use crate::json::json_record;
 use crate::latency::LatencyReport;
 
 /// Default ring-buffer capacity: plenty for epoch-level events over long
@@ -41,32 +42,34 @@ impl Default for RecorderConfig {
     }
 }
 
-/// One per-thread sample inside an [`EpochSample`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThreadSample {
-    pub mpki: f64,
-    pub rbl: f64,
-    pub blp: f64,
-    /// Reads serviced for this thread during the epoch.
-    pub reads: u64,
-    pub avg_read_latency: f64,
-}
+json_record! {
+    /// One per-thread sample inside an [`EpochSample`].
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct ThreadSample {
+        pub mpki: f64,
+        pub rbl: f64,
+        pub blp: f64,
+        /// Reads serviced for this thread during the epoch.
+        pub reads: u64,
+        pub avg_read_latency: f64,
+    }
 
-/// The per-epoch time-series sample taken when a profiling epoch closes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EpochSample {
-    /// Zero-based epoch index.
-    pub epoch: u64,
-    /// CPU cycle at which the epoch closed.
-    pub cycle: u64,
-    /// Requests in flight across all controllers at the epoch boundary.
-    pub queue_depth: u64,
-    /// Row-hit rate over the epoch's DRAM accesses (0.0 if none).
-    pub row_hit_rate: f64,
-    /// Fraction of the epoch's DRAM cycles the data bus was busy.
-    pub bus_utilisation: f64,
-    /// One entry per hardware thread, index = thread id.
-    pub threads: Vec<ThreadSample>,
+    /// The per-epoch time-series sample taken when a profiling epoch closes.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct EpochSample {
+        /// Zero-based epoch index.
+        pub epoch: u64,
+        /// CPU cycle at which the epoch closed.
+        pub cycle: u64,
+        /// Requests in flight across all controllers at the epoch boundary.
+        pub queue_depth: u64,
+        /// Row-hit rate over the epoch's DRAM accesses (0.0 if none).
+        pub row_hit_rate: f64,
+        /// Fraction of the epoch's DRAM cycles the data bus was busy.
+        pub bus_utilisation: f64,
+        /// One entry per hardware thread, index = thread id.
+        pub threads: Vec<ThreadSample>,
+    }
 }
 
 /// Everything an enabled recorder captured, in arrival order.

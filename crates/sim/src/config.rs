@@ -24,6 +24,21 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
+    /// Every scheduler under its command-line name, default-configured:
+    /// the one list that parsing, help text and "all schedulers" loops
+    /// share.
+    pub fn named() -> [(&'static str, SchedulerKind); 7] {
+        [
+            ("fcfs", SchedulerKind::Fcfs),
+            ("frfcfs", SchedulerKind::FrFcfs),
+            ("frfcfs-cap", SchedulerKind::FrFcfsCap(Default::default())),
+            ("parbs", SchedulerKind::ParBs(Default::default())),
+            ("atlas", SchedulerKind::Atlas(Default::default())),
+            ("bliss", SchedulerKind::Bliss(Default::default())),
+            ("tcm", SchedulerKind::Tcm(Default::default())),
+        ]
+    }
+
     /// Instantiate the scheduler for `threads` threads.
     pub fn build(&self, threads: usize) -> Box<dyn Scheduler> {
         match *self {
@@ -210,15 +225,7 @@ mod tests {
 
     #[test]
     fn scheduler_kinds_build() {
-        for k in [
-            SchedulerKind::Fcfs,
-            SchedulerKind::FrFcfs,
-            SchedulerKind::FrFcfsCap(FrFcfsCapConfig::default()),
-            SchedulerKind::ParBs(ParBsConfig::default()),
-            SchedulerKind::Atlas(AtlasConfig::default()),
-            SchedulerKind::Bliss(BlissConfig::default()),
-            SchedulerKind::Tcm(TcmConfig::default()),
-        ] {
+        for (_, k) in SchedulerKind::named() {
             let s = k.build(4);
             assert!(!s.name().is_empty());
             assert!(!k.label().is_empty());

@@ -14,7 +14,7 @@ pub use dbp_obs::table::Table;
 pub use dbp_obs::latency::latency_report_text;
 
 /// A [`RunResult`] as a JSON object, suitable as the `summary` of a
-/// [`dbp_obs::export::metrics_document`].
+/// [`dbp_obs::export::run_document`].
 pub fn run_result_json(r: &RunResult) -> Json {
     Json::obj([
         ("total_cycles", Json::uint(r.total_cycles)),

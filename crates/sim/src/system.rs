@@ -1161,15 +1161,7 @@ mod prop_tests {
 
     /// The seven schedulers, by generator index.
     fn scheduler(s: usize) -> SchedulerKind {
-        match s {
-            0 => SchedulerKind::Fcfs,
-            1 => SchedulerKind::FrFcfs,
-            2 => SchedulerKind::FrFcfsCap(Default::default()),
-            3 => SchedulerKind::ParBs(Default::default()),
-            4 => SchedulerKind::Atlas(Default::default()),
-            5 => SchedulerKind::Bliss(Default::default()),
-            _ => SchedulerKind::Tcm(Default::default()),
-        }
+        SchedulerKind::named()[s].1
     }
 
     /// One arm's observable outcome in an equivalence test: every reported

@@ -40,38 +40,34 @@ const SPEC: CliSpec = CliSpec {
         Arg::opt("--epoch", "cycles", "repartitioning epoch in CPU cycles (default 1000000)"),
         Arg::flag("--csv", "emit CSV instead of an aligned table"),
         Arg::opt("--trace-out", "file", "run: Chrome trace_event JSON of the shared run"),
-        Arg::opt("--metrics-out", "file", "run: per-epoch metrics + event log as JSON"),
-        Arg::opt("--latency-out", "file", "run: latency anatomy + interference matrices as JSON"),
+        Arg::opt("--report-out", "file", "run: epochs, events, latency anatomy and audit as JSON"),
         Arg::opt("--profile-out", "file", "run: host self-profile (spans + work counters) as JSON"),
-        Arg::opt("--audit-out", "file", "run: decision audit (shadow policies, accuracy) as JSON"),
         Arg::flag("--trace-plan", "run: pretty-print each epoch's profiles and plan to stderr"),
     ],
 };
 
+/// Look `s` up in an enum's `named()` table; the error lists the names.
+fn lookup<T: Copy>(what: &str, table: &[(&'static str, T)], s: &str) -> Result<T, String> {
+    table.iter().find(|(name, _)| *name == s).map(|&(_, kind)| kind).ok_or_else(|| {
+        let names: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+        format!("unknown {what} {s:?} ({})", names.join("|"))
+    })
+}
+
 fn parse_policy(s: &str) -> Result<PolicyKind, String> {
     match s {
-        "shared" | "none" => Ok(PolicyKind::Unpartitioned),
-        "equal" => Ok(PolicyKind::Equal),
-        "dbp" => Ok(PolicyKind::Dbp(Default::default())),
-        "mcp" => Ok(PolicyKind::Mcp(Default::default())),
-        other => Err(format!("unknown policy {other:?} (shared|equal|dbp|mcp)")),
+        "none" => Ok(PolicyKind::Unpartitioned),
+        _ => lookup("policy", &PolicyKind::named(), s),
     }
 }
 
 fn parse_scheduler(s: &str) -> Result<SchedulerKind, String> {
-    match s {
-        "fcfs" => Ok(SchedulerKind::Fcfs),
-        "frfcfs" => Ok(SchedulerKind::FrFcfs),
-        "frfcfs-cap" => Ok(SchedulerKind::FrFcfsCap(Default::default())),
-        "parbs" => Ok(SchedulerKind::ParBs(Default::default())),
-        "atlas" => Ok(SchedulerKind::Atlas(Default::default())),
-        "bliss" => Ok(SchedulerKind::Bliss(Default::default())),
-        "tcm" => Ok(SchedulerKind::Tcm(Default::default())),
-        other => Err(format!(
-            "unknown scheduler {other:?} (fcfs|frfcfs|frfcfs-cap|parbs|atlas|bliss|tcm)"
-        )),
-    }
+    lookup("scheduler", &SchedulerKind::named(), s)
 }
+
+/// The options only `run` reads (their help says "run:"); any other
+/// command given one would otherwise succeed and write nothing.
+const RUN_ONLY: [&str; 4] = ["--trace-out", "--report-out", "--profile-out", "--trace-plan"];
 
 #[derive(Debug)]
 struct Options {
@@ -86,10 +82,8 @@ struct Options {
     epoch: u64,
     csv: bool,
     trace_out: Option<String>,
-    metrics_out: Option<String>,
-    latency_out: Option<String>,
+    report_out: Option<String>,
     profile_out: Option<String>,
-    audit_out: Option<String>,
     trace_plan: bool,
 }
 
@@ -120,10 +114,8 @@ fn parse_options(parsed: &Parsed) -> Result<Options, String> {
         epoch: number(parsed, "--epoch", 1_000_000)?,
         csv: parsed.flag("--csv"),
         trace_out: text("--trace-out"),
-        metrics_out: text("--metrics-out"),
-        latency_out: text("--latency-out"),
+        report_out: text("--report-out"),
         profile_out: text("--profile-out"),
-        audit_out: text("--audit-out"),
         trace_plan: parsed.flag("--trace-plan"),
     })
 }
@@ -224,14 +216,10 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         cfg.scheduler.label(),
         cfg.policy.label(),
     );
-    let telemetry_wanted = opts.trace_out.is_some()
-        || opts.metrics_out.is_some()
-        || opts.latency_out.is_some()
-        || opts.audit_out.is_some()
-        || opts.trace_plan;
+    let telemetry_wanted = opts.trace_out.is_some() || opts.report_out.is_some() || opts.trace_plan;
     let rec = if telemetry_wanted {
         Recorder::new(RecorderConfig {
-            audit: opts.audit_out.is_some(),
+            audit: opts.report_out.is_some(),
             stderr_echo: opts.trace_plan,
             ..Default::default()
         })
@@ -293,7 +281,7 @@ fn write_telemetry(
         std::fs::write(path, doc.to_json()).map_err(|e| format!("--trace-out {path}: {e}"))?;
         eprintln!("wrote Chrome trace to {path} (open in chrome://tracing or ui.perfetto.dev)");
     }
-    if let Some(path) = &opts.metrics_out {
+    if let Some(path) = &opts.report_out {
         let summary = Json::obj([
             ("mix", Json::str(mix.name)),
             ("benchmarks", Json::arr(mix.benchmarks.iter().map(|b| Json::str(*b)))),
@@ -304,48 +292,12 @@ fn write_telemetry(
             ("max_slowdown", Json::num(run.metrics.max_slowdown)),
             ("run", run_result_json(&run.shared)),
         ]);
-        let doc = export::metrics_document(&telemetry, summary);
-        std::fs::write(path, doc.to_json()).map_err(|e| format!("--metrics-out {path}: {e}"))?;
+        let doc = export::run_document(&telemetry, summary);
+        std::fs::write(path, doc.to_json()).map_err(|e| format!("--report-out {path}: {e}"))?;
         eprintln!(
-            "wrote metrics ({} epochs, {} events) to {path}",
+            "wrote run report ({} epochs, {} events) to {path} (render with `dbpreport {path}`)",
             telemetry.series.len(),
             telemetry.events.len()
-        );
-    }
-    if let Some(path) = &opts.latency_out {
-        let report = telemetry
-            .latency
-            .as_ref()
-            .ok_or_else(|| format!("--latency-out {path}: run produced no latency anatomy"))?;
-        let summary = Json::obj([
-            ("mix", Json::str(mix.name)),
-            ("policy", Json::str(cfg.policy.label())),
-            ("scheduler", Json::str(cfg.scheduler.label())),
-        ]);
-        let doc = export::latency_document(report, summary);
-        std::fs::write(path, doc.to_json()).map_err(|e| format!("--latency-out {path}: {e}"))?;
-        eprintln!(
-            "wrote latency anatomy ({} reads) to {path} (render with `dbpreport {path}`)",
-            report.total_reads()
-        );
-    }
-    if let Some(path) = &opts.audit_out {
-        let report = telemetry
-            .audit
-            .as_ref()
-            .ok_or_else(|| format!("--audit-out {path}: run produced no audit report"))?;
-        let summary = Json::obj([
-            ("mix", Json::str(mix.name)),
-            ("policy", Json::str(cfg.policy.label())),
-            ("scheduler", Json::str(cfg.scheduler.label())),
-        ]);
-        let doc = export::audit_document(report, summary);
-        std::fs::write(path, doc.to_json()).map_err(|e| format!("--audit-out {path}: {e}"))?;
-        eprintln!(
-            "wrote decision audit ({} decision(s), {} shadow policies) to {path} \
-             (render with `dbpreport {path}`)",
-            report.convergence.decisions,
-            report.shadows.len()
         );
     }
     Ok(())
@@ -356,12 +308,7 @@ fn cmd_compare(opts: &Options) -> Result<(), String> {
     let cfg = config_for(opts)?;
     let alone = runner::alone_ipcs(&cfg, &mix);
     let mut t = Table::new(["policy", "WS", "HS", "MS", "rowhit"]);
-    for policy in [
-        PolicyKind::Unpartitioned,
-        PolicyKind::Equal,
-        PolicyKind::Dbp(Default::default()),
-        PolicyKind::Mcp(Default::default()),
-    ] {
+    for (_, policy) in PolicyKind::named() {
         let mut c = cfg.clone();
         c.policy = policy;
         let run = runner::run_mix_with_alone(&c, &mix, alone.clone());
@@ -388,18 +335,21 @@ fn main() -> ExitCode {
             eprint!("{}", SPEC.help());
             return ExitCode::FAILURE;
         }
-        [cmd] => match cmd.as_str() {
-            "help" => {
+        [cmd] => match (cmd.as_str(), RUN_ONLY.iter().find(|name| parsed.flag(name))) {
+            ("run", _) => parse_options(&parsed).and_then(|o| cmd_run(&o)),
+            ("help" | "list" | "compare", Some(name)) => {
+                Err(format!("{name} applies to `run` only, not `{cmd}`"))
+            }
+            ("help", None) => {
                 print!("{}", SPEC.help());
                 Ok(())
             }
-            "list" => {
+            ("list", None) => {
                 cmd_list();
                 Ok(())
             }
-            "run" => parse_options(&parsed).and_then(|o| cmd_run(&o)),
-            "compare" => parse_options(&parsed).and_then(|o| cmd_compare(&o)),
-            other => Err(format!("unknown command {other:?}; try `dbpsim help`")),
+            ("compare", None) => parse_options(&parsed).and_then(|o| cmd_compare(&o)),
+            (other, _) => Err(format!("unknown command {other:?}; try `dbpsim help`")),
         },
         [_, extra, ..] => Err(format!("unexpected argument {extra:?}; try `dbpsim help`")),
     };

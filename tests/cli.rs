@@ -13,6 +13,11 @@ fn help_prints_usage() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("usage: dbpsim"));
     assert!(text.contains("--policy"));
+    // The two literal name lists in the help are the enums' own tables.
+    let policies = dbp_repro::dbp::policy::PolicyKind::named().map(|(name, _)| name).join(" | ");
+    assert!(text.contains(&format!("{policies} (default dbp)")), "{policies}\n{text}");
+    let schedulers = dbp_repro::sim::SchedulerKind::named().map(|(name, _)| name).join(" | ");
+    assert!(text.contains(&format!("{schedulers} (default frfcfs)")), "{schedulers}\n{text}");
 }
 
 #[test]
@@ -62,7 +67,7 @@ fn telemetry_exports_are_valid_json() {
     let dir = std::env::temp_dir().join(format!("dbpsim-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let trace = dir.join("trace.json");
-    let metrics = dir.join("metrics.json");
+    let report = dir.join("report.json");
 
     let out = dbpsim()
         .args([
@@ -80,29 +85,30 @@ fn telemetry_exports_are_valid_json() {
         ])
         .arg("--trace-out")
         .arg(&trace)
-        .arg("--metrics-out")
-        .arg(&metrics)
+        .arg("--report-out")
+        .arg(&report)
         .output()
         .expect("spawn dbpsim");
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
 
-    let trace_doc =
-        dbp_repro::obs::json::parse(&std::fs::read_to_string(&trace).expect("trace file written"))
-            .expect("trace file must be valid JSON");
-    let rows = trace_doc.get("traceEvents").and_then(|v| v.as_arr()).expect("traceEvents array");
+    let load = |path: &std::path::Path| {
+        dbp_repro::obs::json::parse(&std::fs::read_to_string(path).expect("export written"))
+            .expect("export must be valid JSON")
+    };
+    let rows = load(&trace);
+    let rows = rows.req_arr("traceEvents").expect("traceEvents array");
     assert!(rows.len() > 2, "expected events beyond the metadata rows");
 
-    let metrics_doc = dbp_repro::obs::json::parse(
-        &std::fs::read_to_string(&metrics).expect("metrics file written"),
-    )
-    .expect("metrics file must be valid JSON");
-    let epochs = metrics_doc.get("epochs").and_then(|v| v.as_arr()).expect("epochs array");
+    // One document carries every section the run recorded.
+    let doc = load(&report);
+    assert!(doc.get("schema_version").is_some() && doc.get("summary").is_some());
+    let epochs = doc.req_arr("epochs").expect("epochs array");
     assert!(!epochs.is_empty(), "expected at least one sampled epoch");
-    assert!(metrics_doc.get("summary").is_some());
-    assert!(
-        epochs[0].get("threads").and_then(|v| v.as_arr()).is_some_and(|t| t.len() == 2),
-        "per-thread samples for both cores"
-    );
+    assert_eq!(epochs[0].req_arr("threads").map(<[_]>::len), Ok(2), "samples for both cores");
+    let section =
+        |name: &str, list: &str| doc.req(name).and_then(|s| s.req_arr(list)).map(<[_]>::len);
+    assert_eq!(section("latency", "cores"), Ok(2));
+    assert_eq!(section("audit", "shadows"), Ok(3));
 
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -119,5 +125,30 @@ fn unknown_options_fail_cleanly() {
         let out = dbpsim().args(&args).output().expect("spawn dbpsim");
         assert!(!out.status.success(), "{args:?} should fail");
         assert!(!out.stderr.is_empty());
+    }
+}
+
+/// Every option the help marks "run:" does nothing for `compare` or
+/// `list`, so giving it there is a usage error that names it; an unknown
+/// command is still reported as that.
+#[test]
+fn run_only_options_are_refused_by_other_commands() {
+    let help = dbpsim().arg("help").output().expect("spawn dbpsim").stdout;
+    let help = String::from_utf8_lossy(&help);
+    let marked: Vec<&str> = help
+        .lines()
+        .filter(|l| l.contains("  run: "))
+        .map(|l| l.split_whitespace().next().expect("option name"))
+        .collect();
+    assert_eq!(marked, ["--trace-out", "--report-out", "--profile-out", "--trace-plan"]);
+    for option in marked {
+        for cmd in [vec!["compare", "--mix", "mix50-1"], vec!["list"], vec!["bogus"]] {
+            let value = (option != "--trace-plan").then_some("r.json");
+            let out = dbpsim().args(&cmd).arg(option).args(value).output().expect("spawn dbpsim");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert!(!out.status.success() && out.stdout.is_empty(), "{cmd:?} {option}: {err}");
+            let names = if cmd[0] == "bogus" { "unknown command" } else { option };
+            assert!(err.contains(names), "{cmd:?} {option} must say {names}: {err}");
+        }
     }
 }

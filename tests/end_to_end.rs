@@ -26,12 +26,7 @@ fn sys_for(cfg: &SimConfig, names: &[&str]) -> System {
 
 #[test]
 fn every_policy_completes_a_heavy_mix() {
-    for policy in [
-        PolicyKind::Unpartitioned,
-        PolicyKind::Equal,
-        PolicyKind::Dbp(Default::default()),
-        PolicyKind::Mcp(Default::default()),
-    ] {
+    for (_, policy) in PolicyKind::named() {
         let mut cfg = tiny();
         cfg.policy = policy;
         let mut sys = sys_for(&cfg, &["mcf", "lbm", "libquantum", "milc"]);
@@ -45,15 +40,7 @@ fn every_policy_completes_a_heavy_mix() {
 
 #[test]
 fn every_scheduler_completes_a_heavy_mix() {
-    for sched in [
-        SchedulerKind::Fcfs,
-        SchedulerKind::FrFcfs,
-        SchedulerKind::FrFcfsCap(Default::default()),
-        SchedulerKind::ParBs(Default::default()),
-        SchedulerKind::Atlas(Default::default()),
-        SchedulerKind::Bliss(Default::default()),
-        SchedulerKind::Tcm(Default::default()),
-    ] {
+    for (_, sched) in SchedulerKind::named() {
         let mut cfg = tiny();
         cfg.scheduler = sched;
         let mut sys = sys_for(&cfg, &["mcf", "lbm"]);
