@@ -59,6 +59,9 @@ DBP_JOBS=2 ./target/release/bench_all --quick \
     --profile-out "$(pwd)/PROF_suite.json" \
     > target/ci-suite-parallel.txt
 diff target/ci-suite-serial.txt target/ci-suite-parallel.txt
+# ...and the run memo engaged end to end: Figure 5 reads Figure 4's
+# cells, so inside the suite it must have simulated nothing.
+grep -q '"name":"fig5_ms_dbp","wall_ns":[0-9]*,"jobs":0,' SUITE_timing.json
 # Time-skip equivalence gate: the same quick suite driven by the
 # always-stepped core (`--stepped` sets `SimConfig::time_skip = false`,
 # pinning every System to per-cycle ticking) must print byte-identical
@@ -70,12 +73,12 @@ diff target/ci-suite-serial.txt target/ci-suite-stepped.txt
 # ...and the stepped leg really is stepped: identical tables cannot show
 # an experiment that builds a fresh SimConfig and drops the flag, but
 # the profiler's skipped-cycle counter can. One experiment per way of
-# building a profiled System (run_grid, run_shared_grid, the latency
+# building a profiled System (the engine's cells, the latency
 # diagnostic) must skip nothing with --stepped and something without.
 ./target/release/bench_all --quick --stepped --profile-out target/ci-prof-stepped.json \
-    fig1_motivation ext1_energy diag_interference > /dev/null 2>&1
+    fig1_motivation diag_interference > /dev/null 2>&1
 ./target/release/bench_all --quick --profile-out target/ci-prof-skipping.json \
-    fig1_motivation ext1_energy diag_interference > /dev/null 2>&1
+    fig1_motivation diag_interference > /dev/null 2>&1
 grep -q '"sim/cycles_skipped":0' target/ci-prof-stepped.json
 # (`! cmd` is exempt from `set -e`, hence the explicit exits.)
 if grep -q '"sim/cycles_skipped":0' target/ci-prof-skipping.json; then exit 1; fi

@@ -1,7 +1,7 @@
 //! The one experiment binary: run the entire suite — all tables,
 //! figures, ablations and extensions — or just the experiments named on
 //! the command line, in one process, sharing one worker pool and one
-//! memoized solo-run cache across experiments.
+//! run memo across experiments (each distinct simulation runs once).
 //!
 //! Run: `cargo run --release -p dbp-bench --bin bench_all -- [--quick] [NAME ...]`
 //! (`--help` lists every option). `bench_all NAME > results/NAME.txt`
@@ -110,10 +110,11 @@ fn run_suite(opts: &Opts) {
         println!("{body}");
         let done = eng.stats().since(&before);
         eprintln!(
-            "bench_all: {} done in {} ({} job(s), {} solo-cache hit(s))",
+            "bench_all: {} done in {} ({} job(s) run; memo hits: {} shared, {} solo)",
             exp.name,
             fmt_ns(wall),
             done.jobs(),
+            done.shared_cache_hits,
             done.solo_cache_hits
         );
         rows.push(SuiteExperimentTiming {
@@ -121,18 +122,20 @@ fn run_suite(opts: &Opts) {
             wall_ns: wall,
             jobs: done.jobs(),
             solo_cache_hits: done.solo_cache_hits,
+            shared_cache_hits: done.shared_cache_hits,
         });
     }
 
     let total_ns = suite.elapsed_ns();
     let s = eng.stats();
-    let mut timing = Table::new(["experiment", "wall", "jobs", "cache hits"]);
+    let mut timing = Table::new(["experiment", "wall", "jobs", "shared hits", "solo hits"]);
     timing.align_left(0);
     for r in &rows {
         timing.row([
             r.name.clone(),
             fmt_ns(r.wall_ns),
             r.jobs.to_string(),
+            r.shared_cache_hits.to_string(),
             r.solo_cache_hits.to_string(),
         ]);
     }
@@ -140,20 +143,21 @@ fn run_suite(opts: &Opts) {
         "total".to_owned(),
         fmt_ns(total_ns),
         s.jobs().to_string(),
+        s.shared_cache_hits.to_string(),
         s.solo_cache_hits.to_string(),
     ]);
     eprint!("{}", timing.render());
     eprintln!(
-        "bench_all: suite done in {} on {} worker(s) — {} jobs ({} shared, {} solo, {} aux), \
-         {} solo-cache hits ({} distinct solo runs memoized)",
+        "bench_all: suite done in {} on {} worker(s) — {} jobs run ({} shared, {} solo, {} aux), \
+         memo hits: {} shared, {} solo",
         fmt_ns(total_ns),
         eng.workers(),
         s.jobs(),
         s.shared_runs,
         s.solo_runs,
         s.aux_runs,
-        s.solo_cache_hits,
-        eng.cached_solo_runs()
+        s.shared_cache_hits,
+        s.solo_cache_hits
     );
 
     if let Some(path) = &opts.json_path {

@@ -1,30 +1,31 @@
-//! The parallel sweep engine: every experiment's simulation runs become
-//! independent jobs on the [`crate::pool`], and alone (solo) runs are
-//! memoized across combos, sweep points, and experiments.
+//! The sweep engine: every simulation an experiment asks for is a
+//! [`Cell`], and the engine runs each distinct cell once per process.
 //!
-//! # Why the cache is sound
+//! # Why the memo is sound
 //!
-//! An alone run is a pure function of (a) the system configuration
-//! fields that can influence it — captured by
-//! [`runner::alone_fingerprint`] — and (b) the synthetic trace, which is
-//! fully determined by the benchmark name and its seed
-//! ([`runner::seed_for`]). The cache key is exactly that triple, so a
-//! hit returns bit-identical data to a recomputation, and results do not
-//! depend on which experiment happened to populate the entry first.
+//! A simulation is a pure function of its cell — the configuration plus
+//! one `(benchmark, trace seed)` per core — and the memo key is the
+//! cell's own `Debug` text ([`Cell::key`]), so equal keys mean equal
+//! cells and a hit returns what a recomputation would. An alone run is
+//! the one-thread cell on [`runner::alone_config`], which resets the
+//! fields an alone run never exercises; that is what lets every combo,
+//! migration variant and experiment over the same memory system share
+//! one baseline. Which experiment populates an entry first cannot
+//! matter.
 //!
 //! # Why parallelism preserves determinism
 //!
-//! Each job builds its own [`dbp_sim::System`] inside the worker from
-//! plain `(SimConfig, Mix, core)` data — nothing simulated is shared
-//! across threads — and [`crate::pool::par_map`] collects results by
-//! index. `DBP_JOBS=1` and `DBP_JOBS=64` therefore produce byte-identical
-//! tables (the determinism test below and the CI gate both assert it).
+//! Each job builds its own [`dbp_sim::System`] inside the worker from the
+//! cell's plain data — nothing simulated is shared across threads — and
+//! [`crate::pool::par_map`] collects results by index. `DBP_JOBS=1` and
+//! `DBP_JOBS=64` therefore produce byte-identical tables (the
+//! determinism test below and the CI gate both assert it).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
-use dbp_obs::{Json, Prof};
-use dbp_sim::runner::{self, MixRun};
+use dbp_obs::{Json, Prof, Recorder};
+use dbp_sim::runner::{self, Cell, MixRun};
 use dbp_sim::{RunResult, SimConfig};
 use dbp_workloads::Mix;
 
@@ -32,17 +33,21 @@ use crate::harness::Combo;
 use crate::pool;
 
 /// Cumulative work counters for one [`Engine`] (monotonic; snapshot and
-/// subtract to attribute work to a suite phase).
+/// subtract to attribute work to a suite phase). A cell with one thread
+/// counts as solo, any other as shared; a lookup is either a run or a
+/// hit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Shared (co-scheduled) mix runs executed.
+    /// Multi-core cells actually simulated.
     pub shared_runs: u64,
-    /// Solo runs actually simulated (= solo-cache misses).
+    /// Multi-core lookups answered by the memo.
+    pub shared_cache_hits: u64,
+    /// Single-core cells actually simulated.
     pub solo_runs: u64,
-    /// Solo-run lookups served from the cache.
+    /// Single-core lookups answered by the memo.
     pub solo_cache_hits: u64,
-    /// Jobs routed through [`Engine::par_map`] (calibration sweeps and
-    /// other non-mix experiments).
+    /// Jobs routed through [`Engine::par_map`] (the recorder-carrying
+    /// diagnostics, whose product is not a [`RunResult`]).
     pub aux_runs: u64,
 }
 
@@ -56,6 +61,7 @@ impl EngineStats {
     pub fn since(&self, earlier: &EngineStats) -> EngineStats {
         EngineStats {
             shared_runs: self.shared_runs - earlier.shared_runs,
+            shared_cache_hits: self.shared_cache_hits - earlier.shared_cache_hits,
             solo_runs: self.solo_runs - earlier.solo_runs,
             solo_cache_hits: self.solo_cache_hits - earlier.solo_cache_hits,
             aux_runs: self.aux_runs - earlier.aux_runs,
@@ -63,18 +69,15 @@ impl EngineStats {
     }
 }
 
-/// (alone-config fingerprint, benchmark, trace seed) — everything an
-/// alone run's outcome can depend on.
-type SoloKey = (String, &'static str, u64);
-
-/// The sweep engine: a worker pool plus the process-wide solo-run cache.
+/// The sweep engine: a worker pool plus the process-wide run memo.
 ///
 /// One engine should live for a whole process (`bench_all` shares one
-/// across all experiments); per-binary usage still dedupes solo runs
-/// across combos and sweep points within that binary.
+/// across all experiments), so that an experiment re-reading another's
+/// cells — Figure 5 is Figure 4's grid under another metric — simulates
+/// nothing.
 pub struct Engine {
     workers: usize,
-    cache: Mutex<HashMap<SoloKey, f64>>,
+    memo: Mutex<HashMap<String, RunResult>>,
     stats: Mutex<EngineStats>,
     annotations: Mutex<Vec<(String, Json)>>,
     /// Host-side self-profiler; disabled by default (one branch per job).
@@ -85,7 +88,7 @@ impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
             .field("workers", &self.workers)
-            .field("cached_solo_runs", &self.cache.lock().expect("cache poisoned").len())
+            .field("memoized_runs", &self.memo.lock().expect("memo poisoned").len())
             .finish()
     }
 }
@@ -96,32 +99,12 @@ impl Default for Engine {
     }
 }
 
-/// One simulation job; built from plain `Send` data, so the `System`
-/// (which holds non-`Send` recorder handles) is constructed inside the
-/// worker thread.
-enum Job {
-    Solo { cfg: SimConfig, mix: Mix, core: usize },
-    Shared { cfg: SimConfig, mix: Mix },
-}
-
-enum JobOut {
-    Solo(f64),
-    Shared(RunResult),
-}
-
-/// A grid's shared run: one `bench/shared_run` span, self-profiled into
-/// the engine's profiler, no telemetry recorder.
-fn shared_run(cfg: &SimConfig, mix: &Mix, prof: &Prof) -> RunResult {
-    let _s = prof.span("bench/shared_run");
-    runner::run_shared_instrumented(cfg, mix, dbp_obs::Recorder::disabled(), prof.clone())
-}
-
 impl Engine {
     /// An engine with an explicit worker count (tests force 1 vs many).
     pub fn with_workers(workers: usize) -> Self {
         Engine {
             workers: workers.max(1),
-            cache: Mutex::new(HashMap::new()),
+            memo: Mutex::new(HashMap::new()),
             stats: Mutex::new(EngineStats::default()),
             annotations: Mutex::new(Vec::new()),
             prof: Prof::disabled(),
@@ -138,12 +121,13 @@ impl Engine {
         self.workers
     }
 
-    /// Route host-side self-profiling into `prof`: every pool job gets a
-    /// `bench/*` span, shared runs additionally carry the simulator's own
-    /// `sim/*`, `memctrl/*` spans and work counters. Workers flush their
-    /// thread-local span trees before each job returns, so a
-    /// [`Prof::snapshot`] taken between grid calls sees everything.
-    /// Profiling only observes — tables stay byte-identical.
+    /// Route host-side self-profiling into `prof`: every simulation that
+    /// really runs gets a `bench/shared_run` or `bench/solo_run` span
+    /// with the simulator's own `sim/*`, `memctrl/*` spans and work
+    /// counters beneath it. Workers flush their thread-local span trees
+    /// before each job returns, so a [`Prof::snapshot`] taken between
+    /// grid calls sees everything. Profiling only observes — tables stay
+    /// byte-identical.
     pub fn attach_profiler(&mut self, prof: &Prof) {
         self.prof = prof.clone();
     }
@@ -158,11 +142,6 @@ impl Engine {
     /// Snapshot of the cumulative work counters.
     pub fn stats(&self) -> EngineStats {
         *self.stats.lock().expect("stats poisoned")
-    }
-
-    /// Solo runs currently memoized.
-    pub fn cached_solo_runs(&self) -> usize {
-        self.cache.lock().expect("cache poisoned").len()
     }
 
     /// Attach a machine-readable side result (e.g. an experiment's
@@ -182,137 +161,106 @@ impl Engine {
         std::mem::take(&mut *self.annotations.lock().expect("annotations poisoned"))
     }
 
-    /// Run the full (mix × combo) grid of `cfg`: every shared run and
-    /// every still-uncached solo run becomes an independent pool job.
-    /// Returns runs indexed `[mix][combo]`, exactly as the serial
-    /// nested loop would produce them.
-    pub fn run_grid(&self, cfg: &SimConfig, mixes: &[Mix], combos: &[Combo]) -> Vec<Vec<MixRun>> {
-        let fp = runner::alone_fingerprint(cfg);
-        let solo_key = |mix: &Mix, core: usize| {
-            (fp.clone(), mix.benchmarks[core], runner::seed_for(mix, core))
-        };
-
-        // Solo runs missing from the cache, deduplicated within the batch
-        // (scaled mixes repeat (benchmark, seed) pairs across sweep rows).
-        let mut solo_jobs: Vec<(SoloKey, Mix, usize)> = Vec::new();
-        let mut lookups = 0u64;
+    /// The outcome of every cell, in order. Cells the memo lacks run as
+    /// one pool batch — each distinct one once, however often the batch
+    /// names it — and join the memo; the rest cost a lookup.
+    pub fn run_cells(&self, cells: &[Cell]) -> Vec<RunResult> {
+        let keys: Vec<String> = cells.iter().map(Cell::key).collect();
+        let is_solo = |cell: &Cell| cell.threads.len() == 1;
+        let mut batch: Vec<(&String, &Cell)> = Vec::new();
         {
-            let cache = self.cache.lock().expect("cache poisoned");
-            let mut scheduled: HashSet<SoloKey> = HashSet::new();
-            for mix in mixes {
-                for core in 0..mix.cores() {
-                    lookups += 1;
-                    let key = solo_key(mix, core);
-                    if cache.contains_key(&key) || !scheduled.insert(key.clone()) {
-                        continue;
-                    }
-                    solo_jobs.push((key, mix.clone(), core));
-                }
-            }
-        }
-        let n_solo = solo_jobs.len();
-
-        let mut jobs: Vec<Job> = solo_jobs
-            .iter()
-            .map(|(_, mix, core)| Job::Solo { cfg: cfg.clone(), mix: mix.clone(), core: *core })
-            .collect();
-        for mix in mixes {
-            for combo in combos {
-                jobs.push(Job::Shared { cfg: combo.apply(cfg), mix: mix.clone() });
-            }
-        }
-
-        let prof = &self.prof;
-        let outs = pool::par_map(self.workers, jobs, |job| {
-            let out = match job {
-                Job::Solo { cfg, mix, core } => {
-                    let _s = prof.span("bench/solo_run");
-                    JobOut::Solo(runner::alone_ipc(&cfg, &mix, core))
-                }
-                Job::Shared { cfg, mix } => JobOut::Shared(shared_run(&cfg, &mix, prof)),
-            };
-            // Pool workers die with the scope; hand this thread's span
-            // tree back to the profiler while it is still complete.
-            prof.flush_thread();
-            out
-        });
-
-        {
-            let mut cache = self.cache.lock().expect("cache poisoned");
-            for ((key, _, _), out) in solo_jobs.iter().zip(&outs[..n_solo]) {
-                let JobOut::Solo(ipc) = out else { unreachable!("solo job slot") };
-                cache.insert(key.clone(), *ipc);
-            }
-        }
-        {
+            let memo = self.memo.lock().expect("memo poisoned");
             let mut stats = self.stats.lock().expect("stats poisoned");
-            stats.shared_runs += (mixes.len() * combos.len()) as u64;
-            stats.solo_runs += n_solo as u64;
-            stats.solo_cache_hits += lookups - n_solo as u64;
+            let mut scheduled: HashSet<&String> = HashSet::new();
+            for (key, cell) in keys.iter().zip(cells) {
+                let runs = !memo.contains_key(key) && scheduled.insert(key);
+                if runs {
+                    batch.push((key, cell));
+                }
+                *match (is_solo(cell), runs) {
+                    (true, true) => &mut stats.solo_runs,
+                    (true, false) => &mut stats.solo_cache_hits,
+                    (false, true) => &mut stats.shared_runs,
+                    (false, false) => &mut stats.shared_cache_hits,
+                } += 1;
+            }
         }
 
-        let cache = self.cache.lock().expect("cache poisoned");
-        let mut shared = outs.into_iter().skip(n_solo);
+        let outs = self.pooled(
+            batch.iter().map(|&(_, cell)| cell).collect(),
+            |cell| if is_solo(cell) { "bench/solo_run" } else { "bench/shared_run" },
+            |cell| cell.run(Recorder::disabled(), self.prof.clone()),
+        );
+
+        let mut memo = self.memo.lock().expect("memo poisoned");
+        for (&(key, _), out) in batch.iter().zip(outs) {
+            memo.insert(key.clone(), out);
+        }
+        keys.iter().map(|key| memo[key].clone()).collect()
+    }
+
+    /// Run the full (mix × combo) grid of `cfg`, alone baselines
+    /// included, as one [`Engine::run_cells`] batch. Returns runs indexed
+    /// `[mix][combo]`, exactly as the serial nested loop would produce
+    /// them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an alone run hit the cycle cap before its instruction
+    /// target (see [`runner::AloneRunError`]).
+    pub fn run_grid(&self, cfg: &SimConfig, mixes: &[Mix], combos: &[Combo]) -> Vec<Vec<MixRun>> {
+        let mut cells = Vec::new();
+        for mix in mixes {
+            cells.extend((0..mix.cores()).map(|core| Cell::alone(cfg, mix, core)));
+            cells.extend(combos.iter().map(|combo| Cell::shared(&combo.apply(cfg), mix)));
+        }
+        let mut runs = self.run_cells(&cells).into_iter();
+        let mut next = || runs.next().expect("one outcome per cell");
         mixes
             .iter()
             .map(|mix| {
-                let alone: Vec<f64> =
-                    (0..mix.cores()).map(|core| cache[&solo_key(mix, core)]).collect();
-                combos
-                    .iter()
-                    .map(|_| {
-                        let Some(JobOut::Shared(run)) = shared.next() else {
-                            unreachable!("shared job slot")
-                        };
-                        MixRun::from_parts(mix, alone.clone(), run)
+                let alone: Vec<f64> = (0..mix.cores())
+                    .map(|core| {
+                        runner::alone_ipc_of(cfg, mix, core, &next())
+                            .unwrap_or_else(|e| panic!("{e}"))
                     })
-                    .collect()
+                    .collect();
+                combos.iter().map(|_| MixRun::from_parts(mix, alone.clone(), next())).collect()
             })
             .collect()
     }
 
-    /// Like [`Engine::run_grid`] but shared runs only — for experiments
-    /// that never consult the alone baselines (e.g. the energy study).
-    pub fn run_shared_grid(
-        &self,
-        cfg: &SimConfig,
-        mixes: &[Mix],
-        combos: &[Combo],
-    ) -> Vec<Vec<RunResult>> {
-        let mut jobs: Vec<(SimConfig, Mix)> = Vec::with_capacity(mixes.len() * combos.len());
-        for mix in mixes {
-            for combo in combos {
-                jobs.push((combo.apply(cfg), mix.clone()));
-            }
-        }
-        self.stats.lock().expect("stats poisoned").shared_runs += jobs.len() as u64;
-        let prof = &self.prof;
-        let outs = pool::par_map(self.workers, jobs, |(cfg, mix)| {
-            let out = shared_run(&cfg, &mix, prof);
-            prof.flush_thread();
-            out
-        });
-        let mut it = outs.into_iter();
-        mixes
-            .iter()
-            .map(|_| combos.iter().map(|_| it.next().expect("grid slot")).collect())
-            .collect()
-    }
-
-    /// Map arbitrary jobs over the pool (order-preserving); used by the
-    /// calibration/sweep experiments whose unit of work is not a mix.
+    /// Map arbitrary jobs over the pool (order-preserving), for work
+    /// whose product is not a [`RunResult`] and so cannot be memoized.
     pub fn par_map<I, T>(&self, items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T>
     where
         I: Send,
         T: Send,
     {
         self.stats.lock().expect("stats poisoned").aux_runs += items.len() as u64;
+        self.pooled(items, |_| "bench/aux_job", f)
+    }
+
+    /// `f` over `items` on the pool, each job inside the span `name`
+    /// picks for it.
+    fn pooled<I, T>(
+        &self,
+        items: Vec<I>,
+        name: impl Fn(&I) -> &'static str + Sync,
+        f: impl Fn(I) -> T + Sync,
+    ) -> Vec<T>
+    where
+        I: Send,
+        T: Send,
+    {
         let prof = &self.prof;
         pool::par_map(self.workers, items, |item| {
             let out = {
-                let _s = prof.span("bench/aux_job");
+                let _s = prof.span(name(&item));
                 f(item)
             };
+            // Pool workers die with the scope; hand this thread's span
+            // tree back to the profiler while it is still complete.
             prof.flush_thread();
             out
         })
@@ -334,22 +282,77 @@ mod tests {
         cfg
     }
 
+    fn assert_same(a: &[Vec<MixRun>], b: &[Vec<MixRun>]) {
+        assert_eq!(a.len(), b.len());
+        for (arow, brow) in a.iter().zip(b) {
+            assert_eq!(arow.len(), brow.len());
+            for (x, y) in arow.iter().zip(brow) {
+                assert_eq!(x.alone_ipcs, y.alone_ipcs);
+                assert_eq!(x.shared, y.shared);
+                assert_eq!(x.metrics, y.metrics);
+            }
+        }
+    }
+
+    /// What Figure 5 is to Figure 4: the same grid again simulates
+    /// nothing, and a grid with one more combo runs that combo's cells
+    /// only.
     #[test]
-    fn solo_cache_hits_across_combos_and_calls() {
+    fn a_repeated_grid_simulates_nothing_and_a_new_combo_runs_only_its_cells() {
         let eng = Engine::with_workers(1);
         let cfg = tiny_cfg();
-        let mixes = [mixes_4core()[0].clone()];
-        let combos = [harness::shared(), harness::dbp()];
-        eng.run_grid(&cfg, &mixes, &combos);
+        let mixes = [mixes_4core()[0].clone(), mixes_4core()[5].clone()];
+        let combos = [harness::shared(), harness::equal_bp(), harness::dbp()];
+        let first = eng.run_grid(&cfg, &mixes, &combos[..2]);
         let s1 = eng.stats();
-        assert_eq!(s1.solo_runs, 4, "one solo run per core, shared across combos");
-        assert_eq!(s1.solo_cache_hits, 0);
-        assert_eq!(s1.shared_runs, 2);
-        // Same fingerprint again: all solo lookups must hit.
-        eng.run_grid(&cfg, &mixes, &combos);
-        let s2 = eng.stats().since(&s1);
-        assert_eq!(s2.solo_runs, 0, "identical config must be fully cached");
-        assert_eq!(s2.solo_cache_hits, 4);
+        assert_eq!(s1.solo_runs, 8, "one solo run per core, shared across combos");
+        assert_eq!(s1.shared_runs, 4);
+        assert_eq!((s1.solo_cache_hits, s1.shared_cache_hits), (0, 0));
+
+        let again = eng.run_grid(&cfg, &mixes, &combos[..2]);
+        let s2 = eng.stats();
+        assert_eq!(s2.jobs(), s1.jobs(), "the same grid must be fully memoized");
+        assert_eq!(s2.since(&s1).solo_cache_hits, 8);
+        assert_eq!(s2.since(&s1).shared_cache_hits, 4);
+        assert_same(&first, &again);
+
+        let wider = eng.run_grid(&cfg, &mixes, &combos);
+        let d = eng.stats().since(&s2);
+        assert_eq!((d.shared_runs, d.solo_runs), (2, 0), "only the DBP column is new");
+        assert_eq!((d.shared_cache_hits, d.solo_cache_hits), (4, 8));
+        for (wrow, frow) in wider.iter().zip(&first) {
+            assert_eq!(wrow[0].shared, frow[0].shared);
+            assert_eq!(wrow[1].shared, frow[1].shared);
+        }
+    }
+
+    #[test]
+    fn a_batch_naming_a_cell_twice_runs_it_once() {
+        let eng = Engine::with_workers(2);
+        let cfg = tiny_cfg();
+        let mix = &mixes_4core()[0];
+        let (solo, shared) = (Cell::alone(&cfg, mix, 0), Cell::shared(&cfg, mix));
+        let outs = eng.run_cells(&[solo.clone(), shared.clone(), solo, shared]);
+        assert_eq!(outs[0], outs[2]);
+        assert_eq!(outs[1], outs[3]);
+        let s = eng.stats();
+        assert_eq!((s.solo_runs, s.shared_runs), (1, 1));
+        assert_eq!((s.solo_cache_hits, s.shared_cache_hits), (1, 1));
+    }
+
+    #[test]
+    fn cycle_cap_panic_names_mix_benchmark_and_core_through_the_engine() {
+        let mut cfg = tiny_cfg();
+        cfg.max_cpu_cycles = 10_000;
+        let mix = mixes_4core()[0].clone();
+        let panic = std::panic::catch_unwind(|| {
+            Engine::with_workers(2).run_grid(&cfg, std::slice::from_ref(&mix), &[harness::shared()])
+        })
+        .expect_err("a truncated alone run must not yield a grid");
+        let msg = panic.downcast_ref::<String>().expect("panic carries the error text");
+        let want =
+            format!("`{}` (core 0 of mix `{}`) hit the cycle cap", mix.benchmarks[0], mix.name);
+        assert!(msg.contains(&want), "{msg}");
     }
 
     #[test]
@@ -438,17 +441,22 @@ mod tests {
         assert!(shared.children.iter().any(|c| c.name == "sim/measure"));
         let solo = p.spans.iter().find(|s| s.name == "bench/solo_run").unwrap();
         assert_eq!(solo.count, 4);
+        // A span means a simulation really ran: memo hits open none.
+        eng.run_grid(&cfg, &mixes, &combos);
+        let jobs = |p: &dbp_obs::Profile| -> u64 {
+            p.spans.iter().filter(|s| s.name.starts_with("bench/")).map(|s| s.count).sum()
+        };
+        assert_eq!(jobs(&prof.snapshot()), jobs(&p));
     }
 
     #[test]
-    fn par_map_and_shared_grid_count_jobs() {
+    fn par_map_jobs_count_as_aux_runs() {
         let eng = Engine::with_workers(2);
         let doubled = eng.par_map((0..10u64).collect(), |i| i * 2);
         assert_eq!(doubled[9], 18);
         let cfg = tiny_cfg();
-        let mixes = [mixes_4core()[0].clone()];
-        let grid = eng.run_shared_grid(&cfg, &mixes, &[harness::shared()]);
-        assert!(grid[0][0].reached_target);
+        let outs = eng.run_cells(&[Cell::shared(&cfg, &mixes_4core()[0])]);
+        assert!(outs[0].reached_target);
         let s = eng.stats();
         assert_eq!(s.aux_runs, 10);
         assert_eq!(s.shared_runs, 1);

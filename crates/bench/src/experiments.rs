@@ -3,15 +3,17 @@
 //! Each takes the shared sweep [`Engine`] plus a configuration and
 //! returns a [`Table`] whose rows are the series the paper plots; the
 //! `bench_all` binary runs the registry ([`all`]) — whole, or the
-//! entries named on its command line — in one process so the memoized
-//! solo-run cache is shared across experiments. See
+//! entries named on its command line — in one process so the engine's
+//! run memo is shared across experiments. See
 //! `DESIGN.md` for the experiment index and `EXPERIMENTS.md` for
 //! recorded paper-vs-measured outcomes.
 //!
-//! Every simulation below — shared run, solo calibration run, restricted
-//! single-benchmark run — is dispatched as an independent job on the
-//! engine's worker pool; results are collected by index, so the tables
-//! are byte-identical whatever `DBP_JOBS` says.
+//! Every simulation below — shared run, alone baseline, restricted
+//! single-benchmark run — is a [`Cell`] handed to the engine, which runs
+//! the distinct ones it has not seen as independent jobs on its worker
+//! pool; results are collected by index, so the tables are
+//! byte-identical whatever `DBP_JOBS` says. An experiment just names the
+//! cells it reads: two that read the same ones simulate them once.
 
 use dbp_core::policy::PolicyKind;
 use dbp_core::{BankDemandEstimator, EstimatorConfig, ThreadMemProfile};
@@ -19,9 +21,9 @@ use dbp_obs::{AuditReport, LatencyReport, Prof, Recorder, RecorderConfig};
 use dbp_osmem::MigrationMode;
 use dbp_sim::metrics::gmean;
 use dbp_sim::report::{f3, pct, Table};
-use dbp_sim::runner::run_shared_instrumented;
+use dbp_sim::runner::{run_shared_instrumented, Cell};
 use dbp_sim::{MigrationCost, SimConfig, ThreadResult};
-use dbp_workloads::{mixes_4core, profiles, scale_mix, Mix, SyntheticTrace};
+use dbp_workloads::{mixes_4core, profiles, scale_mix, Mix};
 
 use crate::engine::Engine;
 use crate::harness::{self, Combo};
@@ -92,17 +94,31 @@ pub fn table1_config(_eng: &Engine, cfg: &SimConfig) -> Table {
     t
 }
 
+/// The single-benchmark runs of Table 2 and Figures 2–3: `benchmark` by
+/// itself on `cfg` restricted to its first `units` bank units (`None`:
+/// the whole unpartitioned machine), all on one calibration trace seed —
+/// so the runs the three experiments have in common are the same cells.
+fn single_runs(
+    eng: &Engine,
+    cfg: &SimConfig,
+    jobs: impl IntoIterator<Item = (&'static str, Option<u32>)>,
+) -> Vec<ThreadResult> {
+    let cells: Vec<Cell> = jobs
+        .into_iter()
+        .map(|(benchmark, units)| {
+            let policy = units.map_or(PolicyKind::Unpartitioned, PolicyKind::RestrictFirst);
+            Cell { cfg: SimConfig { policy, ..cfg.clone() }, threads: vec![(benchmark, 42)] }
+        })
+        .collect();
+    eng.run_cells(&cells).iter().map(|run| run.threads[0]).collect()
+}
+
 /// Table 2: benchmark characteristics — calibration targets vs values
-/// measured running each benchmark alone (one pool job per benchmark).
+/// measured running each benchmark alone.
 pub fn table2_benchmarks(eng: &Engine, cfg: &SimConfig) -> Table {
     let mut t =
         Table::new(["benchmark", "class", "MPKI*", "MPKI", "RBL*", "RBL", "BLP*", "BLP", "IPC"]);
-    let alone_cfg = harness::shared().apply(cfg);
-    let measured: Vec<ThreadResult> = eng.par_map(profiles::PROFILES.iter().collect(), |p| {
-        let trace = SyntheticTrace::new(p, 42);
-        let mut sys = dbp_sim::System::new(alone_cfg.clone(), vec![Box::new(trace)]);
-        sys.run().threads[0]
-    });
+    let measured = single_runs(eng, cfg, profiles::PROFILES.iter().map(|p| (p.name, None)));
     for (p, th) in profiles::PROFILES.iter().zip(&measured) {
         t.row([
             p.name.to_owned(),
@@ -153,29 +169,18 @@ pub fn fig2_equal_blp_loss(eng: &Engine, cfg: &SimConfig) -> Table {
     let units = cfg.dram.banks_per_rank; // a unit spans all channels/ranks
     let names = ["mcf", "GemsFDTD", "libquantum"];
     let budgets = [1u32, 2, 4, units];
-    let jobs: Vec<(&'static str, u32)> =
-        names.iter().flat_map(|&n| budgets.into_iter().map(move |k| (n, k))).collect();
-    let runs: Vec<(f64, f64)> = eng.par_map(jobs, |(name, k)| {
-        let p = profiles::by_name(name);
-        let mut c = cfg.clone();
-        c.policy = PolicyKind::RestrictFirst(k);
-        let trace = SyntheticTrace::new(p, 42);
-        let mut sys = dbp_sim::System::new(c, vec![Box::new(trace)]);
-        let r = sys.run();
-        (r.threads[0].ipc, r.threads[0].blp)
-    });
-    for (bi, &name) in names.iter().enumerate() {
-        let row_of = |j: usize| runs[bi * budgets.len() + j];
-        let (full_ipc, _) = row_of(budgets.len() - 1); // k == units
-        for (j, k) in budgets.into_iter().enumerate() {
-            let (ipc, blp) = row_of(j);
+    let jobs = names.iter().flat_map(|&n| budgets.into_iter().map(move |k| (n, Some(k))));
+    let runs = single_runs(eng, cfg, jobs);
+    for (&name, row) in names.iter().zip(runs.chunks(budgets.len())) {
+        let full_ipc = row[budgets.len() - 1].ipc; // k == units
+        for (k, th) in budgets.into_iter().zip(row) {
             t.row([
                 name.to_owned(),
                 k.to_string(),
                 (k * cfg.dram.channels * cfg.dram.ranks_per_channel).to_string(),
-                f3(ipc),
-                format!("{blp:.2}"),
-                pct(ipc / full_ipc),
+                f3(th.ipc),
+                format!("{:.2}", th.blp),
+                pct(th.ipc / full_ipc),
             ]);
         }
     }
@@ -196,21 +201,8 @@ pub fn fig3_demand_estimation(eng: &Engine, cfg: &SimConfig) -> Table {
     let units = cfg.dram.banks_per_rank;
     let names = ["mcf", "lbm", "libquantum", "milc", "omnetpp"];
     // k == 0 is the unrestricted measured run; 1..=units the budget sweep.
-    let jobs: Vec<(&'static str, u32)> =
-        names.iter().flat_map(|&n| (0..=units).map(move |k| (n, k))).collect();
-    let runs: Vec<ThreadResult> = eng.par_map(jobs, |(name, k)| {
-        let p = profiles::by_name(name);
-        let c = if k == 0 {
-            harness::shared().apply(cfg)
-        } else {
-            let mut c = cfg.clone();
-            c.policy = PolicyKind::RestrictFirst(k);
-            c
-        };
-        let trace = SyntheticTrace::new(p, 42);
-        let mut s = dbp_sim::System::new(c, vec![Box::new(trace)]);
-        s.run().threads[0]
-    });
+    let jobs = names.iter().flat_map(|&n| (0..=units).map(move |k| (n, (k > 0).then_some(k))));
+    let runs = single_runs(eng, cfg, jobs);
     let per_bench = units as usize + 1;
     for (bi, &name) in names.iter().enumerate() {
         let solo = &runs[bi * per_bench]; // the k == 0 run
@@ -498,8 +490,7 @@ pub fn abl2_grouping(eng: &Engine, cfg: &SimConfig) -> Table {
 
 /// Ablation 3: migration cost model (free vs charged, budget sizes,
 /// lazy vs eager). The tweaks touch only migration knobs, which cannot
-/// affect an alone run, so all variants share the same solo-cache
-/// entries.
+/// affect an alone run, so all variants share the same alone cells.
 pub fn abl3_migration(eng: &Engine, cfg: &SimConfig) -> Table {
     type Tweak = Box<dyn Fn(&mut SimConfig)>;
     let mut t = Table::new(["variant", "WS", "MS", "note"]);
@@ -537,22 +528,24 @@ pub fn abl3_migration(eng: &Engine, cfg: &SimConfig) -> Table {
 ///
 /// Bank partitioning cuts activates (every eliminated row conflict is an
 /// ACT/PRE pair saved), which the coarse energy model turns into energy
-/// per serviced byte. Alone baselines are never consulted, so this uses
-/// the shared-runs-only grid.
+/// per serviced byte. Alone baselines are never consulted, so this asks
+/// for the shared cells only.
 pub fn ext1_energy(eng: &Engine, cfg: &SimConfig) -> Table {
     let model = dbp_dram::EnergyModel::default();
     let combos = [harness::shared(), harness::equal_bp(), harness::dbp(), harness::dbp_tcm()];
     let mut t =
         Table::new(["policy", "activates/1k-reads", "accesses/ACT", "energy (mJ)", "nJ/byte"]);
-    let mixes = sweep_mixes();
-    let grid = eng.run_shared_grid(cfg, &mixes, &combos);
+    let cells: Vec<Cell> = sweep_mixes()
+        .iter()
+        .flat_map(|mix| combos.iter().map(move |combo| Cell::shared(&combo.apply(cfg), mix)))
+        .collect();
+    let grid = eng.run_cells(&cells);
     for (ci, combo) in combos.iter().enumerate() {
         let mut acts_per_kread = Vec::new();
         let mut apa = Vec::new();
         let mut energy_mj = 0.0;
         let mut bytes = 0u64;
-        for runs in &grid {
-            let run = &runs[ci];
+        for run in grid.iter().skip(ci).step_by(combos.len()) {
             let d = run.dram;
             acts_per_kread.push(d.activates as f64 * 1000.0 / (d.reads.max(1)) as f64);
             apa.push(run.accesses_per_activate.max(1e-9));
@@ -830,9 +823,8 @@ pub struct Experiment {
 }
 
 /// The full experiment registry, in suite order (tables, figures,
-/// ablations, extensions) — the order `bench_all` runs and the order
-/// that maximises solo-cache reuse (the base-config figures populate the
-/// cache the sweeps then draw from).
+/// ablations, extensions) — the order `bench_all` runs them in. No table
+/// depends on it: a memo hit returns what a recomputation would.
 pub fn all() -> Vec<Experiment> {
     fn table(t: Table) -> String {
         t.to_string()

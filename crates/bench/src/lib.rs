@@ -5,8 +5,8 @@
 //! so the integration tests can smoke-run scaled-down versions of each.
 //! The `bench_all` binary is the one front door: it runs the whole
 //! registry — or just the experiments named on its command line — in one
-//! process, which lets the [`engine`]'s memoized solo-run cache be shared
-//! across experiments.
+//! process, which lets the [`engine`]'s run memo be shared across
+//! experiments.
 //!
 //! `bench_all --quick` runs every experiment at a reduced instruction
 //! target (useful for CI and smoke tests); the shapes survive, the noise

@@ -440,7 +440,6 @@ impl MemoryController {
             self.write_q[chi].push(req);
         } else {
             self.stats.enq_reads += 1;
-            self.sched.on_enqueue(&req);
             if req.kind == TrafficKind::Demand {
                 self.anat.on_enqueue_read(req.id);
             }

@@ -31,6 +31,23 @@ impl Default for AtlasConfig {
     }
 }
 
+impl AtlasConfig {
+    /// Check the tuning knobs.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field holding a value the scheduler cannot run on.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.quantum == 0 {
+            return Err("quantum must be positive".into());
+        }
+        if !(0.0..1.0).contains(&self.alpha) {
+            return Err(format!("alpha must be in [0,1), got {}", self.alpha));
+        }
+        Ok(())
+    }
+}
+
 /// The ATLAS scheduler state.
 #[derive(Debug)]
 pub struct Atlas {
@@ -45,9 +62,12 @@ pub struct Atlas {
 
 impl Atlas {
     /// Build an ATLAS scheduler for `threads` threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` does not [`AtlasConfig::validate`].
     pub fn new(cfg: AtlasConfig, threads: usize) -> Self {
-        assert!(cfg.quantum > 0, "quantum must be positive");
-        assert!((0.0..1.0).contains(&cfg.alpha), "alpha must be in [0,1)");
+        cfg.validate().expect("invalid AtlasConfig");
         Atlas {
             cfg,
             score: vec![0.0; threads],

@@ -32,6 +32,23 @@ impl Default for BlissConfig {
     }
 }
 
+impl BlissConfig {
+    /// Check the tuning knobs.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field holding a value the scheduler cannot run on.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.blacklist_threshold == 0 {
+            return Err("blacklist_threshold must be positive".into());
+        }
+        if self.clear_interval == 0 {
+            return Err("clear_interval must be positive".into());
+        }
+        Ok(())
+    }
+}
+
 /// The BLISS scheduler state.
 #[derive(Debug)]
 pub struct Bliss {
@@ -44,8 +61,12 @@ pub struct Bliss {
 
 impl Bliss {
     /// Build a BLISS scheduler for `threads` threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` does not [`BlissConfig::validate`].
     pub fn new(cfg: BlissConfig, threads: usize) -> Self {
-        assert!(cfg.blacklist_threshold > 0 && cfg.clear_interval > 0);
+        cfg.validate().expect("invalid BlissConfig");
         Bliss {
             cfg,
             blacklisted: vec![false; threads],

@@ -20,6 +20,20 @@ impl Default for FrFcfsCapConfig {
     }
 }
 
+impl FrFcfsCapConfig {
+    /// Check the tuning knobs.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field holding a value the scheduler cannot run on.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.cap == 0 {
+            return Err("cap must be positive".into());
+        }
+        Ok(())
+    }
+}
+
 /// FR-FCFS with per-bank streak capping.
 #[derive(Debug)]
 pub struct FrFcfsCap {
@@ -34,8 +48,12 @@ pub struct FrFcfsCap {
 
 impl FrFcfsCap {
     /// Build the scheduler.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` does not [`FrFcfsCapConfig::validate`].
     pub fn new(cfg: FrFcfsCapConfig) -> Self {
-        assert!(cfg.cap > 0, "cap must be positive");
+        cfg.validate().expect("invalid FrFcfsCapConfig");
         FrFcfsCap { cfg, streaks: dbp_obs::FxHashMap::default(), boundaries_seen: 0 }
     }
 

@@ -47,9 +47,6 @@ pub trait Scheduler: std::fmt::Debug {
     /// [`MemRequest::older_than`] last).
     fn prefer(&self, a: &MemRequest, a_hit: bool, b: &MemRequest, b_hit: bool) -> bool;
 
-    /// Notification: a request entered a read queue.
-    fn on_enqueue(&mut self, _req: &MemRequest) {}
-
     /// Notification: a read's column command issued.
     fn on_serviced(&mut self, _req: &MemRequest, _now: Cycle) {}
 

@@ -28,6 +28,20 @@ impl Default for ParBsConfig {
     }
 }
 
+impl ParBsConfig {
+    /// Check the tuning knobs.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field holding a value the scheduler cannot run on.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.batch_cap == 0 {
+            return Err("batch_cap must be positive".into());
+        }
+        Ok(())
+    }
+}
+
 /// The PAR-BS scheduler state.
 #[derive(Debug)]
 pub struct ParBs {
@@ -38,8 +52,12 @@ pub struct ParBs {
 
 impl ParBs {
     /// Build a PAR-BS scheduler for `threads` threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` does not [`ParBsConfig::validate`].
     pub fn new(cfg: ParBsConfig, threads: usize) -> Self {
-        assert!(cfg.batch_cap > 0, "batch_cap must be positive");
+        cfg.validate().expect("invalid ParBsConfig");
         ParBs { cfg, marked: FxHashSet::default(), rank_of: vec![0; threads] }
     }
 

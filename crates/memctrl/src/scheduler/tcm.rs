@@ -55,6 +55,23 @@ impl Default for TcmConfig {
     }
 }
 
+impl TcmConfig {
+    /// Check the tuning knobs.
+    ///
+    /// # Errors
+    ///
+    /// Names the first field holding a value the scheduler cannot run on.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.quantum == 0 {
+            return Err("quantum must be positive".into());
+        }
+        if self.shuffle_interval == 0 {
+            return Err("shuffle_interval must be positive".into());
+        }
+        Ok(())
+    }
+}
+
 /// The TCM scheduler state.
 #[derive(Debug)]
 pub struct Tcm {
@@ -76,8 +93,12 @@ impl Tcm {
     ///
     /// Until the first quantum completes there is no profile to cluster
     /// on, so all threads start at equal rank (pure FR-FCFS behaviour).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg` does not [`TcmConfig::validate`].
     pub fn new(cfg: TcmConfig, threads: usize) -> Self {
-        assert!(cfg.quantum > 0 && cfg.shuffle_interval > 0);
+        cfg.validate().expect("invalid TcmConfig");
         Tcm {
             cfg,
             rank_of: vec![0; threads],

@@ -39,7 +39,28 @@ impl SchedulerKind {
         ]
     }
 
+    /// Check the selected scheduler's tuning knobs.
+    ///
+    /// # Errors
+    ///
+    /// Names the offending field, e.g. `scheduler: atlas.alpha must be …`.
+    pub fn validate(&self) -> Result<(), String> {
+        let (name, checked) = match self {
+            SchedulerKind::Fcfs | SchedulerKind::FrFcfs => return Ok(()),
+            SchedulerKind::FrFcfsCap(cfg) => ("frfcfs-cap", cfg.validate()),
+            SchedulerKind::ParBs(cfg) => ("parbs", cfg.validate()),
+            SchedulerKind::Atlas(cfg) => ("atlas", cfg.validate()),
+            SchedulerKind::Bliss(cfg) => ("bliss", cfg.validate()),
+            SchedulerKind::Tcm(cfg) => ("tcm", cfg.validate()),
+        };
+        checked.map_err(|e| format!("scheduler: {name}.{e}"))
+    }
+
     /// Instantiate the scheduler for `threads` threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kind does not [`SchedulerKind::validate`].
     pub fn build(&self, threads: usize) -> Box<dyn Scheduler> {
         match *self {
             SchedulerKind::Fcfs => Box::new(Fcfs),
@@ -175,6 +196,7 @@ impl SimConfig {
         self.dram.validate()?;
         self.ctrl.validate()?;
         self.policy.validate()?;
+        self.scheduler.validate()?;
         self.core.validate().map_err(|e| format!("core: {e}"))?;
         // One line size end to end: a miss moves exactly one DRAM burst.
         let burst = self.dram.burst_bytes();
@@ -275,6 +297,37 @@ mod tests {
             (edit(|c| c.hierarchy.l2.line_bytes = 32), "hierarchy.l2.line_bytes (32)"),
         ] {
             assert!(err.contains(field), "{field}: {err}");
+        }
+    }
+
+    /// Scheduler knobs that used to pass `validate()` and then panic in
+    /// the scheduler's constructor.
+    #[test]
+    fn validation_covers_scheduler_parameters() {
+        let atlas = |quantum, alpha| SchedulerKind::Atlas(AtlasConfig { quantum, alpha });
+        let bliss = |blacklist_threshold, clear_interval| {
+            SchedulerKind::Bliss(BlissConfig { blacklist_threshold, clear_interval })
+        };
+        let tcm = |quantum, shuffle_interval| {
+            SchedulerKind::Tcm(TcmConfig { quantum, shuffle_interval, ..Default::default() })
+        };
+        for (scheduler, field) in [
+            (atlas(0, 0.875), "scheduler: atlas.quantum"),
+            (atlas(10, 1.0), "scheduler: atlas.alpha"),
+            (atlas(10, -0.1), "scheduler: atlas.alpha"),
+            (atlas(10, f64::NAN), "scheduler: atlas.alpha"),
+            (bliss(0, 10), "scheduler: bliss.blacklist_threshold"),
+            (bliss(4, 0), "scheduler: bliss.clear_interval"),
+            (SchedulerKind::FrFcfsCap(FrFcfsCapConfig { cap: 0 }), "scheduler: frfcfs-cap.cap"),
+            (SchedulerKind::ParBs(ParBsConfig { batch_cap: 0 }), "scheduler: parbs.batch_cap"),
+            (tcm(0, 800), "scheduler: tcm.quantum"),
+            (tcm(50_000, 0), "scheduler: tcm.shuffle_interval"),
+        ] {
+            let err = SimConfig { scheduler, ..SimConfig::fast_test() }.validate().unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        }
+        for (name, scheduler) in SchedulerKind::named() {
+            assert_eq!(scheduler.validate(), Ok(()), "{name}");
         }
     }
 

@@ -74,48 +74,84 @@ pub fn seed_for(mix: &Mix, core: usize) -> u64 {
     h
 }
 
+/// The synthetic trace of `benchmark` under `seed`.
+fn trace(benchmark: &str, seed: u64) -> Box<dyn TraceSource> {
+    Box::new(SyntheticTrace::new(dbp_workloads::profiles::by_name(benchmark), seed))
+}
+
 /// The synthetic trace for one core of a mix.
 pub fn trace_for(mix: &Mix, core: usize) -> Box<dyn TraceSource> {
-    let profile = dbp_workloads::profiles::by_name(mix.benchmarks[core]);
-    Box::new(SyntheticTrace::new(profile, seed_for(mix, core)))
+    trace(mix.benchmarks[core], seed_for(mix, core))
 }
 
-/// The configuration an alone run actually executes under: the shared
-/// run's system with the baseline FR-FCFS scheduler and no partitioning,
-/// regardless of what `cfg` selects for the shared run.
+/// Everything one simulation is a pure function of: the configuration
+/// and one `(benchmark, trace seed)` per core. Every run in the
+/// workspace — shared, alone, calibration — is [`Cell::run`] on one of
+/// these, and [`Cell::key`] is what a memo may key its outcome by.
+#[derive(Debug, Clone)]
+pub struct Cell {
+    pub cfg: SimConfig,
+    pub threads: Vec<(&'static str, u64)>,
+}
+
+impl Cell {
+    /// The shared (co-scheduled) run of `mix` under `cfg`.
+    pub fn shared(cfg: &SimConfig, mix: &Mix) -> Cell {
+        let threads = (0..mix.cores()).map(|i| (mix.benchmarks[i], seed_for(mix, i))).collect();
+        Cell { cfg: cfg.clone(), threads }
+    }
+
+    /// The alone run of one benchmark of `mix`: the same trace, by itself
+    /// on [`alone_config`].
+    pub fn alone(cfg: &SimConfig, mix: &Mix, core: usize) -> Cell {
+        Cell { cfg: alone_config(cfg), threads: vec![(mix.benchmarks[core], seed_for(mix, core))] }
+    }
+
+    /// The cell spelled out as text. `Debug` is derived on every type
+    /// inside [`SimConfig`], so no field — present or future — can sit
+    /// outside the key, and floats print their shortest round-trip form:
+    /// equal keys mean equal cells, hence equal outcomes.
+    pub fn key(&self) -> String {
+        format!("{self:?}")
+    }
+
+    /// Simulate the cell. Telemetry goes into `rec` (events, epoch
+    /// series, latency anatomy and — with
+    /// [`dbp_obs::RecorderConfig::audit`] — the decision audit), host-side
+    /// self-profiling spans/counters into `prof`; pass a disabled handle
+    /// for a half that is not wanted. Both only observe: the outcome is
+    /// byte-identical either way.
+    ///
+    /// Read the observers through [`dbp_obs::Recorder::snapshot`] and
+    /// [`dbp_obs::Prof::snapshot`]; on a pool worker thread, call
+    /// [`dbp_obs::Prof::flush_thread`] before the job returns (see the
+    /// `Prof` docs for the contract). A recorder's shared state is not
+    /// `Send`, so fan-outs build one per call.
+    pub fn run(&self, rec: dbp_obs::Recorder, prof: dbp_obs::Prof) -> RunResult {
+        let traces = self.threads.iter().map(|&(benchmark, seed)| trace(benchmark, seed)).collect();
+        System::with_instrumentation(self.cfg.clone(), traces, rec, prof).run()
+    }
+}
+
+/// The configuration an alone run executes under: `cfg`'s memory system
+/// with the baseline FR-FCFS scheduler and no partitioning, whatever
+/// `cfg` selects for the shared run. The migration knobs are reset to
+/// their defaults as well — with a static whole-machine partition no
+/// page ever migrates — so that the alone cells of configurations
+/// differing only in fields an alone run never exercises are *equal*,
+/// and a memo keyed by [`Cell::key`] shares them. A field missing from
+/// this list costs such a memo a miss, never a stale hit.
 pub fn alone_config(cfg: &SimConfig) -> SimConfig {
-    let mut alone_cfg = cfg.clone();
-    alone_cfg.scheduler = SchedulerKind::FrFcfs;
-    alone_cfg.policy = PolicyKind::Unpartitioned;
-    alone_cfg
-}
-
-/// The [`SimConfig`] fields that can influence an alone run, rendered as
-/// a stable string (a memoization key for solo-run caches).
-///
-/// Scheduler, policy, and the migration knobs are deliberately excluded:
-/// alone runs always execute under FR-FCFS/Unpartitioned (see
-/// [`alone_config`]), and with a static whole-machine partition no page
-/// ever migrates, so those fields cannot change the outcome; neither can
-/// `time_skip`, which is byte-identical by contract. Everything
-/// else — DRAM geometry/timing/mapping, controller queues, core model,
-/// cache hierarchy, clock ratio, epoch length (it sets the minimum
-/// warmup span), and the instruction targets — is included.
-pub fn alone_fingerprint(cfg: &SimConfig) -> String {
-    format!(
-        "dram={:?};ctrl={:?};core={:?};hier={:?};mshrs={};ratio={};epoch={};warm={};target={};cap={};feed={}",
-        cfg.dram,
-        cfg.ctrl,
-        cfg.core,
-        cfg.hierarchy,
-        cfg.mshrs,
-        cfg.cpu_per_dram,
-        cfg.epoch_cpu_cycles,
-        cfg.warmup_instructions,
-        cfg.target_instructions,
-        cfg.max_cpu_cycles,
-        cfg.instr_feed_interval,
-    )
+    let base = SimConfig::default();
+    SimConfig {
+        scheduler: SchedulerKind::FrFcfs,
+        policy: PolicyKind::Unpartitioned,
+        migration_mode: base.migration_mode,
+        migration_cost: base.migration_cost,
+        migration_lines_per_page: base.migration_lines_per_page,
+        migration_budget_pages: base.migration_budget_pages,
+        ..cfg.clone()
+    }
 }
 
 /// An alone run hit the cycle cap before reaching its instruction
@@ -146,12 +182,16 @@ impl std::fmt::Display for AloneRunError {
 
 impl std::error::Error for AloneRunError {}
 
-/// Alone-run IPC of one benchmark of `mix`, or an error if the run hit
-/// the cycle cap before the instruction target.
-pub fn try_alone_ipc(cfg: &SimConfig, mix: &Mix, core: usize) -> Result<f64, AloneRunError> {
-    let mut sys = System::new(alone_config(cfg), vec![trace_for(mix, core)]);
-    let r = sys.run();
-    if !r.reached_target {
+/// The alone IPC that `run` — the outcome of [`Cell::alone`]`(cfg, mix,
+/// core)` — measured, or an error if it hit the cycle cap before the
+/// instruction target.
+pub fn alone_ipc_of(
+    cfg: &SimConfig,
+    mix: &Mix,
+    core: usize,
+    run: &RunResult,
+) -> Result<f64, AloneRunError> {
+    if !run.reached_target {
         return Err(AloneRunError {
             mix: mix.name,
             benchmark: mix.benchmarks[core],
@@ -160,7 +200,15 @@ pub fn try_alone_ipc(cfg: &SimConfig, mix: &Mix, core: usize) -> Result<f64, Alo
             target_instructions: cfg.target_instructions,
         });
     }
-    Ok(r.threads[0].ipc)
+    Ok(run.threads[0].ipc)
+}
+
+/// Alone-run IPC of one benchmark of `mix`, or an error if the run hit
+/// the cycle cap before the instruction target.
+pub fn try_alone_ipc(cfg: &SimConfig, mix: &Mix, core: usize) -> Result<f64, AloneRunError> {
+    let run =
+        Cell::alone(cfg, mix, core).run(dbp_obs::Recorder::disabled(), dbp_obs::Prof::disabled());
+    alone_ipc_of(cfg, mix, core, &run)
 }
 
 /// Alone-run IPC of one benchmark of `mix`.
@@ -190,27 +238,15 @@ pub fn run_shared(cfg: &SimConfig, mix: &Mix) -> RunResult {
     run_shared_instrumented(cfg, mix, dbp_obs::Recorder::disabled(), dbp_obs::Prof::disabled())
 }
 
-/// [`run_shared`], with full instrumentation: telemetry into `rec`
-/// (events, epoch series, latency anatomy and — with
-/// [`dbp_obs::RecorderConfig::audit`] — the decision audit), host-side
-/// self-profiling spans/counters into `prof`; pass a disabled handle for
-/// a half that is not wanted. Both only observe — the simulated outcome
-/// is byte-identical to [`run_shared`].
-///
-/// Read the results from [`dbp_obs::Recorder::snapshot`] and
-/// [`dbp_obs::Prof::snapshot`]; when this runs on a pool worker thread,
-/// call [`dbp_obs::Prof::flush_thread`] before the job returns (see the
-/// `Prof` docs for the contract). A recorder's shared state is not
-/// `Send`, so fan-outs build one per call.
+/// [`run_shared`], observed: see [`Cell::run`] for what `rec` and `prof`
+/// receive.
 pub fn run_shared_instrumented(
     cfg: &SimConfig,
     mix: &Mix,
     rec: dbp_obs::Recorder,
     prof: dbp_obs::Prof,
 ) -> RunResult {
-    let traces = (0..mix.cores()).map(|i| trace_for(mix, i)).collect();
-    let mut sys = System::with_instrumentation(cfg.clone(), traces, rec, prof);
-    sys.run()
+    Cell::shared(cfg, mix).run(rec, prof)
 }
 
 /// Alone runs + shared run + metrics in one call.
@@ -295,26 +331,99 @@ mod tests {
         run_mix_with_alone(&cfg, mix, vec![0.5, 0.5]); // stale 2-core cache entry
     }
 
+    /// The memo key covers the whole cell. Editing any `SimConfig` field
+    /// changes the shared key; the alone key ignores exactly the fields
+    /// `alone_config` resets — the ones an alone run never exercises.
     #[test]
-    fn alone_fingerprint_tracks_alone_relevant_fields_only() {
+    fn cell_keys_track_every_field_a_run_can_depend_on() {
+        use crate::config::MigrationCost;
+        // No `..`: a new `SimConfig` field does not compile until it is
+        // listed here — and then it needs an edit in the table below.
+        let SimConfig {
+            dram: _,
+            ctrl: _,
+            core: _,
+            hierarchy: _,
+            mshrs: _,
+            cpu_per_dram: _,
+            scheduler: _,
+            policy: _,
+            epoch_cpu_cycles: _,
+            migration_mode: _,
+            migration_cost: _,
+            warmup_instructions: _,
+            target_instructions: _,
+            max_cpu_cycles: _,
+            instr_feed_interval: _,
+            migration_lines_per_page: _,
+            migration_budget_pages: _,
+            time_skip: _,
+        } = tiny_cfg();
+        type Edit = fn(&mut SimConfig);
+        let alone_irrelevant: [(&str, Edit); 6] = [
+            ("scheduler", |c| c.scheduler = SchedulerKind::Tcm(Default::default())),
+            ("policy", |c| c.policy = PolicyKind::Dbp(Default::default())),
+            ("migration_mode", |c| c.migration_mode = dbp_osmem::MigrationMode::Eager),
+            ("migration_cost", |c| c.migration_cost = MigrationCost::Free),
+            ("migration_lines_per_page", |c| c.migration_lines_per_page /= 2),
+            ("migration_budget_pages", |c| c.migration_budget_pages = None),
+        ];
+        let alone_relevant: [(&str, Edit); 12] = [
+            ("dram", |c| c.dram.banks_per_rank *= 2),
+            ("ctrl", |c| c.ctrl.read_q_cap += 1),
+            ("core", |c| c.core.rob += 1),
+            ("hierarchy", |c| c.hierarchy.l2.latency += 1),
+            ("mshrs", |c| c.mshrs += 1),
+            ("cpu_per_dram", |c| c.cpu_per_dram += 1),
+            ("epoch_cpu_cycles", |c| c.epoch_cpu_cycles *= 2),
+            ("warmup_instructions", |c| c.warmup_instructions += 1),
+            ("target_instructions", |c| c.target_instructions += 1),
+            ("max_cpu_cycles", |c| c.max_cpu_cycles += 1),
+            ("instr_feed_interval", |c| c.instr_feed_interval += 1),
+            ("time_skip", |c| c.time_skip = false),
+        ];
+        let mix = &mixes_4core()[0];
         let cfg = tiny_cfg();
-        let base = alone_fingerprint(&cfg);
-        // Scheduler/policy/migration knobs and the stepped-core switch
-        // cannot affect an alone run.
-        let mut c = cfg.clone();
-        c.time_skip = false;
-        c.scheduler = SchedulerKind::Tcm(Default::default());
-        c.policy = PolicyKind::Dbp(Default::default());
-        c.migration_budget_pages = None;
-        c.migration_cost = crate::config::MigrationCost::Free;
-        assert_eq!(alone_fingerprint(&c), base);
-        // DRAM geometry and the instruction target do.
-        let mut c = cfg.clone();
-        c.dram.banks_per_rank *= 2;
-        assert_ne!(alone_fingerprint(&c), base);
-        let mut c = cfg;
-        c.target_instructions += 1;
-        assert_ne!(alone_fingerprint(&c), base);
+        let shared = Cell::shared(&cfg, mix).key();
+        let alone = Cell::alone(&cfg, mix, 1).key();
+        let edited = |edit: Edit| {
+            let mut c = cfg.clone();
+            edit(&mut c);
+            (Cell::shared(&c, mix).key(), Cell::alone(&c, mix, 1).key())
+        };
+        for (field, edit) in alone_irrelevant {
+            let (s, a) = edited(edit);
+            assert_ne!(s, shared, "{field} must change the shared key");
+            assert_eq!(a, alone, "{field} cannot reach an alone run");
+        }
+        for (field, edit) in alone_relevant {
+            let (s, a) = edited(edit);
+            assert_ne!(s, shared, "{field} must change the shared key");
+            assert_ne!(a, alone, "{field} must change the alone key");
+        }
+        // The traces are part of the key too: another core, another mix.
+        assert_ne!(Cell::alone(&cfg, mix, 2).key(), alone);
+        assert_ne!(Cell::shared(&cfg, &mixes_4core()[1]).key(), shared);
+    }
+
+    /// The claim `alone_config` rests on, checked by running it: an
+    /// unpartitioned single-thread run never migrates a page, so it
+    /// comes out the same whatever the migration knobs say.
+    #[test]
+    fn migration_knobs_cannot_reach_an_alone_run() {
+        let cfg = SimConfig {
+            migration_mode: dbp_osmem::MigrationMode::Eager,
+            migration_cost: crate::config::MigrationCost::Free,
+            migration_lines_per_page: 2,
+            migration_budget_pages: None,
+            ..tiny_cfg()
+        };
+        let mix = &mixes_4core()[0];
+        let run = |cell: &Cell| cell.run(dbp_obs::Recorder::disabled(), dbp_obs::Prof::disabled());
+        let reset = Cell::alone(&cfg, mix, 0);
+        assert_ne!(reset.cfg.migration_budget_pages, None, "alone_config resets the knobs");
+        let kept = Cell { cfg, threads: reset.threads.clone() };
+        assert_eq!(run(&reset), run(&kept));
     }
 
     /// Every observer at once — latency anatomy, decision audit, host

@@ -308,12 +308,6 @@ impl System {
         self.wake_all();
     }
 
-    /// The telemetry recorder this system emits into (disabled unless
-    /// built via [`System::with_recorder`]).
-    pub fn recorder(&self) -> &Recorder {
-        &self.rec
-    }
-
     /// The host-side self-profiler this system reports into (disabled
     /// unless built via [`System::with_instrumentation`]).
     pub fn profiler(&self) -> &Prof {
@@ -443,19 +437,6 @@ impl System {
         } else {
             self.step_impl::<false>();
         }
-    }
-
-    /// Advance one cycle, then — when time skipping is enabled and every
-    /// component is provably idle — jump to the next cycle at which
-    /// anything can happen, but never to or past `bound`.
-    ///
-    /// Counters charged per cycle (core stall anatomy, controller idle
-    /// time, bank-level-parallelism sampling) are bulk-advanced over the
-    /// jumped window, so outcomes are byte-identical to calling
-    /// [`System::step`] `bound - cycle` times; only wall-clock changes.
-    pub fn advance(&mut self, bound: u64) {
-        self.step();
-        self.maybe_skip(bound);
     }
 
     /// Jump `cycle` forward to the next possibly-interesting cycle, or do
