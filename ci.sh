@@ -98,6 +98,13 @@ cargo test -q --release --offline --locked -p dbp-obs record_read_rejects
 # in release: prove the property-level equality there too.
 cargo test -q --release --offline --locked -p dbp-memctrl time_skipping_is_bit_exact
 cargo test -q --release --offline --locked -p dbp-sim time_skipping_is_bit_exact_end_to_end
+# The candidate kernel's all-ones/zero class masks are exactly what
+# optimisation could break, and the debug `pick_flat` check is compiled
+# out of the build the benchmark runs: hold the kernel to
+# `Dram::timing_ready`, and `pick` to the flat scan, in release too.
+cargo test -q --release --offline --locked -p dbp-memctrl candidate_kernel_matches_timing_ready
+cargo test -q --release --offline --locked -p dbp-memctrl \
+    pick_matches_flat_scan_for_every_scheduler_page_policy_and_queue_cap
 
 # Self-profiling gate. The span exact-sum invariant (self + children ==
 # total, u64 equality) likewise asserts in every build profile.

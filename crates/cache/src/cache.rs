@@ -169,6 +169,7 @@ impl Cache {
     }
 
     /// Whether `pa`'s line is present (no state change).
+    #[inline]
     pub fn probe(&self, pa: u64) -> bool {
         let tag = self.tag_of(pa);
         let base = self.set_of(pa);

@@ -87,6 +87,7 @@ impl Hierarchy {
     /// Whether `pa`'s line is resident at either level (no state change).
     /// Used by resource pre-checks: a probing hit means the access cannot
     /// need MSHR or controller-queue space.
+    #[inline]
     pub fn probe(&self, pa: u64) -> bool {
         self.l1.probe(pa) || self.l2.probe(pa)
     }

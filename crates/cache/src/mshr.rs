@@ -51,6 +51,7 @@ impl Mshr {
     }
 
     /// Whether `line_addr` has an outstanding miss.
+    #[inline]
     pub fn contains(&self, line_addr: u64) -> bool {
         self.entries.contains_key(&line_addr)
     }
@@ -66,6 +67,7 @@ impl Mshr {
     }
 
     /// Whether the file is at capacity.
+    #[inline]
     pub fn is_full(&self) -> bool {
         self.entries.len() >= self.capacity
     }

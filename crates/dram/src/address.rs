@@ -129,6 +129,7 @@ impl AddressMapper {
     /// # Panics
     ///
     /// Panics in debug builds if `pa` exceeds the configured capacity.
+    #[inline]
     pub fn decode(&self, pa: u64) -> DecodedAddr {
         debug_assert!(pa < self.capacity(), "address {pa:#x} out of range");
         let mut a = pa >> self.offset_bits;

@@ -95,6 +95,7 @@ impl DramConfig {
     /// Flat index of the bank at `loc`, in `0..total_banks()`: channel-major,
     /// then rank, then bank. The one definition every per-bank table
     /// (device state, statistics, profiling, latency anatomy) is indexed by.
+    #[inline]
     pub fn flat_bank(&self, loc: Loc) -> usize {
         ((loc.channel * self.ranks_per_channel + loc.rank) * self.banks_per_rank + loc.bank)
             as usize

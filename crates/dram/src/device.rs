@@ -78,10 +78,12 @@ impl Dram {
     }
 
     /// Register this device's work counters with a host self-profiler.
-    /// The `dram/timing_queries` counter measures how often the
-    /// controller polls the timing oracle — the scan cost the candidate
-    /// table and the per-channel calendars (DESIGN.md "Event-driven time
-    /// skipping") keep proportional to issued commands.
+    /// The `dram/timing_queries` counter measures how often something
+    /// asks the timing oracle ([`Dram::timing_ready`] and its callers):
+    /// the legality re-check in [`Dram::issue`], refresh, and the latency
+    /// anatomy. The controller's candidate scan reads
+    /// [`Dram::channel_banks`] and [`Dram::rank_gates`] instead and is not
+    /// counted.
     pub fn attach_profiler(&mut self, prof: &dbp_obs::Prof) {
         self.timing_queries = prof.counter("dram/timing_queries");
     }
@@ -101,17 +103,59 @@ impl Dram {
         &self.stats
     }
 
+    #[inline]
     fn rank_idx(&self, channel: u32, rank: u32) -> usize {
         (channel * self.cfg.ranks_per_channel + rank) as usize
     }
 
+    #[inline]
     fn bank_idx(&self, loc: Loc) -> usize {
         self.cfg.flat_bank(loc)
     }
 
     /// The row currently open in the addressed bank, if any.
+    #[inline]
     pub fn open_row(&self, loc: Loc) -> Option<u32> {
         self.banks[self.bank_idx(loc)].open_row
+    }
+
+    /// The bank states of `channel`, indexed `rank * banks_per_rank + bank`:
+    /// each bank's open row and its own deadlines (`next_act`,
+    /// `next_read`, `next_write`, `next_pre`), which change only when a
+    /// command hits that bank.
+    #[inline]
+    pub fn channel_banks(&self, channel: u32) -> &[BankState] {
+        let n = (self.cfg.ranks_per_channel * self.cfg.banks_per_rank) as usize;
+        &self.banks[channel as usize * n..][..n]
+    }
+
+    /// The rank half of [`Dram::timing_ready`], indexed like a bank's
+    /// deadlines `[act, read, write, pre]`: the earliest cycle an ACT
+    /// (tRRD, tFAW), READ (tWTR, tCCD, data-bus occupancy and rank
+    /// switch), WRITE (read-to-write turnaround, tCCD, data bus) or PRE to
+    /// any bank of (`channel`, `rank`) clears every constraint above the
+    /// bank, refresh (tRFC) included. For a bank in the state the command
+    /// needs (closed for ACT, open otherwise), the command's timing-ready
+    /// cycle is the later of this gate and the bank's own deadline.
+    #[inline]
+    pub fn rank_gates(&self, channel: u32, rank: u32) -> [Cycle; 4] {
+        let t = &self.cfg.timing;
+        let r = &self.ranks[self.rank_idx(channel, rank)];
+        let ch = &self.channels[channel as usize];
+        let faw = match r.act_window.len() {
+            n if n >= 4 => r.act_window[n - 4] + Cycle::from(t.t_faw),
+            _ => 0,
+        };
+        let data = ch.data_start(rank, t.t_rtrs);
+        [
+            r.next_act.max(faw).max(r.refresh_done),
+            r.next_read
+                .max(ch.next_read)
+                .max(r.refresh_done)
+                .max(data.saturating_sub(Cycle::from(t.cl))),
+            ch.next_write.max(r.refresh_done).max(data.saturating_sub(Cycle::from(t.cwl))),
+            r.refresh_done,
+        ]
     }
 
     /// Whether the command bus of `channel` can accept a command at `now`.
@@ -125,6 +169,7 @@ impl Dram {
     /// Returns `None` when the command is structurally impossible right now
     /// (activating an already-open bank, reading a closed or mismatched
     /// bank, refreshing a rank with open rows).
+    #[inline]
     pub fn earliest_issue(&self, cmd: &Command, now: Cycle) -> Option<Cycle> {
         let mut at = self.timing_ready(cmd, now)?;
         if self.channels[cmd.channel() as usize].last_cmd_at == Some(at) {
@@ -137,7 +182,10 @@ impl Dram {
     /// data-bus timing constraint, ignoring command-bus arbitration
     /// ([`Dram::earliest_issue`] adds that). The latency-anatomy
     /// classifier uses it to separate "the device is not ready" from
-    /// "another command won the slot".
+    /// "another command won the slot". Written out per command as the
+    /// reference that [`Dram::rank_gates`] + [`Dram::channel_banks`] are
+    /// checked against.
+    #[inline]
     pub fn timing_ready(&self, cmd: &Command, now: Cycle) -> Option<Cycle> {
         self.timing_queries.incr();
         let t = &self.cfg.timing;
@@ -198,6 +246,7 @@ impl Dram {
     }
 
     /// Whether `cmd` may issue exactly at `now` (including the command bus).
+    #[inline]
     pub fn can_issue(&self, cmd: &Command, now: Cycle) -> bool {
         if !self.cmd_bus_free(cmd.channel(), now) {
             return false;
@@ -317,10 +366,8 @@ impl Dram {
             }
             Command::RefreshRank { channel, rank } => {
                 let ri = self.rank_idx(channel, rank);
-                let base = ri * self.cfg.banks_per_rank as usize;
-                for b in &mut self.banks[base..base + self.cfg.banks_per_rank as usize] {
-                    b.next_act = b.next_act.max(now + Cycle::from(t.t_rfc));
-                }
+                // The rank's one record of tRFC: every command's timing
+                // includes `refresh_done`, so no bank deadline repeats it.
                 let r = &mut self.ranks[ri];
                 r.refresh_done = now + Cycle::from(t.t_rfc);
                 self.refresh_due[ri] += Cycle::from(t.t_refi);
@@ -332,11 +379,13 @@ impl Dram {
 
     /// Absolute deadline by which the next REF of (channel, rank) should
     /// issue.
+    #[inline]
     pub fn refresh_deadline(&self, channel: u32, rank: u32) -> Cycle {
         self.refresh_due[self.rank_idx(channel, rank)]
     }
 
     /// Whether the rank's refresh is due at or before `now`.
+    #[inline]
     pub fn refresh_urgent(&self, channel: u32, rank: u32, now: Cycle) -> bool {
         now >= self.refresh_deadline(channel, rank)
     }

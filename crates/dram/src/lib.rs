@@ -50,6 +50,7 @@ pub use command::{Command, CommandKind, Loc};
 pub use config::{DramConfig, RowPolicy};
 pub use device::{ColumnGate, Dram, IssueResult};
 pub use energy::EnergyModel;
+pub use state::BankState;
 pub use stats::DramStats;
 pub use timing::TimingParams;
 

@@ -8,6 +8,7 @@ use dbp_dram::{Command, CommandKind, Cycle, Dram, Loc, RowPolicy};
 use dbp_obs::latency::LatencyReport;
 
 use crate::anatomy::{Anatomy, IssuedCmd, IssuedKind};
+use crate::candidates::{CandTable, KIND_ACT, KIND_COL, KIND_PRE};
 use crate::profiler::{ProfilerState, RowOutcome};
 use crate::request::{MemRequest, TrafficKind};
 use crate::scheduler::{row_hit_then_age, Scheduler};
@@ -97,24 +98,6 @@ impl PartialOrd for PendingRead {
     }
 }
 
-/// Candidate command kind for a queued request, given its bank's current
-/// open row: a column access (row hit), a precharge (row conflict), or an
-/// activate (row closed). Timing legality depends only on this triple —
-/// never on the specific row or column — which is what makes the
-/// per-(bank, kind) candidate table below exact.
-const KIND_COL: usize = 0;
-const KIND_PRE: usize = 1;
-const KIND_ACT: usize = 2;
-
-/// Set-bit positions of a bitset, ascending.
-fn bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
-    words.iter().enumerate().flat_map(|(wi, &word)| {
-        std::iter::successors(Some(word), |&x| Some(x & x.wrapping_sub(1)))
-            .take_while(|&x| x != 0)
-            .map(move |x| wi * 64 + x.trailing_zeros() as usize)
-    })
-}
-
 /// The command a class-`kind` request of the read or write queue issues.
 fn class_command(
     kind: usize,
@@ -129,107 +112,6 @@ fn class_command(
         KIND_COL => Command::Read { loc, column, auto_pre },
         KIND_PRE => Command::Precharge { loc },
         _ => Command::Activate { loc, row },
-    }
-}
-
-/// Per-(channel, queue) index of the queue's slots by target bank, sized
-/// once at construction and maintained in O(1) per enqueue / serve, so
-/// that command-issue scans and the time-skip calendar are O(occupied
-/// banks) instead of O(queue depth x timing queries).
-///
-/// `bank` below is the channel-local index [`CandTable::bank`].
-/// The three candidate classes of a bank are *derived*, never stored:
-/// bank closed -> ACT = `members`; bank open -> COL = `hits`,
-/// PRE = `members & !hits`.
-#[derive(Debug, Clone)]
-struct CandTable {
-    banks_per_rank: usize,
-    /// Bitset words per bank: one bit per queue slot.
-    words: usize,
-    /// `members[bank * words..][..words]`: queue slots targeting `bank`.
-    members: Vec<u64>,
-    /// The members whose row is the bank's open row (zero while closed).
-    hits: Vec<u64>,
-    /// Banks with at least one member.
-    occupied: Vec<u64>,
-    /// `t_legal[bank][kind]`: exact earliest cycle the class's command can
-    /// issue, as of the last refresh — `Cycle::MAX` for a class with no
-    /// member (so it is never legal). Device timing state changes only
-    /// when a command issues on the channel, so a value stays exact until
-    /// the table is marked stale.
-    t_legal: Vec<[Cycle; 3]>,
-    /// `valid[bank][kind]`: `t_legal[bank][kind]` was queried since the
-    /// last command on the channel.
-    valid: Vec<[bool; 3]>,
-    /// Minimum of `t_legal` over occupied banks (the calendar's one read).
-    t_min: Cycle,
-    /// Set when a command issued on this channel: every `t_legal` must be
-    /// recomputed (lazily, at next use) against the new device state.
-    stale: bool,
-    /// Set when `members` / `hits` changed since the last refresh.
-    dirty: bool,
-}
-
-impl CandTable {
-    fn new(banks: usize, banks_per_rank: usize, slots: usize) -> Self {
-        let words = slots.div_ceil(64);
-        CandTable {
-            banks_per_rank,
-            words,
-            members: vec![0; banks * words],
-            hits: vec![0; banks * words],
-            occupied: vec![0; banks.div_ceil(64)],
-            t_legal: vec![[Cycle::MAX; 3]; banks],
-            valid: vec![[false; 3]; banks],
-            t_min: Cycle::MAX,
-            stale: false,
-            dirty: false,
-        }
-    }
-
-    fn bank(&self, rank: u32, bank: u32) -> usize {
-        rank as usize * self.banks_per_rank + bank as usize
-    }
-
-    /// Add queue slot `idx`, holding `r`; `hit`: its row is the open row.
-    fn insert(&mut self, r: &MemRequest, idx: usize, hit: bool) {
-        let bank = self.bank(r.rank, r.bank);
-        let (wi, bit) = (bank * self.words + idx / 64, 1u64 << (idx % 64));
-        self.members[wi] |= bit;
-        if hit {
-            self.hits[wi] |= bit;
-        }
-        self.occupied[bank / 64] |= 1 << (bank % 64);
-        self.dirty = true;
-    }
-
-    /// Drop queue slot `idx`, which held `r`; reports whether it was a hit.
-    fn remove(&mut self, r: &MemRequest, idx: usize) -> bool {
-        let bank = self.bank(r.rank, r.bank);
-        let (wi, bit) = (bank * self.words + idx / 64, 1u64 << (idx % 64));
-        let hit = self.hits[wi] & bit != 0;
-        self.members[wi] &= !bit;
-        self.hits[wi] &= !bit;
-        if self.members[bank * self.words..][..self.words].iter().all(|&w| w == 0) {
-            self.occupied[bank / 64] &= !(1 << (bank % 64));
-        }
-        self.dirty = true;
-        hit
-    }
-
-    /// Earliest cycle any member's next command is timing-legal, leaving
-    /// out activates on the `urgent` ranks (they wait for their refresh).
-    fn earliest(&self, urgent: u64) -> Cycle {
-        if urgent == 0 {
-            return self.t_min;
-        }
-        // Only around a REF: redo the walk with the rank filter.
-        bits(&self.occupied).fold(Cycle::MAX, |at, b| {
-            let t = &self.t_legal[b];
-            let act =
-                if urgent >> (b / self.banks_per_rank) & 1 != 0 { Cycle::MAX } else { t[KIND_ACT] };
-            at.min(t[KIND_COL]).min(t[KIND_PRE]).min(act)
-        })
     }
 }
 
@@ -617,16 +499,13 @@ impl MemoryController {
         // contents and write-queue length only change at executed ticks.
         let chi = ch as usize;
         let use_writes = self.serves_writes(chi);
-        // Timing legality depends on (bank, command kind), never on
-        // the row or column, so the candidate table answers for every
-        // queued request with one cached query per class.
-        self.cand_refresh(chi, use_writes, now + 1);
         let table = if use_writes { &self.cand_w[chi] } else { &self.cand_r[chi] };
-        let t = table.earliest(urgent);
+        let t = table
+            .deadlines(&self.dram, ch, use_writes, urgent)
+            .fold(Cycle::MAX, |at, (_, t)| at.min(t[KIND_COL]).min(t[KIND_PRE]).min(t[KIND_ACT]));
         if t != Cycle::MAX {
-            // A class may have become legal at an already-executed
-            // cycle (its `t_legal` was cached before `now`); the
-            // wake-up itself must still land strictly after `now`.
+            // A class may have become legal at an already-executed cycle;
+            // the wake-up itself must still land strictly after `now`.
             at = at.min(t.max(now + 1));
         }
         at
@@ -727,7 +606,6 @@ impl MemoryController {
                 Some(at) if at == now => {
                     self.dram.issue(&rf, now);
                     // REF needs every bank closed, so no kinds change.
-                    self.cand_mark_stale(ch as usize);
                     self.ctr_cmds.incr();
                     return Some(IssuedCmd {
                         rank,
@@ -745,7 +623,6 @@ impl MemoryController {
                     });
                     if let Some(bank) = ready {
                         self.dram.issue(&Command::precharge(ch, rank, bank), now);
-                        self.cand_mark_stale(ch as usize);
                         self.cand_rekind_bank(ch as usize, rank, bank);
                         self.ctr_cmds.incr();
                         return Some(IssuedCmd {
@@ -796,80 +673,19 @@ impl MemoryController {
     /// changed that bank's open row (activate, precharge, or an
     /// auto-precharging column access).
     fn cand_rekind_bank(&mut self, chi: usize, rank: u32, bank: u32) {
-        for is_write in [false, true] {
-            let (table, q, dram) = self.cand_parts(chi, is_write);
-            let open = dram.open_row(Loc::new(chi as u32, rank, bank));
-            let base = table.bank(rank, bank) * table.words;
-            for w in 0..table.words {
-                table.hits[base + w] = bits(&[table.members[base + w]])
-                    .filter(|&i| Some(q[w * 64 + i].row) == open)
-                    .fold(0, |hits, i| hits | 1 << i);
-            }
-            table.dirty = true;
-        }
-    }
-
-    /// Mark both of a channel's candidate tables timing-stale (a command
-    /// issued there, so every cached `t_legal` must be re-derived).
-    fn cand_mark_stale(&mut self, chi: usize) {
-        self.cand_r[chi].stale = true;
-        self.cand_w[chi].stale = true;
-    }
-
-    /// Bring one table's `t_legal` up to date: nothing to do unless a
-    /// command issued on the channel or the membership changed since the
-    /// last call; otherwise derive each occupied bank's classes and query
-    /// the device once per class not yet asked since the last command,
-    /// with `from` as the earliest admissible cycle. Values computed at an
-    /// earlier `from` stay exact for later queries (constraint deadlines
-    /// are absolute between issues), so legality at `now >= from` is just
-    /// `t_legal <= now`. The row and column operands do not enter timing.
-    fn cand_refresh(&mut self, chi: usize, is_write: bool, from: Cycle) {
-        let closed_page = self.closed_page;
-        let (table, _, dram) = self.cand_parts(chi, is_write);
-        if !(table.stale || table.dirty) {
-            return;
-        }
-        if std::mem::take(&mut table.stale) {
-            // Every bank, occupied or not: a class with no member is then
-            // always invalid, because losing the last member takes a command.
-            table.valid.fill([false; 3]);
-        }
-        table.dirty = false;
-        table.t_min = Cycle::MAX;
-        let bpr = table.banks_per_rank;
-        for b in bits(&table.occupied) {
-            let loc = Loc::new(chi as u32, (b / bpr) as u32, (b % bpr) as u32);
-            let words = b * table.words..(b + 1) * table.words;
-            let (members, hits) = (&table.members[words.clone()], &table.hits[words]);
-            // Which of the bank's classes have a member, indexed by `KIND_*`.
-            let present = if dram.open_row(loc).is_none() {
-                [false, false, true]
-            } else {
-                let conflict = members.iter().zip(hits).any(|(m, h)| m & !h != 0);
-                [hits.iter().any(|&h| h != 0), conflict, false]
-            };
-            for kind in [KIND_COL, KIND_PRE, KIND_ACT] {
-                let t = &mut table.t_legal[b][kind];
-                if !present[kind] {
-                    *t = Cycle::MAX;
-                } else if !std::mem::replace(&mut table.valid[b][kind], true) {
-                    let cmd = class_command(kind, is_write, closed_page, loc, 0, 0);
-                    *t = dram.earliest_issue(&cmd, from).unwrap_or(Cycle::MAX);
-                }
-                table.t_min = table.t_min.min(*t);
-            }
-        }
+        let open = self.dram.open_row(Loc::new(chi as u32, rank, bank));
+        self.cand_r[chi].rekind(&self.read_q[chi], rank, bank, open);
+        self.cand_w[chi].rekind(&self.write_q[chi], rank, bank, open);
     }
 
     /// Find the most-preferred request whose next command is legal now;
     /// returns (index, command, is_row_hit).
     ///
-    /// Driven by the candidate table: one cached timing answer per
-    /// (bank, kind) class admits or rejects every member at once, so
-    /// only the member words of *legal* classes are touched. They are
-    /// ORed into a queue-slot bitset and visited lowest set bit first —
-    /// ascending queue order without a sort — which makes the
+    /// Driven by the candidate table: one timing answer per (bank, kind)
+    /// class ([`CandTable::deadlines`]) admits or rejects every member at
+    /// once, so only the member words of *legal* classes are touched.
+    /// They are ORed into a queue-slot bitset and visited lowest set bit
+    /// first — ascending queue order without a sort — which makes the
     /// first-strictly-better-wins scan byte-identical to a flat walk of
     /// the whole queue (checked against one in debug builds).
     fn pick(
@@ -879,28 +695,11 @@ impl MemoryController {
         is_write: bool,
         urgent: u64,
     ) -> Option<(usize, Command, bool)> {
-        let chi = ch as usize;
-        self.cand_refresh(chi, is_write, now);
-        let MemoryController { cand_r, cand_w, read_q, write_q, sched, closed_page, legal, .. } =
-            self;
+        let (chi, closed_page) = (ch as usize, self.closed_page);
+        let MemoryController { dram, cand_r, cand_w, read_q, write_q, sched, legal, .. } = self;
         let (table, queue) =
             if is_write { (&cand_w[chi], &write_q[chi]) } else { (&cand_r[chi], &read_q[chi]) };
-        for b in bits(&table.occupied) {
-            let t = &table.t_legal[b];
-            // An urgent rank is waiting for refresh: no new rows.
-            let act = t[KIND_ACT] <= now && urgent >> (b / table.banks_per_rank) & 1 == 0;
-            let (col, pre) = (t[KIND_COL] <= now, t[KIND_PRE] <= now);
-            for (w, l) in legal.iter_mut().enumerate() {
-                let (m, h) = (table.members[b * table.words + w], table.hits[b * table.words + w]);
-                // A closed bank has no hits: an activate takes all of `members`.
-                let (a, c, p) = (
-                    if act { m } else { 0 },
-                    if col { h } else { 0 },
-                    if pre { m & !h } else { 0 },
-                );
-                *l = [l[0] | a | c | p, l[1] | c, l[2] | p];
-            }
-        }
+        table.mark_legal(dram, ch, is_write, urgent, now, legal);
         let mut best: Option<(usize, usize, bool)> = None;
         for (wi, word) in legal.iter_mut().enumerate() {
             let [mut rest, col, pre] = std::mem::take(word);
@@ -934,7 +733,7 @@ impl MemoryController {
         }
         let res = best.map(|(i, kind, hit)| {
             let r = &queue[i];
-            (i, class_command(kind, is_write, *closed_page, r.loc(), r.row, r.column), hit)
+            (i, class_command(kind, is_write, closed_page, r.loc(), r.row, r.column), hit)
         });
         #[cfg(debug_assertions)]
         debug_assert_eq!(
@@ -1023,7 +822,6 @@ impl MemoryController {
             q[i].classified = true;
         }
         let res = self.dram.issue(&cmd, now);
-        self.cand_mark_stale(chi);
         self.ctr_cmds.incr();
         let loc = cmd.loc().expect("pick never returns REF");
         // Row-state changes re-classify the bank's queued candidates.
@@ -1679,17 +1477,17 @@ mod prop_tests {
     /// the queues and the device's open rows (catches a missed
     /// `swap_remove` relabel or a stale hit bit even on an illegal slot).
     fn index_equals_rebuild(mc: &MemoryController) -> CaseResult {
+        let c = mc.dram.cfg();
+        let banks = (c.total_banks() / c.channels) as usize;
+        let slots = mc.cfg.read_q_cap.max(mc.cfg.write_q_cap);
         let tables = mc.cand_r.iter().zip(&mc.read_q).chain(mc.cand_w.iter().zip(&mc.write_q));
         for (table, q) in tables {
-            let mut want =
-                CandTable::new(table.valid.len(), table.banks_per_rank, table.words * 64);
+            let mut want = CandTable::new(banks, c.banks_per_rank as usize, slots);
             for (i, r) in q.iter().enumerate() {
                 let hit = mc.dram.open_row(r.loc()) == Some(r.row);
                 want.insert(r, i, hit);
             }
-            prop_assert_eq!(&table.members, &want.members, "members");
-            prop_assert_eq!(&table.hits, &want.hits, "hits");
-            prop_assert_eq!(&table.occupied, &want.occupied, "occupied");
+            prop_assert_eq!(table, &want, "bank index (members / hits / occupied)");
         }
         Ok(())
     }

@@ -42,6 +42,7 @@
 //! ```
 
 pub mod anatomy;
+mod candidates;
 pub mod controller;
 pub mod profiler;
 pub mod request;

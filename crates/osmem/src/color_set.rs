@@ -60,6 +60,7 @@ impl ColorSet {
     }
 
     /// Whether `color` is in the set.
+    #[inline]
     pub fn contains(&self, color: ColorId) -> bool {
         color < Self::MAX_COLORS && self.0 & (1u128 << color) != 0
     }

@@ -222,6 +222,7 @@ impl MemoryManager {
     /// any migration bookkeeping such as budget deferral). `None` means
     /// translating now mutates state, so a time-skipping caller must not
     /// assume the access repeats identically.
+    #[inline]
     pub fn peek(&self, thread: ThreadId, vaddr: u64) -> Option<u64> {
         let vpn = vaddr >> self.page_bits;
         let offset = vaddr & ((1 << self.page_bits) - 1);

@@ -21,6 +21,7 @@ impl PageTable {
     }
 
     /// Look up a mapping.
+    #[inline]
     pub fn translate(&self, vpn: Vpn) -> Option<Frame> {
         self.map.get(&vpn).copied()
     }

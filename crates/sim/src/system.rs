@@ -451,18 +451,19 @@ impl System {
         // Calendar: the jump lands on the earliest of a core's wake time,
         // the next epoch / feed boundary (those run code even with
         // everyone idle) and the controller's next event.
-        let fixed = bound.min(self.next_epoch).min(self.next_feed);
-        if fixed <= cur {
-            return;
-        }
+        let mut fixed = bound.min(self.next_epoch).min(self.next_feed);
         // Pending migration copy traffic that the controller would accept
-        // means the next DRAM tick enqueues — no skip. (If the queue is
-        // full it stays full for the whole window: nothing issues or
-        // completes before the controller's next event.)
+        // means the next DRAM tick enqueues: the jump may reach that tick,
+        // not cross it. (If the queue is full it stays full for the whole
+        // window: nothing issues or completes before the controller's
+        // next event.)
         if let Some((_, addr, is_write)) = self.migration_backlog.front() {
             if self.ctrl.can_accept(self.ctrl.channel_of(addr), is_write) {
-                return;
+                fixed = fixed.min(self.next_dram);
             }
+        }
+        if fixed <= cur {
+            return;
         }
         let cpd = self.cfg.cpu_per_dram;
         let mut ctrl_event = None;
