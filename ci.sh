@@ -45,6 +45,19 @@ diff target/ci-report.json target/ci-report-repeat.json
 ./target/release/dbpreport target/ci-report.json > /dev/null
 ./target/release/dbpreport --md target/ci-report.json > /dev/null
 ./target/release/dbpreport < target/ci-report.json > /dev/null
+# The same repeat-diff for MCP, whose decisions the DBP run never makes:
+# per-thread channel-group moves (debounced and banded) on 4 channels,
+# and the conform and lazy page moves they cause.
+run_mcp_report() {
+    ./target/release/dbpsim run --mix mix50-1 --channels 4 \
+        --instructions 60000 --warmup 30000 --epoch 30000 --policy mcp \
+        --report-out "$1" > /dev/null
+}
+run_mcp_report target/ci-report-mcp.json
+run_mcp_report target/ci-report-mcp-repeat.json
+diff target/ci-report-mcp.json target/ci-report-mcp-repeat.json
+./target/release/dbpreport --check --require-key epochs target/ci-report-mcp.json
+grep -q '"channel_group"' target/ci-report-mcp.json
 
 # Experiment-suite determinism gate: the quick suite's stdout (every
 # table of every experiment) must be byte-identical between the serial

@@ -3,7 +3,7 @@
 use dbp_osmem::ColorSet;
 
 use crate::estimator::{BankDemandEstimator, EstimatorConfig};
-use crate::policy::{proportional_alloc, PartitionPolicy};
+use crate::policy::{debounce, proportional_alloc, sticky_at_least, PartitionPolicy};
 use crate::profile::ThreadMemProfile;
 use crate::topology::ColorTopology;
 
@@ -35,7 +35,8 @@ impl Default for DbpConfig {
 ///
 /// Each epoch:
 ///
-/// 1. classify threads by memory intensity (with hysteresis);
+/// 1. classify threads by memory intensity (with the shared hysteresis
+///    rule, `sticky_at_least`);
 /// 2. estimate every intensive thread's bank-unit demand from its
 ///    measured BLP and row locality (exponentially smoothed);
 /// 3. treat the non-intensive threads as *one* group-taker whose demand is
@@ -46,7 +47,8 @@ impl Default for DbpConfig {
 ///    thread is squeezed below its demand to feed another (the failure
 ///    mode of both equal partitioning and naive proportional splits);
 /// 5. keep previously-owned units wherever possible and debounce count
-///    changes, so repartitioning migrates few pages.
+///    changes (the shared two-in-a-row rule, `debounce`), so
+///    repartitioning migrates few pages.
 #[derive(Debug)]
 pub struct Dbp {
     cfg: DbpConfig,
@@ -73,8 +75,8 @@ impl Dbp {
     }
 
     fn classify_intensive(&mut self, t: usize, profile: &ThreadMemProfile) -> bool {
-        let (enter, leave) = (LOW_MPKI * 1.25, LOW_MPKI * 0.75);
-        let now = if self.was_intensive[t] { profile.mpki >= leave } else { profile.mpki >= enter };
+        let now =
+            sticky_at_least(profile.mpki, self.was_intensive[t], LOW_MPKI * 1.25, LOW_MPKI * 0.75);
         self.was_intensive[t] = now;
         now
     }
@@ -242,30 +244,18 @@ impl PartitionPolicy for Dbp {
         let mut counts = Self::water_fill(units, &demands);
         let prev_units: Vec<Vec<u32>> = intensive
             .iter()
-            .map(|&t| match prev {
-                Some(p) => topo.units_of(&p[t]),
-                None => Vec::new(),
-            })
-            .chain(calm.first().map(|&t| match prev {
-                Some(p) => topo.units_of(&p[t]),
-                None => Vec::new(),
-            }))
+            .chain(calm.first())
+            .map(|&t| prev.map_or_else(Vec::new, |p| topo.units_of(&p[t])))
             .collect();
-        // Debounce: adopt a changed count vector only when the same vector
-        // is proposed in two consecutive epochs. Rounding flapping (a
-        // demand hovering between two unit counts) then never migrates
-        // pages, while a genuine demand shift is adopted one epoch late.
+        // Debounce the count vector: rounding flapping (a demand hovering
+        // between two unit counts) then never migrates pages, while a
+        // genuine demand shift is adopted one epoch late.
         if prev.is_some() {
             let prev_counts: Vec<u32> = prev_units.iter().map(|u| u.len() as u32).collect();
             let fits =
                 prev_counts.iter().sum::<u32>() == units && prev_counts.iter().all(|&c| c >= 1);
-            if fits && counts != prev_counts {
-                if self.pending_counts.as_ref() == Some(&counts) {
-                    self.pending_counts = None; // confirmed: adopt
-                } else {
-                    self.pending_counts = Some(counts.clone());
-                    counts = prev_counts;
-                }
+            if fits {
+                counts = debounce(&mut self.pending_counts, prev_counts, counts);
             } else {
                 self.pending_counts = None;
             }

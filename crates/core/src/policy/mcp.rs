@@ -15,7 +15,7 @@
 
 use dbp_osmem::ColorSet;
 
-use crate::policy::{proportional_alloc, PartitionPolicy};
+use crate::policy::{debounce, proportional_alloc, sticky_at_least, PartitionPolicy};
 use crate::profile::ThreadMemProfile;
 use crate::topology::ColorTopology;
 
@@ -67,38 +67,16 @@ impl ChannelPartitioning {
     /// 1 = intensive high-RBL, 2 = non-intensive.
     fn group_of(&mut self, t: usize, p: &ThreadMemProfile) -> usize {
         let prev = self.last_group[t];
+        let (low_mpki, high_rbl) = (self.cfg.low_mpki, self.cfg.high_rbl);
         let was_intensive = matches!(prev, Some(0) | Some(1));
-        let intensive = if was_intensive {
-            p.mpki >= self.cfg.low_mpki * 0.75
-        } else {
-            p.mpki >= self.cfg.low_mpki * 1.25
-        };
-        let raw = if !intensive {
+        let raw = if !sticky_at_least(p.mpki, was_intensive, low_mpki * 1.25, low_mpki * 0.75) {
             2
         } else {
-            let was_high = prev == Some(1);
-            let high = if was_high {
-                p.rbl >= self.cfg.high_rbl - 0.1
-            } else {
-                p.rbl >= self.cfg.high_rbl + 0.1
-            };
-            usize::from(high)
+            usize::from(sticky_at_least(p.rbl, prev == Some(1), high_rbl + 0.1, high_rbl - 0.1))
         };
         let group = match prev {
             None => raw, // first classification applies immediately
-            Some(prev_g) if raw == prev_g => {
-                self.pending_switch[t] = None;
-                prev_g
-            }
-            Some(prev_g) => {
-                if self.pending_switch[t] == Some(raw) {
-                    self.pending_switch[t] = None;
-                    raw
-                } else {
-                    self.pending_switch[t] = Some(raw);
-                    prev_g
-                }
-            }
+            Some(prev_g) => debounce(&mut self.pending_switch[t], prev_g, raw),
         };
         self.last_group[t] = Some(group);
         group
@@ -253,6 +231,43 @@ mod tests {
         let plan = mcp.partition(&[prof(30.0, 0.2, 1000), prof(28.0, 0.3, 900)], &topo(), None);
         assert_eq!(plan[0], topo().all_colors());
         assert_eq!(plan[1], topo().all_colors());
+    }
+
+    /// A group change moves the thread's whole footprint across
+    /// channels, so it must be confirmed: a one-epoch flip keeps the
+    /// channel group, a second flip in a row adopts the new one, and an
+    /// MPKI inside the 0.75–1.25× band around `low_mpki` keeps the class.
+    #[test]
+    fn group_changes_are_debounced_and_banded() {
+        let four_ch = ColorTopology::new(4, 1, 8);
+        let mut mcp = ChannelPartitioning::new(McpConfig::default());
+        let (low, high, calm) =
+            (prof(30.0, 0.2, 100_000), prof(25.0, 0.9, 100_000), prof(0.1, 0.5, 100));
+        // Threads 0-2 anchor one group each; thread 3 is the probe.
+        let mut epoch = |probe| mcp.partition(&[low, high, calm, probe], &four_ch, None);
+        let p = epoch(low);
+        assert_eq!(p[3], p[0]);
+        assert!(p[0].is_disjoint(&p[1]) && p[1].is_disjoint(&p[2]));
+        let p = epoch(high);
+        assert_eq!(p[3], p[0], "a one-epoch flip keeps the group");
+        let p = epoch(high);
+        assert_eq!(p[3], p[1], "a second flip in a row adopts the group");
+        // 1.2 and 1.8 MPKI sit inside 1.125..1.875, and 0.45 RBL inside
+        // 0.4..0.6: each class holds.
+        for _ in 0..3 {
+            let p = epoch(prof(1.2, 0.9, 100_000));
+            assert_eq!(p[3], p[1], "an intensive thread stays intensive");
+        }
+        for _ in 0..3 {
+            let p = epoch(prof(25.0, 0.45, 100_000));
+            assert_eq!(p[3], p[1], "a high-RBL thread stays high-RBL");
+        }
+        epoch(calm);
+        epoch(calm);
+        for _ in 0..3 {
+            let p = epoch(prof(1.8, 0.5, 100));
+            assert_eq!(p[3], p[2], "a calm thread stays calm");
+        }
     }
 
     #[test]

@@ -112,6 +112,30 @@ impl PolicyKind {
     }
 }
 
+/// The one hysteresis rule: whether `value` counts as at or above a
+/// threshold, given whether it did last epoch. Crossing upward needs
+/// `enter`, dropping back needs to fall below `leave` (`leave <= enter`),
+/// so a value hovering near the threshold keeps its class.
+pub(crate) fn sticky_at_least(value: f64, was: bool, enter: f64, leave: f64) -> bool {
+    value >= if was { leave } else { enter }
+}
+
+/// The one debounce rule: `proposed` replaces `current` only when the
+/// same change was proposed at the previous call too. `pending` holds
+/// the change awaiting its confirmation; a proposal equal to `current`
+/// clears it.
+pub(crate) fn debounce<T: PartialEq>(pending: &mut Option<T>, current: T, proposed: T) -> T {
+    if proposed == current {
+        *pending = None;
+        current
+    } else if pending.take().as_ref() == Some(&proposed) {
+        proposed
+    } else {
+        *pending = Some(proposed);
+        current
+    }
+}
+
 /// Split `total` units among `demands.len()` takers proportionally, with
 /// every taker receiving at least one unit (largest-remainder style).
 ///
@@ -187,6 +211,21 @@ mod tests {
     #[should_panic(expected = "more takers")]
     fn too_many_takers_panics() {
         let _ = proportional_alloc(2, &[1.0, 1.0, 1.0]);
+    }
+
+    #[test]
+    fn debounce_adopts_only_a_change_proposed_twice_in_a_row() {
+        let mut pending = None;
+        assert_eq!(debounce(&mut pending, 0, 1), 0);
+        // Flapping between two proposals never adopts either.
+        assert_eq!(debounce(&mut pending, 0, 2), 0);
+        assert_eq!(debounce(&mut pending, 0, 1), 0);
+        // Proposing the current value forgets the pending change.
+        assert_eq!(debounce(&mut pending, 0, 0), 0);
+        assert_eq!(pending, None);
+        assert_eq!(debounce(&mut pending, 0, 1), 0);
+        assert_eq!(debounce(&mut pending, 0, 1), 1);
+        assert_eq!(pending, None);
     }
 
     #[test]

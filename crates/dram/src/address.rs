@@ -28,11 +28,6 @@ pub enum MappingScheme {
     /// color maps to a *different but still unique* bank per row — colors
     /// remain disjoint, so partitioning still isolates threads.
     PermutedPageColoring,
-    /// `row | col_high | bank | rank | col_low | channel | offset`:
-    /// channels interleave at cache-line granularity. Maximises single-
-    /// thread channel parallelism but the OS cannot color channels; used
-    /// for unpartitioned baselines only.
-    LineInterleaved,
 }
 
 /// A physical address decomposed into DRAM coordinates.
@@ -51,7 +46,9 @@ pub struct DecodedAddr {
 /// for a fixed [`DramConfig`].
 #[derive(Debug, Clone)]
 pub struct AddressMapper {
-    scheme: MappingScheme,
+    /// Row bits XOR-ed into the bank field: every bank bit under
+    /// [`MappingScheme::PermutedPageColoring`], none otherwise.
+    bank_xor_mask: u32,
     offset_bits: u32,
     col_low_bits: u32,
     col_high_bits: u32,
@@ -79,22 +76,21 @@ impl AddressMapper {
             col_bits >= col_low_bits,
             "row must span at least one page (col_bits {col_bits} < col_low {col_low_bits})"
         );
+        let bank_bits = cfg.banks_per_rank.trailing_zeros();
         AddressMapper {
-            scheme: cfg.mapping,
+            bank_xor_mask: match cfg.mapping {
+                MappingScheme::PageColoring => 0,
+                MappingScheme::PermutedPageColoring => (1 << bank_bits) - 1,
+            },
             offset_bits,
             col_low_bits,
             col_high_bits: col_bits - col_low_bits,
             ch_bits: cfg.channels.trailing_zeros(),
             rank_bits: cfg.ranks_per_channel.trailing_zeros(),
-            bank_bits: cfg.banks_per_rank.trailing_zeros(),
+            bank_bits,
             row_bits: cfg.rows_per_bank.trailing_zeros(),
             page_bits,
         }
-    }
-
-    /// The layout scheme this mapper implements.
-    pub fn scheme(&self) -> MappingScheme {
-        self.scheme
     }
 
     /// Number of distinct colors, i.e. (channel, rank, bank) triples.
@@ -133,22 +129,10 @@ impl AddressMapper {
     pub fn decode(&self, pa: u64) -> DecodedAddr {
         debug_assert!(pa < self.capacity(), "address {pa:#x} out of range");
         let mut a = pa >> self.offset_bits;
-        let (channel, col_low, rank, bank) = match self.scheme {
-            MappingScheme::PageColoring | MappingScheme::PermutedPageColoring => {
-                let col_low = Self::take(&mut a, self.col_low_bits);
-                let channel = Self::take(&mut a, self.ch_bits);
-                let rank = Self::take(&mut a, self.rank_bits);
-                let bank = Self::take(&mut a, self.bank_bits);
-                (channel, col_low, rank, bank)
-            }
-            MappingScheme::LineInterleaved => {
-                let channel = Self::take(&mut a, self.ch_bits);
-                let col_low = Self::take(&mut a, self.col_low_bits);
-                let rank = Self::take(&mut a, self.rank_bits);
-                let bank = Self::take(&mut a, self.bank_bits);
-                (channel, col_low, rank, bank)
-            }
-        };
+        let col_low = Self::take(&mut a, self.col_low_bits);
+        let channel = Self::take(&mut a, self.ch_bits);
+        let rank = Self::take(&mut a, self.rank_bits);
+        let bank = Self::take(&mut a, self.bank_bits);
         let col_high = Self::take(&mut a, self.col_high_bits);
         let row = Self::take(&mut a, self.row_bits);
         let bank = self.permute_bank(bank, row);
@@ -163,28 +147,15 @@ impl AddressMapper {
         let col_high = u64::from(d.column) >> self.col_low_bits;
         let mut a: u64 = u64::from(d.row);
         a = (a << self.col_high_bits) | col_high;
-        match self.scheme {
-            MappingScheme::PageColoring | MappingScheme::PermutedPageColoring => {
-                a = (a << self.bank_bits) | u64::from(bank_field);
-                a = (a << self.rank_bits) | u64::from(d.rank);
-                a = (a << self.ch_bits) | u64::from(d.channel);
-                a = (a << self.col_low_bits) | col_low;
-            }
-            MappingScheme::LineInterleaved => {
-                a = (a << self.bank_bits) | u64::from(bank_field);
-                a = (a << self.rank_bits) | u64::from(d.rank);
-                a = (a << self.col_low_bits) | col_low;
-                a = (a << self.ch_bits) | u64::from(d.channel);
-            }
-        }
+        a = (a << self.bank_bits) | u64::from(bank_field);
+        a = (a << self.rank_bits) | u64::from(d.rank);
+        a = (a << self.ch_bits) | u64::from(d.channel);
+        a = (a << self.col_low_bits) | col_low;
         a << self.offset_bits
     }
 
     fn permute_bank(&self, bank: u32, row: u32) -> u32 {
-        match self.scheme {
-            MappingScheme::PermutedPageColoring => bank ^ (row & ((1 << self.bank_bits) - 1)),
-            _ => bank,
-        }
+        bank ^ (row & self.bank_xor_mask)
     }
 
     /// The color of a decoded address: a dense index over
@@ -198,28 +169,11 @@ impl AddressMapper {
         ((d.channel << self.rank_bits | d.rank) << self.bank_bits) | bank_field
     }
 
-    /// Decompose a color back into (channel, rank, bank-field).
-    pub fn color_parts(&self, color: ColorId) -> (u32, u32, u32) {
-        let bank = color & ((1 << self.bank_bits) - 1);
-        let rest = color >> self.bank_bits;
-        let rank = rest & ((1 << self.rank_bits) - 1);
-        let channel = rest >> self.rank_bits;
-        (channel, rank, bank)
-    }
-
-    /// The color of a physical page frame, when the layout gives frames a
-    /// unique color.
-    ///
-    /// Returns `None` for [`MappingScheme::LineInterleaved`], where a frame
-    /// spans all channels.
-    pub fn frame_color(&self, frame: u64) -> Option<ColorId> {
-        match self.scheme {
-            MappingScheme::PageColoring | MappingScheme::PermutedPageColoring => {
-                let d = self.decode(frame << self.page_bits);
-                Some(self.color_of(&d))
-            }
-            MappingScheme::LineInterleaved => None,
-        }
+    /// The color of a physical page frame. Channel, rank and bank field
+    /// sit above the page offset in both layouts, so every line of a
+    /// frame has this one color.
+    pub fn frame_color(&self, frame: u64) -> ColorId {
+        self.color_of(&self.decode(frame << self.page_bits))
     }
 }
 
@@ -268,20 +222,9 @@ mod tests {
         // among the first num_colors * pages_per_row frames.
         let mut seen = vec![false; m.num_colors() as usize];
         for f in 0..u64::from(m.num_colors()) * u64::from(c.pages_per_row()) {
-            let col = m.frame_color(f).unwrap();
-            seen[col as usize] = true;
+            seen[m.frame_color(f) as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn line_interleaved_spreads_channels_within_page() {
-        let c = cfg(MappingScheme::LineInterleaved);
-        let m = AddressMapper::new(&c);
-        let d0 = m.decode(0);
-        let d1 = m.decode(64);
-        assert_ne!(d0.channel, d1.channel);
-        assert!(m.frame_color(0).is_none());
     }
 
     #[test]
@@ -309,23 +252,13 @@ mod tests {
         let c = cfg(MappingScheme::PermutedPageColoring);
         let m = AddressMapper::new(&c);
         for f in 0..256u64 {
-            let color = m.frame_color(f).unwrap();
+            let color = m.frame_color(f);
             // Every line in the frame agrees on the color.
             let base = f << m.page_bits();
             for off in (0..u64::from(c.page_bytes)).step_by(256) {
                 let d = m.decode(base + off);
                 assert_eq!(m.color_of(&d), color);
             }
-        }
-    }
-
-    #[test]
-    fn color_parts_roundtrip() {
-        let m = AddressMapper::new(&cfg(MappingScheme::PageColoring));
-        for color in 0..m.num_colors() {
-            let (ch, ra, ba) = m.color_parts(color);
-            let d = DecodedAddr { channel: ch, rank: ra, bank: ba, row: 0, column: 0 };
-            assert_eq!(m.color_of(&d), color);
         }
     }
 
@@ -336,13 +269,10 @@ mod tests {
 
         #[test]
         fn decode_encode_roundtrip() {
-            let g = (range(0u64..(4u64 << 30)), range(0usize..3));
+            let g = (range(0u64..(4u64 << 30)), range(0usize..2));
             check(Config::default(), &g, |(pa, scheme_idx)| {
-                let scheme = [
-                    MappingScheme::PageColoring,
-                    MappingScheme::PermutedPageColoring,
-                    MappingScheme::LineInterleaved,
-                ][scheme_idx];
+                let scheme =
+                    [MappingScheme::PageColoring, MappingScheme::PermutedPageColoring][scheme_idx];
                 let m = AddressMapper::new(&cfg(scheme));
                 let pa = pa & !63; // burst aligned
                 let d = m.decode(pa);
@@ -371,7 +301,7 @@ mod tests {
             check(Config::default(), &range(0u64..100_000), |frame| {
                 let c = cfg(MappingScheme::PageColoring);
                 let m = AddressMapper::new(&c);
-                let fc = m.frame_color(frame).unwrap();
+                let fc = m.frame_color(frame);
                 let d = m.decode((frame << m.page_bits()) + 128);
                 prop_assert_eq!(m.color_of(&d), fc);
                 Ok(())

@@ -52,15 +52,6 @@ impl EnergyModel {
         let background_pj = self.background_mw * self.clock_ps * elapsed as f64 * 1e-3;
         (dynamic_pj + background_pj) / 1000.0
     }
-
-    /// Energy per transferred byte, nJ/B.
-    pub fn energy_per_byte_nj(&self, stats: &DramStats, elapsed: Cycle, burst_bytes: u32) -> f64 {
-        let bytes = (stats.reads + stats.writes) * u64::from(burst_bytes);
-        if bytes == 0 {
-            return 0.0;
-        }
-        self.total_nj(stats, elapsed) / bytes as f64
-    }
 }
 
 #[cfg(test)]
@@ -84,12 +75,5 @@ mod tests {
         let m = EnergyModel::default();
         let s = DramStats::new(1);
         assert!(m.total_nj(&s, 2000) > m.total_nj(&s, 1000));
-    }
-
-    #[test]
-    fn energy_per_byte_zero_without_traffic() {
-        let m = EnergyModel::default();
-        let s = DramStats::new(1);
-        assert_eq!(m.energy_per_byte_nj(&s, 100, 64), 0.0);
     }
 }

@@ -6,9 +6,9 @@
 
 /// The full set of timing constraints the device model enforces.
 ///
-/// All values are in bus clock cycles. The presets
-/// ([`TimingParams::ddr3_1333`], [`TimingParams::ddr3_1600`]) follow the
-/// common speed-bin datasheet values for 2 Gb parts.
+/// All values are in bus clock cycles. The preset
+/// ([`TimingParams::ddr3_1333`]) follows the common speed-bin datasheet
+/// values for 2 Gb parts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingParams {
     /// CAS latency: READ command to first data.
@@ -73,29 +73,6 @@ impl TimingParams {
         }
     }
 
-    /// DDR3-1600K (800 MHz bus clock, 11-11-11), 2 Gb parts.
-    pub fn ddr3_1600() -> Self {
-        TimingParams {
-            cl: 11,
-            cwl: 8,
-            t_rcd: 11,
-            t_rp: 11,
-            t_ras: 28,
-            t_rc: 39,
-            t_rrd: 5,
-            t_faw: 24,
-            t_wtr: 6,
-            t_wr: 12,
-            t_rtp: 6,
-            t_ccd: 4,
-            t_burst: 4,
-            t_rtrs: 2,
-            t_rfc: 128,
-            t_refi: 6240,
-            clock_ps: 1250,
-        }
-    }
-
     /// Tiny constants for fast, readable unit tests.
     ///
     /// Not a real device; every constraint is still structurally enforced,
@@ -153,12 +130,6 @@ impl TimingParams {
         }
         Ok(())
     }
-
-    /// Idealised peak bandwidth in bytes per bus cycle for an 8-byte bus.
-    pub fn peak_bytes_per_cycle(&self, bus_bytes: u32) -> f64 {
-        // Double data rate: two transfers per bus cycle.
-        2.0 * bus_bytes as f64
-    }
 }
 
 impl Default for TimingParams {
@@ -174,7 +145,6 @@ mod tests {
     #[test]
     fn presets_validate() {
         TimingParams::ddr3_1333().validate().unwrap();
-        TimingParams::ddr3_1600().validate().unwrap();
         TimingParams::fast_test().validate().unwrap();
     }
 
@@ -203,10 +173,5 @@ mod tests {
         let mut t = TimingParams::ddr3_1333();
         t.t_refi = t.t_rfc;
         assert!(t.validate().is_err());
-    }
-
-    #[test]
-    fn faster_bin_has_shorter_clock() {
-        assert!(TimingParams::ddr3_1600().clock_ps < TimingParams::ddr3_1333().clock_ps);
     }
 }

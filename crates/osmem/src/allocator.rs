@@ -12,22 +12,9 @@ use crate::{ColorSet, Frame};
 #[derive(Debug, Clone)]
 pub struct FrameAllocator {
     free: Vec<Vec<Frame>>, // indexed by color
-    frame_colors: FrameColorFn,
-    total: u64,
-    allocated: u64,
-}
-
-/// Computes a frame's color arithmetically from the mapper (no per-frame
-/// table: configurations can have millions of frames).
-#[derive(Debug, Clone)]
-struct FrameColorFn {
+    /// Colors frames arithmetically (no per-frame table: configurations
+    /// can have millions of frames).
     mapper: AddressMapper,
-}
-
-impl FrameColorFn {
-    fn color(&self, frame: Frame) -> ColorId {
-        self.mapper.frame_color(frame).expect("allocator requires a page-coloring address layout")
-    }
 }
 
 impl FrameAllocator {
@@ -35,38 +22,24 @@ impl FrameAllocator {
     ///
     /// # Panics
     ///
-    /// Panics if the configured mapping is not page-coloring capable
-    /// (frames must have a unique color) or has more than
-    /// [`ColorSet::MAX_COLORS`] colors.
+    /// Panics if `cfg` has more than [`ColorSet::MAX_COLORS`] colors.
     pub fn new(cfg: &DramConfig) -> Self {
         let mapper = AddressMapper::new(cfg);
         let n_colors = mapper.num_colors();
         assert!(n_colors <= ColorSet::MAX_COLORS, "{n_colors} colors exceed ColorSet capacity");
-        let total = cfg.total_frames();
-        let fc = FrameColorFn { mapper };
         let mut free: Vec<Vec<Frame>> = vec![Vec::new(); n_colors as usize];
         // Push in reverse so that pop() hands out ascending frame numbers,
         // which keeps early allocations in low rows (realistic and
         // deterministic).
-        for frame in (0..total).rev() {
-            free[fc.color(frame) as usize].push(frame);
+        for frame in (0..cfg.total_frames()).rev() {
+            free[mapper.frame_color(frame) as usize].push(frame);
         }
-        FrameAllocator { free, frame_colors: fc, total, allocated: 0 }
+        FrameAllocator { free, mapper }
     }
 
     /// Number of colors.
     pub fn num_colors(&self) -> u32 {
         self.free.len() as u32
-    }
-
-    /// Total frames managed.
-    pub fn total_frames(&self) -> u64 {
-        self.total
-    }
-
-    /// Frames currently allocated.
-    pub fn allocated_frames(&self) -> u64 {
-        self.allocated
     }
 
     /// Free frames remaining in `color`.
@@ -76,7 +49,7 @@ impl FrameAllocator {
 
     /// The color of `frame`.
     pub fn color_of(&self, frame: Frame) -> ColorId {
-        self.frame_colors.color(frame)
+        self.mapper.frame_color(frame)
     }
 
     /// Allocate a frame from the allowed set, preferring the color with
@@ -87,24 +60,13 @@ impl FrameAllocator {
             .iter()
             .filter(|&c| (c as usize) < self.free.len())
             .max_by_key(|&c| self.free[c as usize].len())?;
-        let frame = self.free[best as usize].pop()?;
-        self.allocated += 1;
-        Some(frame)
-    }
-
-    /// Allocate from a specific color.
-    pub fn alloc_color(&mut self, color: ColorId) -> Option<Frame> {
-        let frame = self.free.get_mut(color as usize)?.pop()?;
-        self.allocated += 1;
-        Some(frame)
+        self.free[best as usize].pop()
     }
 
     /// Return `frame` to its color's free list.
     pub fn free(&mut self, frame: Frame) {
-        debug_assert!(frame < self.total);
-        let color = self.frame_colors.color(frame);
+        let color = self.color_of(frame);
         self.free[color as usize].push(frame);
-        self.allocated -= 1;
     }
 }
 
@@ -135,7 +97,6 @@ mod tests {
             let f = a.alloc(&allowed).unwrap();
             assert!(allowed.contains(a.color_of(f)));
         }
-        assert_eq!(a.allocated_frames(), 10);
     }
 
     #[test]
@@ -174,7 +135,6 @@ mod tests {
         let before = a.free_in_color(2);
         a.free(f);
         assert_eq!(a.free_in_color(2), before + 1);
-        assert_eq!(a.allocated_frames(), 0);
     }
 
     #[test]

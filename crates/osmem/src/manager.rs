@@ -1,6 +1,7 @@
 //! The memory-manager facade: translation, partition updates, migration.
 
 use dbp_dram::{AddressMapper, DramConfig};
+use dbp_obs::{EventKind, MigrationCause};
 
 use crate::allocator::FrameAllocator;
 use crate::page_table::PageTable;
@@ -80,7 +81,8 @@ impl MemoryManager {
     ///
     /// # Panics
     ///
-    /// Panics if `cfg` is invalid or its mapping cannot color frames.
+    /// Panics if `cfg` is invalid or has more colors than a [`ColorSet`]
+    /// can name.
     pub fn new(cfg: &DramConfig, threads: usize, mode: MigrationMode) -> Self {
         let mapper = AddressMapper::new(cfg);
         let allocator = FrameAllocator::new(cfg);
@@ -118,7 +120,7 @@ impl MemoryManager {
             None => true,
             Some(0) => {
                 self.stats.deferred_migrations += 1;
-                self.rec.emit(dbp_obs::EventKind::MigrationDeferred { thread });
+                self.rec.emit(EventKind::MigrationDeferred { thread });
                 false
             }
             Some(b) => {
@@ -148,11 +150,6 @@ impl MemoryManager {
         &self.stats
     }
 
-    /// The partition currently applied to `thread`.
-    pub fn partition_of(&self, thread: ThreadId) -> &ColorSet {
-        &self.partitions[thread]
-    }
-
     /// Resident pages of `thread`.
     pub fn resident_pages(&self, thread: ThreadId) -> usize {
         self.tables[thread].resident_pages()
@@ -166,7 +163,7 @@ impl MemoryManager {
         // Partition exhausted: a real OS spills rather than OOM-killing.
         self.stats.allocations += 1;
         self.stats.fallback_allocations += 1;
-        self.rec.emit(dbp_obs::EventKind::FallbackAlloc { thread, vpn });
+        self.rec.emit(EventKind::FallbackAlloc { thread, vpn });
         self.allocator
             .alloc(&ColorSet::all(self.allocator.num_colors()))
             .expect("physical memory exhausted")
@@ -184,31 +181,16 @@ impl MemoryManager {
         let offset = vaddr & ((1 << self.page_bits) - 1);
         if let Some(frame) = self.tables[thread].translate(vpn) {
             // Resident, yet `peek` refused: a lazy migration is due.
-            if self.take_budget(thread) {
-                if let Some(new_frame) = self.allocator.alloc(&self.partitions[thread]) {
-                    self.allocator.free(frame);
-                    self.tables[thread].map(vpn, new_frame);
-                    self.stats.migrated_pages += 1;
-                    self.rec.emit(dbp_obs::EventKind::PageMigration {
-                        thread,
-                        vpn,
-                        old_frame: frame,
-                        new_frame,
-                        cause: dbp_obs::MigrationCause::Lazy,
-                    });
-                    return Translation {
-                        pa: (new_frame << self.page_bits) | offset,
-                        allocated: false,
-                        migration: Some(MigrationJob { thread, vpn, old_frame: frame, new_frame }),
-                    };
-                }
-                self.stats.failed_migrations += 1;
-                self.rec.emit(dbp_obs::EventKind::MigrationFailed { thread });
-            }
+            let migration = if self.take_budget(thread) {
+                self.relocate(thread, vpn, frame, self.partitions[thread], MigrationCause::Lazy)
+            } else {
+                None
+            };
+            let frame = migration.map_or(frame, |job| job.new_frame);
             return Translation {
                 pa: (frame << self.page_bits) | offset,
                 allocated: false,
-                migration: None,
+                migration,
             };
         }
         let frame = self.alloc_for(thread, vpn);
@@ -249,37 +231,7 @@ impl MemoryManager {
         if self.mode != MigrationMode::Eager {
             return Vec::new();
         }
-        let mut violating: Vec<(Vpn, Frame)> = self.tables[thread]
-            .iter()
-            .filter(|&(_, f)| !colors.contains(self.allocator.color_of(f)))
-            .collect();
-        violating.sort_unstable(); // page tables hash-iterate nondeterministically
-        let mut jobs = Vec::with_capacity(violating.len());
-        for (vpn, old_frame) in violating {
-            if !self.take_budget(thread) {
-                break;
-            }
-            match self.allocator.alloc(&colors) {
-                Some(new_frame) => {
-                    self.allocator.free(old_frame);
-                    self.tables[thread].map(vpn, new_frame);
-                    self.stats.migrated_pages += 1;
-                    self.rec.emit(dbp_obs::EventKind::PageMigration {
-                        thread,
-                        vpn,
-                        old_frame,
-                        new_frame,
-                        cause: dbp_obs::MigrationCause::Eager,
-                    });
-                    jobs.push(MigrationJob { thread, vpn, old_frame, new_frame });
-                }
-                None => {
-                    self.stats.failed_migrations += 1;
-                    self.rec.emit(dbp_obs::EventKind::MigrationFailed { thread });
-                }
-            }
-        }
-        jobs
+        self.conform_thread(thread, MigrationCause::Eager)
     }
 
     /// Spread `thread`'s resident pages evenly across the colors of its
@@ -328,20 +280,12 @@ impl MemoryManager {
                     break; // no strict improvement left
                 }
                 let (vpn, old_frame) = buckets[k].pop().expect("bucket over target");
-                let new_frame =
-                    self.allocator.alloc_color(colors[dest]).expect("checked free frame");
-                self.allocator.free(old_frame);
-                self.tables[thread].map(vpn, new_frame);
-                self.stats.migrated_pages += 1;
-                self.rec.emit(dbp_obs::EventKind::PageMigration {
-                    thread,
-                    vpn,
-                    old_frame,
-                    new_frame,
-                    cause: dbp_obs::MigrationCause::Rebalance,
-                });
-                buckets[dest].push((vpn, new_frame));
-                jobs.push(MigrationJob { thread, vpn, old_frame, new_frame });
+                let into = ColorSet::from_iter([colors[dest]]);
+                let job = self
+                    .relocate(thread, vpn, old_frame, into, MigrationCause::Rebalance)
+                    .expect("checked free frame");
+                buckets[dest].push((vpn, job.new_frame));
+                jobs.push(job);
             }
         }
         jobs
@@ -359,39 +303,11 @@ impl MemoryManager {
         let saved_budget = self.migration_budget.take();
         let mut moved = 0;
         for thread in 0..self.tables.len() {
-            let part = self.partitions[thread];
-            let mut violating: Vec<(Vpn, Frame)> = self.tables[thread]
-                .iter()
-                .filter(|&(_, f)| !part.contains(self.allocator.color_of(f)))
-                .collect();
-            violating.sort_unstable();
-            for (vpn, old_frame) in violating {
-                if let Some(new_frame) = self.allocator.alloc(&part) {
-                    self.allocator.free(old_frame);
-                    self.tables[thread].map(vpn, new_frame);
-                    moved += 1;
-                    self.rec.emit(dbp_obs::EventKind::PageMigration {
-                        thread,
-                        vpn,
-                        old_frame,
-                        new_frame,
-                        cause: dbp_obs::MigrationCause::Conform,
-                    });
-                } else {
-                    self.stats.failed_migrations += 1;
-                    self.rec.emit(dbp_obs::EventKind::MigrationFailed { thread });
-                }
-            }
+            moved += self.conform_thread(thread, MigrationCause::Conform).len() as u64;
             moved += self.rebalance_thread(thread).len() as u64;
         }
         self.migration_budget = saved_budget;
         moved
-    }
-
-    /// Count of `thread`'s resident pages that violate its partition
-    /// (non-zero only in lazy mode between repartition and touch).
-    pub fn violating_pages(&self, thread: ThreadId) -> usize {
-        self.pages_outside(thread, &self.partitions[thread])
     }
 
     /// Count of `thread`'s resident pages whose frame color falls
@@ -400,10 +316,60 @@ impl MemoryManager {
     /// audit layer uses it to cost shadow-policy plans without touching
     /// placement state.
     pub fn pages_outside(&self, thread: ThreadId, colors: &ColorSet) -> usize {
+        self.outside(thread, *colors).count()
+    }
+
+    /// The one out-of-partition scan: `thread`'s resident pages whose
+    /// frame color falls outside `colors`, in page-table (hash) order.
+    fn outside(
+        &self,
+        thread: ThreadId,
+        colors: ColorSet,
+    ) -> impl Iterator<Item = (Vpn, Frame)> + '_ {
         self.tables[thread]
             .iter()
-            .filter(|&(_, f)| !colors.contains(self.allocator.color_of(f)))
-            .count()
+            .filter(move |&(_, f)| !colors.contains(self.allocator.color_of(f)))
+    }
+
+    /// Move `thread`'s pages that lie outside its partition back in, in
+    /// page order, until the migration budget runs out.
+    fn conform_thread(&mut self, thread: ThreadId, cause: MigrationCause) -> Vec<MigrationJob> {
+        let colors = self.partitions[thread];
+        let mut outside: Vec<(Vpn, Frame)> = self.outside(thread, colors).collect();
+        outside.sort_unstable(); // page tables hash-iterate nondeterministically
+        let mut jobs = Vec::with_capacity(outside.len());
+        for (vpn, old_frame) in outside {
+            if !self.take_budget(thread) {
+                break;
+            }
+            jobs.extend(self.relocate(thread, vpn, old_frame, colors, cause));
+        }
+        jobs
+    }
+
+    /// The one page move: remap `thread`'s page `vpn` from `old_frame` to
+    /// a free frame of `colors`, free the old frame, count and emit the
+    /// move, and return the copy the simulator must charge. With no free
+    /// frame in `colors` the page stays put, and the failure is counted
+    /// and emitted instead.
+    fn relocate(
+        &mut self,
+        thread: ThreadId,
+        vpn: Vpn,
+        old_frame: Frame,
+        colors: ColorSet,
+        cause: MigrationCause,
+    ) -> Option<MigrationJob> {
+        let Some(new_frame) = self.allocator.alloc(&colors) else {
+            self.stats.failed_migrations += 1;
+            self.rec.emit(EventKind::MigrationFailed { thread });
+            return None;
+        };
+        self.allocator.free(old_frame);
+        self.tables[thread].map(vpn, new_frame);
+        self.stats.migrated_pages += 1;
+        self.rec.emit(EventKind::PageMigration { thread, vpn, old_frame, new_frame, cause });
+        Some(MigrationJob { thread, vpn, old_frame, new_frame })
     }
 }
 
@@ -422,7 +388,7 @@ mod tests {
         let t = mm.translate(0, 0x1234_5678);
         assert!(t.allocated);
         let frame = t.pa >> 12;
-        assert_eq!(mm.mapper().frame_color(frame), Some(1));
+        assert_eq!(mm.mapper().frame_color(frame), 1);
         // Offset preserved.
         assert_eq!(t.pa & 0xfff, 0x678);
     }
@@ -454,9 +420,9 @@ mod tests {
         let jobs = mm.set_partition(0, ColorSet::from_iter([5u32]));
         assert_eq!(jobs.len(), 8);
         for j in &jobs {
-            assert_eq!(mm.mapper().frame_color(j.new_frame), Some(5));
+            assert_eq!(mm.mapper().frame_color(j.new_frame), 5);
         }
-        assert_eq!(mm.violating_pages(0), 0);
+        assert_eq!(mm.pages_outside(0, &mm.partitions[0]), 0);
         assert_eq!(mm.stats().migrated_pages, 8);
     }
 
@@ -467,11 +433,11 @@ mod tests {
         mm.translate(0, 0x1000);
         let jobs = mm.set_partition(0, ColorSet::from_iter([3u32]));
         assert!(jobs.is_empty());
-        assert_eq!(mm.violating_pages(0), 1);
+        assert_eq!(mm.pages_outside(0, &mm.partitions[0]), 1);
         let t = mm.translate(0, 0x1000);
         let job = t.migration.expect("touch must migrate");
-        assert_eq!(mm.mapper().frame_color(job.new_frame), Some(3));
-        assert_eq!(mm.violating_pages(0), 0);
+        assert_eq!(mm.mapper().frame_color(job.new_frame), 3);
+        assert_eq!(mm.pages_outside(0, &mm.partitions[0]), 0);
         // Subsequent touches are clean.
         assert!(mm.translate(0, 0x1000).migration.is_none());
     }
@@ -519,13 +485,13 @@ mod tests {
         }
         assert_eq!(mm.stats().migrated_pages, 4);
         assert_eq!(mm.stats().deferred_migrations, 6);
-        assert_eq!(mm.violating_pages(0), 6);
+        assert_eq!(mm.pages_outside(0, &mm.partitions[0]), 6);
         // Refill lets the rest move.
         mm.refill_migration_budget(Some(100));
         for p in 0..10u64 {
             mm.translate(0, p << 12);
         }
-        assert_eq!(mm.violating_pages(0), 0);
+        assert_eq!(mm.pages_outside(0, &mm.partitions[0]), 0);
     }
 
     #[test]
@@ -542,8 +508,90 @@ mod tests {
         mm.refill_migration_budget(Some(0)); // conform ignores the budget
         let moved = mm.conform_all();
         assert_eq!(moved, 10);
-        assert_eq!(mm.violating_pages(0), 0);
-        assert_eq!(mm.violating_pages(1), 0);
+        assert_eq!(mm.pages_outside(0, &mm.partitions[0]), 0);
+        assert_eq!(mm.pages_outside(1, &mm.partitions[1]), 0);
+    }
+
+    /// Every page event the manager emits is one its `OsStats` counts, on
+    /// every path: lazy, eager, rebalance and conform moves, a failed
+    /// move, a deferral and a fallback allocation.
+    #[test]
+    fn page_events_match_os_stats() {
+        use dbp_obs::{EventKind as E, MigrationCause as C};
+        let rec = dbp_obs::Recorder::new(dbp_obs::RecorderConfig::default());
+        let one = |c: u32| ColorSet::from_iter([c]);
+        let mut mm = MemoryManager::new(&cfg(), 2, MigrationMode::Lazy);
+        mm.attach_recorder(rec.clone());
+        // Thread 1 outgrows color 1 (128 frames): two fallbacks, color 1 full.
+        mm.set_partition(1, one(1));
+        for p in 0..130u64 {
+            mm.translate(1, p << 12);
+        }
+        mm.set_partition(0, one(0));
+        for p in 0..24u64 {
+            mm.translate(0, p << 12);
+        }
+        // A failed move into the full color, a deferral, then lazy moves.
+        mm.set_partition(0, one(1));
+        mm.translate(0, 0);
+        mm.set_partition(0, one(2));
+        mm.refill_migration_budget(Some(0));
+        mm.translate(0, 1 << 12);
+        mm.refill_migration_budget(None);
+        for p in 0..24u64 {
+            mm.translate(0, p << 12);
+        }
+        // All 24 pages sit on color 2: growing to {2, 3} spreads them.
+        mm.set_partition(0, ColorSet::from_iter([2u32, 3]));
+        assert!(!mm.rebalance_thread(0).is_empty());
+        // Conform moves thread 0 to color 4 and fails thread 1's fallbacks.
+        mm.set_partition(0, one(4));
+        mm.conform_all();
+        let mut eager = MemoryManager::new(&cfg(), 1, MigrationMode::Eager);
+        eager.attach_recorder(rec.clone());
+        eager.set_partition(0, one(0));
+        for p in 0..4u64 {
+            eager.translate(0, p << 12);
+        }
+        assert_eq!(eager.set_partition(0, one(5)).len(), 4);
+
+        let t = rec.snapshot();
+        assert_eq!(t.dropped_events, 0);
+        let events = |f: fn(&E) -> bool| t.events.iter().filter(|e| f(&e.kind)).count() as u64;
+        let stats = [*mm.stats(), *eager.stats()];
+        let counted = |f: fn(&OsStats) -> u64| stats.iter().map(f).sum::<u64>();
+        for (kind, emitted, counter) in [
+            (
+                "migration",
+                events(|k| matches!(k, E::PageMigration { .. })),
+                counted(|s| s.migrated_pages),
+            ),
+            (
+                "failed",
+                events(|k| matches!(k, E::MigrationFailed { .. })),
+                counted(|s| s.failed_migrations),
+            ),
+            (
+                "deferred",
+                events(|k| matches!(k, E::MigrationDeferred { .. })),
+                counted(|s| s.deferred_migrations),
+            ),
+            (
+                "fallback",
+                events(|k| matches!(k, E::FallbackAlloc { .. })),
+                counted(|s| s.fallback_allocations),
+            ),
+        ] {
+            assert!(counter > 0, "{kind}: path not exercised");
+            assert_eq!(emitted, counter, "{kind}: events vs OsStats");
+        }
+        for cause in [C::Lazy, C::Eager, C::Rebalance, C::Conform] {
+            let moved = t
+                .events
+                .iter()
+                .any(|e| matches!(e.kind, E::PageMigration { cause: c, .. } if c == cause));
+            assert!(moved, "no {cause:?} move");
+        }
     }
 
     #[test]
@@ -622,8 +670,8 @@ mod prop_tests {
             mm.set_partition(1, ColorSet::from_iter([(target_color + 1) % 32]));
             mm.refill_migration_budget(Some(3)); // budget must not block conform
             mm.conform_all();
-            prop_assert_eq!(mm.violating_pages(0), 0);
-            prop_assert_eq!(mm.violating_pages(1), 0);
+            prop_assert_eq!(mm.pages_outside(0, &mm.partitions[0]), 0);
+            prop_assert_eq!(mm.pages_outside(1, &mm.partitions[1]), 0);
             Ok(())
         });
     }

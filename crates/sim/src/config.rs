@@ -9,7 +9,7 @@ use dbp_memctrl::scheduler::{
     ParBsConfig, Scheduler, Tcm, TcmConfig,
 };
 use dbp_memctrl::CtrlConfig;
-use dbp_osmem::MigrationMode;
+use dbp_osmem::{ColorSet, MigrationMode};
 
 /// Which request scheduler the controller runs.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -131,9 +131,6 @@ pub struct SimConfig {
     /// How often retired-instruction counts are fed to the profiler,
     /// CPU cycles (must divide the epoch for clean accounting).
     pub instr_feed_interval: u64,
-    /// Migration copy granularity: requests injected per migrated page
-    /// (half reads, half writes). 128 = full 4 KiB page at 64 B lines.
-    pub migration_lines_per_page: u32,
     /// Pages the OS migration daemon may move per epoch (None =
     /// unthrottled). Caps the disruption a repartition can cause within
     /// one epoch; the remainder moves in later epochs.
@@ -165,7 +162,6 @@ impl Default for SimConfig {
             target_instructions: 1_000_000,
             max_cpu_cycles: 2_000_000_000,
             instr_feed_interval: 100_000,
-            migration_lines_per_page: 128,
             migration_budget_pages: Some(128),
             time_skip: true,
         }
@@ -194,6 +190,19 @@ impl SimConfig {
     /// Returns a description of the first violated requirement.
     pub fn validate(&self) -> Result<(), String> {
         self.dram.validate()?;
+        // One page color per bank, and a partition names at most this many.
+        let d = &self.dram;
+        if d.total_banks() > ColorSet::MAX_COLORS {
+            return Err(format!(
+                "dram: {} channels x {} ranks x {} banks = {} page colors, more than the {} \
+                 a partition can name",
+                d.channels,
+                d.ranks_per_channel,
+                d.banks_per_rank,
+                d.total_banks(),
+                ColorSet::MAX_COLORS
+            ));
+        }
         self.ctrl.validate()?;
         self.policy.validate()?;
         self.scheduler.validate()?;
@@ -274,8 +283,9 @@ mod tests {
     }
 
     /// Shapes that used to panic in `Core::new` / `Cache::new` /
-    /// `Hierarchy::new` after `validate()` had passed — or, for a line
-    /// that is not one DRAM burst, were accepted and mis-simulated.
+    /// `Hierarchy::new` / `ColorTopology::new` after `validate()` had
+    /// passed — or, for a line that is not one DRAM burst, were accepted
+    /// and mis-simulated.
     #[test]
     fn validation_covers_core_and_hierarchy() {
         let edit = |f: fn(&mut SimConfig)| {
@@ -295,6 +305,13 @@ mod tests {
                 "hierarchy.l1.line_bytes (128)",
             ),
             (edit(|c| c.hierarchy.l2.line_bytes = 32), "hierarchy.l2.line_bytes (32)"),
+            (
+                edit(|c| {
+                    c.dram.channels = 4;
+                    c.dram.banks_per_rank = 64;
+                }),
+                "= 512 page colors, more than the 128",
+            ),
         ] {
             assert!(err.contains(field), "{field}: {err}");
         }

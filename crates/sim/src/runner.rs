@@ -148,7 +148,6 @@ pub fn alone_config(cfg: &SimConfig) -> SimConfig {
         policy: PolicyKind::Unpartitioned,
         migration_mode: base.migration_mode,
         migration_cost: base.migration_cost,
-        migration_lines_per_page: base.migration_lines_per_page,
         migration_budget_pages: base.migration_budget_pages,
         ..cfg.clone()
     }
@@ -355,17 +354,15 @@ mod tests {
             target_instructions: _,
             max_cpu_cycles: _,
             instr_feed_interval: _,
-            migration_lines_per_page: _,
             migration_budget_pages: _,
             time_skip: _,
         } = tiny_cfg();
         type Edit = fn(&mut SimConfig);
-        let alone_irrelevant: [(&str, Edit); 6] = [
+        let alone_irrelevant: [(&str, Edit); 5] = [
             ("scheduler", |c| c.scheduler = SchedulerKind::Tcm(Default::default())),
             ("policy", |c| c.policy = PolicyKind::Dbp(Default::default())),
             ("migration_mode", |c| c.migration_mode = dbp_osmem::MigrationMode::Eager),
             ("migration_cost", |c| c.migration_cost = MigrationCost::Free),
-            ("migration_lines_per_page", |c| c.migration_lines_per_page /= 2),
             ("migration_budget_pages", |c| c.migration_budget_pages = None),
         ];
         let alone_relevant: [(&str, Edit); 12] = [
@@ -414,7 +411,6 @@ mod tests {
         let cfg = SimConfig {
             migration_mode: dbp_osmem::MigrationMode::Eager,
             migration_cost: crate::config::MigrationCost::Free,
-            migration_lines_per_page: 2,
             migration_budget_pages: None,
             ..tiny_cfg()
         };

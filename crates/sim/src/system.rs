@@ -262,7 +262,7 @@ impl System {
             last_plan: Some(plan),
             next_req_id: 0,
             migration_backlog: MigrationBacklog::new(
-                cfg.migration_lines_per_page,
+                cfg.migration_cost,
                 u64::from(cfg.dram.page_bytes),
                 line_bytes,
             ),
@@ -666,7 +666,6 @@ impl System {
     fn tick_core(&mut self, i: usize, cycle: u64) {
         let dram_now = self.dram_ticks - 1;
         let line_mask = self.line_mask;
-        let charge_migration = self.cfg.migration_cost == MigrationCost::Charged;
         let time_skip = self.cfg.time_skip;
         let warm = self.cfg.warmup_instructions;
         let System { osmem, ctrl, next_req_id, migration_backlog, .. } = self;
@@ -684,11 +683,7 @@ impl System {
                 return MemIssue::Retry;
             }
             let tr = osmem.translate(i, vaddr);
-            if let Some(job) = tr.migration {
-                if charge_migration {
-                    migration_backlog.jobs.push_back(job);
-                }
-            }
+            migration_backlog.charge(tr.migration);
             let pa = tr.pa;
             let line = pa & line_mask;
             // Resource pre-flight (only if this will miss the caches).
@@ -833,26 +828,21 @@ impl System {
         if let Some(rack) = &mut self.audit {
             rack.observe(epoch, &profiles, &snap, &plan, &self.topo, &self.osmem);
         }
+        let changed_threads: Vec<usize> = (0..plan.len())
+            .filter(|&t| self.last_plan.as_ref().is_none_or(|lp| lp[t] != plan[t]))
+            .collect();
         if self.rec.is_enabled() {
-            let changed_threads: Vec<usize> = (0..plan.len())
-                .filter(|&t| self.last_plan.as_ref().is_none_or(|lp| lp[t] != plan[t]))
-                .collect();
             self.rec.emit(EventKind::RepartitionPlan {
                 epoch,
                 plan: plan.iter().map(ToString::to_string).collect(),
-                changed_threads,
+                changed_threads: changed_threads.clone(),
             });
         }
-        for (t, colors) in plan.iter().enumerate() {
-            let changed = self.last_plan.as_ref().is_none_or(|lp| lp[t] != *colors);
-            if changed {
-                let mut jobs = self.osmem.set_partition(t, *colors);
-                // A grown partition needs its pages spread to be useful.
-                jobs.extend(self.osmem.rebalance_thread(t));
-                if self.cfg.migration_cost == MigrationCost::Charged {
-                    self.migration_backlog.jobs.extend(jobs);
-                }
-            }
+        for t in changed_threads {
+            let mut jobs = self.osmem.set_partition(t, plan[t]);
+            // A grown partition needs its pages spread to be useful.
+            jobs.extend(self.osmem.rebalance_thread(t));
+            self.migration_backlog.charge(jobs);
         }
         self.last_plan = Some(plan);
         self.stats.repartitions += 1;
@@ -920,26 +910,39 @@ impl System {
 }
 
 /// Page copies waiting to be charged to DRAM as line-granularity traffic:
-/// per page, `lines_per_page / 2` (old-frame read, new-frame write) pairs
-/// spread evenly over the page. Holds whole jobs plus a cursor into the
-/// front one, so a repartition that moves thousands of pages queues one
-/// entry per page, not one per line.
+/// per page, one (old-frame read, new-frame write) pair per line. Holds
+/// whole jobs plus a cursor into the front one, so a repartition that
+/// moves thousands of pages queues one entry per page, not one per line.
 #[derive(Debug)]
 struct MigrationBacklog {
     jobs: VecDeque<MigrationJob>,
+    /// [`MigrationCost::Free`] drops every job: the copy costs nothing.
+    charged: bool,
     /// Requests of the front job already handed out.
     cursor: u64,
-    /// Read/write pairs per page, and their byte spacing.
-    pairs: u64,
-    stride: u64,
-    page_bytes: u64,
+    /// Lines per page (read/write pairs per job), and their size.
+    lines: u64,
+    line_bytes: u64,
 }
 
 impl MigrationBacklog {
-    fn new(lines_per_page: u32, page_bytes: u64, line_bytes: u64) -> Self {
-        let pairs = u64::from(lines_per_page / 2).max(1);
-        let stride = (page_bytes / pairs).max(line_bytes);
-        MigrationBacklog { jobs: VecDeque::new(), cursor: 0, pairs, stride, page_bytes }
+    fn new(cost: MigrationCost, page_bytes: u64, line_bytes: u64) -> Self {
+        MigrationBacklog {
+            jobs: VecDeque::new(),
+            charged: cost == MigrationCost::Charged,
+            cursor: 0,
+            lines: page_bytes / line_bytes,
+            line_bytes,
+        }
+    }
+
+    /// The one migration-cost decision: queue the copy traffic of `jobs`,
+    /// or drop it when migration is free.
+    #[inline]
+    fn charge(&mut self, jobs: impl IntoIterator<Item = MigrationJob>) {
+        if self.charged {
+            self.jobs.extend(jobs);
+        }
     }
 
     fn is_empty(&self) -> bool {
@@ -956,12 +959,12 @@ impl MigrationBacklog {
         let job = self.jobs.front()?;
         let is_write = self.cursor % 2 == 1;
         let frame = if is_write { job.new_frame } else { job.old_frame };
-        Some((job.thread, frame * self.page_bytes + self.cursor / 2 * self.stride, is_write))
+        Some((job.thread, (frame * self.lines + self.cursor / 2) * self.line_bytes, is_write))
     }
 
     fn pop_front(&mut self) {
         self.cursor += 1;
-        if self.cursor == 2 * self.pairs {
+        if self.cursor == 2 * self.lines {
             self.jobs.pop_front();
             self.cursor = 0;
         }
@@ -1079,6 +1082,28 @@ mod tests {
         let mut sys = System::new(cfg, vec![Box::new(t0), Box::new(t1)]);
         let r = sys.run();
         assert!(r.reached_target);
+    }
+
+    /// A charged page copy is one (old-frame read, new-frame write) pair
+    /// per line, in line order; a free backlog drops the job.
+    #[test]
+    fn migration_backlog_copies_every_line_once() {
+        let job = MigrationJob { thread: 1, vpn: 0, old_frame: 3, new_frame: 7 };
+        let mut free = MigrationBacklog::new(MigrationCost::Free, 4096, 64);
+        free.charge([job]);
+        assert!(free.is_empty());
+        let mut charged = MigrationBacklog::new(MigrationCost::Charged, 4096, 64);
+        charged.charge(Some(job));
+        let mut requests = Vec::new();
+        while let Some(req) = charged.front() {
+            requests.push(req);
+            charged.pop_front();
+        }
+        assert_eq!(requests.len(), 2 * 64);
+        for (line, pair) in requests.chunks(2).enumerate() {
+            let line = line as u64 * 64;
+            assert_eq!(pair, [(1, 3 * 4096 + line, false), (1, 7 * 4096 + line, true)]);
+        }
     }
 
     #[test]

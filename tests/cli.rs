@@ -128,6 +128,20 @@ fn unknown_options_fail_cleanly() {
     }
 }
 
+/// 4 channels x 64 banks is more page colors than a partition can name:
+/// a configuration error on stderr, not a panic.
+#[test]
+fn too_many_colors_is_an_error_not_a_panic() {
+    let out = dbpsim()
+        .args(["run", "--bench", "mcf,lbm", "--channels", "4", "--banks", "64"])
+        .output()
+        .expect("spawn dbpsim");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.lines().any(|l| l.starts_with("error:") && l.contains("colors")), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+}
+
 /// Every option the help marks "run:" does nothing for `compare` or
 /// `list`, so giving it there is a usage error that names it; an unknown
 /// command is still reported as that.
