@@ -75,6 +75,10 @@ diff target/ci-suite-serial.txt target/ci-suite-parallel.txt
 # ...and the run memo engaged end to end: Figure 5 reads Figure 4's
 # cells, so inside the suite it must have simulated nothing.
 grep -q '"name":"fig5_ms_dbp","wall_ns":[0-9]*,"jobs":0,' SUITE_timing.json
+# ...and policy twins engaged: on Figure 4's grid DBP plans what equal-BP
+# plans at every decision on most mixes, so those DBP cells rode along
+# with equal-BP's simulations instead of running their own.
+grep -q '"name":"fig4_ws_dbp",[^}]*"twin_hits":[1-9]' SUITE_timing.json
 # Time-skip equivalence gate: the same quick suite driven by the
 # always-stepped core (`--stepped` sets `SimConfig::time_skip = false`,
 # pinning every System to per-cycle ticking) must print byte-identical
@@ -111,6 +115,9 @@ cargo test -q --release --offline --locked -p dbp-obs record_read_rejects
 # in release: prove the property-level equality there too.
 cargo test -q --release --offline --locked -p dbp-memctrl time_skipping_is_bit_exact
 cargo test -q --release --offline --locked -p dbp-sim time_skipping_is_bit_exact_end_to_end
+# Policy twins on optimised code: every table is produced in release, and
+# a twin answered by another policy's run must equal its own run there.
+cargo test -q --release --offline --locked -p dbp-bench twin_groups_equal_independent_runs
 # The candidate kernel's all-ones/zero class masks are exactly what
 # optimisation could break, and the debug `pick_flat` check is compiled
 # out of the build the benchmark runs: hold the kernel to

@@ -110,12 +110,13 @@ fn run_suite(opts: &Opts) {
         println!("{body}");
         let done = eng.stats().since(&before);
         eprintln!(
-            "bench_all: {} done in {} ({} job(s) run; memo hits: {} shared, {} solo)",
+            "bench_all: {} done in {} ({} job(s) run; memo hits: {} shared, {} solo; twin hits: {})",
             exp.name,
             fmt_ns(wall),
             done.jobs(),
             done.shared_cache_hits,
-            done.solo_cache_hits
+            done.solo_cache_hits,
+            done.twin_hits
         );
         rows.push(SuiteExperimentTiming {
             name: exp.name.to_string(),
@@ -123,12 +124,14 @@ fn run_suite(opts: &Opts) {
             jobs: done.jobs(),
             solo_cache_hits: done.solo_cache_hits,
             shared_cache_hits: done.shared_cache_hits,
+            twin_hits: done.twin_hits,
         });
     }
 
     let total_ns = suite.elapsed_ns();
     let s = eng.stats();
-    let mut timing = Table::new(["experiment", "wall", "jobs", "shared hits", "solo hits"]);
+    let mut timing =
+        Table::new(["experiment", "wall", "jobs", "shared hits", "solo hits", "twin hits"]);
     timing.align_left(0);
     for r in &rows {
         timing.row([
@@ -137,6 +140,7 @@ fn run_suite(opts: &Opts) {
             r.jobs.to_string(),
             r.shared_cache_hits.to_string(),
             r.solo_cache_hits.to_string(),
+            r.twin_hits.to_string(),
         ]);
     }
     timing.row([
@@ -145,11 +149,12 @@ fn run_suite(opts: &Opts) {
         s.jobs().to_string(),
         s.shared_cache_hits.to_string(),
         s.solo_cache_hits.to_string(),
+        s.twin_hits.to_string(),
     ]);
     eprint!("{}", timing.render());
     eprintln!(
         "bench_all: suite done in {} on {} worker(s) — {} jobs run ({} shared, {} solo, {} aux), \
-         memo hits: {} shared, {} solo",
+         memo hits: {} shared, {} solo; twin hits: {}",
         fmt_ns(total_ns),
         eng.workers(),
         s.jobs(),
@@ -157,7 +162,8 @@ fn run_suite(opts: &Opts) {
         s.solo_runs,
         s.aux_runs,
         s.shared_cache_hits,
-        s.solo_cache_hits
+        s.solo_cache_hits,
+        s.twin_hits
     );
 
     if let Some(path) = &opts.json_path {

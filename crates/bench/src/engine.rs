@@ -13,6 +13,28 @@
 //! one baseline. Which experiment populates an entry first cannot
 //! matter.
 //!
+//! # Why twins are sound
+//!
+//! Cells equal but for `cfg.policy` run as one group ([`Cell::run_group`]):
+//! the first member's policy is live, the others ride along and are
+//! dropped at their first plan that differs from the live one. A
+//! [`dbp_core::policy::PartitionPolicy`] has three methods — `name`,
+//! `attach_recorder` and `partition` — and holds no RNG, so the only way
+//! a policy reaches the simulation is the plans `partition` returns.
+//! Each rider is called exactly as it would be in its own run: the same
+//! cold-start profiles, then every epoch the same `profiles` with `prev`
+//! the plan in force, which is its own last plan for as long as it has
+//! agreed. So a rider whose every plan — the full `Vec<ColorSet>`, not
+//! unit counts, and the cold-start plan too (`Unpartitioned` and DBP part
+//! there even where they agree at every epoch) — equalled the live one's
+//! would have run step for step the same simulation, and its memo entry
+//! is the live result. Riders that disagreed run again from cycle 0 as a
+//! group of their own. Every member's configuration is validated before
+//! the group runs, so a bad rider fails as it would alone; and a live
+//! recorder, whose events and decision audit name the live policy, makes
+//! a group of one (the engine records nothing). The check runs at the
+//! epoch boundary beside `ShadowRack::observe`.
+//!
 //! # Why parallelism preserves determinism
 //!
 //! Each job builds its own [`dbp_sim::System`] inside the worker from the
@@ -24,6 +46,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::Mutex;
 
+use dbp_core::policy::PolicyKind;
 use dbp_obs::{Json, Prof, Recorder};
 use dbp_sim::runner::{self, Cell, MixRun};
 use dbp_sim::{RunResult, SimConfig};
@@ -34,8 +57,8 @@ use crate::pool;
 
 /// Cumulative work counters for one [`Engine`] (monotonic; snapshot and
 /// subtract to attribute work to a suite phase). A cell with one thread
-/// counts as solo, any other as shared; a lookup is either a run or a
-/// hit.
+/// counts as solo, any other as shared; a lookup is a run, a twin hit
+/// or a memo hit.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
     /// Multi-core cells actually simulated.
@@ -46,6 +69,10 @@ pub struct EngineStats {
     pub solo_runs: u64,
     /// Single-core lookups answered by the memo.
     pub solo_cache_hits: u64,
+    /// Cells answered by a twin's simulation: they rode along with a
+    /// cell that differs only in its policy, and planned as it did at
+    /// every decision.
+    pub twin_hits: u64,
     /// Jobs routed through [`Engine::par_map`] (the recorder-carrying
     /// diagnostics, whose product is not a [`RunResult`]).
     pub aux_runs: u64,
@@ -64,6 +91,7 @@ impl EngineStats {
             shared_cache_hits: self.shared_cache_hits - earlier.shared_cache_hits,
             solo_runs: self.solo_runs - earlier.solo_runs,
             solo_cache_hits: self.solo_cache_hits - earlier.solo_cache_hits,
+            twin_hits: self.twin_hits - earlier.twin_hits,
             aux_runs: self.aux_runs - earlier.aux_runs,
         }
     }
@@ -163,69 +191,135 @@ impl Engine {
 
     /// The outcome of every cell, in order. Cells the memo lacks run as
     /// one pool batch — each distinct one once, however often the batch
-    /// names it — and join the memo; the rest cost a lookup.
+    /// names it, and cells equal but for their policy as one group of
+    /// twins (see [`Engine::run_twins`]) — and join the memo; the rest
+    /// cost a lookup.
     pub fn run_cells(&self, cells: &[Cell]) -> Vec<RunResult> {
         let keys: Vec<String> = cells.iter().map(Cell::key).collect();
-        let is_solo = |cell: &Cell| cell.threads.len() == 1;
-        let mut batch: Vec<(&String, &Cell)> = Vec::new();
+        let mut groups: Vec<Vec<usize>> = Vec::new();
         {
             let memo = self.memo.lock().expect("memo poisoned");
             let mut stats = self.stats.lock().expect("stats poisoned");
             let mut scheduled: HashSet<&String> = HashSet::new();
-            for (key, cell) in keys.iter().zip(cells) {
-                let runs = !memo.contains_key(key) && scheduled.insert(key);
-                if runs {
-                    batch.push((key, cell));
+            let mut group_of: HashMap<String, usize> = HashMap::new();
+            for (i, (key, cell)) in keys.iter().zip(cells).enumerate() {
+                if !memo.contains_key(key) && scheduled.insert(key) {
+                    let g = *group_of.entry(twin_key(cell)).or_insert_with(|| {
+                        groups.push(Vec::new());
+                        groups.len() - 1
+                    });
+                    groups[g].push(i);
+                } else if is_solo(cell) {
+                    stats.solo_cache_hits += 1;
+                } else {
+                    stats.shared_cache_hits += 1;
                 }
-                *match (is_solo(cell), runs) {
-                    (true, true) => &mut stats.solo_runs,
-                    (true, false) => &mut stats.solo_cache_hits,
-                    (false, true) => &mut stats.shared_runs,
-                    (false, false) => &mut stats.shared_cache_hits,
-                } += 1;
             }
         }
+        // Longest first: a group may chain simulations of many threads,
+        // and one left for last idles the other workers.
+        groups.sort_by_key(|g| std::cmp::Reverse(g.len() * cells[g[0]].threads.len()));
 
         let outs = self.pooled(
-            batch.iter().map(|&(_, cell)| cell).collect(),
-            |cell| if is_solo(cell) { "bench/solo_run" } else { "bench/shared_run" },
-            |cell| cell.run(Recorder::disabled(), self.prof.clone()),
+            groups.iter().map(|g| g.iter().map(|&i| &cells[i]).collect()).collect(),
+            |members: Vec<&Cell>| self.run_twins(&members),
         );
 
         let mut memo = self.memo.lock().expect("memo poisoned");
-        for (&(key, _), out) in batch.iter().zip(outs) {
-            memo.insert(key.clone(), out);
+        let mut stats = self.stats.lock().expect("stats poisoned");
+        for (group, outs) in groups.iter().zip(outs) {
+            for (&i, (out, simulated)) in group.iter().zip(outs) {
+                *match (simulated, is_solo(&cells[i])) {
+                    (false, _) => &mut stats.twin_hits,
+                    (true, true) => &mut stats.solo_runs,
+                    (true, false) => &mut stats.shared_runs,
+                } += 1;
+                memo.insert(keys[i].clone(), out);
+            }
         }
         keys.iter().map(|key| memo[key].clone()).collect()
     }
 
+    /// The outcome of each of `members` — cells equal but for their
+    /// policy — each with whether its own simulation ran. The first
+    /// member without an outcome runs live with the rest riding along
+    /// ([`Cell::run_group`]); the riders that stayed in agreement take
+    /// its outcome, and those that did not run again from cycle 0 as a
+    /// group of their own. One `bench/*_run` span per simulation run.
+    fn run_twins(&self, members: &[&Cell]) -> Vec<(RunResult, bool)> {
+        let mut outs: Vec<Option<(RunResult, bool)>> = vec![None; members.len()];
+        let mut pending: Vec<usize> = (0..members.len()).collect();
+        while let Some((&live, riders)) = pending.split_first() {
+            let cell = members[live];
+            let twins: Vec<PolicyKind> = riders.iter().map(|&m| members[m].cfg.policy).collect();
+            let span = if is_solo(cell) { "bench/solo_run" } else { "bench/shared_run" };
+            let (out, agreed) = {
+                let _s = self.prof.span(span);
+                cell.run_group(&twins, Recorder::disabled(), self.prof.clone())
+            };
+            let mut dropped = Vec::new();
+            for (&m, agreed) in riders.iter().zip(agreed) {
+                if agreed {
+                    outs[m] = Some((out.clone(), false));
+                } else {
+                    dropped.push(m);
+                }
+            }
+            outs[live] = Some((out, true));
+            pending = dropped;
+        }
+        outs.into_iter().map(|out| out.expect("every member answered")).collect()
+    }
+
     /// Run the full (mix × combo) grid of `cfg`, alone baselines
-    /// included, as one [`Engine::run_cells`] batch. Returns runs indexed
-    /// `[mix][combo]`, exactly as the serial nested loop would produce
-    /// them.
+    /// included: [`Engine::run_grids`] with one grid.
     ///
     /// # Panics
     ///
     /// Panics if an alone run hit the cycle cap before its instruction
     /// target (see [`runner::AloneRunError`]).
     pub fn run_grid(&self, cfg: &SimConfig, mixes: &[Mix], combos: &[Combo]) -> Vec<Vec<MixRun>> {
+        self.run_grids(&[(cfg.clone(), mixes.to_vec(), combos.to_vec())]).remove(0)
+    }
+
+    /// Run every `(config, mixes, combos)` grid, alone baselines
+    /// included, as one [`Engine::run_cells`] batch — one pool barrier
+    /// for a whole sweep, and twins found across its points. Returns
+    /// runs indexed `[grid][mix][combo]`, exactly as the serial nested
+    /// loop would produce them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an alone run hit the cycle cap before its instruction
+    /// target (see [`runner::AloneRunError`]).
+    pub fn run_grids(&self, grids: &[(SimConfig, Vec<Mix>, Vec<Combo>)]) -> Vec<Vec<Vec<MixRun>>> {
         let mut cells = Vec::new();
-        for mix in mixes {
-            cells.extend((0..mix.cores()).map(|core| Cell::alone(cfg, mix, core)));
-            cells.extend(combos.iter().map(|combo| Cell::shared(&combo.apply(cfg), mix)));
+        for (cfg, mixes, combos) in grids {
+            for mix in mixes {
+                cells.extend((0..mix.cores()).map(|core| Cell::alone(cfg, mix, core)));
+                cells.extend(combos.iter().map(|combo| Cell::shared(&combo.apply(cfg), mix)));
+            }
         }
         let mut runs = self.run_cells(&cells).into_iter();
         let mut next = || runs.next().expect("one outcome per cell");
-        mixes
+        grids
             .iter()
-            .map(|mix| {
-                let alone: Vec<f64> = (0..mix.cores())
-                    .map(|core| {
-                        runner::alone_ipc_of(cfg, mix, core, &next())
-                            .unwrap_or_else(|e| panic!("{e}"))
+            .map(|(cfg, mixes, combos)| {
+                mixes
+                    .iter()
+                    .map(|mix| {
+                        let alone: Vec<f64> = (0..mix.cores())
+                            .map(|core| {
+                                runner::alone_ipc_of(cfg, mix, core, &next())
+                                    .unwrap_or_else(|e| panic!("{e}"))
+                            })
+                            .collect();
+                        combos
+                            .iter()
+                            .map(|_| MixRun::from_parts(mix, alone.clone(), next()))
+                            .collect()
                     })
-                    .collect();
-                combos.iter().map(|_| MixRun::from_parts(mix, alone.clone(), next())).collect()
+                    .collect()
             })
             .collect()
     }
@@ -238,33 +332,36 @@ impl Engine {
         T: Send,
     {
         self.stats.lock().expect("stats poisoned").aux_runs += items.len() as u64;
-        self.pooled(items, |_| "bench/aux_job", f)
+        self.pooled(items, |item| {
+            let _s = self.prof.span("bench/aux_job");
+            f(item)
+        })
     }
 
-    /// `f` over `items` on the pool, each job inside the span `name`
-    /// picks for it.
-    fn pooled<I, T>(
-        &self,
-        items: Vec<I>,
-        name: impl Fn(&I) -> &'static str + Sync,
-        f: impl Fn(I) -> T + Sync,
-    ) -> Vec<T>
+    /// `f` over `items` on the pool; `f` opens the job's spans.
+    fn pooled<I, T>(&self, items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T>
     where
         I: Send,
         T: Send,
     {
-        let prof = &self.prof;
         pool::par_map(self.workers, items, |item| {
-            let out = {
-                let _s = prof.span(name(&item));
-                f(item)
-            };
+            let out = f(item);
             // Pool workers die with the scope; hand this thread's span
             // tree back to the profiler while it is still complete.
-            prof.flush_thread();
+            self.prof.flush_thread();
             out
         })
     }
+}
+
+fn is_solo(cell: &Cell) -> bool {
+    cell.threads.len() == 1
+}
+
+/// What twins share: the cell's key with its policy blanked out.
+fn twin_key(cell: &Cell) -> String {
+    let cfg = SimConfig { policy: PolicyKind::Unpartitioned, ..cell.cfg.clone() };
+    Cell { cfg, threads: cell.threads.clone() }.key()
 }
 
 #[cfg(test)]
@@ -338,6 +435,152 @@ mod tests {
         let s = eng.stats();
         assert_eq!((s.solo_runs, s.shared_runs), (1, 1));
         assert_eq!((s.solo_cache_hits, s.shared_cache_hits), (1, 1));
+    }
+
+    /// `RestrictFirst(99)` plans what `Unpartitioned` plans at every
+    /// decision (thread 0 gets every unit), so it rides along and costs
+    /// no simulation; Equal and DBP diverge from it at cold start and run
+    /// again as a group of their own. Every outcome is still the cell's
+    /// own, and one `bench/shared_run` span opens per simulation run.
+    #[test]
+    fn agreeing_twins_share_one_simulation_and_the_rest_run_again() {
+        let prof = Prof::enabled();
+        let mut eng = Engine::with_workers(2);
+        eng.attach_profiler(&prof);
+        let mix = &mixes_4core()[0];
+        let cells: Vec<Cell> = [
+            PolicyKind::Unpartitioned,
+            PolicyKind::RestrictFirst(99),
+            PolicyKind::Equal,
+            PolicyKind::Dbp(Default::default()),
+        ]
+        .into_iter()
+        .map(|policy| Cell::shared(&SimConfig { policy, ..tiny_cfg() }, mix))
+        .collect();
+        let outs = eng.run_cells(&cells);
+        for (cell, out) in cells.iter().zip(&outs) {
+            assert_eq!(out, &cell.run(Recorder::disabled(), Prof::disabled()));
+        }
+        let s = eng.stats();
+        assert!(s.twin_hits >= 1, "RestrictFirst(99) must ride along: {s:?}");
+        assert_eq!(s.shared_runs + s.twin_hits, 4);
+        let spans = prof.snapshot();
+        let runs = spans.spans.iter().find(|s| s.name == "bench/shared_run").expect("run span");
+        assert_eq!(runs.count, s.shared_runs);
+        // Memoised per member: the same batch again simulates nothing.
+        eng.run_cells(&cells);
+        assert_eq!(eng.stats().since(&s).shared_cache_hits, 4);
+    }
+
+    /// Twins are exact. Random groups of 2–4 cells equal but for their
+    /// policy (duplicates included) come back, cell for cell, as one
+    /// independent `System` run of that cell — over riders that diverge
+    /// from the live policy at cold start, mid-run, or never. On a calm
+    /// mix DBP plans "everything shared" at every epoch, exactly as
+    /// `Unpartitioned` does, yet its cold start is the equal split: only
+    /// the cold-start comparison tells those two runs apart.
+    #[test]
+    fn twin_groups_equal_independent_runs() {
+        use dbp_core::policy::DbpConfig;
+        use dbp_core::{ColorTopology, EstimatorConfig, ThreadMemProfile};
+        use dbp_cpu::TraceSource;
+        use dbp_sim::{SchedulerKind, System};
+        use dbp_util::prop::{check, range, vec_of, Config};
+        use dbp_util::prop_assert_eq;
+        use dbp_workloads::{profiles, SyntheticTrace};
+
+        let policy = |i: usize| {
+            let dbp = |alpha| {
+                let estimator = EstimatorConfig { alpha };
+                PolicyKind::Dbp(DbpConfig { estimator, ..Default::default() })
+            };
+            match i {
+                0 => PolicyKind::Unpartitioned,
+                1 => PolicyKind::Equal,
+                2 => dbp(1.0),
+                3 => dbp(2.0),
+                4 => dbp(4.0),
+                5 => PolicyKind::Mcp(Default::default()),
+                6 => PolicyKind::RestrictFirst(1),
+                _ => PolicyKind::RestrictFirst(99),
+            }
+        };
+        let calm = ["povray", "gobmk"];
+        let any = ["povray", "mcf", "libquantum", "gcc", "lbm"];
+        let gen = (
+            vec_of(range(0usize..8), 2..5), // the group's policies, live first
+            range(0usize..2),               // calm mix / any mix
+            vec_of(range(0usize..5), 2..4), // one benchmark per core
+            range(0u64..1000),              // trace seed base
+            range(0usize..2),               // scheduler: FR-FCFS / TCM
+        );
+        // Riders of a different policy than the live one, by where they
+        // diverged: cold start, mid-run, never.
+        let seen = std::cell::Cell::new([0u32; 3]);
+        check(Config::cases(16), &gen, |(pols, mix, workloads, seed, sched)| {
+            let mut cfg = tiny_cfg();
+            cfg.warmup_instructions = 5_000;
+            cfg.target_instructions = 10_000;
+            cfg.epoch_cpu_cycles = 20_000;
+            cfg.instr_feed_interval = 5_000;
+            cfg.scheduler = [SchedulerKind::FrFcfs, SchedulerKind::Tcm(Default::default())][sched];
+            let names: &[&'static str] = if mix == 0 { &calm } else { &any };
+            let threads: Vec<(&'static str, u64)> =
+                workloads.iter().zip(seed..).map(|(&w, s)| (names[w % names.len()], s)).collect();
+            let cells: Vec<Cell> = pols
+                .iter()
+                .map(|&p| Cell {
+                    cfg: SimConfig { policy: policy(p), ..cfg.clone() },
+                    threads: threads.clone(),
+                })
+                .collect();
+            let outs = Engine::with_workers(1).run_cells(&cells);
+            for (cell, out) in cells.iter().zip(&outs) {
+                let traces = cell
+                    .threads
+                    .iter()
+                    .map(|&(b, s)| {
+                        Box::new(SyntheticTrace::new(profiles::by_name(b), s))
+                            as Box<dyn TraceSource>
+                    })
+                    .collect();
+                let cfg = cell.cfg.clone();
+                let own = System::with_instrumentation(
+                    cfg,
+                    traces,
+                    Recorder::disabled(),
+                    Prof::disabled(),
+                )
+                .run();
+                prop_assert_eq!(out, &own, "{:?} in group {:?}", cell.cfg.policy, pols);
+            }
+            let live = cells[0].cfg.policy;
+            let riders: Vec<PolicyKind> =
+                cells.iter().map(|c| c.cfg.policy).filter(|&p| p != live).collect();
+            let (_, agreed) = cells[0].run_group(&riders, Recorder::disabled(), Prof::disabled());
+            let topo = ColorTopology::from_dram(&cfg.dram);
+            let cold = |kind: PolicyKind| {
+                kind.build().partition(
+                    &vec![ThreadMemProfile::default(); threads.len()],
+                    &topo,
+                    None,
+                )
+            };
+            let mut s = seen.get();
+            for (&rider, agreed) in riders.iter().zip(agreed) {
+                s[if agreed {
+                    2
+                } else if cold(rider) != cold(live) {
+                    0
+                } else {
+                    1
+                }] += 1;
+            }
+            seen.set(s);
+            Ok(())
+        });
+        let [cold, mid, never] = seen.get();
+        assert!(cold > 0 && mid > 0 && never > 0, "cold {cold}, mid-run {mid}, never {never}");
     }
 
     #[test]

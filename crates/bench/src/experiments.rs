@@ -21,7 +21,7 @@ use dbp_obs::{AuditReport, LatencyReport, Prof, Recorder, RecorderConfig};
 use dbp_osmem::MigrationMode;
 use dbp_sim::metrics::gmean;
 use dbp_sim::report::{f3, pct, Table};
-use dbp_sim::runner::{run_shared_instrumented, Cell};
+use dbp_sim::runner::{run_shared_instrumented, Cell, MixRun};
 use dbp_sim::{MigrationCost, SimConfig, ThreadResult};
 use dbp_workloads::{mixes_4core, profiles, scale_mix, Mix};
 
@@ -243,7 +243,7 @@ fn policy_comparison(
     cfg: &SimConfig,
     mixes: &[Mix],
     combos: &[Combo],
-    metric: fn(&dbp_sim::runner::MixRun) -> f64,
+    metric: fn(&MixRun) -> f64,
     metric_name: &str,
 ) -> Table {
     let mut headers = vec!["mix".to_owned()];
@@ -359,34 +359,40 @@ pub fn fig8_vs_mcp(eng: &Engine, cfg: &SimConfig) -> (Table, Table) {
     (ws, ms)
 }
 
+/// Each combo's gmean WS and MS over the mixes of a `[mix][combo]` grid.
+fn gmeans(grid: &[Vec<MixRun>], combos: usize) -> Vec<(f64, f64)> {
+    (0..combos)
+        .map(|k| {
+            let ws: Vec<f64> = grid.iter().map(|runs| runs[k].metrics.weighted_speedup).collect();
+            let ms: Vec<f64> = grid.iter().map(|runs| runs[k].metrics.max_slowdown).collect();
+            (gmean(&ws), gmean(&ms))
+        })
+        .collect()
+}
+
 /// A (banks | channels | cores | epoch | alpha | ...) sweep row: gmean WS
 /// and MS over the sweep mixes for each combo.
 fn sweep_row(eng: &Engine, cfg: &SimConfig, mixes: &[Mix], combos: &[Combo]) -> Vec<(f64, f64)> {
-    let grid = eng.run_grid(cfg, mixes, combos);
-    let mut ws: Vec<Vec<f64>> = vec![Vec::new(); combos.len()];
-    let mut ms: Vec<Vec<f64>> = vec![Vec::new(); combos.len()];
-    for runs in &grid {
-        for (k, run) in runs.iter().enumerate() {
-            ws[k].push(run.metrics.weighted_speedup);
-            ms[k].push(run.metrics.max_slowdown);
-        }
-    }
-    ws.iter().zip(&ms).map(|(w, m)| (gmean(w), gmean(m))).collect()
+    gmeans(&eng.run_grid(cfg, mixes, combos), combos.len())
 }
 
 /// A sweep table: one row per `(label, config, mixes)` point, the label
-/// followed by each combo's `WS/MS` gmeans over the point's mixes.
+/// followed by each combo's `WS/MS` gmeans over the point's mixes. Every
+/// point runs in one engine batch.
 fn sweep_table(
     eng: &Engine,
     headers: impl IntoIterator<Item = &'static str>,
     combos: &[Combo],
     points: impl IntoIterator<Item = (String, SimConfig, Vec<Mix>)>,
 ) -> Table {
+    let (labels, grids): (Vec<String>, Vec<_>) = points
+        .into_iter()
+        .map(|(label, cfg, mixes)| (label, (cfg, mixes, combos.to_vec())))
+        .unzip();
     let mut t = Table::new(headers);
-    for (label, cfg, mixes) in points {
+    for (label, grid) in labels.into_iter().zip(eng.run_grids(&grids)) {
         let mut cells = vec![label];
-        let row = sweep_row(eng, &cfg, &mixes, combos);
-        cells.extend(row.iter().map(|(w, m)| format!("{w:.3}/{m:.3}")));
+        cells.extend(gmeans(&grid, combos.len()).iter().map(|(w, m)| format!("{w:.3}/{m:.3}")));
         t.row(cells);
     }
     t
@@ -501,10 +507,15 @@ pub fn abl3_migration(eng: &Engine, cfg: &SimConfig) -> Table {
         ("charged, unthrottled", Box::new(|c| c.migration_budget_pages = None)),
         ("eager, budget 128", Box::new(|c| c.migration_mode = MigrationMode::Eager)),
     ];
-    for (label, tweak) in variants {
-        let mut c = cfg.clone();
-        tweak(&mut c);
-        let grid = eng.run_grid(&c, &sweep_mixes(), &[harness::dbp()]);
+    let grids: Vec<_> = variants
+        .iter()
+        .map(|(_, tweak)| {
+            let mut c = cfg.clone();
+            tweak(&mut c);
+            (c, sweep_mixes(), vec![harness::dbp()])
+        })
+        .collect();
+    for ((label, _), grid) in variants.iter().zip(eng.run_grids(&grids)) {
         let mut ws = Vec::new();
         let mut ms = Vec::new();
         let mut migrated = 0u64;
@@ -515,7 +526,7 @@ pub fn abl3_migration(eng: &Engine, cfg: &SimConfig) -> Table {
             migrated += run.shared.migrated_pages;
         }
         t.row([
-            label.to_owned(),
+            (*label).to_owned(),
             f3(gmean(&ws)),
             f3(gmean(&ms)),
             format!("{migrated} pages migrated in-measurement"),
@@ -575,14 +586,19 @@ pub fn ext2_mapping(eng: &Engine, cfg: &SimConfig) -> Table {
     use dbp_dram::MappingScheme;
     let mut t = Table::new(["mapping", "policy", "WS", "MS", "rowhit"]);
     let combos = [harness::shared(), harness::dbp()];
-    let mixes = sweep_mixes();
-    for (mname, mapping) in [
+    let mappings = [
         ("page-coloring", MappingScheme::PageColoring),
         ("XOR-permuted", MappingScheme::PermutedPageColoring),
-    ] {
-        let mut c = cfg.clone();
-        c.dram.mapping = mapping;
-        let grid = eng.run_grid(&c, &mixes, &combos);
+    ];
+    let grids: Vec<_> = mappings
+        .iter()
+        .map(|&(_, mapping)| {
+            let mut c = cfg.clone();
+            c.dram.mapping = mapping;
+            (c, sweep_mixes(), combos.to_vec())
+        })
+        .collect();
+    for ((mname, _), grid) in mappings.iter().zip(eng.run_grids(&grids)) {
         for (ci, combo) in combos.iter().enumerate() {
             let mut ws = Vec::new();
             let mut ms = Vec::new();
@@ -594,7 +610,7 @@ pub fn ext2_mapping(eng: &Engine, cfg: &SimConfig) -> Table {
                 rh.push(run.shared.row_hit_rate.max(1e-9));
             }
             t.row([
-                mname.to_owned(),
+                (*mname).to_owned(),
                 combo.label.to_owned(),
                 f3(gmean(&ws)),
                 f3(gmean(&ms)),

@@ -89,13 +89,19 @@ impl PolicyKind {
     ///
     /// Returns a description of the first violated requirement.
     pub fn validate(&self) -> Result<(), String> {
-        if let PolicyKind::Dbp(cfg) = self {
-            let alpha = cfg.estimator.alpha;
-            if !(alpha.is_finite() && alpha > 0.0) {
-                return Err(format!(
-                    "DBP estimator alpha must be finite and positive, got {alpha}"
-                ));
+        match *self {
+            PolicyKind::Dbp(cfg) => {
+                let alpha = cfg.estimator.alpha;
+                if !(alpha.is_finite() && alpha > 0.0) {
+                    return Err(format!(
+                        "DBP estimator alpha must be finite and positive, got {alpha}"
+                    ));
+                }
             }
+            PolicyKind::RestrictFirst(0) => {
+                return Err("restrict-first must give thread 0 at least 1 unit, got 0".into());
+            }
+            _ => {}
         }
         Ok(())
     }
@@ -236,5 +242,13 @@ mod tests {
             assert!(!p.name().is_empty());
             assert!(!kind.label().is_empty());
         }
+    }
+
+    /// `RestrictFirst::new(0)` asserts; `validate` says so first.
+    #[test]
+    fn restrict_first_zero_is_a_validate_error() {
+        let err = PolicyKind::RestrictFirst(0).validate().unwrap_err();
+        assert!(err.contains("at least 1 unit, got 0"), "{err}");
+        assert_eq!(PolicyKind::RestrictFirst(1).validate(), Ok(()));
     }
 }

@@ -139,7 +139,8 @@ fn render_suite(doc: &Json, md: bool) -> Result<String, String> {
     let workers: u64 = doc.field("workers")?;
     let total: u64 = doc.field("total_wall_ns")?;
     out.push_str(&format!("workers: {workers}  total wall: {:.2}s\n", total as f64 / 1e9));
-    let mut t = Table::new(["experiment", "wall (s)", "jobs", "shared hits", "solo hits"]);
+    let mut t =
+        Table::new(["experiment", "wall (s)", "jobs", "shared hits", "solo hits", "twin hits"]);
     for e in doc.field::<Vec<SuiteExperimentTiming>>("experiments")? {
         t.row([
             e.name,
@@ -147,6 +148,7 @@ fn render_suite(doc: &Json, md: bool) -> Result<String, String> {
             e.jobs.to_string(),
             e.shared_cache_hits.to_string(),
             e.solo_cache_hits.to_string(),
+            e.twin_hits.to_string(),
         ]);
     }
     push_table(&mut out, "experiments", &t, md);

@@ -28,7 +28,7 @@ pub const FORMAT_VERSION: u64 = 1;
 /// Semantic schema version (`major.minor`) stamped into the versioned
 /// documents. Bump the minor for additive changes; bump the major when a
 /// consumer written against the old layout would misread the new one.
-pub const SCHEMA_VERSION: &str = "1.2";
+pub const SCHEMA_VERSION: &str = "1.3";
 
 /// The highest major schema version this crate's readers understand.
 pub const SCHEMA_MAJOR: u64 = 1;
@@ -113,6 +113,10 @@ json_record! {
         pub solo_cache_hits: u64,
         /// Multi-core runs answered from the run memo instead of re-running.
         pub shared_cache_hits: u64,
+        /// Runs answered by a twin: a simulation of the same cell under
+        /// another policy whose plans equalled this one's at every
+        /// decision.
+        pub twin_hits: u64,
     }
 }
 
@@ -388,6 +392,7 @@ mod tests {
             jobs: 105,
             solo_cache_hits: 0,
             shared_cache_hits: 45,
+            twin_hits: 5,
         }
     }
 
@@ -470,11 +475,11 @@ mod tests {
         );
     }
 
-    /// A run document as schema 1.2 spells it, byte for byte: a writer
+    /// A run document as schema 1.3 spells it, byte for byte: a writer
     /// change that moves it, or a reader change that can no longer load
     /// it, has broken every stored report.
     const RUN_DOCUMENT: &str = concat!(
-        r#"{"format_version":1,"schema_version":"1.2","summary":{"policy":"dbp"},"#,
+        r#"{"format_version":1,"schema_version":"1.3","summary":{"policy":"dbp"},"#,
         r#""epochs":[{"epoch":0,"cycle":1000000,"queue_depth":5,"row_hit_rate":0.6,"#,
         r#""bus_utilisation":0.3,"threads":[{"mpki":12.5,"rbl":0.8,"blp":2.4,"reads":100,"#,
         r#""avg_read_latency":210},{"mpki":0,"rbl":0,"blp":0,"reads":0,"avg_read_latency":0}]}],"#,
@@ -541,13 +546,13 @@ mod tests {
         let ann = [("diag".to_string(), Json::obj([("reads", Json::uint(7))]))];
         assert_eq!(
             suite_timing_document(4, true, 9_999_999, &[suite_row()], &ann).to_json(),
-            r#"{"format_version":1,"schema_version":"1.2","workers":4,"quick":true,"total_wall_ns":9999999,"experiments":[{"name":"fig4_ws_dbp","wall_ns":9007199254740992,"jobs":105,"solo_cache_hits":0,"shared_cache_hits":45}],"annotations":{"diag":{"reads":7}}}"#
+            r#"{"format_version":1,"schema_version":"1.3","workers":4,"quick":true,"total_wall_ns":9999999,"experiments":[{"name":"fig4_ws_dbp","wall_ns":9007199254740992,"jobs":105,"solo_cache_hits":0,"shared_cache_hits":45,"twin_hits":5}],"annotations":{"diag":{"reads":7}}}"#
         );
         let p = Profile { spans: vec![span_tree()], counters: vec![("cycles".to_string(), 42)] };
         let text = profile_document(&p, Json::obj([("mix", Json::str("mix-a"))])).to_json();
         assert_eq!(
             text,
-            r#"{"format_version":1,"schema_version":"1.2","summary":{"mix":"mix-a"},"total_ns":0,"spans":[{"name":"run","count":0,"total_ns":0,"self_ns":0,"max_ns":0,"children":[{"name":"leaf","count":9007199254740992,"total_ns":0,"self_ns":0,"max_ns":0,"children":[]}]}],"counters":{"cycles":42}}"#
+            r#"{"format_version":1,"schema_version":"1.3","summary":{"mix":"mix-a"},"total_ns":0,"spans":[{"name":"run","count":0,"total_ns":0,"self_ns":0,"max_ns":0,"children":[{"name":"leaf","count":9007199254740992,"total_ns":0,"self_ns":0,"max_ns":0,"children":[]}]}],"counters":{"cycles":42}}"#
         );
         let back = json::parse(&text).unwrap();
         assert!(check_schema_version(&back).is_ok());

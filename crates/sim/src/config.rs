@@ -242,7 +242,21 @@ mod tests {
     use super::*;
     use dbp_core::policy::DbpConfig;
     use dbp_core::EstimatorConfig;
+    use dbp_cpu::{TraceOp, TraceSource};
     use dbp_workloads::{profiles, SyntheticTrace};
+
+    const FOOTPRINT_PAGES: u64 = 32;
+
+    /// Core `i`'s trace: line after line through `pages` pages, every
+    /// fifth access a store.
+    fn sweep_trace(pages: u64, i: u64) -> Box<dyn TraceSource> {
+        let mut n = 0u64;
+        Box::new(move || {
+            n += 1;
+            let gap = ((n + i) % 7) as u32;
+            TraceOp { gap, addr: (n % (pages * 64)) << 6, is_write: n.is_multiple_of(5) }
+        })
+    }
 
     #[test]
     fn defaults_validate_and_build() {
@@ -346,6 +360,138 @@ mod tests {
         for (name, scheduler) in SchedulerKind::named() {
             assert_eq!(scheduler.validate(), Ok(()), "{name}");
         }
+    }
+
+    /// `validate` is the constructor's guard. Over random configurations
+    /// far from Table 1 — 1–4 channels and ranks, 1–64 banks per rank,
+    /// small memories, tiny queues and odd write watermarks, up to 16
+    /// cores on as little as one bank unit, epochs shorter than the feed
+    /// interval, every policy (DBP at alpha 0, NaN and infinity too) and
+    /// every scheduler, each case with at most one field made invalid —
+    /// `validate()` is `Ok` exactly when building a `System` and running
+    /// it for a few epochs does not panic, and a rejected configuration
+    /// panics at the guard itself.
+    ///
+    /// Every trace here touches `FOOTPRINT_PAGES` pages and the drawn
+    /// memories hold sixteen of them: running out of physical memory
+    /// depends on the traces' footprints, which a `SimConfig` cannot
+    /// know, so `validate` cannot guard it (`MemoryManager` panics
+    /// "physical memory exhausted").
+    #[test]
+    fn validate_is_ok_exactly_when_the_system_builds_and_runs() {
+        use dbp_util::prop::{check, range, Config};
+        use dbp_util::prop_assert;
+
+        let policy = |p: usize, k: u32| {
+            let dbp = |alpha| {
+                let estimator = EstimatorConfig { alpha };
+                PolicyKind::Dbp(DbpConfig { estimator, ..Default::default() })
+            };
+            match p {
+                0 => PolicyKind::Unpartitioned,
+                1 => PolicyKind::Equal,
+                2 => dbp(2.0),
+                3 => dbp([0.0, f64::NAN, f64::INFINITY, -1.0][k as usize]),
+                4 => PolicyKind::Mcp(Default::default()),
+                _ => PolicyKind::RestrictFirst(k),
+            }
+        };
+        let geometry = (
+            range(0u32..3),  // log2 channels
+            range(0u32..3),  // log2 ranks per channel
+            range(0u32..7),  // log2 banks per rank (1..=64)
+            range(8u32..12), // log2 rows per bank
+        );
+        let queues = (
+            range(1usize..5), // read queue cap
+            range(2usize..9), // write queue cap
+            range(0usize..8), // write_hi - 1, modulo the cap
+            range(0usize..8), // write_lo, modulo write_hi
+        );
+        let run = (
+            range(1usize..17),                  // cores
+            (range(1u64..41), range(1u64..4)),  // feed interval (k cycles), epoch / feed
+            (range(0usize..6), range(0u32..4)), // policy, its parameter
+            range(0usize..7),                   // scheduler
+            range(0usize..14),                  // the one field made invalid, if any
+        );
+        let misc = (
+            range(1u64..9),   // CPU cycles per DRAM cycle
+            range(1usize..5), // MSHRs
+            range(0usize..3), // migration budget: 0 pages, 8 pages, unthrottled
+            range(0usize..8), // bit 0: eager migration, 1: closed page, 2: XOR mapping
+            range(0u64..3),   // extra CPU cycles on the epoch
+        );
+        let valid = std::cell::Cell::new(0u32);
+        check(Config::cases(64), &(geometry, queues, run, misc), |(g, q, r, m)| {
+            let (log_channels, log_ranks, log_banks, log_rows) = g;
+            let (read_q_cap, write_q_cap, hi, lo) = q;
+            let (cores, (feed, feeds_per_epoch), (p, k), s, flaw) = r;
+            let mut cfg = SimConfig::fast_test();
+            let d = &mut cfg.dram;
+            (d.channels, d.ranks_per_channel) = (1 << log_channels, 1 << log_ranks);
+            (d.banks_per_rank, d.rows_per_bank) = (1 << log_banks, 1 << log_rows);
+            let c = &mut cfg.ctrl;
+            (c.read_q_cap, c.write_q_cap) = (read_q_cap, write_q_cap);
+            c.write_hi = 1 + hi % write_q_cap;
+            c.write_lo = lo % c.write_hi;
+            cfg.instr_feed_interval = feed * 1_000;
+            cfg.epoch_cpu_cycles = cfg.instr_feed_interval * feeds_per_epoch;
+            cfg.policy = policy(p, k);
+            cfg.scheduler = SchedulerKind::named()[s].1;
+            cfg.warmup_instructions = 1_000;
+            cfg.target_instructions = 2_000;
+            let (cpu_per_dram, mshrs, budget, bits, extra) = m;
+            (cfg.cpu_per_dram, cfg.mshrs) = (cpu_per_dram, mshrs);
+            cfg.migration_budget_pages = [Some(0), Some(8), None][budget];
+            if bits & 1 == 1 {
+                cfg.migration_mode = MigrationMode::Eager;
+            }
+            if bits & 2 == 2 {
+                cfg.dram.row_policy = dbp_dram::RowPolicy::Closed;
+            }
+            if bits & 4 == 4 {
+                cfg.dram.mapping = dbp_dram::MappingScheme::PermutedPageColoring;
+            }
+            cfg.epoch_cpu_cycles += extra;
+            match flaw {
+                0 => cfg.dram.channels = 3,
+                1 => cfg.dram.ranks_per_channel = 3,
+                2 => cfg.dram.banks_per_rank += 3,
+                3 => cfg.ctrl.read_q_cap = 0,
+                4 => cfg.ctrl.write_q_cap = 1,
+                5 => cfg.ctrl.write_lo = cfg.ctrl.write_hi,
+                6 => cfg.epoch_cpu_cycles = cfg.instr_feed_interval / 2,
+                7 => cfg.policy = policy(3, k),
+                8 => cfg.policy = PolicyKind::RestrictFirst(0),
+                _ => {}
+            }
+            cfg.max_cpu_cycles = 3 * cfg.epoch_cpu_cycles;
+            let verdict = cfg.validate();
+            let ran = std::panic::catch_unwind(|| {
+                let traces = (0..cores as u64).map(|i| sweep_trace(FOOTPRINT_PAGES, i)).collect();
+                crate::System::new(cfg.clone(), traces).run();
+            })
+            .map_err(|panic| match panic.downcast::<String>() {
+                Ok(msg) => *msg,
+                Err(panic) => panic.downcast_ref::<&str>().map_or("?", |m| m).to_owned(),
+            });
+            match (verdict, ran) {
+                (Ok(()), Ok(())) => valid.set(valid.get() + 1),
+                (Ok(()), Err(msg)) => {
+                    prop_assert!(false, "validate passed a config that panics: {msg}")
+                }
+                (Err(e), Ok(())) => {
+                    prop_assert!(false, "validate rejected a config that runs: {e}")
+                }
+                (Err(e), Err(msg)) => prop_assert!(
+                    msg.contains("invalid SimConfig") && msg.contains(&e),
+                    "{msg} is not the guard's rejection: {e}"
+                ),
+            }
+            Ok(())
+        });
+        assert!(valid.get() >= 16, "only {} of 64 configurations were valid", valid.get());
     }
 
     #[test]

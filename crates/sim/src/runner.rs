@@ -128,8 +128,36 @@ impl Cell {
     /// `Prof` docs for the contract). A recorder's shared state is not
     /// `Send`, so fan-outs build one per call.
     pub fn run(&self, rec: dbp_obs::Recorder, prof: dbp_obs::Prof) -> RunResult {
+        self.run_group(&[], rec, prof).0
+    }
+
+    /// Simulate the cell with the policies `twins` riding along, and
+    /// report per twin whether it stayed in agreement: whether the cell
+    /// with `cfg.policy` set to that twin would have planned exactly
+    /// what this one did at every decision, cold start included. Such a
+    /// twin's own run *is* this run, so the result is its result too; a
+    /// twin that disagreed must be run on its own. Every twin's
+    /// configuration is validated first, so a bad twin fails as it would
+    /// alone.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rec` is live and `twins` is not empty: the events and
+    /// the decision audit a recorder keeps name the live policy.
+    pub fn run_group(
+        &self,
+        twins: &[PolicyKind],
+        rec: dbp_obs::Recorder,
+        prof: dbp_obs::Prof,
+    ) -> (RunResult, Vec<bool>) {
+        assert!(
+            twins.is_empty() || !rec.is_enabled(),
+            "a recorded run is a group of one: its telemetry names the live policy"
+        );
         let traces = self.threads.iter().map(|&(benchmark, seed)| trace(benchmark, seed)).collect();
-        System::with_instrumentation(self.cfg.clone(), traces, rec, prof).run()
+        let mut sys = System::with_twins(self.cfg.clone(), traces, rec, prof, twins);
+        let result = sys.run();
+        (result, sys.twins_agreeing())
     }
 }
 

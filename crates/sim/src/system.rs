@@ -3,7 +3,7 @@
 use std::collections::VecDeque;
 
 use dbp_cache::{AccessLevel, Hierarchy, Mshr};
-use dbp_core::policy::PartitionPolicy;
+use dbp_core::policy::{PartitionPolicy, PolicyKind};
 use dbp_core::{ColorTopology, ThreadMemProfile};
 use dbp_cpu::{Core, CoreStats, IdleState, MemIssue, TraceSource};
 use dbp_dram::DramStats;
@@ -38,6 +38,12 @@ pub struct System {
     osmem: MemoryManager,
     ctrl: MemoryController,
     policy: Box<dyn PartitionPolicy>,
+    /// Policies riding along with the live one: each plans from the same
+    /// profiles and the same previous plan, and is dropped (`None`) at its
+    /// first plan that differs from the live plan. Until then its own run
+    /// would have been this one, step for step (see
+    /// [`crate::runner::Cell::run_group`]).
+    twins: Vec<Option<Box<dyn PartitionPolicy>>>,
     topo: ColorTopology,
     last_plan: Option<Vec<ColorSet>>,
     next_req_id: u64,
@@ -225,7 +231,29 @@ impl System {
         rec: Recorder,
         prof: Prof,
     ) -> Self {
+        Self::with_twins(cfg, traces, rec, prof, &[])
+    }
+
+    /// [`System::with_instrumentation`] with the policies `twins` riding
+    /// along: each cold-starts beside the live policy and then plans
+    /// every epoch from the same profiles, and [`System::twins_agreeing`]
+    /// reports which never planned differently.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `traces` is empty, or the configuration — or the
+    /// configuration under any twin's policy — is invalid.
+    pub(crate) fn with_twins(
+        cfg: SimConfig,
+        traces: Vec<Box<dyn TraceSource>>,
+        rec: Recorder,
+        prof: Prof,
+        twins: &[PolicyKind],
+    ) -> Self {
         cfg.validate().expect("invalid SimConfig");
+        for &policy in twins {
+            SimConfig { policy, ..cfg.clone() }.validate().expect("invalid SimConfig");
+        }
         assert!(!traces.is_empty(), "at least one trace required");
         let n = traces.len();
         let topo = ColorTopology::from_dram(&cfg.dram);
@@ -237,6 +265,13 @@ impl System {
         // so static policies (equal split) are in force from cycle 0.
         let cold = vec![ThreadMemProfile::default(); n];
         let plan = policy.partition(&cold, &topo, None);
+        let twins = twins
+            .iter()
+            .map(|kind| {
+                let mut twin = kind.build();
+                (twin.partition(&cold, &topo, None) == plan).then_some(twin)
+            })
+            .collect();
         for (t, colors) in plan.iter().enumerate() {
             osmem.set_partition(t, *colors);
         }
@@ -288,6 +323,7 @@ impl System {
             osmem,
             ctrl,
             policy,
+            twins,
             topo,
             cfg,
             rec,
@@ -348,6 +384,12 @@ impl System {
     /// The plan currently in force.
     pub fn current_plan(&self) -> Option<&[ColorSet]> {
         self.last_plan.as_deref()
+    }
+
+    /// Per twin (see [`System::with_twins`]): whether each of its plans so
+    /// far, the cold-start plan included, equalled the live one.
+    pub(crate) fn twins_agreeing(&self) -> Vec<bool> {
+        self.twins.iter().map(Option::is_some).collect()
     }
 
     /// Run the warmup phase, then measure until every core reaches the
@@ -827,6 +869,13 @@ impl System {
         let plan = self.policy.partition(&profiles, &self.topo, self.last_plan.as_deref());
         if let Some(rack) = &mut self.audit {
             rack.observe(epoch, &profiles, &snap, &plan, &self.topo, &self.osmem);
+        }
+        for slot in &mut self.twins {
+            let prev = self.last_plan.as_deref();
+            if slot.as_mut().is_some_and(|twin| twin.partition(&profiles, &self.topo, prev) != plan)
+            {
+                *slot = None;
+            }
         }
         let changed_threads: Vec<usize> = (0..plan.len())
             .filter(|&t| self.last_plan.as_ref().is_none_or(|lp| lp[t] != plan[t]))
