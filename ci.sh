@@ -99,6 +99,14 @@ diff target/ci-suite-serial.txt target/ci-suite-stepped.txt
 grep -q '"sim/cycles_skipped":0' target/ci-prof-stepped.json
 # (`! cmd` is exempt from `set -e`, hence the explicit exits.)
 if grep -q '"sim/cycles_skipped":0' target/ci-prof-skipping.json; then exit 1; fi
+# ...and every run publishes its work counters exactly once, from
+# whichever worker ran it: the serial leg's counter set must equal the
+# pooled one's (a counter published twice, or lost on a worker, differs).
+DBP_JOBS=1 ./target/release/bench_all --quick --profile-out target/ci-prof-serial.json \
+    fig1_motivation diag_interference > /dev/null 2>&1
+grep -o '"counters":{[^}]*}' target/ci-prof-skipping.json > target/ci-counters.txt
+grep -o '"counters":{[^}]*}' target/ci-prof-serial.json > target/ci-counters-serial.txt
+diff target/ci-counters.txt target/ci-counters-serial.txt
 ./target/release/dbpreport --check --require-key experiments --require-key total_wall_ns SUITE_timing.json
 ./target/release/dbpreport --check --require-key spans --require-key counters PROF_suite.json
 ./target/release/dbpreport PROF_suite.json > /dev/null

@@ -32,8 +32,9 @@
 //! group of their own. Every member's configuration is validated before
 //! the group runs, so a bad rider fails as it would alone; and a live
 //! recorder, whose events and decision audit name the live policy, makes
-//! a group of one (the engine records nothing). The check runs at the
-//! epoch boundary beside `ShadowRack::observe`.
+//! a group of one (the engine records nothing). The riders are the shadow
+//! rack's own: they plan in `ShadowRack::observe` as audit shadows do,
+//! without the audit's builder or costing.
 //!
 //! # Why parallelism preserves determinism
 //!
@@ -665,10 +666,14 @@ mod tests {
         let combos = [harness::shared(), harness::dbp()];
         let plain = Engine::with_workers(2).run_grid(&cfg, &mixes, &combos);
 
-        let prof = Prof::enabled();
-        let mut eng = Engine::with_workers(2);
-        eng.attach_profiler(&prof);
-        let profiled = eng.run_grid(&cfg, &mixes, &combos);
+        let profiled_on = |workers: usize| {
+            let prof = Prof::enabled();
+            let mut eng = Engine::with_workers(workers);
+            eng.attach_profiler(&prof);
+            let grid = eng.run_grid(&cfg, &mixes, &combos);
+            (prof, eng, grid)
+        };
+        let (prof, eng, profiled) = profiled_on(2);
         for (prow, qrow) in plain.iter().zip(&profiled) {
             for (p, q) in prow.iter().zip(qrow) {
                 assert_eq!(p.alone_ipcs, q.alone_ipcs);
@@ -684,6 +689,9 @@ mod tests {
         assert!(shared.children.iter().any(|c| c.name == "sim/measure"));
         let solo = p.spans.iter().find(|s| s.name == "bench/solo_run").unwrap();
         assert_eq!(solo.count, 4);
+        // Each run publishes its counters once, from whichever worker.
+        assert_eq!(p.counters.len(), 9);
+        assert_eq!(p.counters, profiled_on(1).0.snapshot().counters);
         // A span means a simulation really ran: memo hits open none.
         eng.run_grid(&cfg, &mixes, &combos);
         let jobs = |p: &dbp_obs::Profile| -> u64 {

@@ -21,7 +21,7 @@ use dbp_obs::{AuditReport, LatencyReport, Prof, Recorder, RecorderConfig};
 use dbp_osmem::MigrationMode;
 use dbp_sim::metrics::gmean;
 use dbp_sim::report::{f3, pct, Table};
-use dbp_sim::runner::{run_shared_instrumented, Cell, MixRun};
+use dbp_sim::runner::{Cell, MixRun};
 use dbp_sim::{MigrationCost, SimConfig, ThreadResult};
 use dbp_workloads::{mixes_4core, profiles, scale_mix, Mix};
 
@@ -655,7 +655,7 @@ pub fn ext3_schedulers(eng: &Engine, cfg: &SimConfig) -> Table {
 /// not `Send`), so this is safe to fan out across pool workers.
 fn latency_of(cfg: &SimConfig, mix: &Mix, prof: &Prof) -> LatencyReport {
     let rec = Recorder::new(RecorderConfig::default());
-    run_shared_instrumented(cfg, mix, rec.clone(), prof.clone());
+    Cell::shared(cfg, mix).run(rec.clone(), prof.clone());
     rec.snapshot().latency.unwrap_or_default()
 }
 
@@ -741,7 +741,7 @@ pub fn diag_audit(eng: &Engine, cfg: &SimConfig) -> String {
     let runs: Vec<AuditReport> =
         eng.par_map(combos.iter().map(|combo| combo.apply(cfg)).collect(), |run_cfg| {
             let rec = Recorder::new(RecorderConfig { audit: true, ..Default::default() });
-            run_shared_instrumented(&run_cfg, &mix, rec.clone(), eng.profiler().clone());
+            Cell::shared(&run_cfg, &mix).run(rec.clone(), eng.profiler().clone());
             rec.snapshot().audit.unwrap_or_default()
         });
 

@@ -1,6 +1,8 @@
 //! The DRAM device: accepts commands, enforces every timing constraint,
 //! and reports data-return times.
 
+use std::cell::Cell;
+
 use crate::address::AddressMapper;
 use crate::command::{Command, Loc};
 use crate::config::DramConfig;
@@ -45,11 +47,9 @@ pub struct Dram {
     banks: Vec<BankState>,   // [(channel * ranks + rank) * banks + bank]
     refresh_due: Vec<Cycle>, // per rank, absolute deadline of next REF
     stats: DramStats,
-    /// Host-profiling work counter: timing-oracle queries
-    /// ([`Dram::earliest_issue`] / [`Dram::can_issue`] /
-    /// [`Dram::timing_ready`]). Disabled by default (one branch);
-    /// clones share the same cell.
-    timing_queries: dbp_obs::prof::Counter,
+    /// Host work counter, see [`Dram::timing_queries`]. A `Cell` because
+    /// the oracle it counts takes `&self`.
+    timing_queries: Cell<u64>,
 }
 
 impl Dram {
@@ -73,19 +73,18 @@ impl Dram {
             stats: DramStats::new(nba),
             mapper,
             cfg,
-            timing_queries: dbp_obs::prof::Counter::default(),
+            timing_queries: Cell::new(0),
         }
     }
 
-    /// Register this device's work counters with a host self-profiler.
-    /// The `dram/timing_queries` counter measures how often something
-    /// asks the timing oracle ([`Dram::timing_ready`] and its callers):
-    /// the legality re-check in [`Dram::issue`], refresh, and the latency
-    /// anatomy. The controller's candidate scan reads
-    /// [`Dram::channel_banks`] and [`Dram::rank_gates`] instead and is not
-    /// counted.
-    pub fn attach_profiler(&mut self, prof: &dbp_obs::Prof) {
-        self.timing_queries = prof.counter("dram/timing_queries");
+    /// How often something has asked the timing oracle
+    /// ([`Dram::timing_ready`] and its callers): the legality re-check in
+    /// [`Dram::issue`], refresh, and the latency anatomy. The
+    /// controller's candidate scan reads [`Dram::channel_banks`] and
+    /// [`Dram::rank_gates`] instead and is not counted. Host work, not
+    /// simulated state: nothing simulated reads it.
+    pub fn timing_queries(&self) -> u64 {
+        self.timing_queries.get()
     }
 
     /// The device configuration.
@@ -187,7 +186,7 @@ impl Dram {
     /// checked against.
     #[inline]
     pub fn timing_ready(&self, cmd: &Command, now: Cycle) -> Option<Cycle> {
-        self.timing_queries.incr();
+        self.timing_queries.set(self.timing_queries.get() + 1);
         let t = &self.cfg.timing;
         match *cmd {
             Command::Activate { loc, .. } => {

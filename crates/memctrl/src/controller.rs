@@ -75,6 +75,12 @@ pub struct CtrlStats {
     pub completed_reads: u64,
     /// Cycles any channel spent in write-drain mode.
     pub drain_cycles: u64,
+    /// Commands sent to the device, refresh work included.
+    pub commands_issued: u64,
+    /// Ticks that began with nothing in flight.
+    pub idle_ticks: u64,
+    /// Ticks that began with work in flight but issued no command.
+    pub blocked_ticks: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -141,12 +147,8 @@ pub struct MemoryController {
     anat: Anatomy,
     /// Host self-profiler (wall-clock spans; distinct from `prof`, the
     /// DRAM-side per-thread profiling the policies consume). Disabled by
-    /// default: every span/counter call is one branch.
+    /// default: every span call is one branch.
     host_prof: dbp_obs::Prof,
-    ctr_enq: dbp_obs::prof::Counter,
-    ctr_cmds: dbp_obs::prof::Counter,
-    ctr_idle: dbp_obs::prof::Counter,
-    ctr_blocked: dbp_obs::prof::Counter,
     /// Memoised queue/refresh scan of [`MemoryController::next_event`],
     /// one `(computed_at, at)` per channel. Every scan input — queue
     /// contents, DRAM bank timing, refresh deadlines, drain hysteresis —
@@ -181,10 +183,6 @@ impl MemoryController {
             closed_page,
             anat: Anatomy::default(),
             host_prof: dbp_obs::Prof::disabled(),
-            ctr_enq: dbp_obs::prof::Counter::default(),
-            ctr_cmds: dbp_obs::prof::Counter::default(),
-            ctr_idle: dbp_obs::prof::Counter::default(),
-            ctr_blocked: dbp_obs::prof::Counter::default(),
             queue_event: vec![None; channels],
             dram,
             cfg,
@@ -193,18 +191,10 @@ impl MemoryController {
     }
 
     /// Attach a host self-profiler: wall-clock spans around scheduling /
-    /// issue / anatomy, plus the work counters the event calendar is
-    /// sized by (`memctrl/idle_ticks`: polls with nothing in flight;
-    /// `memctrl/blocked_ticks`: polls with work in flight but no issuable
-    /// command; skipped cycles count as polls). Observation-only:
-    /// attaching changes no scheduling decision.
+    /// issue / anatomy. Observation-only: attaching changes no scheduling
+    /// decision. (The work counters are [`CtrlStats`], kept either way.)
     pub fn attach_profiler(&mut self, prof: &dbp_obs::Prof) {
         self.host_prof = prof.clone();
-        self.ctr_enq = prof.counter("memctrl/requests_enqueued");
-        self.ctr_cmds = prof.counter("memctrl/commands_issued");
-        self.ctr_idle = prof.counter("memctrl/idle_ticks");
-        self.ctr_blocked = prof.counter("memctrl/blocked_ticks");
-        self.dram.attach_profiler(prof);
     }
 
     /// The queue sizing this controller was built with.
@@ -313,7 +303,6 @@ impl MemoryController {
         assert!(self.can_accept(d.channel, req.is_write), "queue full on channel {}", d.channel);
         let gbank = self.dram.cfg().flat_bank(req.loc());
         self.queue_event[d.channel as usize] = None;
-        self.ctr_enq.incr();
         self.prof.on_enqueue(req.thread, gbank, req.is_write, req.kind != TrafficKind::Migration);
         let chi = d.channel as usize;
         let is_write = req.is_write;
@@ -348,10 +337,7 @@ impl MemoryController {
 
     fn tick_impl<const PROF: bool>(&mut self, now: Cycle, completed: &mut Vec<Completion>) {
         let _tick = PROF.then(|| self.host_prof.span("memctrl/tick"));
-        // `in_flight` walks every queue, so only pay for it when the
-        // idle/blocked counters are live.
-        let watch_polls = PROF && self.ctr_idle.is_enabled();
-        let in_flight_at_start = if watch_polls { self.in_flight() } else { 0 };
+        let in_flight_at_start = self.in_flight();
         while let Some(&Reverse(p)) = self.pending.peek() {
             if p.ready_at > now {
                 break;
@@ -399,21 +385,19 @@ impl MemoryController {
             let MemoryController { dram, read_q, anat, issued, .. } = self;
             anat.attribute_cycle(now, dram, read_q, issued);
         }
-        if watch_polls {
-            self.charge_polls(in_flight_at_start, any_issued, 1);
-        }
+        self.charge_ticks(in_flight_at_start, any_issued, 1);
     }
 
-    /// Charge `count` polls that began with `in_flight` requests to the
+    /// Charge `count` ticks that began with `in_flight` requests to the
     /// work counters: idle with nothing in flight, blocked with work in
     /// flight but no command issued. Skipped cycles are still simulated
     /// time, so the stepped tick and the skipped window charge the same
-    /// denominators through here.
-    fn charge_polls(&self, in_flight: usize, issued: bool, count: u64) {
+    /// counts through here.
+    fn charge_ticks(&mut self, in_flight: usize, issued: bool, count: u64) {
         if in_flight == 0 {
-            self.ctr_idle.add(count);
+            self.stats.idle_ticks += count;
         } else if !issued {
-            self.ctr_blocked.add(count);
+            self.stats.blocked_ticks += count;
         }
     }
 
@@ -536,9 +520,7 @@ impl MemoryController {
             let MemoryController { dram, read_q, anat, .. } = self;
             anat.attribute_span(from, count, dram, read_q);
         }
-        if self.host_prof.is_enabled() && self.ctr_idle.is_enabled() {
-            self.charge_polls(self.in_flight(), false, count);
-        }
+        self.charge_ticks(self.in_flight(), false, count);
     }
 
     /// Write-drain hysteresis, the one definition: the drain mode a tick
@@ -606,7 +588,7 @@ impl MemoryController {
                 Some(at) if at == now => {
                     self.dram.issue(&rf, now);
                     // REF needs every bank closed, so no kinds change.
-                    self.ctr_cmds.incr();
+                    self.stats.commands_issued += 1;
                     return Some(IssuedCmd {
                         rank,
                         bank: None,
@@ -624,7 +606,7 @@ impl MemoryController {
                     if let Some(bank) = ready {
                         self.dram.issue(&Command::precharge(ch, rank, bank), now);
                         self.cand_rekind_bank(ch as usize, rank, bank);
-                        self.ctr_cmds.incr();
+                        self.stats.commands_issued += 1;
                         return Some(IssuedCmd {
                             rank,
                             bank: Some(bank),
@@ -822,7 +804,7 @@ impl MemoryController {
             q[i].classified = true;
         }
         let res = self.dram.issue(&cmd, now);
-        self.ctr_cmds.incr();
+        self.stats.commands_issued += 1;
         let loc = cmd.loc().expect("pick never returns REF");
         // Row-state changes re-classify the bank's queued candidates.
         if matches!(cmd.kind(), CommandKind::Activate | CommandKind::Precharge) {
@@ -1103,8 +1085,9 @@ mod tests {
     }
 
     /// The host self-profiler is observation-only: identical completions
-    /// and stats with it attached, work counters that reconcile with the
-    /// controller's own counters, and exact-sum span aggregates.
+    /// and stats (work counters included) with it attached, and
+    /// exact-sum span aggregates. The work counters reconcile with the
+    /// device's command counts (open page: no auto-precharges).
     #[test]
     fn host_profiler_counts_work_without_perturbing() {
         let ticks = 200;
@@ -1127,23 +1110,20 @@ mod tests {
         assert_eq!(plain.stats(), profiled.stats());
         assert_eq!(plain.dram().stats(), profiled.dram().stats());
 
-        let snap = prof.snapshot(); // asserts exact-sum
-        let get = |name: &str| {
-            snap.counters
-                .iter()
-                .find(|(n, _)| n == name)
-                .map(|(_, v)| *v)
-                .unwrap_or_else(|| panic!("missing counter {name}"))
-        };
-        assert_eq!(get("memctrl/requests_enqueued"), 6);
+        assert_eq!(plain.dram().timing_queries(), profiled.dram().timing_queries());
+
+        let c = profiled.stats();
+        assert_eq!(c.enq_reads + c.enq_writes, 6);
         let s = profiled.dram().stats();
         assert_eq!(
-            get("memctrl/commands_issued"),
+            c.commands_issued,
             s.activates + s.precharges + s.reads + s.writes + s.refreshes
         );
-        // Six reads drain quickly; most of the 200 polls find nothing.
-        assert!(get("memctrl/idle_ticks") > 0);
-        assert!(get("dram/timing_queries") >= get("memctrl/commands_issued"));
+        // Six reads drain quickly; most of the 200 ticks find nothing.
+        assert!(c.idle_ticks > 0);
+        assert!(c.idle_ticks + c.blocked_ticks + c.commands_issued >= ticks);
+        assert!(profiled.dram().timing_queries() >= c.commands_issued);
+        let snap = prof.snapshot(); // asserts exact-sum
         let tick = snap.spans.iter().find(|s| s.name == "memctrl/tick").expect("tick span");
         assert_eq!(tick.count, ticks);
         let names: Vec<&str> = tick.children.iter().map(|c| c.name.as_str()).collect();
@@ -1633,6 +1613,11 @@ mod prop_tests {
         while skipped.in_flight() > 0 {
             prop_assert!(now < 500_000, "skipped livelock");
             skipped.tick(now, &mut done_k);
+            if skipped.in_flight() == 0 {
+                // The stepped drive stops here too: a jump past the last
+                // completion would charge idle ticks it never ran.
+                break;
+            }
             let next = skipped.next_event(now).max(now + 1);
             if next > now + 1 {
                 skipped.skip_ticks(now + 1, next - (now + 1));

@@ -15,8 +15,8 @@
 //!   document (epochs, events, `latency` and `audit` sections) and as a
 //!   Chrome `trace_event` file for `chrome://tracing` / Perfetto;
 //! * [`prof`] — host-side self-profiling: exact-sum wall-clock span
-//!   trees and monotonic work counters behind the same cheap-clone
-//!   disabled-is-one-branch handle shape as [`Recorder`];
+//!   trees and the work-counter totals each run merges in, behind the
+//!   same cheap-clone disabled-is-one-branch handle shape as [`Recorder`];
 //! * [`audit`] — the policy decision audit data model (shadow-policy
 //!   comparison, demand-estimation accuracy, convergence telemetry),
 //!   fed by the simulator's epoch loop;
@@ -47,6 +47,6 @@ pub use fxhash::{FxHashMap, FxHashSet};
 pub use hist::Histogram;
 pub use json::Json;
 pub use latency::{CoreLatency, LatencyReport, Matrix};
-pub use prof::{Counter, Prof, ProfSpan, Profile};
+pub use prof::{Prof, ProfSpan, Profile};
 pub use recorder::{EpochSample, Recorder, RecorderConfig, Telemetry, ThreadSample};
 pub use table::Table;

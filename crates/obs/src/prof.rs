@@ -13,10 +13,12 @@
 //!   by construction and is re-asserted on every snapshot and parse:
 //!   for every node, `self_ns + Σ children.total_ns == total_ns`
 //!   (`u64` equality, checked with `assert!` in all build profiles).
-//! * **Counters** — named monotonic `u64`s (requests enqueued, commands
-//!   issued, ticks polled-but-idle) shared across threads via relaxed
-//!   atomics. Pre-resolve a [`Counter`] handle once; each `add` is one
-//!   branch plus one relaxed fetch-add.
+//! * **Counters** — named monotonic `u64` totals (requests enqueued,
+//!   commands issued, ticks polled-but-idle). The profiler keeps no
+//!   counter cells of its own: each layer counts its work in plain
+//!   integers, and the owner of a run hands the totals over once, as a
+//!   [`Profile`] holding only counters, through [`Prof::merge`]. Merging
+//!   sums counters by name, so runs on many threads add up.
 //!
 //! The handle follows the [`crate::recorder::Recorder`] shape: [`Prof`]
 //! is cheap to clone and a *disabled* handle reduces every call to a
@@ -35,7 +37,6 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::Instant;
 
@@ -194,7 +195,7 @@ impl Drop for ThreadTreeSet {
         for e in &mut self.entries {
             if let Some(inner) = e.owner.upgrade() {
                 if e.tree.stack.is_empty() && !e.tree.nodes.is_empty() {
-                    inner.absorb(e.tree.take_profile());
+                    inner.absorb(&e.tree.take_profile());
                 }
             }
         }
@@ -205,22 +206,22 @@ thread_local! {
     static TREES: RefCell<ThreadTreeSet> = RefCell::new(ThreadTreeSet::default());
 }
 
-/// Shared state behind an enabled [`Prof`].
+/// Shared state behind an enabled [`Prof`]: the one profile that span
+/// trees and counter sets both merge into.
 #[derive(Default)]
 struct Inner {
     merged: Mutex<Profile>,
-    counters: Mutex<Vec<(String, Arc<AtomicU64>)>>,
 }
 
 impl Inner {
-    fn absorb(&self, p: Profile) {
-        self.merged.lock().expect("prof merge lock").merge(&p);
+    fn absorb(&self, p: &Profile) {
+        self.merged.lock().expect("prof merge lock").merge(p);
     }
 }
 
 /// Cheap-clone handle to the self-profiler. Disabled (the default) every
 /// operation is a single branch; enabled, spans cost two `Instant::now`
-/// calls plus a hash lookup and counters one relaxed atomic add.
+/// calls plus a hash lookup.
 #[derive(Clone, Default)]
 pub struct Prof {
     inner: Option<Arc<Inner>>,
@@ -233,7 +234,7 @@ impl std::fmt::Debug for Prof {
 }
 
 impl Prof {
-    /// A no-op handle: every span/counter call is one branch.
+    /// A no-op handle: every call is one branch.
     pub fn disabled() -> Self {
         Prof { inner: None }
     }
@@ -264,17 +265,12 @@ impl Prof {
         Span { owner: self.inner.clone(), node, _not_send: PhantomData }
     }
 
-    /// Resolve (creating if needed) the monotonic counter named `name`.
-    /// Resolve once, then `add` from the hot path.
-    pub fn counter(&self, name: &str) -> Counter {
-        let Some(inner) = &self.inner else { return Counter::default() };
-        let mut reg = inner.counters.lock().expect("prof counter lock");
-        if let Some((_, cell)) = reg.iter().find(|(n, _)| n == name) {
-            return Counter { cell: Some(Arc::clone(cell)) };
+    /// Fold `p` into the shared profile ([`Profile::merge`]: spans sum by
+    /// path, counters by name). How a run publishes its work counters.
+    pub fn merge(&self, p: &Profile) {
+        if let Some(inner) = &self.inner {
+            inner.absorb(p);
         }
-        let cell = Arc::new(AtomicU64::new(0));
-        reg.push((name.to_string(), Arc::clone(&cell)));
-        Counter { cell: Some(cell) }
     }
 
     /// Fold this thread's span tree into the shared profile. Call at the
@@ -291,15 +287,14 @@ impl Prof {
             if let Some(entry) = set.find(inner) {
                 assert!(entry.tree.stack.is_empty(), "flush_thread/snapshot inside an open span");
                 if !entry.tree.nodes.is_empty() {
-                    let p = entry.tree.take_profile();
-                    inner.absorb(p);
+                    inner.absorb(&entry.tree.take_profile());
                 }
             }
         });
     }
 
-    /// Flush this thread, then return a copy of the merged profile with
-    /// current counter values attached. Asserts the exact-sum invariant.
+    /// Flush this thread, then return a copy of the merged profile.
+    /// Asserts the exact-sum invariant.
     ///
     /// Worker threads that recorded spans must have called
     /// [`Prof::flush_thread`] (or exited) first, or their data is not in
@@ -307,11 +302,7 @@ impl Prof {
     pub fn snapshot(&self) -> Profile {
         let Some(inner) = &self.inner else { return Profile::default() };
         self.flush_thread();
-        let mut p = inner.merged.lock().expect("prof merge lock").clone();
-        for (name, cell) in inner.counters.lock().expect("prof counter lock").iter() {
-            p.counters.push((name.clone(), cell.load(Ordering::Relaxed)));
-        }
-        p.counters.sort_by(|a, b| a.0.cmp(&b.0));
+        let p = inner.merged.lock().expect("prof merge lock").clone();
         p.assert_exact_sum();
         p
     }
@@ -344,41 +335,6 @@ impl Drop for Span {
                 entry.tree.close(self.node);
             }
         });
-    }
-}
-
-/// Pre-resolved handle to one monotonic work counter. Cloneable, shared
-/// across threads; `add` on a disabled handle is one branch.
-#[derive(Debug, Clone, Default)]
-pub struct Counter {
-    cell: Option<Arc<AtomicU64>>,
-}
-
-impl Counter {
-    /// Whether increments are recorded anywhere.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.cell.is_some()
-    }
-
-    /// Add `n` to the counter (relaxed; counters are monotonic totals).
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if let Some(cell) = &self.cell {
-            cell.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn incr(&self) {
-        self.add(1);
-    }
-
-    /// Current value (0 when disabled).
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.cell.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
     }
 }
 
@@ -621,6 +577,11 @@ pub fn top_self_table(p: &Profile, n: usize) -> Table {
 mod tests {
     use super::*;
 
+    fn counters(pairs: &[(&str, u64)]) -> Profile {
+        let counters = pairs.iter().map(|&(n, v)| (n.to_string(), v)).collect();
+        Profile { spans: Vec::new(), counters }
+    }
+
     fn spin() -> u64 {
         let mut acc = 0u64;
         for i in 0..500u64 {
@@ -637,10 +598,7 @@ mod tests {
             let _outer = p.span("a");
             let _inner = p.span("b");
         }
-        let c = p.counter("x");
-        assert!(!c.is_enabled());
-        c.add(5);
-        assert_eq!(c.get(), 0);
+        p.merge(&counters(&[("x", 5)]));
         p.flush_thread();
         let snap = p.snapshot();
         assert!(snap.is_empty());
@@ -704,12 +662,8 @@ mod tests {
     #[test]
     fn counters_accumulate_and_sort() {
         let p = Prof::enabled();
-        let b = p.counter("b_counter");
-        let a = p.counter("a_counter");
-        b.add(2);
-        a.incr();
-        p.counter("b_counter").add(3); // same cell, re-resolved
-        assert_eq!(b.get(), 5);
+        p.merge(&counters(&[("b_counter", 2)]));
+        p.merge(&counters(&[("a_counter", 1), ("b_counter", 3)]));
         let snap = p.snapshot();
         assert_eq!(snap.counters, vec![("a_counter".to_string(), 1), ("b_counter".to_string(), 5)]);
     }
@@ -796,7 +750,7 @@ mod tests {
             let _a = p.span("root");
             let _b = p.span("leaf");
         }
-        p.counter("widgets").add(7);
+        p.merge(&counters(&[("widgets", 7)]));
         let snap = p.snapshot();
         let text = snap.to_json().to_json();
         let back = crate::json::parse(&text).expect("profile body must be valid JSON");
@@ -820,7 +774,7 @@ mod tests {
             let _a = p.span("root");
             let _b = p.span("leaf");
         }
-        p.counter("n_jobs").add(3);
+        p.merge(&counters(&[("n_jobs", 3)]));
         let snap = p.snapshot();
         let tree = span_table(&snap).render();
         assert!(tree.contains("root"), "{tree}");

@@ -230,50 +230,29 @@ pub fn alone_ipc_of(
     Ok(run.threads[0].ipc)
 }
 
-/// Alone-run IPC of one benchmark of `mix`, or an error if the run hit
-/// the cycle cap before the instruction target.
-pub fn try_alone_ipc(cfg: &SimConfig, mix: &Mix, core: usize) -> Result<f64, AloneRunError> {
-    let run =
-        Cell::alone(cfg, mix, core).run(dbp_obs::Recorder::disabled(), dbp_obs::Prof::disabled());
-    alone_ipc_of(cfg, mix, core, &run)
-}
-
-/// Alone-run IPC of one benchmark of `mix`.
-///
-/// # Panics
-///
-/// Panics — in every build profile, not just debug — if the run hits the
-/// cycle cap before the instruction target (see [`AloneRunError`]).
-pub fn alone_ipc(cfg: &SimConfig, mix: &Mix, core: usize) -> f64 {
-    try_alone_ipc(cfg, mix, core).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// Alone-run IPC of every benchmark in `mix`: each runs by itself on the
 /// full memory system (FR-FCFS, unpartitioned), regardless of what
 /// `cfg` selects for the shared run.
 ///
 /// # Panics
 ///
-/// Panics — in every build profile — if any alone run hits the cycle cap
-/// before the instruction target (see [`AloneRunError`]).
+/// Panics — in every build profile, not just debug — if any alone run
+/// hits the cycle cap before the instruction target (see
+/// [`AloneRunError`]).
 pub fn alone_ipcs(cfg: &SimConfig, mix: &Mix) -> Vec<f64> {
-    (0..mix.cores()).map(|i| alone_ipc(cfg, mix, i)).collect()
+    (0..mix.cores())
+        .map(|core| {
+            let run = Cell::alone(cfg, mix, core)
+                .run(dbp_obs::Recorder::disabled(), dbp_obs::Prof::disabled());
+            alone_ipc_of(cfg, mix, core, &run).unwrap_or_else(|e| panic!("{e}"))
+        })
+        .collect()
 }
 
-/// The shared (co-scheduled) run of `mix` under `cfg`.
+/// The shared (co-scheduled) run of `mix` under `cfg`, unobserved (an
+/// observed one is [`Cell::shared`]`(cfg, mix).run(rec, prof)`).
 pub fn run_shared(cfg: &SimConfig, mix: &Mix) -> RunResult {
-    run_shared_instrumented(cfg, mix, dbp_obs::Recorder::disabled(), dbp_obs::Prof::disabled())
-}
-
-/// [`run_shared`], observed: see [`Cell::run`] for what `rec` and `prof`
-/// receive.
-pub fn run_shared_instrumented(
-    cfg: &SimConfig,
-    mix: &Mix,
-    rec: dbp_obs::Recorder,
-    prof: dbp_obs::Prof,
-) -> RunResult {
-    Cell::shared(cfg, mix).run(rec, prof)
+    Cell::shared(cfg, mix).run(dbp_obs::Recorder::disabled(), dbp_obs::Prof::disabled())
 }
 
 /// Alone runs + shared run + metrics in one call.
@@ -338,11 +317,13 @@ mod tests {
     }
 
     #[test]
-    fn try_alone_ipc_reports_cycle_cap_context() {
+    fn alone_ipc_of_reports_cycle_cap_context() {
         let mut cfg = tiny_cfg();
         cfg.max_cpu_cycles = 10_000;
         let mix = &mixes_4core()[0];
-        let err = try_alone_ipc(&cfg, mix, 1).unwrap_err();
+        let run =
+            Cell::alone(&cfg, mix, 1).run(dbp_obs::Recorder::disabled(), dbp_obs::Prof::disabled());
+        let err = alone_ipc_of(&cfg, mix, 1, &run).unwrap_err();
         assert_eq!(err.mix, mix.name);
         assert_eq!(err.benchmark, mix.benchmarks[1]);
         assert_eq!(err.core, 1);
@@ -452,19 +433,39 @@ mod tests {
 
     /// Every observer at once — latency anatomy, decision audit, host
     /// profiler — is deterministic and observation-only, with and without
-    /// a live partitioning policy underneath.
+    /// a live partitioning policy underneath. The profiler's counters are
+    /// exactly the nine work counters of the run, each equal to the stat
+    /// the same run keeps unprofiled.
     #[test]
     fn instrumented_run_is_deterministic_and_observation_only() {
         let mix = &mixes_4core()[0];
+        let recorder = || {
+            dbp_obs::Recorder::new(dbp_obs::RecorderConfig { audit: true, ..Default::default() })
+        };
         let observe = |cfg: &SimConfig| {
-            let rec = dbp_obs::Recorder::new(dbp_obs::RecorderConfig {
-                audit: true,
-                ..Default::default()
-            });
-            let prof = dbp_obs::Prof::enabled();
-            let r = run_shared_instrumented(cfg, mix, rec.clone(), prof.clone());
+            let (rec, prof) = (recorder(), dbp_obs::Prof::enabled());
+            let r = Cell::shared(cfg, mix).run(rec.clone(), prof.clone());
             let t = rec.snapshot();
             (r, t.latency.unwrap_or_default(), t.audit.unwrap_or_default(), prof.snapshot())
+        };
+        let unprofiled_stats = |cfg: &SimConfig| {
+            let traces = Cell::shared(cfg, mix).threads.iter().map(|&(b, s)| trace(b, s)).collect();
+            let mut sys = System::with_recorder(cfg.clone(), traces, recorder());
+            sys.run();
+            let (s, c) = (*sys.stats(), *sys.ctrl().stats());
+            [
+                ("dram/timing_queries", sys.ctrl().dram().timing_queries()),
+                ("memctrl/blocked_ticks", c.blocked_ticks),
+                ("memctrl/commands_issued", c.commands_issued),
+                ("memctrl/idle_ticks", c.idle_ticks),
+                ("memctrl/requests_enqueued", c.enq_reads + c.enq_writes),
+                ("sim/core_ticks", s.core_ticks),
+                ("sim/core_wakes", s.core_wakes),
+                ("sim/cycles_skipped", s.cycles_skipped),
+                ("sim/cycles_stepped", s.cycles_stepped),
+            ]
+            .map(|(name, v)| (name.to_string(), v))
+            .to_vec()
         };
         let dbp = PolicyKind::Dbp(Default::default());
         for cfg in [tiny_cfg(), SimConfig { policy: dbp, ..tiny_cfg() }] {
@@ -496,6 +497,7 @@ mod tests {
             }
 
             assert!(!p.is_empty());
+            assert_eq!(p.counters, unprofiled_stats(&cfg), "one published counter per stat");
             let roots: Vec<&str> = p.spans.iter().map(|s| s.name.as_str()).collect();
             for phase in ["sim/warmup", "sim/measure", "sim/collect"] {
                 assert!(roots.contains(&phase), "missing root span {phase}: {roots:?}");

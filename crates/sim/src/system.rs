@@ -8,7 +8,7 @@ use dbp_core::{ColorTopology, ThreadMemProfile};
 use dbp_cpu::{Core, CoreStats, IdleState, MemIssue, TraceSource};
 use dbp_dram::DramStats;
 use dbp_memctrl::{Completion, MemRequest, MemoryController, ThreadProf};
-use dbp_obs::{EpochSample, EventKind, Prof, Recorder, ThreadSample};
+use dbp_obs::{EpochSample, EventKind, Prof, Profile, Recorder, ThreadSample};
 use dbp_osmem::{ColorSet, MemoryManager, MigrationJob, OsStats};
 
 use crate::audit::ShadowRack;
@@ -22,6 +22,15 @@ pub struct SysStats {
     pub repartitions: u64,
     /// Migration copy requests injected into the controller.
     pub migration_requests: u64,
+    /// Cycles executed one step at a time.
+    pub cycles_stepped: u64,
+    /// Cycles jumped over by time skipping. With `cycles_stepped`, every
+    /// simulated cycle is counted exactly once.
+    pub cycles_skipped: u64,
+    /// Real core ticks (a dormant core's caught-up cycles are not ticks).
+    pub core_ticks: u64,
+    /// Core ticks after which the core went dormant past the next cycle.
+    pub core_wakes: u64,
 }
 
 /// One simulated CMP: cores, private caches, OS memory manager, memory
@@ -38,12 +47,6 @@ pub struct System {
     osmem: MemoryManager,
     ctrl: MemoryController,
     policy: Box<dyn PartitionPolicy>,
-    /// Policies riding along with the live one: each plans from the same
-    /// profiles and the same previous plan, and is dropped (`None`) at its
-    /// first plan that differs from the live plan. Until then its own run
-    /// would have been this one, step for step (see
-    /// [`crate::runner::Cell::run_group`]).
-    twins: Vec<Option<Box<dyn PartitionPolicy>>>,
     topo: ColorTopology,
     last_plan: Option<Vec<ColorSet>>,
     next_req_id: u64,
@@ -86,19 +89,18 @@ pub struct System {
     os_base: OsStats,
     sys_base: SysStats,
     rec: Recorder,
-    /// Decision audit layer (shadow policies + estimator accuracy +
-    /// convergence), built only when the recorder asked for it
-    /// ([`dbp_obs::RecorderConfig::audit`]). Observation-only: the byte-identity
-    /// property tests hold attached-vs-detached runs equal.
-    audit: Option<ShadowRack>,
-    /// Host-side self-profiler (wall-clock spans + work counters); named
-    /// `host_prof` because `ctrl.prof()` is the *simulated* per-thread
-    /// DRAM profiler — the two measure different worlds.
+    /// Policies riding along with the live one: the decision audit layer
+    /// (shadow policies + estimator accuracy + convergence), built only
+    /// when the recorder asked for it ([`dbp_obs::RecorderConfig::audit`]),
+    /// or the policy twins of [`System::with_twins`]. Observation-only:
+    /// the byte-identity property tests hold attached-vs-detached runs
+    /// equal.
+    rack: Option<ShadowRack>,
+    /// Host-side self-profiler (wall-clock spans, and the work counters
+    /// each run publishes when it ends); named `host_prof` because
+    /// `ctrl.prof()` is the *simulated* per-thread DRAM profiler — the
+    /// two measure different worlds.
     host_prof: Prof,
-    ctr_cycles: dbp_obs::prof::Counter,
-    ctr_skipped: dbp_obs::prof::Counter,
-    ctr_core_ticks: dbp_obs::prof::Counter,
-    ctr_core_wakes: dbp_obs::prof::Counter,
 }
 
 /// One core's entry in the wake calendar. A core whose next ticks are
@@ -235,9 +237,12 @@ impl System {
     }
 
     /// [`System::with_instrumentation`] with the policies `twins` riding
-    /// along: each cold-starts beside the live policy and then plans
-    /// every epoch from the same profiles, and [`System::twins_agreeing`]
-    /// reports which never planned differently.
+    /// along in the shadow rack: each cold-starts beside the live policy
+    /// and then plans every epoch from the same profiles, and
+    /// [`System::twins_agreeing`] reports which never planned
+    /// differently. A run that audits its decisions carries the audit
+    /// rack instead, so it takes no twins
+    /// ([`crate::runner::Cell::run_group`] keeps the two apart).
     ///
     /// # Panics
     ///
@@ -265,13 +270,6 @@ impl System {
         // so static policies (equal split) are in force from cycle 0.
         let cold = vec![ThreadMemProfile::default(); n];
         let plan = policy.partition(&cold, &topo, None);
-        let twins = twins
-            .iter()
-            .map(|kind| {
-                let mut twin = kind.build();
-                (twin.partition(&cold, &topo, None) == plan).then_some(twin)
-            })
-            .collect();
         for (t, colors) in plan.iter().enumerate() {
             osmem.set_partition(t, *colors);
         }
@@ -279,12 +277,10 @@ impl System {
         let mut ctrl = MemoryController::new(dram, cfg.ctrl, cfg.scheduler.build(n), n);
         ctrl.attach_recorder(rec.clone());
         ctrl.attach_profiler(&prof);
-        let ctr_cycles = prof.counter("sim/cycles_stepped");
-        let ctr_skipped = prof.counter("sim/cycles_skipped");
-        let ctr_core_ticks = prof.counter("sim/core_ticks");
-        let ctr_core_wakes = prof.counter("sim/core_wakes");
-        let audit = if rec.audit_requested() {
+        let rack = if rec.audit_requested() {
             Some(ShadowRack::standard(&cfg, &topo, &plan))
+        } else if !twins.is_empty() {
+            Some(ShadowRack::twins(twins, &topo, &plan))
         } else {
             None
         };
@@ -323,16 +319,11 @@ impl System {
             osmem,
             ctrl,
             policy,
-            twins,
             topo,
             cfg,
             rec,
-            audit,
+            rack,
             host_prof: prof,
-            ctr_cycles,
-            ctr_skipped,
-            ctr_core_ticks,
-            ctr_core_wakes,
         }
     }
 
@@ -342,12 +333,6 @@ impl System {
         // The stepped core ticks everyone every cycle; the skipping core
         // re-derives each wake time after the core's next real tick.
         self.wake_all();
-    }
-
-    /// The host-side self-profiler this system reports into (disabled
-    /// unless built via [`System::with_instrumentation`]).
-    pub fn profiler(&self) -> &Prof {
-        &self.host_prof
     }
 
     /// Number of cores.
@@ -389,7 +374,7 @@ impl System {
     /// Per twin (see [`System::with_twins`]): whether each of its plans so
     /// far, the cold-start plan included, equalled the live one.
     pub(crate) fn twins_agreeing(&self) -> Vec<bool> {
-        self.twins.iter().map(Option::is_some).collect()
+        self.rack.as_ref().map_or_else(Vec::new, ShadowRack::twins_agreeing)
     }
 
     /// Run the warmup phase, then measure until every core reaches the
@@ -447,7 +432,7 @@ impl System {
         self.migration_backlog.clear();
         // The finish fence moves with `base_retired`: reclassify everyone.
         self.wake_all();
-        if let Some(rack) = &mut self.audit {
+        if let Some(rack) = &mut self.rack {
             rack.note_measurement_start(self.stats.repartitions);
         }
         self.measure_start = self.cycle;
@@ -469,10 +454,9 @@ impl System {
     /// Advance exactly one CPU cycle (exposed for tests and tooling).
     ///
     /// Dispatches once on whether the host profiler is live: the
-    /// `PROF = false` monomorphisation contains no span or counter code
-    /// at all, so a disabled profiler costs one predictable branch per
-    /// cycle here (plus one per controller tick) — not a guard pair per
-    /// phase.
+    /// `PROF = false` monomorphisation contains no span code at all, so a
+    /// disabled profiler costs one predictable branch per cycle here
+    /// (plus one per controller tick) — not a guard pair per phase.
     pub fn step(&mut self) {
         if self.host_prof.is_enabled() {
             self.step_impl::<true>();
@@ -554,9 +538,7 @@ impl System {
         self.ctrl.skip_ticks(self.dram_ticks, to - self.dram_ticks);
         self.dram_ticks = to;
         self.next_dram = to * cpd;
-        if self.host_prof.is_enabled() {
-            self.ctr_skipped.add(k);
-        }
+        self.stats.cycles_skipped += k;
         self.cycle = target;
     }
 
@@ -608,9 +590,7 @@ impl System {
     fn step_impl<const PROF: bool>(&mut self) {
         let cycle = self.cycle;
         self.rec.set_cycle(cycle);
-        if PROF {
-            self.ctr_cycles.incr();
-        }
+        self.stats.cycles_stepped += 1;
         if cycle == self.next_dram {
             let _s = PROF.then(|| self.host_prof.span("sim/dram_tick"));
             self.dram_tick(cycle);
@@ -694,11 +674,11 @@ impl System {
             }
             if PROF {
                 span.get_or_insert_with(|| self.host_prof.span("sim/cores_tick"));
-                self.ctr_core_ticks.incr();
             }
+            self.stats.core_ticks += 1;
             self.tick_core(i, cycle);
-            if PROF && self.clocks[i].wake > cycle + 1 {
-                self.ctr_core_wakes.incr();
+            if self.clocks[i].wake > cycle + 1 {
+                self.stats.core_wakes += 1;
             }
         }
     }
@@ -867,15 +847,8 @@ impl System {
             });
         }
         let plan = self.policy.partition(&profiles, &self.topo, self.last_plan.as_deref());
-        if let Some(rack) = &mut self.audit {
+        if let Some(rack) = &mut self.rack {
             rack.observe(epoch, &profiles, &snap, &plan, &self.topo, &self.osmem);
-        }
-        for slot in &mut self.twins {
-            let prev = self.last_plan.as_deref();
-            if slot.as_mut().is_some_and(|twin| twin.partition(&profiles, &self.topo, prev) != plan)
-            {
-                *slot = None;
-            }
         }
         let changed_threads: Vec<usize> = (0..plan.len())
             .filter(|&t| self.last_plan.as_ref().is_none_or(|lp| lp[t] != plan[t]))
@@ -897,14 +870,37 @@ impl System {
         self.stats.repartitions += 1;
     }
 
+    /// Hand this run's host work counters — totals over warmup and
+    /// measurement, zeros included — to the profiler, once per run.
+    fn publish_counters(&self) {
+        if !self.host_prof.is_enabled() {
+            return;
+        }
+        let (s, c) = (&self.stats, self.ctrl.stats());
+        let counters = [
+            ("dram/timing_queries", self.ctrl.dram().timing_queries()),
+            ("memctrl/blocked_ticks", c.blocked_ticks),
+            ("memctrl/commands_issued", c.commands_issued),
+            ("memctrl/idle_ticks", c.idle_ticks),
+            ("memctrl/requests_enqueued", c.enq_reads + c.enq_writes),
+            ("sim/core_ticks", s.core_ticks),
+            ("sim/core_wakes", s.core_wakes),
+            ("sim/cycles_skipped", s.cycles_skipped),
+            ("sim/cycles_stepped", s.cycles_stepped),
+        ];
+        let counters = counters.map(|(name, v)| (name.to_string(), v)).to_vec();
+        self.host_prof.merge(&Profile { spans: Vec::new(), counters });
+    }
+
     fn collect(&mut self) -> RunResult {
         self.feed_instructions();
         if let Some(rep) = self.ctrl.latency_report() {
             self.rec.set_latency(rep.clone());
         }
-        if let Some(rack) = &self.audit {
-            self.rec.set_audit(rack.report());
+        if let Some(report) = self.rack.as_ref().and_then(ShadowRack::report) {
+            self.rec.set_audit(report);
         }
+        self.publish_counters();
         let target = self.cfg.target_instructions;
         // Each thread's measured window of the controller's profile.
         let windows: Vec<ThreadProf> = (0..self.cores.len())
@@ -1182,26 +1178,31 @@ mod tests {
         cfg.epoch_cpu_cycles = 10_000;
         cfg.instr_feed_interval = 5_000;
         cfg.target_instructions = 40_000;
+        // No profiler attached: the work counters are kept regardless.
         let arm = |time_skip: bool| {
             let t0 = SyntheticTrace::new(profiles::by_name("mcf"), 11);
             let t1 = SyntheticTrace::new(profiles::by_name("libquantum"), 12);
-            let prof = dbp_obs::Prof::enabled();
-            let mut sys = System::with_instrumentation(
+            let mut sys = System::new(
                 SimConfig { time_skip, ..cfg.clone() },
                 vec![Box::new(t0), Box::new(t1)],
-                Recorder::disabled(),
-                prof,
             );
             let r = sys.run();
-            let skipped = sys.profiler().counter("sim/cycles_skipped").get();
-            (r, skipped, sys.cycle())
+            let s = *sys.stats();
+            assert_eq!(
+                s.cycles_stepped + s.cycles_skipped,
+                sys.cycle(),
+                "every simulated cycle is counted exactly once"
+            );
+            let c = *sys.ctrl().stats();
+            (r, s.cycles_skipped, sys.cycle(), (c.commands_issued, c.enq_reads, c.enq_writes))
         };
-        let (skipped_run, skipped_cycles, skipped_end) = arm(true);
-        let (stepped_run, stepped_skipped, stepped_end) = arm(false);
+        let (skipped_run, skipped_cycles, skipped_end, skipped_work) = arm(true);
+        let (stepped_run, stepped_skipped, stepped_end, stepped_work) = arm(false);
         assert_eq!(stepped_skipped, 0, "`time_skip: false` pins the stepped core: no jumps");
         assert!(skipped_cycles > 0, "memory-bound mix must expose idle windows");
         assert_eq!(skipped_run, stepped_run);
         assert_eq!(skipped_end, stepped_end);
+        assert_eq!(skipped_work, stepped_work, "commands and enqueues do not depend on skipping");
     }
 }
 
@@ -1225,7 +1226,7 @@ mod prop_tests {
     /// counter (per-bank ones included), and each core's own counters —
     /// `RunResult` carries no stall anatomy, so a lazy catch-up that
     /// drifted `cycles` or a stall counter would pass every other comparison.
-    fn outcome(mut sys: System) -> (RunResult, u64, Vec<u64>, DramStats, Vec<CoreStats>) {
+    fn outcome(sys: &mut System) -> (RunResult, u64, Vec<u64>, DramStats, Vec<CoreStats>) {
         let run = sys.run();
         let dram = sys.ctrl().dram();
         let cfg = dram.cfg();
@@ -1276,7 +1277,7 @@ mod prop_tests {
                     .collect();
                 let mut sys = System::new(cfg.clone(), traces);
                 sys.set_time_skip(skip);
-                outcome(sys)
+                outcome(&mut sys)
             };
             let a = arm(true);
             let b = arm(false);
@@ -1311,15 +1312,14 @@ mod prop_tests {
                     Box::new(SyntheticTrace::new(profile, i)) as Box<dyn TraceSource>
                 })
                 .collect();
-            let prof = dbp_obs::Prof::enabled();
             let mut cfg = SimConfig { time_skip, ..SimConfig::fast_test() };
             cfg.dram.rows_per_bank = 8192; // 66 footprints outgrow the test-sized DRAM
             cfg.warmup_instructions = 5_000;
             cfg.target_instructions = 20_000;
             cfg.epoch_cpu_cycles = 10_000;
             cfg.instr_feed_interval = 5_000;
-            let sys = System::with_instrumentation(cfg, traces, Recorder::disabled(), prof.clone());
-            (outcome(sys), prof.counter("sim/cycles_skipped").get())
+            let mut sys = System::new(cfg, traces);
+            (outcome(&mut sys), sys.stats().cycles_skipped)
         };
         let (skipped, skipped_cycles) = arm(true);
         let (stepped, _) = arm(false);
@@ -1360,12 +1360,12 @@ mod prop_tests {
                 } else {
                     Recorder::disabled()
                 };
-                let sys = System::with_recorder(
+                let mut sys = System::with_recorder(
                     cfg.clone(),
                     vec![Box::new(t0), Box::new(t1)],
                     rec.clone(),
                 );
-                (outcome(sys), rec.snapshot().audit)
+                (outcome(&mut sys), rec.snapshot().audit)
             };
             let a = arm(true);
             let b = arm(false);

@@ -230,7 +230,7 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
     // Alone runs are calibration, not the experiment: only the shared run
     // is observed, so a profile measures its host cost alone.
     let alone = runner::alone_ipcs(&cfg, &mix);
-    let shared = runner::run_shared_instrumented(&cfg, &mix, rec.clone(), prof.clone());
+    let shared = runner::Cell::shared(&cfg, &mix).run(rec.clone(), prof.clone());
     let run = runner::MixRun::from_parts(&mix, alone, shared);
     if telemetry_wanted {
         write_telemetry(opts, &cfg, &mix, &run, &rec)?;

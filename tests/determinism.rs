@@ -75,7 +75,7 @@ fn tracing_does_not_perturb_the_simulation() {
 
     let silent = runner::run_shared(&cfg, mix);
     let rec = Recorder::new(RecorderConfig::default());
-    let recorded = runner::run_shared_instrumented(&cfg, mix, rec.clone(), Prof::disabled());
+    let recorded = runner::Cell::shared(&cfg, mix).run(rec.clone(), Prof::disabled());
 
     assert_eq!(silent, recorded, "an enabled recorder must not change the run");
     let t = rec.snapshot();
@@ -100,7 +100,7 @@ fn profiling_does_not_perturb_the_simulation() {
 
     let silent = runner::run_shared(&cfg, mix);
     let prof = Prof::enabled();
-    let profiled = runner::run_shared_instrumented(&cfg, mix, Recorder::disabled(), prof.clone());
+    let profiled = runner::Cell::shared(&cfg, mix).run(Recorder::disabled(), prof.clone());
     assert_eq!(silent, profiled, "an enabled profiler must not change the run");
     assert_eq!(
         format!("{silent:#?}").into_bytes(),
