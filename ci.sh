@@ -58,6 +58,21 @@ run_mcp_report target/ci-report-mcp-repeat.json
 diff target/ci-report-mcp.json target/ci-report-mcp-repeat.json
 ./target/release/dbpreport --check --require-key epochs target/ci-report-mcp.json
 grep -q '"channel_group"' target/ci-report-mcp.json
+# ...and for DBP-TCM (the paper's Fig. 7 pairing), whose scheduler emits
+# its own decisions: the run spans two 50 000-DRAM-cycle TCM quanta, so
+# clusterings and shuffles land beside DBP's bank demands.
+run_tcm_report() {
+    ./target/release/dbpsim run --mix mix50-1 \
+        --instructions 100000 --warmup 50000 --epoch 30000 --policy dbp --scheduler tcm \
+        --report-out "$1" > /dev/null
+}
+run_tcm_report target/ci-report-tcm.json
+run_tcm_report target/ci-report-tcm-repeat.json
+diff target/ci-report-tcm.json target/ci-report-tcm-repeat.json
+./target/release/dbpreport --check --require-key epochs target/ci-report-tcm.json
+grep -q '"tcm_cluster"' target/ci-report-tcm.json
+grep -q '"tcm_shuffle"' target/ci-report-tcm.json
+grep -q '"bank_demand"' target/ci-report-tcm.json
 
 # Experiment-suite determinism gate: the quick suite's stdout (every
 # table of every experiment) must be byte-identical between the serial

@@ -57,7 +57,6 @@ pub struct Dbp {
     ewma_demand: Vec<f64>,
     was_intensive: Vec<bool>,
     pending_counts: Option<Vec<u32>>,
-    rec: dbp_obs::Recorder,
 }
 
 impl Dbp {
@@ -70,7 +69,6 @@ impl Dbp {
             ewma_demand: Vec::new(),
             was_intensive: Vec::new(),
             pending_counts: None,
-            rec: dbp_obs::Recorder::disabled(),
         }
     }
 
@@ -179,10 +177,6 @@ impl PartitionPolicy for Dbp {
         "dynamic bank partitioning"
     }
 
-    fn attach_recorder(&mut self, rec: dbp_obs::Recorder) {
-        self.rec = rec;
-    }
-
     fn partition(
         &mut self,
         profiles: &[ThreadMemProfile],
@@ -232,7 +226,7 @@ impl PartitionPolicy for Dbp {
                 let raw = self.est.demand(&profiles[t], units);
                 let d = self.smoothed_demand(t, raw).round().max(1.0) as u32;
                 self.last_demands[t] = d;
-                self.rec.emit(dbp_obs::EventKind::BankDemand { thread: t, units: d });
+                dbp_obs::emit(dbp_obs::EventKind::BankDemand { thread: t, units: d });
                 d
             })
             .collect();

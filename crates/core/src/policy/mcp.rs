@@ -49,18 +49,12 @@ pub struct ChannelPartitioning {
     /// same switch is computed twice in a row (debouncing — one flip
     /// migrates the thread's whole footprint across channels).
     pending_switch: Vec<Option<usize>>,
-    rec: dbp_obs::Recorder,
 }
 
 impl ChannelPartitioning {
     /// Build the policy.
     pub fn new(cfg: McpConfig) -> Self {
-        ChannelPartitioning {
-            cfg,
-            last_group: Vec::new(),
-            pending_switch: Vec::new(),
-            rec: dbp_obs::Recorder::disabled(),
-        }
+        ChannelPartitioning { cfg, last_group: Vec::new(), pending_switch: Vec::new() }
     }
 
     /// Group with hysteresis and debouncing: 0 = intensive low-RBL,
@@ -88,10 +82,6 @@ impl PartitionPolicy for ChannelPartitioning {
         "memory channel partitioning"
     }
 
-    fn attach_recorder(&mut self, rec: dbp_obs::Recorder) {
-        self.rec = rec;
-    }
-
     fn partition(
         &mut self,
         profiles: &[ThreadMemProfile],
@@ -113,7 +103,7 @@ impl PartitionPolicy for ChannelPartitioning {
         let mut members: Vec<Vec<usize>> = vec![Vec::new(); 3];
         for (t, p) in profiles.iter().enumerate() {
             let g = self.group_of(t, p);
-            self.rec.emit(dbp_obs::EventKind::ChannelGroup { thread: t, group: g as u8 });
+            dbp_obs::emit(dbp_obs::EventKind::ChannelGroup { thread: t, group: g as u8 });
             members[g].push(t);
         }
         let mut groups: Vec<(Vec<usize>, f64)> = members

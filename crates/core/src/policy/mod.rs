@@ -27,11 +27,6 @@ pub trait PartitionPolicy: std::fmt::Debug {
     /// Policy name for reports.
     fn name(&self) -> &'static str;
 
-    /// Hand the policy a telemetry recorder to emit decision events into
-    /// (DBP demand estimates, MCP group moves). Stateless policies ignore
-    /// it, which is the default.
-    fn attach_recorder(&mut self, _rec: dbp_obs::Recorder) {}
-
     /// Compute the next plan. The result has one non-empty [`ColorSet`]
     /// per thread.
     fn partition(

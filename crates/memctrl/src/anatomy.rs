@@ -90,7 +90,7 @@ enum Cause {
 }
 
 /// The attribution engine. Construct via `Default` (disabled) and call
-/// [`Anatomy::enable`] when a live recorder is attached.
+/// [`Anatomy::enable`] when the controller is built under a live recorder.
 #[derive(Debug, Default)]
 pub struct Anatomy {
     enabled: bool,

@@ -145,10 +145,6 @@ pub struct MemoryController {
     stats: CtrlStats,
     closed_page: bool,
     anat: Anatomy,
-    /// Host self-profiler (wall-clock spans; distinct from `prof`, the
-    /// DRAM-side per-thread profiling the policies consume). Disabled by
-    /// default: every span call is one branch.
-    host_prof: dbp_obs::Prof,
     /// Memoised queue/refresh scan of [`MemoryController::next_event`],
     /// one `(computed_at, at)` per channel. Every scan input — queue
     /// contents, DRAM bank timing, refresh deadlines, drain hysteresis —
@@ -160,7 +156,8 @@ pub struct MemoryController {
 }
 
 impl MemoryController {
-    /// Build a controller for `threads` threads over `dram`.
+    /// Build a controller for `threads` threads over `dram`; built under a
+    /// live recorder ([`dbp_obs::observe`]), it keeps the latency anatomy.
     pub fn new(dram: Dram, cfg: CtrlConfig, sched: Box<dyn Scheduler>, threads: usize) -> Self {
         cfg.validate().expect("invalid CtrlConfig");
         let channels = dram.cfg().channels as usize;
@@ -169,6 +166,10 @@ impl MemoryController {
         let slots = cfg.read_q_cap.max(cfg.write_q_cap);
         let table =
             CandTable::new(total_banks / channels, dram.cfg().banks_per_rank as usize, slots);
+        let mut anat = Anatomy::default();
+        if dbp_obs::recording() {
+            anat.enable(threads, total_banks, channels);
+        }
         MemoryController {
             read_q: vec![Vec::with_capacity(cfg.read_q_cap); channels],
             write_q: vec![Vec::with_capacity(cfg.write_q_cap); channels],
@@ -181,20 +182,12 @@ impl MemoryController {
             prof: ProfilerState::new(threads, total_banks),
             stats: CtrlStats::default(),
             closed_page,
-            anat: Anatomy::default(),
-            host_prof: dbp_obs::Prof::disabled(),
+            anat,
             queue_event: vec![None; channels],
             dram,
             cfg,
             sched,
         }
-    }
-
-    /// Attach a host self-profiler: wall-clock spans around scheduling /
-    /// issue / anatomy. Observation-only: attaching changes no scheduling
-    /// decision. (The work counters are [`CtrlStats`], kept either way.)
-    pub fn attach_profiler(&mut self, prof: &dbp_obs::Prof) {
-        self.host_prof = prof.clone();
     }
 
     /// The queue sizing this controller was built with.
@@ -212,24 +205,8 @@ impl MemoryController {
         self.sched.name()
     }
 
-    /// Forward a telemetry recorder to the scheduler so it can emit
-    /// decision events (e.g. TCM clusterings), and switch on per-request
-    /// latency anatomy when the recorder is live. Disabled anatomy costs
-    /// one branch per tick.
-    pub fn attach_recorder(&mut self, rec: dbp_obs::Recorder) {
-        if rec.is_enabled() {
-            let c = self.dram.cfg();
-            self.anat.enable(
-                self.prof.num_threads(),
-                c.total_banks() as usize,
-                c.channels as usize,
-            );
-        }
-        self.sched.attach_recorder(rec);
-    }
-
-    /// The accumulated latency anatomy (`None` unless a live recorder was
-    /// attached).
+    /// The accumulated latency anatomy (`None` unless the controller was
+    /// built while a live recorder was installed).
     pub fn latency_report(&self) -> Option<&LatencyReport> {
         self.anat.is_enabled().then(|| self.anat.report())
     }
@@ -325,10 +302,11 @@ impl MemoryController {
     ///
     /// Finished demand reads are appended to `completed`.
     ///
-    /// Dispatches once on whether the host profiler is live so the
-    /// `PROF = false` monomorphisation carries no span guards at all.
+    /// Dispatches once on whether a live host profiler is installed
+    /// ([`dbp_obs::profiling`]) so the `PROF = false` monomorphisation
+    /// carries no span guards at all.
     pub fn tick(&mut self, now: Cycle, completed: &mut Vec<Completion>) {
-        if self.host_prof.is_enabled() {
+        if dbp_obs::profiling() {
             self.tick_impl::<true>(now, completed);
         } else {
             self.tick_impl::<false>(now, completed);
@@ -336,7 +314,7 @@ impl MemoryController {
     }
 
     fn tick_impl<const PROF: bool>(&mut self, now: Cycle, completed: &mut Vec<Completion>) {
-        let _tick = PROF.then(|| self.host_prof.span("memctrl/tick"));
+        let _tick = PROF.then(|| dbp_obs::span("memctrl/tick"));
         let in_flight_at_start = self.in_flight();
         while let Some(&Reverse(p)) = self.pending.peek() {
             if p.ready_at > now {
@@ -349,7 +327,7 @@ impl MemoryController {
         }
         self.prof.sample_blp();
         {
-            let _s = PROF.then(|| self.host_prof.span("memctrl/sched"));
+            let _s = PROF.then(|| dbp_obs::span("memctrl/sched"));
             self.sched.tick(now, &self.prof, &self.read_q);
         }
         // A channel whose memoised queue/refresh calendar proves no command
@@ -360,7 +338,7 @@ impl MemoryController {
         let mut any_issued = false;
         {
             let _s = (PROF && !self.queue_event.iter().all(quiet))
-                .then(|| self.host_prof.span("memctrl/issue"));
+                .then(|| dbp_obs::span("memctrl/issue"));
             for ch in 0..self.dram.cfg().channels {
                 let chi = ch as usize;
                 let ic = if quiet(&self.queue_event[chi]) {
@@ -381,7 +359,7 @@ impl MemoryController {
             // went out this cycle has left the queue, so it accrues no
             // wait for its final cycle and the components stay strictly
             // below the total latency (the remainder is intrinsic).
-            let _s = PROF.then(|| self.host_prof.span("memctrl/anatomy"));
+            let _s = PROF.then(|| dbp_obs::span("memctrl/anatomy"));
             let MemoryController { dram, read_q, anat, issued, .. } = self;
             anat.attribute_cycle(now, dram, read_q, issued);
         }
@@ -507,7 +485,7 @@ impl MemoryController {
         if count == 0 {
             return;
         }
-        let _s = self.host_prof.is_enabled().then(|| self.host_prof.span("memctrl/skip"));
+        let _s = dbp_obs::span("memctrl/skip");
         debug_assert!(
             self.pending.peek().is_none_or(|&Reverse(p)| p.ready_at >= from + count),
             "skip window crosses a pending completion"
@@ -1102,9 +1080,9 @@ mod tests {
 
         let prof = dbp_obs::Prof::enabled();
         let mut profiled = mc(Box::new(FrFcfs), 1);
-        profiled.attach_profiler(&prof);
         feed(&mut profiled);
-        let done_prof = run(&mut profiled, ticks);
+        let done_prof =
+            dbp_obs::observe(&dbp_obs::Recorder::disabled(), &prof, || run(&mut profiled, ticks));
 
         assert_eq!(done_plain, done_prof);
         assert_eq!(plain.stats(), profiled.stats());
@@ -1136,18 +1114,22 @@ mod anatomy_tests {
     use super::*;
     use crate::scheduler::FrFcfs;
     use dbp_dram::DramConfig;
-    use dbp_obs::{Recorder, RecorderConfig};
+    use dbp_obs::{Prof, Recorder, RecorderConfig};
 
-    /// A controller with latency anatomy switched on.
-    fn mc_recorded(threads: usize) -> MemoryController {
-        let mut m = MemoryController::new(
+    fn mc_plain(threads: usize) -> MemoryController {
+        MemoryController::new(
             Dram::new(DramConfig::fast_test()),
             CtrlConfig::default(),
             Box::new(FrFcfs),
             threads,
-        );
-        m.attach_recorder(Recorder::new(RecorderConfig::default()));
-        m
+        )
+    }
+
+    /// A controller with latency anatomy switched on: built while a live
+    /// recorder is installed.
+    fn mc_recorded(threads: usize) -> MemoryController {
+        let rec = Recorder::new(RecorderConfig::default());
+        dbp_obs::observe(&rec, &Prof::disabled(), || mc_plain(threads))
     }
 
     fn run(m: &mut MemoryController, cycles: Cycle) -> Vec<Completion> {
@@ -1203,20 +1185,31 @@ mod anatomy_tests {
         assert!(waited > 0, "contended workload must record wait cycles");
     }
 
+    /// The anatomy follows the recorder installed when the controller is
+    /// built, not the one installed when it ticks: a disabled recorder or
+    /// none leaves it off, and a scope that ends does not switch it off.
+    #[test]
+    fn anatomy_follows_the_recorder_installed_at_construction() {
+        let live = Recorder::new(RecorderConfig::default());
+        let mut built_inside = mc_recorded(1);
+        let mut built_outside = mc_plain(1);
+        let muted = dbp_obs::observe(&Recorder::disabled(), &Prof::disabled(), || mc_plain(1));
+        for m in [&mut built_inside, &mut built_outside] {
+            m.enqueue(MemRequest::demand_read(0, 0, 0, 0));
+        }
+        run(&mut built_inside, 200);
+        dbp_obs::observe(&live, &Prof::disabled(), || run(&mut built_outside, 200));
+        assert_eq!(built_inside.latency_report().map(LatencyReport::total_reads), Some(1));
+        assert!(built_outside.latency_report().is_none());
+        assert!(muted.latency_report().is_none());
+    }
+
     /// Attribution is observation-only: an enabled recorder changes no
     /// scheduling decision, completion, or counter.
     #[test]
     fn enabled_recorder_does_not_change_behaviour() {
-        let build = |rec: Option<Recorder>| {
-            let mut m = MemoryController::new(
-                Dram::new(DramConfig::fast_test()),
-                CtrlConfig::default(),
-                Box::new(FrFcfs),
-                2,
-            );
-            if let Some(r) = rec {
-                m.attach_recorder(r);
-            }
+        let build = |recorded: bool| {
+            let mut m = if recorded { mc_recorded(2) } else { mc_plain(2) };
             let stride = same_bank_stride();
             for i in 0..10u64 {
                 m.enqueue(MemRequest::demand_read(i, (i % 2) as usize, i * stride / 2, 0));
@@ -1224,8 +1217,8 @@ mod anatomy_tests {
             }
             m
         };
-        let mut plain = build(None);
-        let mut recorded = build(Some(Recorder::new(RecorderConfig::default())));
+        let mut plain = build(false);
+        let mut recorded = build(true);
         let done_plain = run(&mut plain, 4_000);
         let done_rec = run(&mut recorded, 4_000);
         assert_eq!(done_plain, done_rec);
@@ -1432,11 +1425,10 @@ mod prop_tests {
 
     fn build_any(idx: usize, channels: u32, recorded: bool) -> MemoryController {
         let ctrl = CtrlConfig { read_q_cap: 16, write_q_cap: 16, write_hi: 12, write_lo: 4 };
-        let mut mc = build_with(idx, DramConfig { channels, ..DramConfig::fast_test() }, ctrl);
-        if recorded {
-            mc.attach_recorder(dbp_obs::Recorder::new(Default::default()));
-        }
-        mc
+        let dram = DramConfig { channels, ..DramConfig::fast_test() };
+        let rec =
+            if recorded { dbp_obs::Recorder::new(Default::default()) } else { Default::default() };
+        dbp_obs::observe(&rec, &dbp_obs::Prof::disabled(), || build_with(idx, dram, ctrl))
     }
 
     fn build_with(idx: usize, dram: DramConfig, ctrl: CtrlConfig) -> MemoryController {

@@ -147,11 +147,6 @@ impl ProfilerState {
         }
     }
 
-    /// Number of threads tracked.
-    pub fn num_threads(&self) -> usize {
-        self.epoch.len()
-    }
-
     /// This epoch's counters for `thread`.
     pub fn epoch(&self, thread: usize) -> &ThreadProf {
         &self.epoch[thread]
@@ -278,11 +273,6 @@ impl ProfilerState {
             *e = ThreadProf::default();
         }
         snapshot
-    }
-
-    /// Total attained bus cycles this epoch across threads.
-    pub fn total_bus_cycles(&self) -> u64 {
-        self.epoch.iter().map(|p| p.bus_cycles).sum()
     }
 }
 

@@ -33,11 +33,6 @@ pub trait Scheduler: std::fmt::Debug {
     /// Human-readable policy name (used in reports).
     fn name(&self) -> &'static str;
 
-    /// Hand the scheduler a telemetry recorder to emit decision events
-    /// into (TCM clusterings and shuffles). Schedulers without dynamic
-    /// state ignore it, which is the default.
-    fn attach_recorder(&mut self, _rec: dbp_obs::Recorder) {}
-
     /// Per-cycle bookkeeping (quantum boundaries, shuffles, batch
     /// formation). `read_queues` exposes the per-channel read queues.
     fn tick(&mut self, _now: Cycle, _prof: &ProfilerState, _read_queues: &[Vec<MemRequest>]) {}

@@ -85,7 +85,6 @@ pub struct Tcm {
     prev: Vec<ThreadProf>,
     next_quantum: Cycle,
     next_shuffle: Cycle,
-    rec: dbp_obs::Recorder,
 }
 
 impl Tcm {
@@ -107,7 +106,6 @@ impl Tcm {
             prev: vec![ThreadProf::default(); threads],
             next_quantum: cfg.quantum,
             next_shuffle: cfg.shuffle_interval,
-            rec: dbp_obs::Recorder::disabled(),
         }
     }
 
@@ -193,8 +191,8 @@ impl Tcm {
         bw.sort_by_key(|&t| (std::cmp::Reverse(niceness[t]), t));
         self.bw_order = bw;
         self.rebuild_ranks(&ls);
-        if self.rec.is_enabled() {
-            self.rec.emit(dbp_obs::EventKind::TcmCluster {
+        if dbp_obs::recording() {
+            dbp_obs::emit(dbp_obs::EventKind::TcmCluster {
                 latency: ls,
                 bandwidth: self.bw_order.clone(),
             });
@@ -224,8 +222,8 @@ impl Tcm {
             for (i, &t) in self.bw_order.iter().enumerate() {
                 self.rank_of[t] = base + i as u32;
             }
-            if self.rec.is_enabled() {
-                self.rec.emit(dbp_obs::EventKind::TcmShuffle { order: self.bw_order.clone() });
+            if dbp_obs::recording() {
+                dbp_obs::emit(dbp_obs::EventKind::TcmShuffle { order: self.bw_order.clone() });
             }
         }
     }
@@ -234,10 +232,6 @@ impl Tcm {
 impl Scheduler for Tcm {
     fn name(&self) -> &'static str {
         "TCM"
-    }
-
-    fn attach_recorder(&mut self, rec: dbp_obs::Recorder) {
-        self.rec = rec;
     }
 
     fn tick(&mut self, now: Cycle, prof: &ProfilerState, _read_queues: &[Vec<MemRequest>]) {

@@ -11,6 +11,8 @@
 //!   cheap-clone [`Recorder`] handle the whole stack emits into. A
 //!   disabled recorder reduces every call to a `None` check, so
 //!   instrumentation never perturbs the simulation;
+//! * [`seam`] — the one way observers reach the stack: a run installs
+//!   its pair ([`observe`]); components [`emit`] and [`span`] through it;
 //! * [`export`] — renders captured [`Telemetry`] as the one run
 //!   document (epochs, events, `latency` and `audit` sections) and as a
 //!   Chrome `trace_event` file for `chrome://tracing` / Perfetto;
@@ -39,6 +41,7 @@ pub mod json;
 pub mod latency;
 pub mod prof;
 pub mod recorder;
+pub mod seam;
 pub mod table;
 
 pub use audit::{AuditBuilder, AuditReport, EpochObservation, ProfileSample, ShadowEpoch};
@@ -49,4 +52,5 @@ pub use json::Json;
 pub use latency::{CoreLatency, LatencyReport, Matrix};
 pub use prof::{Prof, ProfSpan, Profile};
 pub use recorder::{EpochSample, Recorder, RecorderConfig, Telemetry, ThreadSample};
+pub use seam::{emit, observe, profiling, recording, span};
 pub use table::Table;

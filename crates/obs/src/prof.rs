@@ -235,7 +235,7 @@ impl std::fmt::Debug for Prof {
 
 impl Prof {
     /// A no-op handle: every call is one branch.
-    pub fn disabled() -> Self {
+    pub const fn disabled() -> Self {
         Prof { inner: None }
     }
 
@@ -356,13 +356,6 @@ json_record! {
         pub max_ns: u64,
         /// Child spans, sorted by name.
         pub children: Vec<ProfSpan>,
-    }
-}
-
-impl ProfSpan {
-    /// Mean nanoseconds per occurrence (0 when never entered).
-    pub fn avg_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
     }
 }
 
@@ -632,7 +625,7 @@ mod tests {
         // u64-exact: no residue, no slack.
         assert_eq!(outer.self_ns + a.total_ns + b.total_ns, outer.total_ns);
         assert_eq!(b.self_ns + b.children[0].total_ns, b.total_ns);
-        assert!(outer.max_ns >= outer.avg_ns());
+        assert!(outer.max_ns >= outer.total_ns / outer.count);
     }
 
     #[test]

@@ -60,6 +60,8 @@ pub struct OsStats {
 }
 
 /// Per-thread page tables over a shared color-aware frame allocator.
+/// Every fallback allocation, page move, failed move and deferral is
+/// emitted to the installed recorder ([`dbp_obs::emit`]).
 #[derive(Debug, Clone)]
 pub struct MemoryManager {
     mapper: AddressMapper,
@@ -72,7 +74,6 @@ pub struct MemoryManager {
     /// Remaining migrations until the next [`MemoryManager::refill_migration_budget`].
     /// `None` = unlimited.
     migration_budget: Option<u64>,
-    rec: dbp_obs::Recorder,
 }
 
 impl MemoryManager {
@@ -96,14 +97,7 @@ impl MemoryManager {
             mode,
             stats: OsStats::default(),
             migration_budget: None,
-            rec: dbp_obs::Recorder::disabled(),
         }
-    }
-
-    /// Hand the manager a telemetry recorder: every allocation fallback
-    /// and page migration (with its cause) is emitted as an event.
-    pub fn attach_recorder(&mut self, rec: dbp_obs::Recorder) {
-        self.rec = rec;
     }
 
     /// Limit migrations until the next refill. A real migration daemon is
@@ -120,7 +114,7 @@ impl MemoryManager {
             None => true,
             Some(0) => {
                 self.stats.deferred_migrations += 1;
-                self.rec.emit(EventKind::MigrationDeferred { thread });
+                dbp_obs::emit(EventKind::MigrationDeferred { thread });
                 false
             }
             Some(b) => {
@@ -138,11 +132,6 @@ impl MemoryManager {
     /// Number of page colors.
     pub fn num_colors(&self) -> u32 {
         self.allocator.num_colors()
-    }
-
-    /// Number of threads managed.
-    pub fn num_threads(&self) -> usize {
-        self.tables.len()
     }
 
     /// Statistics snapshot.
@@ -163,7 +152,7 @@ impl MemoryManager {
         // Partition exhausted: a real OS spills rather than OOM-killing.
         self.stats.allocations += 1;
         self.stats.fallback_allocations += 1;
-        self.rec.emit(EventKind::FallbackAlloc { thread, vpn });
+        dbp_obs::emit(EventKind::FallbackAlloc { thread, vpn });
         self.allocator
             .alloc(&ColorSet::all(self.allocator.num_colors()))
             .expect("physical memory exhausted")
@@ -362,13 +351,13 @@ impl MemoryManager {
     ) -> Option<MigrationJob> {
         let Some(new_frame) = self.allocator.alloc(&colors) else {
             self.stats.failed_migrations += 1;
-            self.rec.emit(EventKind::MigrationFailed { thread });
+            dbp_obs::emit(EventKind::MigrationFailed { thread });
             return None;
         };
         self.allocator.free(old_frame);
         self.tables[thread].map(vpn, new_frame);
         self.stats.migrated_pages += 1;
-        self.rec.emit(EventKind::PageMigration { thread, vpn, old_frame, new_frame, cause });
+        dbp_obs::emit(EventKind::PageMigration { thread, vpn, old_frame, new_frame, cause });
         Some(MigrationJob { thread, vpn, old_frame, new_frame })
     }
 }
@@ -519,46 +508,46 @@ mod tests {
     fn page_events_match_os_stats() {
         use dbp_obs::{EventKind as E, MigrationCause as C};
         let rec = dbp_obs::Recorder::new(dbp_obs::RecorderConfig::default());
-        let one = |c: u32| ColorSet::from_iter([c]);
-        let mut mm = MemoryManager::new(&cfg(), 2, MigrationMode::Lazy);
-        mm.attach_recorder(rec.clone());
-        // Thread 1 outgrows color 1 (128 frames): two fallbacks, color 1 full.
-        mm.set_partition(1, one(1));
-        for p in 0..130u64 {
-            mm.translate(1, p << 12);
-        }
-        mm.set_partition(0, one(0));
-        for p in 0..24u64 {
-            mm.translate(0, p << 12);
-        }
-        // A failed move into the full color, a deferral, then lazy moves.
-        mm.set_partition(0, one(1));
-        mm.translate(0, 0);
-        mm.set_partition(0, one(2));
-        mm.refill_migration_budget(Some(0));
-        mm.translate(0, 1 << 12);
-        mm.refill_migration_budget(None);
-        for p in 0..24u64 {
-            mm.translate(0, p << 12);
-        }
-        // All 24 pages sit on color 2: growing to {2, 3} spreads them.
-        mm.set_partition(0, ColorSet::from_iter([2u32, 3]));
-        assert!(!mm.rebalance_thread(0).is_empty());
-        // Conform moves thread 0 to color 4 and fails thread 1's fallbacks.
-        mm.set_partition(0, one(4));
-        mm.conform_all();
-        let mut eager = MemoryManager::new(&cfg(), 1, MigrationMode::Eager);
-        eager.attach_recorder(rec.clone());
-        eager.set_partition(0, one(0));
-        for p in 0..4u64 {
-            eager.translate(0, p << 12);
-        }
-        assert_eq!(eager.set_partition(0, one(5)).len(), 4);
+        let stats = dbp_obs::observe(&rec, &dbp_obs::Prof::disabled(), || {
+            let one = |c: u32| ColorSet::from_iter([c]);
+            let mut mm = MemoryManager::new(&cfg(), 2, MigrationMode::Lazy);
+            // Thread 1 outgrows color 1 (128 frames): two fallbacks, color 1 full.
+            mm.set_partition(1, one(1));
+            for p in 0..130u64 {
+                mm.translate(1, p << 12);
+            }
+            mm.set_partition(0, one(0));
+            for p in 0..24u64 {
+                mm.translate(0, p << 12);
+            }
+            // A failed move into the full color, a deferral, then lazy moves.
+            mm.set_partition(0, one(1));
+            mm.translate(0, 0);
+            mm.set_partition(0, one(2));
+            mm.refill_migration_budget(Some(0));
+            mm.translate(0, 1 << 12);
+            mm.refill_migration_budget(None);
+            for p in 0..24u64 {
+                mm.translate(0, p << 12);
+            }
+            // All 24 pages sit on color 2: growing to {2, 3} spreads them.
+            mm.set_partition(0, ColorSet::from_iter([2u32, 3]));
+            assert!(!mm.rebalance_thread(0).is_empty());
+            // Conform moves thread 0 to color 4 and fails thread 1's fallbacks.
+            mm.set_partition(0, one(4));
+            mm.conform_all();
+            let mut eager = MemoryManager::new(&cfg(), 1, MigrationMode::Eager);
+            eager.set_partition(0, one(0));
+            for p in 0..4u64 {
+                eager.translate(0, p << 12);
+            }
+            assert_eq!(eager.set_partition(0, one(5)).len(), 4);
+            [*mm.stats(), *eager.stats()]
+        });
 
         let t = rec.snapshot();
         assert_eq!(t.dropped_events, 0);
         let events = |f: fn(&E) -> bool| t.events.iter().filter(|e| f(&e.kind)).count() as u64;
-        let stats = [*mm.stats(), *eager.stats()];
         let counted = |f: fn(&OsStats) -> u64| stats.iter().map(f).sum::<u64>();
         for (kind, emitted, counter) in [
             (

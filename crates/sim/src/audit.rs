@@ -22,10 +22,12 @@
 //!
 //! `observe` takes `&MemoryManager` and reads page placement through
 //! [`MemoryManager::pages_outside`]; riders receive their *own* previous
-//! plan (never the live one) and a disabled recorder, so no rider
-//! decision can leak into events, placement, or scheduling. The property
-//! tests in `system.rs` hold the whole rack to byte-identical simulation
-//! output, attached vs detached, across every scheduler.
+//! plan (never the live one), and the system builds the rack and calls
+//! `observe` muted — under a disabled recorder and the run's profiler
+//! ([`dbp_obs::observe`]) — so no rider decision can leak into events,
+//! placement, or scheduling. The property tests in `system.rs` hold the
+//! whole rack to byte-identical simulation output, attached vs detached,
+//! across every scheduler.
 
 use dbp_core::policy::{DbpConfig, PartitionPolicy, PolicyKind};
 use dbp_core::{BankDemandEstimator, ColorTopology, EstimatorConfig, ThreadMemProfile};
