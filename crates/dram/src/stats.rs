@@ -1,5 +1,5 @@
 //! Device-level statistics: command counts, per-bank activity, and data
-//! bus utilisation.
+//! bus busy time.
 
 use crate::Cycle;
 
@@ -16,7 +16,7 @@ pub struct DramStats {
     pub precharges: u64,
     /// Total REF commands.
     pub refreshes: u64,
-    /// Bus cycles spent transferring data.
+    /// Bus cycles spent transferring data, summed over channels.
     pub data_bus_busy: Cycle,
     /// ACT count per bank (flat index), for bank-balance studies.
     pub activates_per_bank: Vec<u64>,
@@ -99,14 +99,6 @@ impl DramStats {
         (self.reads + self.writes) as f64 / self.activates as f64
     }
 
-    /// Fraction of `elapsed` bus cycles the data bus carried data.
-    pub fn bus_utilisation(&self, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            return 0.0;
-        }
-        self.data_bus_busy as f64 / elapsed as f64
-    }
-
     /// Coefficient of variation of per-bank accesses — 0 when perfectly
     /// balanced.
     pub fn bank_imbalance(&self) -> f64 {
@@ -132,15 +124,6 @@ mod tests {
     fn accesses_per_activate_handles_zero() {
         let s = DramStats::new(4);
         assert_eq!(s.accesses_per_activate(), 0.0);
-    }
-
-    #[test]
-    fn bus_utilisation_fraction() {
-        let mut s = DramStats::new(4);
-        s.record_read(0, 4);
-        s.record_write(1, 4);
-        assert!((s.bus_utilisation(16) - 0.5).abs() < 1e-12);
-        assert_eq!(s.bus_utilisation(0), 0.0);
     }
 
     #[test]

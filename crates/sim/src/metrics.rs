@@ -61,7 +61,8 @@ pub struct RunResult {
     pub reached_target: bool,
     /// System-wide row-buffer hit rate across serviced requests.
     pub row_hit_rate: f64,
-    /// DRAM data-bus utilisation over the run.
+    /// DRAM data-bus utilisation over the run: busy cycles summed over
+    /// channels, divided by the channels' total bus cycles.
     pub bus_utilisation: f64,
     /// Column accesses per row activation (device-level locality).
     pub accesses_per_activate: f64,
