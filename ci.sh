@@ -122,6 +122,11 @@ DBP_JOBS=1 ./target/release/bench_all --quick --profile-out target/ci-prof-seria
 grep -o '"counters":{[^}]*}' target/ci-prof-skipping.json > target/ci-counters.txt
 grep -o '"counters":{[^}]*}' target/ci-prof-serial.json > target/ci-counters-serial.txt
 diff target/ci-counters.txt target/ci-counters-serial.txt
+# ...and no worker loses a span: both profiles hold the same span paths,
+# in the same order, with the same counts (durations are not compared).
+grep -o '"name":"[^"]*","count":[0-9]*' target/ci-prof-skipping.json > target/ci-span-counts.txt
+grep -o '"name":"[^"]*","count":[0-9]*' target/ci-prof-serial.json > target/ci-span-counts-serial.txt
+diff target/ci-span-counts.txt target/ci-span-counts-serial.txt
 ./target/release/dbpreport --check --require-key experiments --require-key total_wall_ns SUITE_timing.json
 ./target/release/dbpreport --check --require-key spans --require-key counters PROF_suite.json
 ./target/release/dbpreport PROF_suite.json > /dev/null

@@ -153,10 +153,10 @@ impl Engine {
     /// Route host-side self-profiling into `prof`: every simulation that
     /// really runs gets a `bench/shared_run` or `bench/solo_run` span
     /// with the simulator's own `sim/*`, `memctrl/*` spans and work
-    /// counters beneath it. Workers flush their thread-local span trees
-    /// before each job returns, so a [`Prof::snapshot`] taken between
-    /// grid calls sees everything. Profiling only observes — tables stay
-    /// byte-identical.
+    /// counters beneath it. Each job runs with `prof` installed
+    /// ([`dbp_obs::observe`]) and its spans fold into `prof` when the job
+    /// ends, so a [`Prof::snapshot`] taken between grid calls sees
+    /// everything. Profiling only observes — tables stay byte-identical.
     pub fn attach_profiler(&mut self, prof: &Prof) {
         self.prof = prof.clone();
     }
@@ -255,7 +255,7 @@ impl Engine {
             let twins: Vec<PolicyKind> = riders.iter().map(|&m| members[m].cfg.policy).collect();
             let span = if is_solo(cell) { "bench/solo_run" } else { "bench/shared_run" };
             let (out, agreed) = {
-                let _s = self.prof.span(span);
+                let _s = dbp_obs::span(span);
                 cell.run_group(&twins, Recorder::disabled(), self.prof.clone())
             };
             let mut dropped = Vec::new();
@@ -334,23 +334,20 @@ impl Engine {
     {
         self.stats.lock().expect("stats poisoned").aux_runs += items.len() as u64;
         self.pooled(items, |item| {
-            let _s = self.prof.span("bench/aux_job");
+            let _s = dbp_obs::span("bench/aux_job");
             f(item)
         })
     }
 
-    /// `f` over `items` on the pool; `f` opens the job's spans.
+    /// `f` over `items` on the pool, each job with the engine's profiler
+    /// installed ([`dbp_obs::observe`]); `f` opens the job's spans.
     fn pooled<I, T>(&self, items: Vec<I>, f: impl Fn(I) -> T + Sync) -> Vec<T>
     where
         I: Send,
         T: Send,
     {
         pool::par_map(self.workers, items, |item| {
-            let out = f(item);
-            // Pool workers die with the scope; hand this thread's span
-            // tree back to the profiler while it is still complete.
-            self.prof.flush_thread();
-            out
+            dbp_obs::observe(&Recorder::disabled(), &self.prof, || f(item))
         })
     }
 }
@@ -659,8 +656,20 @@ mod tests {
         assert_eq!(serial[0][1].metrics, direct.metrics);
     }
 
+    /// A profile with every duration zeroed: what must not depend on how
+    /// many workers ran the jobs (span paths, counts and counters).
+    fn shape(p: &dbp_obs::Profile) -> dbp_obs::Profile {
+        fn zero(s: &mut dbp_obs::ProfSpan) {
+            (s.total_ns, s.self_ns, s.max_ns) = (0, 0, 0);
+            s.children.iter_mut().for_each(zero);
+        }
+        let mut p = p.clone();
+        p.spans.iter_mut().for_each(zero);
+        p
+    }
+
     #[test]
-    fn profiled_grid_is_byte_identical_and_flushes_workers() {
+    fn profiled_grid_is_byte_identical_and_workers_lose_no_span_data() {
         let cfg = tiny_cfg();
         let mixes = [mixes_4core()[0].clone()];
         let combos = [harness::shared(), harness::dbp()];
@@ -680,8 +689,8 @@ mod tests {
                 assert_eq!(p.shared, q.shared);
             }
         }
-        // Worker trees were flushed: the snapshot sees every job, with
-        // the simulator's own spans nested under the shared runs.
+        // The snapshot sees every job, with the simulator's own spans
+        // nested under the shared runs.
         let p = prof.snapshot();
         let shared =
             p.spans.iter().find(|s| s.name == "bench/shared_run").expect("shared-run span present");
@@ -689,9 +698,11 @@ mod tests {
         assert!(shared.children.iter().any(|c| c.name == "sim/measure"));
         let solo = p.spans.iter().find(|s| s.name == "bench/solo_run").unwrap();
         assert_eq!(solo.count, 4);
-        // Each run publishes its counters once, from whichever worker.
+        // Each run publishes its counters once, from whichever worker, and
+        // no worker loses a span: two workers record exactly the paths,
+        // counts and counters one does.
         assert_eq!(p.counters.len(), 9);
-        assert_eq!(p.counters, profiled_on(1).0.snapshot().counters);
+        assert_eq!(shape(&p), shape(&profiled_on(1).0.snapshot()));
         // A span means a simulation really ran: memo hits open none.
         eng.run_grid(&cfg, &mixes, &combos);
         let jobs = |p: &dbp_obs::Profile| -> u64 {

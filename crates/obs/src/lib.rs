@@ -17,8 +17,8 @@
 //!   document (epochs, events, `latency` and `audit` sections) and as a
 //!   Chrome `trace_event` file for `chrome://tracing` / Perfetto;
 //! * [`prof`] — host-side self-profiling: exact-sum wall-clock span
-//!   trees and the work-counter totals each run merges in, behind the
-//!   same cheap-clone disabled-is-one-branch handle shape as [`Recorder`];
+//!   trees (opened through the seam) and the work-counter totals each
+//!   run merges in, behind a cheap-clone handle like [`Recorder`]'s;
 //! * [`audit`] — the policy decision audit data model (shadow-policy
 //!   comparison, demand-estimation accuracy, convergence telemetry),
 //!   fed by the simulator's epoch loop;

@@ -7,8 +7,8 @@
 //! instruments with the same discipline the anatomy uses:
 //!
 //! * **Spans** — hierarchical wall-clock regions over a monotonic clock
-//!   ([`std::time::Instant`]). Each thread keeps its own span stack and
-//!   aggregates per *path* (parent chain + name) into
+//!   ([`std::time::Instant`]), opened with [`crate::seam::span`] and
+//!   aggregated per *path* (parent chain + name) into
 //!   count / total_ns / self_ns / max_ns. The exact-sum invariant holds
 //!   by construction and is re-asserted on every snapshot and parse:
 //!   for every node, `self_ns + Σ children.total_ns == total_ns`
@@ -20,34 +20,27 @@
 //!   [`Profile`] holding only counters, through [`Prof::merge`]. Merging
 //!   sums counters by name, so runs on many threads add up.
 //!
-//! The handle follows the [`crate::recorder::Recorder`] shape: [`Prof`]
-//! is cheap to clone and a *disabled* handle reduces every call to a
-//! single `Option` check, so instrumentation can stay in the hot path
-//! permanently. Unlike `Recorder` it is `Send + Sync` (`Arc` inside):
-//! the bench `Engine` profiles jobs running on pool worker threads.
+//! [`Prof`] is a cheap-clone handle to one merged profile, `Send + Sync`
+//! so the bench `Engine` can profile jobs on pool worker threads.
 //!
-//! Threading model: span data lives in thread-local trees and is folded
-//! into the shared profile by [`Prof::flush_thread`]. Worker threads
-//! must flush explicitly before they finish (the bench engine does this
-//! at the end of every job); thread-local destructors also flush as a
-//! backstop, but scoped-thread teardown order makes that a best-effort
-//! path, not the contract. [`Prof::snapshot`] flushes the calling
-//! thread, so single-threaded users never think about it.
+//! Threading model: one tree per outermost scope, and no flush contract.
+//! A profiler keeps no per-thread state; each outermost
+//! [`crate::seam::observe`] scope of a profiler on a thread records into
+//! a `SpanTree` of its own and folds it in through [`Prof::merge`] when
+//! it ends (see [`crate::seam`]). Once a scope has ended, on any thread,
+//! [`Prof::snapshot`] sees its spans.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::marker::PhantomData;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use crate::fxhash::FxHashMap;
 use crate::json::{json_record, Json, JsonValue};
 use crate::table::{fmt_ns, Table};
 
 /// Sentinel parent index for root spans inside a [`SpanTree`].
 const ROOT: usize = usize::MAX;
 
-/// One aggregated node of a thread-local span tree.
-#[derive(Debug)]
+/// One aggregated node of a span tree.
 struct NodeAgg {
     name: &'static str,
     parent: usize,
@@ -57,8 +50,7 @@ struct NodeAgg {
     max_ns: u64,
 }
 
-/// An open span on the thread's stack.
-#[derive(Debug)]
+/// An open span on the tree's stack.
 struct Frame {
     node: usize,
     start: Instant,
@@ -66,17 +58,28 @@ struct Frame {
     child_ns: u64,
 }
 
-/// Per-thread span aggregation: a flat arena of path-keyed nodes plus
+/// One scope's span aggregation: a flat arena of path-keyed nodes plus
 /// the stack of currently open spans.
-#[derive(Debug, Default)]
-struct SpanTree {
+#[derive(Default)]
+pub(crate) struct SpanTree {
     nodes: Vec<NodeAgg>,
-    index: HashMap<(usize, &'static str), usize>,
+    index: FxHashMap<(usize, &'static str), usize>,
     stack: Vec<Frame>,
 }
 
 impl SpanTree {
-    fn open(&mut self, name: &'static str) -> usize {
+    /// An empty tree; `const` so the seam's thread-local needs no lazy init.
+    pub(crate) const fn new() -> Self {
+        SpanTree {
+            nodes: Vec::new(),
+            index: FxHashMap::with_hasher(std::hash::BuildHasherDefault::new()),
+            stack: Vec::new(),
+        }
+    }
+
+    /// Open `name` under the innermost open span and return its depth on
+    /// the stack, which closes it.
+    pub(crate) fn open(&mut self, name: &'static str) -> usize {
         let parent = self.stack.last().map_or(ROOT, |f| f.node);
         let node = match self.index.get(&(parent, name)) {
             Some(&i) => i,
@@ -97,13 +100,23 @@ impl SpanTree {
         // Start the clock last so arena bookkeeping is charged to the
         // parent's self time, not to this span.
         self.stack.push(Frame { node, start: Instant::now(), child_ns: 0 });
-        node
+        self.stack.len() - 1
     }
 
-    fn close(&mut self, node: usize) {
+    /// Close the span opened at `depth`, which must be the innermost.
+    /// While a panic unwinds, frames left open above it (their guards
+    /// never dropped) are discarded instead, and nothing here may panic
+    /// again: a caught panic leaves the stack as its scope found it.
+    pub(crate) fn close(&mut self, depth: usize) {
         let end = Instant::now();
-        let frame = self.stack.pop().expect("span guard dropped with an empty stack");
-        assert!(frame.node == node, "span guards must drop in LIFO order");
+        if std::thread::panicking() {
+            if self.stack.len() <= depth {
+                return;
+            }
+            self.stack.truncate(depth + 1);
+        }
+        assert!(self.stack.len() == depth + 1, "span guards must drop in LIFO order");
+        let frame = self.stack.pop().expect("depth is in range");
         let elapsed = u64::try_from(end.duration_since(frame.start).as_nanos()).unwrap_or(u64::MAX);
         // Children ran strictly inside [start, end] of this span on this
         // thread, so their elapsed sum cannot exceed ours: self time is
@@ -111,7 +124,7 @@ impl SpanTree {
         let self_ns = elapsed
             .checked_sub(frame.child_ns)
             .expect("monotonic clock: children cannot outlast their parent span");
-        let n = &mut self.nodes[node];
+        let n = &mut self.nodes[frame.node];
         n.count += 1;
         n.total_ns += elapsed;
         n.self_ns += self_ns;
@@ -121,10 +134,10 @@ impl SpanTree {
         }
     }
 
-    /// Drain the aggregated tree into a nested [`Profile`] (children
-    /// sorted by name for deterministic output), leaving it empty.
-    fn take_profile(&mut self) -> Profile {
-        assert!(self.stack.is_empty(), "cannot flush a span tree with an open span");
+    /// The aggregated tree as a nested [`Profile`] (children sorted by
+    /// name for deterministic output).
+    pub(crate) fn into_profile(self) -> Profile {
+        assert!(self.stack.is_empty(), "cannot fold a span tree with an open span");
         let mut kids: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
         let mut roots: Vec<usize> = Vec::new();
         for (i, n) in self.nodes.iter().enumerate() {
@@ -151,80 +164,16 @@ impl SpanTree {
         let mut spans: Vec<ProfSpan> =
             roots.iter().map(|&r| build(&self.nodes, &kids, r)).collect();
         spans.sort_by(|a, b| a.name.cmp(&b.name));
-        self.nodes.clear();
-        self.index.clear();
         Profile { spans, counters: Vec::new() }
     }
 }
 
-/// The trees this thread holds, one per live profiler it has recorded
-/// into. Dropping the set (thread exit) flushes what it can.
-#[derive(Default)]
-struct ThreadTreeSet {
-    entries: Vec<ThreadEntry>,
-}
-
-struct ThreadEntry {
-    owner: Weak<Inner>,
-    tree: SpanTree,
-}
-
-impl ThreadTreeSet {
-    fn find(&mut self, inner: &Arc<Inner>) -> Option<&mut ThreadEntry> {
-        let ptr = Arc::as_ptr(inner);
-        // `strong_count > 0` guards against an old profiler's allocation
-        // being reused for a new one (the dangling Weak keeps the stale
-        // pointer but reports zero strong refs).
-        self.entries
-            .iter_mut()
-            .find(|e| Weak::as_ptr(&e.owner) == ptr && e.owner.strong_count() > 0)
-    }
-
-    fn tree_for(&mut self, inner: &Arc<Inner>) -> &mut SpanTree {
-        if self.find(inner).is_none() {
-            self.entries.retain(|e| e.owner.strong_count() > 0);
-            self.entries
-                .push(ThreadEntry { owner: Arc::downgrade(inner), tree: SpanTree::default() });
-        }
-        &mut self.find(inner).expect("just inserted").tree
-    }
-}
-
-impl Drop for ThreadTreeSet {
-    fn drop(&mut self) {
-        for e in &mut self.entries {
-            if let Some(inner) = e.owner.upgrade() {
-                if e.tree.stack.is_empty() && !e.tree.nodes.is_empty() {
-                    inner.absorb(&e.tree.take_profile());
-                }
-            }
-        }
-    }
-}
-
-thread_local! {
-    static TREES: RefCell<ThreadTreeSet> = RefCell::new(ThreadTreeSet::default());
-}
-
-/// Shared state behind an enabled [`Prof`]: the one profile that span
-/// trees and counter sets both merge into.
-#[derive(Default)]
-struct Inner {
-    merged: Mutex<Profile>,
-}
-
-impl Inner {
-    fn absorb(&self, p: &Profile) {
-        self.merged.lock().expect("prof merge lock").merge(p);
-    }
-}
-
-/// Cheap-clone handle to the self-profiler. Disabled (the default) every
-/// operation is a single branch; enabled, spans cost two `Instant::now`
-/// calls plus a hash lookup.
+/// Cheap-clone handle to the self-profiler: one merged [`Profile`] that
+/// span trees and counter sets fold into. Disabled (the default) it
+/// records nothing.
 #[derive(Clone, Default)]
 pub struct Prof {
-    inner: Option<Arc<Inner>>,
+    merged: Option<Arc<Mutex<Profile>>>,
 }
 
 impl std::fmt::Debug for Prof {
@@ -234,107 +183,45 @@ impl std::fmt::Debug for Prof {
 }
 
 impl Prof {
-    /// A no-op handle: every call is one branch.
+    /// A no-op handle.
     pub const fn disabled() -> Self {
-        Prof { inner: None }
+        Prof { merged: None }
     }
 
     /// A live profiler. Clones share the same profile.
     pub fn enabled() -> Self {
-        Prof { inner: Some(Arc::new(Inner::default())) }
+        Prof { merged: Some(Arc::default()) }
     }
 
     /// Whether this handle records anything.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+        self.merged.is_some()
     }
 
-    /// Open a span named `name` under the innermost open span on this
-    /// thread. The span measures until the returned guard drops; guards
-    /// must drop in LIFO order (scope them naturally).
-    // `inline` so the disabled path collapses to a branch at call sites
-    // in other crates (there is no LTO to do it for us).
-    #[inline]
-    #[must_use = "a span measures until its guard drops; binding to _ closes it immediately"]
-    pub fn span(&self, name: &'static str) -> Span {
-        let node = match &self.inner {
-            None => 0,
-            Some(inner) => TREES.with(|t| t.borrow_mut().tree_for(inner).open(name)),
-        };
-        Span { owner: self.inner.clone(), node, _not_send: PhantomData }
+    /// Whether `self` and `other` are handles to the same profile (two
+    /// disabled handles are).
+    pub(crate) fn same(&self, other: &Prof) -> bool {
+        self.merged.as_ref().map(Arc::as_ptr) == other.merged.as_ref().map(Arc::as_ptr)
     }
 
     /// Fold `p` into the shared profile ([`Profile::merge`]: spans sum by
-    /// path, counters by name). How a run publishes its work counters.
+    /// path, counters by name). How a run publishes its work counters and
+    /// a scope its span tree.
     pub fn merge(&self, p: &Profile) {
-        if let Some(inner) = &self.inner {
-            inner.absorb(p);
+        if let Some(merged) = &self.merged {
+            merged.lock().expect("prof merge lock").merge(p);
         }
     }
 
-    /// Fold this thread's span tree into the shared profile. Call at the
-    /// end of every pool job; a no-op when disabled or nothing recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called while a span is still open on this thread — that
-    /// would orphan the open frame and break the exact-sum invariant.
-    pub fn flush_thread(&self) {
-        let Some(inner) = &self.inner else { return };
-        TREES.with(|t| {
-            let mut set = t.borrow_mut();
-            if let Some(entry) = set.find(inner) {
-                assert!(entry.tree.stack.is_empty(), "flush_thread/snapshot inside an open span");
-                if !entry.tree.nodes.is_empty() {
-                    inner.absorb(&entry.tree.take_profile());
-                }
-            }
-        });
-    }
-
-    /// Flush this thread, then return a copy of the merged profile.
-    /// Asserts the exact-sum invariant.
-    ///
-    /// Worker threads that recorded spans must have called
-    /// [`Prof::flush_thread`] (or exited) first, or their data is not in
-    /// this snapshot yet.
+    /// A copy of the merged profile: every counter set merged so far and
+    /// the span tree of every [`crate::seam::observe`] scope of this
+    /// profiler that has ended. Asserts the exact-sum invariant.
     pub fn snapshot(&self) -> Profile {
-        let Some(inner) = &self.inner else { return Profile::default() };
-        self.flush_thread();
-        let p = inner.merged.lock().expect("prof merge lock").clone();
+        let Some(merged) = &self.merged else { return Profile::default() };
+        let p = merged.lock().expect("prof merge lock").clone();
         p.assert_exact_sum();
         p
-    }
-}
-
-/// RAII guard for one open span. `!Send`: a span belongs to the stack of
-/// the thread that opened it.
-#[must_use = "a span measures until its guard drops; binding to _ closes it immediately"]
-pub struct Span {
-    owner: Option<Arc<Inner>>,
-    node: usize,
-    _not_send: PhantomData<*const ()>,
-}
-
-impl Drop for Span {
-    #[inline]
-    fn drop(&mut self) {
-        let Some(inner) = self.owner.take() else { return };
-        // During a panic unwind the measurement is garbage and the span
-        // stack may be inconsistent; recording would risk a second
-        // panic inside a destructor (= abort). Abandon the profile.
-        if std::thread::panicking() {
-            return;
-        }
-        // try_with: if the thread is already tearing down its TLS the
-        // tree is gone and there is nothing left to record into.
-        let _ = TREES.try_with(|t| {
-            let mut set = t.borrow_mut();
-            if let Some(entry) = set.find(&inner) {
-                entry.tree.close(self.node);
-            }
-        });
     }
 }
 
@@ -487,14 +374,17 @@ impl Profile {
     /// violation.
     pub fn from_json(doc: &Json) -> Result<Profile, String> {
         let spans = doc.field("spans")?;
+        let pairs: &[(String, Json)] = match doc.get("counters") {
+            None => &[],
+            Some(Json::Obj(pairs)) => pairs,
+            Some(_) => return Err("`counters` must be an object".to_string()),
+        };
         let mut counters: Vec<(String, u64)> = Vec::new();
-        if let Some(Json::Obj(pairs)) = doc.get("counters") {
-            for (name, v) in pairs {
-                let v = v
-                    .as_u64()
-                    .ok_or_else(|| format!("counter {name:?} must be a non-negative integer"))?;
-                counters.push((name.clone(), v));
-            }
+        for (name, v) in pairs {
+            let v = v
+                .as_u64()
+                .ok_or_else(|| format!("counter {name:?} must be a non-negative integer"))?;
+            counters.push((name.clone(), v));
         }
         let p = Profile { spans, counters };
         p.checked_exact_sum().map_err(|e| format!("exact-sum violated: {e}"))?;
@@ -569,6 +459,13 @@ pub fn top_self_table(p: &Profile, n: usize) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recorder::Recorder;
+    use crate::seam::span;
+
+    /// Run `f` with `p` installed (spans record into it).
+    fn within(p: &Prof, f: impl FnOnce()) {
+        crate::seam::observe(&Recorder::disabled(), p, f);
+    }
 
     fn counters(pairs: &[(&str, u64)]) -> Profile {
         let counters = pairs.iter().map(|&(n, v)| (n.to_string(), v)).collect();
@@ -587,12 +484,11 @@ mod tests {
     fn disabled_prof_is_inert() {
         let p = Prof::disabled();
         assert!(!p.is_enabled());
-        {
-            let _outer = p.span("a");
-            let _inner = p.span("b");
-        }
+        within(&p, || {
+            let _outer = span("a");
+            let _inner = span("b");
+        });
         p.merge(&counters(&[("x", 5)]));
-        p.flush_thread();
         let snap = p.snapshot();
         assert!(snap.is_empty());
         assert_eq!(format!("{p:?}"), "Prof { enabled: false }");
@@ -601,18 +497,20 @@ mod tests {
     #[test]
     fn exact_sum_holds_for_nested_spans() {
         let p = Prof::enabled();
-        for _ in 0..3 {
-            let _outer = p.span("outer");
-            {
-                let _a = p.span("a");
-                std::hint::black_box(spin());
+        within(&p, || {
+            for _ in 0..3 {
+                let _outer = span("outer");
+                {
+                    let _a = span("a");
+                    std::hint::black_box(spin());
+                }
+                {
+                    let _b = span("b");
+                    let _ba = span("a"); // same leaf name, different path
+                    std::hint::black_box(spin());
+                }
             }
-            {
-                let _b = p.span("b");
-                let _ba = p.span("a"); // same leaf name, different path
-                std::hint::black_box(spin());
-            }
-        }
+        });
         let snap = p.snapshot(); // asserts exact sum internally
         assert_eq!(snap.spans.len(), 1);
         let outer = &snap.spans[0];
@@ -635,19 +533,18 @@ mod tests {
             for _ in 0..2 {
                 let p = p.clone();
                 s.spawn(move || {
-                    {
-                        let _j = p.span("job");
-                        let _w = p.span("work");
+                    within(&p, || {
+                        let _j = span("job");
+                        let _w = span("work");
                         std::hint::black_box(spin());
-                    }
-                    p.flush_thread();
+                    });
                 });
             }
         });
         let snap = p.snapshot();
         assert_eq!(snap.spans.len(), 1);
         let job = &snap.spans[0];
-        assert_eq!(job.count, 2, "both worker trees merged");
+        assert_eq!(job.count, 2, "both worker scopes folded their trees");
         assert_eq!(job.children[0].count, 2);
         assert_eq!(job.self_ns + job.children[0].total_ns, job.total_ns);
     }
@@ -663,19 +560,18 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "open span")]
-    fn flush_inside_open_span_panics() {
-        let p = Prof::enabled();
-        let _s = p.span("open");
-        p.flush_thread();
+    fn folding_a_scope_with_an_open_span_panics() {
+        within(&Prof::enabled(), || std::mem::forget(span("open")));
     }
 
     #[test]
     #[should_panic(expected = "LIFO")]
     fn out_of_order_guard_drop_panics() {
-        let p = Prof::enabled();
-        let a = p.span("a");
-        let _b = p.span("b");
-        drop(a);
+        within(&Prof::enabled(), || {
+            let a = span("a");
+            let _b = span("b");
+            drop(a);
+        });
     }
 
     #[test]
@@ -712,10 +608,10 @@ mod tests {
     #[test]
     fn folded_stacks_emit_self_times_per_path() {
         let p = Prof::enabled();
-        {
-            let _a = p.span("root");
-            let _b = p.span("leaf");
-        }
+        within(&p, || {
+            let _a = span("root");
+            let _b = span("leaf");
+        });
         let folded = p.snapshot().folded();
         let lines: Vec<&str> = folded.lines().collect();
         assert_eq!(lines.len(), 2);
@@ -727,9 +623,7 @@ mod tests {
     fn repeated_profilers_on_one_thread_do_not_cross_talk() {
         for _ in 0..3 {
             let p = Prof::enabled();
-            {
-                let _s = p.span("once");
-            }
+            within(&p, || drop(span("once")));
             let snap = p.snapshot();
             assert_eq!(snap.spans.len(), 1);
             assert_eq!(snap.spans[0].count, 1, "no leakage from prior profilers");
@@ -739,10 +633,10 @@ mod tests {
     #[test]
     fn json_body_round_trips_and_rejects_broken_sums() {
         let p = Prof::enabled();
-        {
-            let _a = p.span("root");
-            let _b = p.span("leaf");
-        }
+        within(&p, || {
+            let _a = span("root");
+            let _b = span("leaf");
+        });
         p.merge(&counters(&[("widgets", 7)]));
         let snap = p.snapshot();
         let text = snap.to_json().to_json();
@@ -761,12 +655,27 @@ mod tests {
     }
 
     #[test]
+    fn counters_of_the_wrong_type_are_refused_and_absent_ones_read_as_none() {
+        let read = |counters: &str| {
+            let doc = crate::json::parse(&format!(r#"{{"spans":[]{counters}}}"#)).unwrap();
+            Profile::from_json(&doc)
+        };
+        for bad in [r#","counters":[]"#, r#","counters":5"#, r#","counters":null"#] {
+            let err = read(bad).unwrap_err();
+            assert!(err.contains("`counters`"), "{bad}: {err}");
+        }
+        assert_eq!(read(""), Ok(Profile::default()));
+        let one = read(r#","counters":{"x":3}"#).unwrap();
+        assert_eq!(one.counters, [("x".to_string(), 3)]);
+    }
+
+    #[test]
     fn tables_render_tree_counters_and_top_self() {
         let p = Prof::enabled();
-        {
-            let _a = p.span("root");
-            let _b = p.span("leaf");
-        }
+        within(&p, || {
+            let _a = span("root");
+            let _b = span("leaf");
+        });
         p.merge(&counters(&[("n_jobs", 3)]));
         let snap = p.snapshot();
         let tree = span_table(&snap).render();

@@ -143,9 +143,10 @@ impl Recorder {
         }
     }
 
-    /// Record an event at the current cycle.
+    /// Record an event at the current cycle. Components emit through
+    /// the seam ([`crate::seam::emit`]), which calls this.
     #[inline]
-    pub fn emit(&self, kind: EventKind) {
+    pub(crate) fn emit(&self, kind: EventKind) {
         let Some(inner) = &self.inner else { return };
         let cycle = inner.cycle.get();
         if inner.stderr_echo && kind.is_epoch_level() {

@@ -123,10 +123,9 @@ impl Cell {
     /// byte-identical either way.
     ///
     /// Read the observers through [`dbp_obs::Recorder::snapshot`] and
-    /// [`dbp_obs::Prof::snapshot`]; on a pool worker thread, call
-    /// [`dbp_obs::Prof::flush_thread`] before the job returns (see the
-    /// `Prof` docs for the contract). A recorder's shared state is not
-    /// `Send`, so fan-outs build one per call.
+    /// [`dbp_obs::Prof::snapshot`] once the run has returned, on any
+    /// thread. A recorder's shared state is not `Send`, so fan-outs build
+    /// one per call.
     pub fn run(&self, rec: dbp_obs::Recorder, prof: dbp_obs::Prof) -> RunResult {
         self.run_group(&[], rec, prof).0
     }

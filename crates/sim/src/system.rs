@@ -96,7 +96,7 @@ pub struct System {
     /// muted (see [`muted`]): the byte-identity property tests hold
     /// attached-vs-detached runs equal.
     rack: Option<ShadowRack>,
-    /// Host-side self-profiler (wall-clock spans, and the work counters
+    /// Host-side self-profiler (installed with `rec`; the work counters
     /// each run publishes when it ends); named `host_prof` because
     /// `ctrl.prof()` is the *simulated* per-thread DRAM profiler — the
     /// two measure different worlds.
@@ -391,12 +391,12 @@ impl System {
     /// instruction target (or the cycle cap) and return the result, with
     /// the system's recorder and profiler installed.
     ///
-    /// Dispatches once on whether the host profiler is live: the
-    /// `PROF = false` monomorphisation contains no span code at all.
+    /// Dispatches once on [`dbp_obs::profiling`]: the `PROF = false`
+    /// monomorphisation contains no per-cycle span code at all.
     pub fn run(&mut self) -> RunResult {
         let (rec, prof) = (self.rec.clone(), self.host_prof.clone());
         dbp_obs::observe(&rec, &prof, || {
-            if prof.is_enabled() {
+            if dbp_obs::profiling() {
                 self.run_loop::<true>()
             } else {
                 self.run_loop::<false>()
@@ -406,7 +406,7 @@ impl System {
 
     fn run_loop<const PROF: bool>(&mut self) -> RunResult {
         if self.cfg.warmup_instructions > 0 {
-            let _phase = self.host_prof.span("sim/warmup");
+            let _phase = dbp_obs::span("sim/warmup");
             // Warmup must also span several repartition epochs (plus one
             // cycle, so no epoch boundary coincides with measurement
             // start): a dynamic policy's plan — smoothed and debounced —
@@ -432,7 +432,7 @@ impl System {
             self.begin_measurement();
         }
         {
-            let _phase = self.host_prof.span("sim/measure");
+            let _phase = dbp_obs::span("sim/measure");
             while self.cycle < self.cfg.max_cpu_cycles && self.unfinished > 0 {
                 self.step::<PROF>();
                 // Same post-step guard: if the step just finished the last
@@ -443,7 +443,7 @@ impl System {
                 }
             }
         }
-        let _phase = self.host_prof.span("sim/collect");
+        let _phase = dbp_obs::span("sim/collect");
         self.collect()
     }
 
@@ -515,7 +515,7 @@ impl System {
             // query is skipped.
             if target > self.next_dram {
                 let event = *ctrl_event.get_or_insert_with(|| {
-                    let _s = self.host_prof.span("memctrl/next_event");
+                    let _s = dbp_obs::span("memctrl/next_event");
                     self.ctrl.next_event(self.dram_ticks - 1).saturating_mul(cpd)
                 });
                 target = target.min(event);
@@ -604,7 +604,7 @@ impl System {
         self.rec.set_cycle(cycle);
         self.stats.cycles_stepped += 1;
         if cycle == self.next_dram {
-            let _s = PROF.then(|| self.host_prof.span("sim/dram_tick"));
+            let _s = PROF.then(|| dbp_obs::span("sim/dram_tick"));
             self.dram_tick(cycle);
         }
         // An epoch feeds instructions itself, so a feed boundary that
@@ -615,10 +615,10 @@ impl System {
         }
         if cycle == self.next_epoch {
             self.next_epoch += self.cfg.epoch_cpu_cycles;
-            let _s = PROF.then(|| self.host_prof.span("sim/policy_epoch"));
+            let _s = PROF.then(|| dbp_obs::span("sim/policy_epoch"));
             self.repartition();
         } else if feed_due {
-            let _s = PROF.then(|| self.host_prof.span("sim/feed_instructions"));
+            let _s = PROF.then(|| dbp_obs::span("sim/feed_instructions"));
             self.feed_instructions();
         }
         self.tick_cores::<PROF>(cycle);
@@ -634,7 +634,7 @@ impl System {
         // have none, and an always-on child would drown the signal (and
         // cost two clock reads per tick) for an empty loop.
         if !self.migration_backlog.is_empty() {
-            let _s = self.host_prof.span("sim/migration_feed");
+            let _s = dbp_obs::span("sim/migration_feed");
             for _ in 0..4 {
                 let Some((thread, addr, is_write)) = self.migration_backlog.front() else {
                     break;
@@ -685,7 +685,7 @@ impl System {
                 continue;
             }
             if PROF {
-                span.get_or_insert_with(|| self.host_prof.span("sim/cores_tick"));
+                span.get_or_insert_with(|| dbp_obs::span("sim/cores_tick"));
             }
             self.stats.core_ticks += 1;
             self.tick_core(i, cycle);
@@ -832,10 +832,10 @@ impl System {
         let epoch = self.stats.repartitions;
         let snap = self.ctrl.prof_mut().take_epoch();
         let profiles: Vec<ThreadMemProfile> = snap.iter().map(mem_profile).collect();
-        if self.rec.is_enabled() {
-            self.rec.emit(EventKind::EpochStart { epoch });
+        if dbp_obs::recording() {
+            dbp_obs::emit(EventKind::EpochStart { epoch });
             for (thread, &ThreadMemProfile { mpki, rbl, blp, .. }) in profiles.iter().enumerate() {
-                self.rec.emit(EventKind::ThreadProfile { thread, mpki, rbl, blp });
+                dbp_obs::emit(EventKind::ThreadProfile { thread, mpki, rbl, blp });
             }
             let epoch_dram_cycles = self.cfg.epoch_cpu_cycles / self.cfg.cpu_per_dram;
             let busy = snap.iter().map(|p| p.bus_cycles).sum();
@@ -867,8 +867,8 @@ impl System {
         let changed_threads: Vec<usize> = (0..plan.len())
             .filter(|&t| self.last_plan.as_ref().is_none_or(|lp| lp[t] != plan[t]))
             .collect();
-        if self.rec.is_enabled() {
-            self.rec.emit(EventKind::RepartitionPlan {
+        if dbp_obs::recording() {
+            dbp_obs::emit(EventKind::RepartitionPlan {
                 epoch,
                 plan: plan.iter().map(ToString::to_string).collect(),
                 changed_threads: changed_threads.clone(),
@@ -1187,7 +1187,7 @@ mod tests {
     /// both in [0, 1], where one channel's cycles as the divisor read
     /// 1.7–2.1.
     #[test]
-    fn bus_utilisation_is_a_fraction_on_four_channels() {
+    fn every_exported_fraction_is_in_unit_range_on_four_channels() {
         let mut cfg = small_cfg();
         cfg.dram.channels = 4;
         cfg.epoch_cpu_cycles = 10_000;
@@ -1203,8 +1203,16 @@ mod tests {
         let run = System::with_recorder(cfg, traces, rec.clone()).run();
         let series = rec.snapshot().series;
         assert!(!series.is_empty(), "the run must close epochs");
-        let all: Vec<f64> =
-            series.iter().map(|e| e.bus_utilisation).chain([run.bus_utilisation]).collect();
+        // Bus utilisation, row-hit rate and per-thread row-buffer
+        // locality, per epoch and for the whole run.
+        let per_epoch = series.iter().flat_map(|e| {
+            [e.bus_utilisation, e.row_hit_rate].into_iter().chain(e.threads.iter().map(|t| t.rbl))
+        });
+        let per_run = [run.bus_utilisation, run.row_hit_rate]
+            .into_iter()
+            .chain(run.threads.iter().map(|t| t.rbl));
+        let all: Vec<f64> = per_epoch.chain(per_run).collect();
+        assert_eq!(all.len(), 6 * (series.len() + 1));
         assert!(all.iter().all(|u| (0.0..=1.0).contains(u)), "{all:?}");
         assert!(run.bus_utilisation > 0.0, "a memory-bound mix moves data");
     }
