@@ -8,7 +8,7 @@ set -eux
 
 cargo build --release --offline --locked --workspace
 cargo test -q --offline --locked --workspace
-cargo clippy --offline --locked --workspace -- -D warnings
+cargo clippy --offline --locked --workspace --all-targets -- -D warnings
 cargo fmt --all --check
 # The repo benchmark is a package of its own that path-depends on these
 # crates; compile and test it here so a refactor that breaks the surface

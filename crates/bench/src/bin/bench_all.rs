@@ -15,13 +15,15 @@
 //! write failure is a hard error: CI must never mistake a run whose
 //! output silently vanished for a successful one.
 
+use std::time::Instant;
+
 use dbp_bench::engine::Engine;
 use dbp_bench::experiments::{self, Experiment};
 use dbp_bench::harness;
 use dbp_obs::cli::{Arg, CliSpec};
 use dbp_obs::export::{profile_document, suite_timing_document, SuiteExperimentTiming};
+use dbp_obs::table::fmt_ns;
 use dbp_obs::{Json, Prof, Table};
-use dbp_util::bench::{fmt_ns, Stopwatch};
 
 const SPEC: CliSpec = CliSpec {
     bin: "bench_all",
@@ -99,13 +101,13 @@ fn run_suite(opts: &Opts) {
         if prof.is_enabled() { ", self-profiling on" } else { "" }
     );
 
-    let suite = Stopwatch::start();
+    let suite = Instant::now();
     let mut rows: Vec<SuiteExperimentTiming> = Vec::new();
     for exp in &opts.experiments {
         let before = eng.stats();
-        let sw = Stopwatch::start();
+        let started = Instant::now();
         let body = (exp.render)(&eng, &cfg);
-        let wall = sw.elapsed_ns();
+        let wall = started.elapsed().as_nanos();
         println!("== {} ==\n", exp.title);
         println!("{body}");
         let done = eng.stats().since(&before);
@@ -128,7 +130,7 @@ fn run_suite(opts: &Opts) {
         });
     }
 
-    let total_ns = suite.elapsed_ns();
+    let total_ns = suite.elapsed().as_nanos();
     let s = eng.stats();
     let mut timing =
         Table::new(["experiment", "wall", "jobs", "shared hits", "solo hits", "twin hits"]);

@@ -18,9 +18,9 @@
 //! Cells equal but for `cfg.policy` run as one group ([`Cell::run_group`]):
 //! the first member's policy is live, the others ride along and are
 //! dropped at their first plan that differs from the live one. A
-//! [`dbp_core::policy::PartitionPolicy`] has two methods — `name` and
-//! `partition` — and holds no RNG, so the only way a policy reaches the
-//! simulation is the plans `partition` returns.
+//! [`dbp_core::policy::PartitionPolicy`] has one method, `partition`,
+//! and holds no RNG, so the only way a policy reaches the simulation is
+//! the plans `partition` returns.
 //! Each rider is called exactly as it would be in its own run: the same
 //! cold-start profiles, then every epoch the same `profiles` with `prev`
 //! the plan in force, which is its own last plan for as long as it has

@@ -17,10 +17,10 @@
 
 use dbp_core::policy::PolicyKind;
 use dbp_core::{BankDemandEstimator, EstimatorConfig, ThreadMemProfile};
-use dbp_obs::{AuditReport, LatencyReport, Prof, Recorder, RecorderConfig};
+use dbp_obs::{AuditReport, LatencyReport, Prof, Recorder, RecorderConfig, Table};
 use dbp_osmem::MigrationMode;
 use dbp_sim::metrics::gmean;
-use dbp_sim::report::{f3, pct, Table};
+use dbp_sim::report::{f3, pct};
 use dbp_sim::runner::{Cell, MixRun};
 use dbp_sim::{MigrationCost, SimConfig, ThreadResult};
 use dbp_workloads::{mixes_4core, profiles, scale_mix, Mix};

@@ -173,10 +173,6 @@ impl Dbp {
 }
 
 impl PartitionPolicy for Dbp {
-    fn name(&self) -> &'static str {
-        "dynamic bank partitioning"
-    }
-
     fn partition(
         &mut self,
         profiles: &[ThreadMemProfile],

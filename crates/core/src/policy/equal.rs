@@ -20,10 +20,6 @@ use crate::topology::ColorTopology;
 pub struct EqualBankPartitioning;
 
 impl PartitionPolicy for EqualBankPartitioning {
-    fn name(&self) -> &'static str {
-        "equal bank partitioning"
-    }
-
     fn partition(
         &mut self,
         profiles: &[ThreadMemProfile],

@@ -78,10 +78,6 @@ impl ChannelPartitioning {
 }
 
 impl PartitionPolicy for ChannelPartitioning {
-    fn name(&self) -> &'static str {
-        "memory channel partitioning"
-    }
-
     fn partition(
         &mut self,
         profiles: &[ThreadMemProfile],

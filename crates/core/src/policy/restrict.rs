@@ -30,10 +30,6 @@ impl RestrictFirst {
 }
 
 impl PartitionPolicy for RestrictFirst {
-    fn name(&self) -> &'static str {
-        "restrict-first"
-    }
-
     fn partition(
         &mut self,
         profiles: &[ThreadMemProfile],

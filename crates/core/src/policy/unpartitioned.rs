@@ -12,10 +12,6 @@ use crate::topology::ColorTopology;
 pub struct Unpartitioned;
 
 impl PartitionPolicy for Unpartitioned {
-    fn name(&self) -> &'static str {
-        "unpartitioned"
-    }
-
     fn partition(
         &mut self,
         profiles: &[ThreadMemProfile],

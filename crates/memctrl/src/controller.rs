@@ -200,11 +200,6 @@ impl MemoryController {
         &self.dram
     }
 
-    /// The active scheduler's name.
-    pub fn scheduler_name(&self) -> &'static str {
-        self.sched.name()
-    }
-
     /// The accumulated latency anatomy (`None` unless the controller was
     /// built while a live recorder was installed).
     pub fn latency_report(&self) -> Option<&LatencyReport> {
@@ -1436,11 +1431,11 @@ mod prop_tests {
         let sched: Box<dyn Scheduler> = match idx {
             0 => Box::new(Fcfs),
             1 => Box::new(FrFcfs),
-            2 => Box::new(FrFcfsCap::new(Default::default())),
-            3 => Box::new(ParBs::new(Default::default(), 4)),
-            4 => Box::new(Atlas::new(Default::default(), 4)),
-            5 => Box::new(Bliss::new(Default::default(), 4)),
-            _ => Box::new(Tcm::new(Default::default(), 4)),
+            2 => Box::new(FrFcfsCap::new()),
+            3 => Box::new(ParBs::new(4)),
+            4 => Box::new(Atlas::new(4)),
+            5 => Box::new(Bliss::new(4)),
+            _ => Box::new(Tcm::new(4)),
         };
         MemoryController::new(Dram::new(dram), ctrl, sched, 4)
     }

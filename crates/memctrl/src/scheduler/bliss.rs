@@ -5,8 +5,9 @@
 //! Observation: full per-thread ranking (ATLAS/TCM) is expensive and can
 //! over-penalise; most interference comes from threads whose requests are
 //! served in long *streaks*. BLISS counts consecutive services per
-//! thread; a thread that exceeds `blacklist_threshold` consecutive
-//! requests is blacklisted for `clear_interval` cycles. Non-blacklisted
+//! thread; a thread that exceeds [`BlissConfig::BLACKLIST_THRESHOLD`]
+//! consecutive requests is blacklisted for
+//! [`BlissConfig::CLEAR_INTERVAL`] cycles. Non-blacklisted
 //! requests strictly outrank blacklisted ones; within a class, plain
 //! FR-FCFS.
 
@@ -16,43 +17,21 @@ use crate::profiler::ProfilerState;
 use crate::request::MemRequest;
 use crate::scheduler::{row_hit_then_age, Scheduler};
 
-/// BLISS tuning knobs (paper defaults: 4 consecutive requests, clearing
-/// every 10 000 cycles).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlissConfig {
-    /// Consecutive services that trigger blacklisting.
-    pub blacklist_threshold: u32,
-    /// Blacklist clearing interval, DRAM cycles.
-    pub clear_interval: Cycle,
-}
-
-impl Default for BlissConfig {
-    fn default() -> Self {
-        BlissConfig { blacklist_threshold: 4, clear_interval: 10_000 }
-    }
-}
+/// BLISS's tuning at the paper's defaults, fixed (see the
+/// [`crate::scheduler`] docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct BlissConfig;
 
 impl BlissConfig {
-    /// Check the tuning knobs.
-    ///
-    /// # Errors
-    ///
-    /// Names the first field holding a value the scheduler cannot run on.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.blacklist_threshold == 0 {
-            return Err("blacklist_threshold must be positive".into());
-        }
-        if self.clear_interval == 0 {
-            return Err("clear_interval must be positive".into());
-        }
-        Ok(())
-    }
+    /// Consecutive services that trigger blacklisting (paper: 4).
+    pub const BLACKLIST_THRESHOLD: u32 = 4;
+    /// Blacklist clearing interval, DRAM cycles (paper: 10 000).
+    pub const CLEAR_INTERVAL: Cycle = 10_000;
 }
 
 /// The BLISS scheduler state.
 #[derive(Debug)]
 pub struct Bliss {
-    cfg: BlissConfig,
     blacklisted: Vec<bool>,
     last_served: Option<usize>,
     streak: u32,
@@ -61,18 +40,12 @@ pub struct Bliss {
 
 impl Bliss {
     /// Build a BLISS scheduler for `threads` threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` does not [`BlissConfig::validate`].
-    pub fn new(cfg: BlissConfig, threads: usize) -> Self {
-        cfg.validate().expect("invalid BlissConfig");
+    pub fn new(threads: usize) -> Self {
         Bliss {
-            cfg,
             blacklisted: vec![false; threads],
             last_served: None,
             streak: 0,
-            next_clear: cfg.clear_interval,
+            next_clear: BlissConfig::CLEAR_INTERVAL,
         }
     }
 
@@ -83,14 +56,10 @@ impl Bliss {
 }
 
 impl Scheduler for Bliss {
-    fn name(&self) -> &'static str {
-        "BLISS"
-    }
-
     fn tick(&mut self, now: Cycle, _prof: &ProfilerState, _read_queues: &[Vec<MemRequest>]) {
         if now >= self.next_clear {
             self.blacklisted.fill(false);
-            self.next_clear = now + self.cfg.clear_interval;
+            self.next_clear = now + BlissConfig::CLEAR_INTERVAL;
         }
     }
 
@@ -111,7 +80,7 @@ impl Scheduler for Bliss {
     fn on_serviced(&mut self, req: &MemRequest, _now: Cycle) {
         if self.last_served == Some(req.thread) {
             self.streak += 1;
-            if self.streak >= self.cfg.blacklist_threshold {
+            if self.streak >= BlissConfig::BLACKLIST_THRESHOLD {
                 self.blacklisted[req.thread] = true;
             }
         } else {
@@ -133,8 +102,8 @@ mod tests {
 
     #[test]
     fn streaks_get_blacklisted() {
-        let mut s = Bliss::new(BlissConfig::default(), 2);
-        serve(&mut s, 0, 3);
+        let mut s = Bliss::new(2);
+        serve(&mut s, 0, BlissConfig::BLACKLIST_THRESHOLD - 1);
         assert!(!s.is_blacklisted(0));
         serve(&mut s, 0, 1);
         assert!(s.is_blacklisted(0));
@@ -143,7 +112,7 @@ mod tests {
 
     #[test]
     fn interleaved_service_never_blacklists() {
-        let mut s = Bliss::new(BlissConfig::default(), 2);
+        let mut s = Bliss::new(2);
         for _ in 0..20 {
             serve(&mut s, 0, 2);
             serve(&mut s, 1, 2);
@@ -154,8 +123,8 @@ mod tests {
 
     #[test]
     fn blacklisted_requests_lose() {
-        let mut s = Bliss::new(BlissConfig::default(), 2);
-        serve(&mut s, 0, 4);
+        let mut s = Bliss::new(2);
+        serve(&mut s, 0, BlissConfig::BLACKLIST_THRESHOLD);
         let hog = MemRequest::demand_read(0, 0, 0, 1); // old, row hit
         let victim = MemRequest::demand_read(1, 1, 0, 9);
         assert!(s.prefer(&victim, false, &hog, true));
@@ -163,10 +132,10 @@ mod tests {
 
     #[test]
     fn clearing_restores_priority() {
-        let mut s = Bliss::new(BlissConfig { blacklist_threshold: 2, clear_interval: 100 }, 2);
-        serve(&mut s, 0, 2);
+        let mut s = Bliss::new(2);
+        serve(&mut s, 0, BlissConfig::BLACKLIST_THRESHOLD);
         assert!(s.is_blacklisted(0));
-        s.tick(100, &ProfilerState::new(2, 8), &[]);
+        s.tick(BlissConfig::CLEAR_INTERVAL, &ProfilerState::new(2, 8), &[]);
         assert!(!s.is_blacklisted(0));
     }
 }

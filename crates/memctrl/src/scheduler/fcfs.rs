@@ -8,10 +8,6 @@ use crate::scheduler::Scheduler;
 pub struct Fcfs;
 
 impl Scheduler for Fcfs {
-    fn name(&self) -> &'static str {
-        "FCFS"
-    }
-
     fn prefer(&self, a: &MemRequest, _a_hit: bool, b: &MemRequest, _b_hit: bool) -> bool {
         a.older_than(b)
     }

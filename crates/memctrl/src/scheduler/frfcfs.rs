@@ -13,10 +13,6 @@ use crate::scheduler::{row_hit_then_age, Scheduler};
 pub struct FrFcfs;
 
 impl Scheduler for FrFcfs {
-    fn name(&self) -> &'static str {
-        "FR-FCFS"
-    }
-
     fn prefer(&self, a: &MemRequest, a_hit: bool, b: &MemRequest, b_hit: bool) -> bool {
         row_hit_then_age(a, a_hit, b, b_hit)
     }

@@ -7,37 +7,19 @@ use dbp_dram::Cycle;
 use crate::request::MemRequest;
 use crate::scheduler::{row_hit_then_age, Scheduler};
 
-/// Maximum consecutive row hits served per bank before hits lose their
-/// priority boost there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrFcfsCapConfig {
-    pub cap: u32,
-}
-
-impl Default for FrFcfsCapConfig {
-    fn default() -> Self {
-        FrFcfsCapConfig { cap: 4 }
-    }
-}
+/// FR-FCFS+Cap's tuning, fixed (see the [`crate::scheduler`] docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct FrFcfsCapConfig;
 
 impl FrFcfsCapConfig {
-    /// Check the tuning knobs.
-    ///
-    /// # Errors
-    ///
-    /// Names the first field holding a value the scheduler cannot run on.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.cap == 0 {
-            return Err("cap must be positive".into());
-        }
-        Ok(())
-    }
+    /// Maximum consecutive row hits served per bank before hits lose
+    /// their priority boost there.
+    pub const CAP: u32 = 4;
 }
 
 /// FR-FCFS with per-bank streak capping.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FrFcfsCap {
-    cfg: FrFcfsCapConfig,
     /// Consecutive row hits served, per (channel, rank, bank) key.
     streaks: dbp_obs::FxHashMap<(u32, u32, u32), u32>,
     /// Decay boundaries already applied (boundary = 256-cycle mark,
@@ -48,25 +30,16 @@ pub struct FrFcfsCap {
 
 impl FrFcfsCap {
     /// Build the scheduler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` does not [`FrFcfsCapConfig::validate`].
-    pub fn new(cfg: FrFcfsCapConfig) -> Self {
-        cfg.validate().expect("invalid FrFcfsCapConfig");
-        FrFcfsCap { cfg, streaks: dbp_obs::FxHashMap::default(), boundaries_seen: 0 }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     fn capped(&self, r: &MemRequest) -> bool {
-        self.streaks.get(&(r.channel, r.rank, r.bank)).is_some_and(|&s| s >= self.cfg.cap)
+        self.streaks.get(&(r.channel, r.rank, r.bank)).is_some_and(|&s| s >= FrFcfsCapConfig::CAP)
     }
 }
 
 impl Scheduler for FrFcfsCap {
-    fn name(&self) -> &'static str {
-        "FR-FCFS+Cap"
-    }
-
     fn prefer(&self, a: &MemRequest, a_hit: bool, b: &MemRequest, b_hit: bool) -> bool {
         // A row hit on a capped bank loses its boost (treated as a miss).
         let a_eff = a_hit && !self.capped(a);
@@ -80,7 +53,7 @@ impl Scheduler for FrFcfsCap {
         // scheduler doesn't see; service counting over-approximates, which
         // only makes the cap slightly stricter.)
         let entry = self.streaks.entry((req.channel, req.rank, req.bank)).or_insert(0);
-        *entry = (*entry + 1).min(self.cfg.cap * 4);
+        *entry = (*entry + 1).min(FrFcfsCapConfig::CAP * 4);
     }
 
     fn tick(
@@ -118,7 +91,7 @@ mod tests {
 
     #[test]
     fn behaves_like_frfcfs_before_cap() {
-        let s = FrFcfsCap::new(FrFcfsCapConfig::default());
+        let s = FrFcfsCap::new();
         let hit = req(0, 0, 0, 9);
         let old_miss = req(1, 1, 0, 1);
         assert!(s.prefer(&hit, true, &old_miss, false));
@@ -126,18 +99,18 @@ mod tests {
 
     #[test]
     fn capped_bank_loses_hit_priority() {
-        let mut s = FrFcfsCap::new(FrFcfsCapConfig { cap: 2 });
-        for i in 0..2 {
+        let mut s = FrFcfsCap::new();
+        for i in 0..u64::from(FrFcfsCapConfig::CAP) {
             s.on_serviced(&req(i, 0, 0, 0), 0);
         }
-        let hit_on_capped = req(2, 0, 0, 9);
-        let old_miss = req(3, 1, 0, 1);
+        let hit_on_capped = req(100, 0, 0, 9);
+        let old_miss = req(101, 1, 0, 1);
         assert!(
             s.prefer(&old_miss, false, &hit_on_capped, true),
             "age wins once the streak is capped"
         );
         // Another bank is unaffected.
-        let hit_other_bank = req(4, 0, 1, 9);
+        let hit_other_bank = req(102, 0, 1, 9);
         assert!(s.prefer(&hit_other_bank, true, &old_miss, false));
     }
 
@@ -146,11 +119,11 @@ mod tests {
         // One tick landing after several skipped boundaries must decay
         // exactly as much as ticking every cycle would have.
         let prof = crate::profiler::ProfilerState::new(1, 8);
-        let mut stepped = FrFcfsCap::new(FrFcfsCapConfig { cap: 2 });
-        let mut skipped = FrFcfsCap::new(FrFcfsCapConfig { cap: 2 });
+        let mut stepped = FrFcfsCap::new();
+        let mut skipped = FrFcfsCap::new();
         for s in [&mut stepped, &mut skipped] {
             s.tick(0, &prof, &[]);
-            for i in 0..6 {
+            for i in 0..u64::from(3 * FrFcfsCapConfig::CAP) {
                 s.on_serviced(&req(i, 0, 0, 1), 1);
             }
         }
@@ -163,8 +136,8 @@ mod tests {
 
     #[test]
     fn streaks_decay_over_time() {
-        let mut s = FrFcfsCap::new(FrFcfsCapConfig { cap: 2 });
-        for i in 0..2 {
+        let mut s = FrFcfsCap::new();
+        for i in 0..u64::from(FrFcfsCapConfig::CAP) {
             s.on_serviced(&req(i, 0, 0, 0), 0);
         }
         assert!(s.capped(&req(9, 0, 0, 0)));

@@ -6,6 +6,13 @@
 //! (FR-FCFS within the write queue during drains), matching how scheduling
 //! proposals in the literature — including TCM — define their policies
 //! over demand reads.
+//!
+//! Every scheduler runs at its published (or, for the quanta, scaled)
+//! values, which are associated constants on its `…Config` type, e.g.
+//! [`TcmConfig::QUANTUM`]. The config types carry no fields; they remain
+//! only because the frozen `benchmark/src/workloads.rs` writes
+//! `SchedulerKind::Tcm(Default::default())`, and ROADMAP item 7's next
+//! benchmark change turns those variants into unit variants.
 
 mod atlas;
 mod bliss;
@@ -30,9 +37,6 @@ use crate::request::MemRequest;
 
 /// A read-request scheduling policy.
 pub trait Scheduler: std::fmt::Debug {
-    /// Human-readable policy name (used in reports).
-    fn name(&self) -> &'static str;
-
     /// Per-cycle bookkeeping (quantum boundaries, shuffles, batch
     /// formation). `read_queues` exposes the per-channel read queues.
     fn tick(&mut self, _now: Cycle, _prof: &ProfilerState, _read_queues: &[Vec<MemRequest>]) {}

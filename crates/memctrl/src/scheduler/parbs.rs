@@ -2,11 +2,11 @@
 //! (Mutlu & Moscibroda, ISCA 2008).
 //!
 //! Requests are grouped into batches: when the current batch drains, the
-//! oldest `batch_cap` requests per (thread, bank) are marked. Marked
-//! requests strictly outrank unmarked ones (no thread can be starved for
-//! longer than a batch), and within the batch threads are ranked
-//! shortest-job-first (fewest marked requests, by max-per-bank then
-//! total), which preserves each thread's bank-level parallelism.
+//! oldest [`ParBsConfig::BATCH_CAP`] requests per (thread, bank) are
+//! marked. Marked requests strictly outrank unmarked ones (no thread can
+//! be starved for longer than a batch), and within the batch threads are
+//! ranked shortest-job-first (fewest marked requests, by max-per-bank
+//! then total), which preserves each thread's bank-level parallelism.
 
 use dbp_dram::Cycle;
 use dbp_obs::{FxHashMap, FxHashSet};
@@ -15,50 +15,26 @@ use crate::profiler::ProfilerState;
 use crate::request::MemRequest;
 use crate::scheduler::{row_hit_then_age, Scheduler};
 
-/// PAR-BS tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParBsConfig {
-    /// Requests marked per (thread, bank) when a batch forms.
-    pub batch_cap: usize,
-}
-
-impl Default for ParBsConfig {
-    fn default() -> Self {
-        ParBsConfig { batch_cap: 5 }
-    }
-}
+/// PAR-BS's tuning, fixed (see the [`crate::scheduler`] docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct ParBsConfig;
 
 impl ParBsConfig {
-    /// Check the tuning knobs.
-    ///
-    /// # Errors
-    ///
-    /// Names the first field holding a value the scheduler cannot run on.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.batch_cap == 0 {
-            return Err("batch_cap must be positive".into());
-        }
-        Ok(())
-    }
+    /// Requests marked per (thread, bank) when a batch forms.
+    pub const BATCH_CAP: usize = 5;
 }
 
 /// The PAR-BS scheduler state.
 #[derive(Debug)]
 pub struct ParBs {
-    cfg: ParBsConfig,
     marked: FxHashSet<u64>,
     rank_of: Vec<u32>,
 }
 
 impl ParBs {
     /// Build a PAR-BS scheduler for `threads` threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` does not [`ParBsConfig::validate`].
-    pub fn new(cfg: ParBsConfig, threads: usize) -> Self {
-        cfg.validate().expect("invalid ParBsConfig");
-        ParBs { cfg, marked: FxHashSet::default(), rank_of: vec![0; threads] }
+    pub fn new(threads: usize) -> Self {
+        ParBs { marked: FxHashSet::default(), rank_of: vec![0; threads] }
     }
 
     /// Whether a request is in the current batch.
@@ -72,7 +48,7 @@ impl ParBs {
     }
 
     fn form_batch(&mut self, read_queues: &[Vec<MemRequest>]) {
-        // Oldest batch_cap per (thread, bank-in-channel).
+        // Oldest BATCH_CAP per (thread, bank-in-channel).
         let mut per_key: FxHashMap<(usize, u32, u32, u32), Vec<&MemRequest>> = FxHashMap::default();
         for q in read_queues {
             for r in q {
@@ -83,7 +59,7 @@ impl ParBs {
         let mut per_thread_max = vec![0u64; self.rank_of.len()];
         for ((thread, ..), mut reqs) in per_key {
             reqs.sort_by_key(|a| (a.arrival, a.id));
-            let marked = reqs.iter().take(self.cfg.batch_cap);
+            let marked = reqs.iter().take(ParBsConfig::BATCH_CAP);
             let mut count = 0u64;
             for r in marked {
                 self.marked.insert(r.id);
@@ -102,10 +78,6 @@ impl ParBs {
 }
 
 impl Scheduler for ParBs {
-    fn name(&self) -> &'static str {
-        "PAR-BS"
-    }
-
     fn tick(&mut self, _now: Cycle, _prof: &ProfilerState, read_queues: &[Vec<MemRequest>]) {
         if self.marked.is_empty() && read_queues.iter().any(|q| !q.is_empty()) {
             self.form_batch(read_queues);
@@ -155,33 +127,33 @@ mod tests {
 
     #[test]
     fn batch_marks_oldest_per_thread_bank() {
-        let mut s = ParBs::new(ParBsConfig { batch_cap: 2 }, 2);
-        let queues = vec![vec![
-            req(0, 0, 0, 0),
-            req(1, 0, 0, 1),
-            req(2, 0, 0, 2), // third to same (thread,bank): unmarked
-            req(3, 1, 1, 3),
-        ]];
-        s.tick(0, &ProfilerState::new(2, 8), &queues);
-        assert!(s.is_marked(0));
-        assert!(s.is_marked(1));
-        assert!(!s.is_marked(2));
-        assert!(s.is_marked(3));
+        let mut s = ParBs::new(2);
+        let cap = ParBsConfig::BATCH_CAP as u64;
+        // One more than the cap to the same (thread, bank), arriving
+        // youngest first: the oldest `cap` are marked, not the first
+        // queued. Plus one request from another thread.
+        let mut queue: Vec<MemRequest> = (0..=cap).rev().map(|i| req(i, 0, 0, i)).collect();
+        queue.push(req(100, 1, 1, 3));
+        s.tick(0, &ProfilerState::new(2, 8), &[queue]);
+        assert!((0..cap).all(|i| s.is_marked(i)));
+        assert!(!s.is_marked(cap), "youngest past the cap: unmarked");
+        assert!(s.is_marked(100));
     }
 
     #[test]
     fn marked_beats_unmarked() {
-        let mut s = ParBs::new(ParBsConfig { batch_cap: 1 }, 2);
-        let queues = vec![vec![req(0, 0, 0, 0), req(1, 0, 0, 5)]];
+        let mut s = ParBs::new(2);
+        let cap = ParBsConfig::BATCH_CAP as u64;
+        let queues = vec![(0..=cap).map(|i| req(i, 0, 0, i)).collect::<Vec<_>>()];
         s.tick(0, &ProfilerState::new(2, 8), &queues);
         let a = req(0, 0, 0, 0);
-        let b = req(1, 0, 0, 5);
+        let b = req(cap, 0, 0, cap);
         assert!(s.prefer(&a, false, &b, true), "marked miss beats unmarked hit");
     }
 
     #[test]
     fn shortest_job_ranks_first_within_batch() {
-        let mut s = ParBs::new(ParBsConfig { batch_cap: 5 }, 2);
+        let mut s = ParBs::new(2);
         // Thread 0: 1 request. Thread 1: 4 requests on one bank.
         let queues = vec![vec![
             req(0, 0, 0, 0),
@@ -198,7 +170,7 @@ mod tests {
 
     #[test]
     fn wake_pends_only_while_formation_is_due() {
-        let mut s = ParBs::new(ParBsConfig::default(), 1);
+        let mut s = ParBs::new(1);
         assert_eq!(s.next_wake(10, &[vec![]]), None, "empty queues: nothing to form");
         let queues = vec![vec![req(0, 0, 0, 0)]];
         assert_eq!(s.next_wake(10, &queues), Some(11), "drained batch + queued request");
@@ -208,7 +180,7 @@ mod tests {
 
     #[test]
     fn service_drains_batch_and_reforms() {
-        let mut s = ParBs::new(ParBsConfig { batch_cap: 1 }, 1);
+        let mut s = ParBs::new(1);
         let queues = vec![vec![req(0, 0, 0, 0)]];
         s.tick(0, &ProfilerState::new(1, 8), &queues);
         assert_eq!(s.batch_remaining(), 1);

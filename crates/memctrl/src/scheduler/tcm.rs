@@ -17,9 +17,10 @@
 //!   at the bottom — this is what gives TCM its fairness.
 //!
 //! The shuffle implemented here is the rotating variant of the paper's
-//! insertion shuffle: every `shuffle_interval` the priority order of the
-//! bandwidth cluster rotates by one position, giving each thread equal
-//! time at each rank while changing only adjacent positions per step.
+//! insertion shuffle: every [`TcmConfig::SHUFFLE_INTERVAL`] the priority
+//! order of the bandwidth cluster rotates by one position, giving each
+//! thread equal time at each rank while changing only adjacent positions
+//! per step.
 
 use dbp_dram::Cycle;
 
@@ -27,55 +28,28 @@ use crate::profiler::{ProfilerState, ThreadProf};
 use crate::request::MemRequest;
 use crate::scheduler::{row_hit_then_age, Scheduler};
 
-/// TCM tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TcmConfig {
-    /// Clustering quantum in DRAM cycles (paper: 1 M CPU cycles).
-    pub quantum: Cycle,
+/// TCM's tuning, fixed (see the [`crate::scheduler`] docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TcmConfig;
+
+impl TcmConfig {
+    /// Clustering quantum in DRAM cycles. The paper's TCM quantum is 1 M
+    /// CPU cycles on runs of hundreds of millions of instructions; this
+    /// reproduction runs a few million instructions per thread, so the
+    /// quantum is scaled down proportionally to keep several
+    /// re-clusterings per run.
+    pub const QUANTUM: Cycle = 50_000;
     /// Shuffle interval in DRAM cycles (paper: 800).
-    pub shuffle_interval: Cycle,
+    pub const SHUFFLE_INTERVAL: Cycle = 800;
     /// Fraction of total bandwidth usage that may sit in the
     /// latency-sensitive cluster (paper sweeps 2/24 .. 6/24; 4/24 works
     /// well).
-    pub cluster_thresh: f64,
-}
-
-impl Default for TcmConfig {
-    fn default() -> Self {
-        TcmConfig {
-            // The paper's TCM quantum is 1 M CPU cycles on runs of
-            // hundreds of millions of instructions; this reproduction runs
-            // a few million instructions per thread, so the quantum is
-            // scaled down proportionally to keep several re-clusterings
-            // per run.
-            quantum: 50_000,
-            shuffle_interval: 800,
-            cluster_thresh: 4.0 / 24.0,
-        }
-    }
-}
-
-impl TcmConfig {
-    /// Check the tuning knobs.
-    ///
-    /// # Errors
-    ///
-    /// Names the first field holding a value the scheduler cannot run on.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.quantum == 0 {
-            return Err("quantum must be positive".into());
-        }
-        if self.shuffle_interval == 0 {
-            return Err("shuffle_interval must be positive".into());
-        }
-        Ok(())
-    }
+    pub const CLUSTER_THRESH: f64 = 4.0 / 24.0;
 }
 
 /// The TCM scheduler state.
 #[derive(Debug)]
 pub struct Tcm {
-    cfg: TcmConfig,
     /// Priority rank per thread; lower is served first.
     rank_of: Vec<u32>,
     latency_cluster: Vec<bool>,
@@ -92,20 +66,14 @@ impl Tcm {
     ///
     /// Until the first quantum completes there is no profile to cluster
     /// on, so all threads start at equal rank (pure FR-FCFS behaviour).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` does not [`TcmConfig::validate`].
-    pub fn new(cfg: TcmConfig, threads: usize) -> Self {
-        cfg.validate().expect("invalid TcmConfig");
+    pub fn new(threads: usize) -> Self {
         Tcm {
-            cfg,
             rank_of: vec![0; threads],
             latency_cluster: vec![true; threads],
             bw_order: Vec::new(),
             prev: vec![ThreadProf::default(); threads],
-            next_quantum: cfg.quantum,
-            next_shuffle: cfg.shuffle_interval,
+            next_quantum: TcmConfig::QUANTUM,
+            next_shuffle: TcmConfig::SHUFFLE_INTERVAL,
         }
     }
 
@@ -149,7 +117,7 @@ impl Tcm {
         });
         // Latency-sensitive cluster: least intensive threads whose summed
         // bandwidth stays below the threshold.
-        let budget = self.cfg.cluster_thresh * total_bw as f64;
+        let budget = TcmConfig::CLUSTER_THRESH * total_bw as f64;
         let mut used = 0u64;
         self.latency_cluster = vec![false; n];
         let mut ls: Vec<usize> = Vec::new();
@@ -230,18 +198,14 @@ impl Tcm {
 }
 
 impl Scheduler for Tcm {
-    fn name(&self) -> &'static str {
-        "TCM"
-    }
-
     fn tick(&mut self, now: Cycle, prof: &ProfilerState, _read_queues: &[Vec<MemRequest>]) {
         if now >= self.next_quantum {
             self.requantize(prof);
-            self.next_quantum = now + self.cfg.quantum;
+            self.next_quantum = now + TcmConfig::QUANTUM;
         }
         if now >= self.next_shuffle {
             self.shuffle();
-            self.next_shuffle = now + self.cfg.shuffle_interval;
+            self.next_shuffle = now + TcmConfig::SHUFFLE_INTERVAL;
         }
     }
 
@@ -301,9 +265,8 @@ mod tests {
     fn low_intensity_threads_get_priority() {
         // Thread 0: 2 reads (low MPKI). Thread 1: 200 reads (high MPKI).
         let prof = prof_with(&[2, 200], &[0, 0], &[0.0, 0.0], &[(0, 0), (0, 0)]);
-        let mut tcm =
-            Tcm::new(TcmConfig { quantum: 10, shuffle_interval: 1000, ..Default::default() }, 2);
-        tcm.tick(10, &prof, &[]);
+        let mut tcm = Tcm::new(2);
+        tcm.tick(TcmConfig::QUANTUM, &prof, &[]);
         assert!(tcm.in_latency_cluster(0));
         assert!(tcm.rank(0) < tcm.rank(1));
         let a = MemRequest::demand_read(0, 0, 0, 100); // thread 0, young
@@ -314,11 +277,12 @@ mod tests {
     #[test]
     fn shuffle_rotates_bw_cluster() {
         let prof = prof_with(&[500, 500, 500], &[0, 0, 0], &[0.0; 3], &[(0, 0), (0, 0), (0, 0)]);
-        let mut tcm =
-            Tcm::new(TcmConfig { quantum: 10, shuffle_interval: 5, cluster_thresh: 0.0 }, 3);
-        tcm.tick(10, &prof, &[]);
+        let mut tcm = Tcm::new(3);
+        tcm.tick(TcmConfig::QUANTUM, &prof, &[]);
+        // Equal heavy threads: each is over the latency cluster's budget.
+        assert!((0..3).all(|t| !tcm.in_latency_cluster(t)));
         let before: Vec<u32> = (0..3).map(|t| tcm.rank(t)).collect();
-        tcm.tick(15, &prof, &[]);
+        tcm.tick(TcmConfig::QUANTUM + TcmConfig::SHUFFLE_INTERVAL, &prof, &[]);
         let after: Vec<u32> = (0..3).map(|t| tcm.rank(t)).collect();
         assert_ne!(before, after, "shuffle must change the order");
         // Every thread still has a unique rank.
@@ -331,9 +295,11 @@ mod tests {
     #[test]
     fn ranks_are_always_a_permutation() {
         let prof = prof_with(&[5, 100, 40, 7], &[0; 4], &[0.0; 4], &[(0, 0); 4]);
-        let mut tcm =
-            Tcm::new(TcmConfig { quantum: 10, shuffle_interval: 3, ..Default::default() }, 4);
-        for now in (10..200).step_by(3) {
+        let mut tcm = Tcm::new(4);
+        // Ticks at a third of the shuffle interval cross every quantum
+        // and shuffle boundary of three quanta, at varying offsets.
+        let step = (TcmConfig::SHUFFLE_INTERVAL / 3) as usize;
+        for now in (TcmConfig::QUANTUM..=3 * TcmConfig::QUANTUM).step_by(step) {
             tcm.tick(now, &prof, &[]);
             let mut ranks: Vec<u32> = (0..4).map(|t| tcm.rank(t)).collect();
             ranks.sort_unstable();
@@ -343,7 +309,7 @@ mod tests {
 
     #[test]
     fn same_thread_falls_back_to_row_hit() {
-        let tcm = Tcm::new(TcmConfig::default(), 2);
+        let tcm = Tcm::new(2);
         let a = MemRequest::demand_read(0, 0, 0, 5);
         let b = MemRequest::demand_read(1, 0, 0, 1);
         assert!(tcm.prefer(&a, true, &b, false));

@@ -16,16 +16,14 @@ use crate::event::{EventKind, TraceEvent};
 use crate::json::json_record;
 use crate::latency::LatencyReport;
 
-/// Default ring-buffer capacity: plenty for epoch-level events over long
-/// runs while bounding memory when per-page events fire in bursts.
+/// Ring-buffer capacity: plenty for epoch-level events over long runs
+/// while bounding memory when per-page events fire in bursts. On
+/// overflow the oldest events are dropped (and counted).
 pub const DEFAULT_EVENT_CAPACITY: usize = 1 << 16;
 
 /// Construction-time knobs for an enabled recorder.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RecorderConfig {
-    /// Maximum retained events; the oldest are dropped (and counted) on
-    /// overflow.
-    pub event_capacity: usize,
     /// Pretty-print epoch-level events to stderr as they arrive
     /// (what `dbpsim run --trace-plan` switches on).
     pub stderr_echo: bool,
@@ -33,12 +31,6 @@ pub struct RecorderConfig {
     /// policies + estimator accuracy + convergence) and publish its
     /// report via [`Recorder::set_audit`].
     pub audit: bool,
-}
-
-impl Default for RecorderConfig {
-    fn default() -> Self {
-        RecorderConfig { event_capacity: DEFAULT_EVENT_CAPACITY, stderr_echo: false, audit: false }
-    }
 }
 
 json_record! {
@@ -97,7 +89,6 @@ struct Inner {
     latency: RefCell<Option<LatencyReport>>,
     audit: RefCell<Option<AuditReport>>,
     audit_requested: bool,
-    capacity: usize,
     stderr_echo: bool,
 }
 
@@ -124,7 +115,6 @@ impl Recorder {
                 latency: RefCell::new(None),
                 audit: RefCell::new(None),
                 audit_requested: cfg.audit,
-                capacity: cfg.event_capacity.max(1),
                 stderr_echo: cfg.stderr_echo,
             })),
         }
@@ -153,7 +143,7 @@ impl Recorder {
             eprintln!("{}", kind.pretty(cycle));
         }
         let mut events = inner.events.borrow_mut();
-        if events.len() == inner.capacity {
+        if events.len() == DEFAULT_EVENT_CAPACITY {
             events.pop_front();
             inner.dropped.set(inner.dropped.get() + 1);
         }
@@ -280,8 +270,9 @@ mod tests {
 
     #[test]
     fn ring_buffer_drops_oldest_and_counts() {
-        let r = Recorder::new(RecorderConfig { event_capacity: 3, ..Default::default() });
-        for e in 0..5u64 {
+        let r = Recorder::new(RecorderConfig::default());
+        let total = DEFAULT_EVENT_CAPACITY as u64 + 2;
+        for e in 0..total {
             r.set_cycle(e);
             r.emit(EventKind::EpochStart { epoch: e });
         }
@@ -295,7 +286,7 @@ mod tests {
                 _ => unreachable!(),
             })
             .collect();
-        assert_eq!(epochs, vec![2, 3, 4]);
+        assert_eq!(epochs, (2..total).collect::<Vec<_>>());
     }
 
     #[test]

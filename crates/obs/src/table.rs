@@ -7,9 +7,7 @@
 
 /// Human-readable wall time: picks ns/us/ms/s to keep 3-4 significant
 /// digits. Shared by the experiment-suite timing summary and the
-/// self-profiler tables. (Lives here rather
-/// than `dbp-util` because util depends on this crate, not the other
-/// way round; `dbp_util::bench::fmt_ns` re-exports it.)
+/// self-profiler tables.
 pub fn fmt_ns(ns: u128) -> String {
     if ns >= 1_000_000_000 {
         format!("{:.3} s", ns as f64 / 1e9)

@@ -24,9 +24,8 @@ pub enum SchedulerKind {
 }
 
 impl SchedulerKind {
-    /// Every scheduler under its command-line name, default-configured:
-    /// the one list that parsing, help text and "all schedulers" loops
-    /// share.
+    /// Every scheduler under its command-line name: the one list that
+    /// parsing, help text and "all schedulers" loops share.
     pub fn named() -> [(&'static str, SchedulerKind); 7] {
         [
             ("fcfs", SchedulerKind::Fcfs),
@@ -39,37 +38,16 @@ impl SchedulerKind {
         ]
     }
 
-    /// Check the selected scheduler's tuning knobs.
-    ///
-    /// # Errors
-    ///
-    /// Names the offending field, e.g. `scheduler: atlas.alpha must be …`.
-    pub fn validate(&self) -> Result<(), String> {
-        let (name, checked) = match self {
-            SchedulerKind::Fcfs | SchedulerKind::FrFcfs => return Ok(()),
-            SchedulerKind::FrFcfsCap(cfg) => ("frfcfs-cap", cfg.validate()),
-            SchedulerKind::ParBs(cfg) => ("parbs", cfg.validate()),
-            SchedulerKind::Atlas(cfg) => ("atlas", cfg.validate()),
-            SchedulerKind::Bliss(cfg) => ("bliss", cfg.validate()),
-            SchedulerKind::Tcm(cfg) => ("tcm", cfg.validate()),
-        };
-        checked.map_err(|e| format!("scheduler: {name}.{e}"))
-    }
-
     /// Instantiate the scheduler for `threads` threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kind does not [`SchedulerKind::validate`].
     pub fn build(&self, threads: usize) -> Box<dyn Scheduler> {
-        match *self {
+        match self {
             SchedulerKind::Fcfs => Box::new(Fcfs),
             SchedulerKind::FrFcfs => Box::new(FrFcfs),
-            SchedulerKind::FrFcfsCap(cfg) => Box::new(FrFcfsCap::new(cfg)),
-            SchedulerKind::ParBs(cfg) => Box::new(ParBs::new(cfg, threads)),
-            SchedulerKind::Atlas(cfg) => Box::new(Atlas::new(cfg, threads)),
-            SchedulerKind::Bliss(cfg) => Box::new(Bliss::new(cfg, threads)),
-            SchedulerKind::Tcm(cfg) => Box::new(Tcm::new(cfg, threads)),
+            SchedulerKind::FrFcfsCap(_) => Box::new(FrFcfsCap::new()),
+            SchedulerKind::ParBs(_) => Box::new(ParBs::new(threads)),
+            SchedulerKind::Atlas(_) => Box::new(Atlas::new(threads)),
+            SchedulerKind::Bliss(_) => Box::new(Bliss::new(threads)),
+            SchedulerKind::Tcm(_) => Box::new(Tcm::new(threads)),
         }
     }
 
@@ -128,8 +106,11 @@ pub struct SimConfig {
     pub target_instructions: u64,
     /// Hard wall on simulated CPU cycles (safety against livelock).
     pub max_cpu_cycles: u64,
-    /// How often retired-instruction counts are fed to the profiler,
-    /// CPU cycles (must divide the epoch for clean accounting).
+    /// How often retired-instruction counts are fed to the profiler
+    /// between epochs, CPU cycles; at most one epoch. Each repartition
+    /// feeds them itself, so every epoch's profile counts exactly its own
+    /// instructions whether or not the interval divides the epoch
+    /// (Figure 12 runs 250 000-cycle epochs on a 100 000-cycle feed).
     pub instr_feed_interval: u64,
     /// Pages the OS migration daemon may move per epoch (None =
     /// unthrottled). Caps the disruption a repartition can cause within
@@ -205,7 +186,6 @@ impl SimConfig {
         }
         self.ctrl.validate()?;
         self.policy.validate()?;
-        self.scheduler.validate()?;
         self.core.validate().map_err(|e| format!("core: {e}"))?;
         // One line size end to end: a miss moves exactly one DRAM burst.
         let burst = self.dram.burst_bytes();
@@ -271,8 +251,7 @@ mod tests {
     #[test]
     fn scheduler_kinds_build() {
         for (_, k) in SchedulerKind::named() {
-            let s = k.build(4);
-            assert!(!s.name().is_empty());
+            k.build(4);
             assert!(!k.label().is_empty());
         }
     }
@@ -331,46 +310,22 @@ mod tests {
         }
     }
 
-    /// Scheduler knobs that used to pass `validate()` and then panic in
-    /// the scheduler's constructor.
-    #[test]
-    fn validation_covers_scheduler_parameters() {
-        let atlas = |quantum, alpha| SchedulerKind::Atlas(AtlasConfig { quantum, alpha });
-        let bliss = |blacklist_threshold, clear_interval| {
-            SchedulerKind::Bliss(BlissConfig { blacklist_threshold, clear_interval })
-        };
-        let tcm = |quantum, shuffle_interval| {
-            SchedulerKind::Tcm(TcmConfig { quantum, shuffle_interval, ..Default::default() })
-        };
-        for (scheduler, field) in [
-            (atlas(0, 0.875), "scheduler: atlas.quantum"),
-            (atlas(10, 1.0), "scheduler: atlas.alpha"),
-            (atlas(10, -0.1), "scheduler: atlas.alpha"),
-            (atlas(10, f64::NAN), "scheduler: atlas.alpha"),
-            (bliss(0, 10), "scheduler: bliss.blacklist_threshold"),
-            (bliss(4, 0), "scheduler: bliss.clear_interval"),
-            (SchedulerKind::FrFcfsCap(FrFcfsCapConfig { cap: 0 }), "scheduler: frfcfs-cap.cap"),
-            (SchedulerKind::ParBs(ParBsConfig { batch_cap: 0 }), "scheduler: parbs.batch_cap"),
-            (tcm(0, 800), "scheduler: tcm.quantum"),
-            (tcm(50_000, 0), "scheduler: tcm.shuffle_interval"),
-        ] {
-            let err = SimConfig { scheduler, ..SimConfig::fast_test() }.validate().unwrap_err();
-            assert!(err.contains(field), "{field}: {err}");
-        }
-        for (name, scheduler) in SchedulerKind::named() {
-            assert_eq!(scheduler.validate(), Ok(()), "{name}");
-        }
-    }
-
     /// `validate` is the constructor's guard. Over random configurations
     /// far from Table 1 — 1–4 channels and ranks, 1–64 banks per rank,
-    /// small memories, tiny queues and odd write watermarks, up to 16
-    /// cores on as little as one bank unit, epochs shorter than the feed
-    /// interval, every policy (DBP at alpha 0, NaN and infinity too) and
-    /// every scheduler, each case with at most one field made invalid —
+    /// small memories, tiny queues and odd write watermarks, narrow cores
+    /// with small windows and caches, up to 16 cores on as little as one
+    /// bank unit, epochs shorter than the feed interval, every policy
+    /// (DBP at alpha 0, NaN and infinity too) and every scheduler —
     /// `validate()` is `Ok` exactly when building a `System` and running
-    /// it for a few epochs does not panic, and a rejected configuration
-    /// panics at the guard itself.
+    /// it into measurement does not panic, a rejected configuration
+    /// panics at the guard itself, and every thread that reached its
+    /// target did so at a positive IPC. Each drawn configuration is also
+    /// tried with each single field of `FLAWS` made invalid: a variant
+    /// `validate` let through would run and must pass the same checks, so
+    /// deleting any `validate` branch fails this test — except the two
+    /// epoch / feed-interval checks, whose rejects run soundly (a zero
+    /// feed interval only switches time skipping off, one above the
+    /// epoch only never fires between repartitions, which feed anyway).
     ///
     /// Every trace here touches `FOOTPRINT_PAGES` pages and the drawn
     /// memories hold sixteen of them: running out of physical memory
@@ -379,22 +334,47 @@ mod tests {
     /// "physical memory exhausted").
     #[test]
     fn validate_is_ok_exactly_when_the_system_builds_and_runs() {
+        use dbp_obs::{Recorder, RecorderConfig};
         use dbp_util::prop::{check, range, Config};
         use dbp_util::prop_assert;
 
-        let policy = |p: usize, k: u32| {
-            let dbp = |alpha| {
-                let estimator = EstimatorConfig { alpha };
-                PolicyKind::Dbp(DbpConfig { estimator, ..Default::default() })
-            };
-            match p {
-                0 => PolicyKind::Unpartitioned,
-                1 => PolicyKind::Equal,
-                2 => dbp(2.0),
-                3 => dbp([0.0, f64::NAN, f64::INFINITY, -1.0][k as usize]),
-                4 => PolicyKind::Mcp(Default::default()),
-                _ => PolicyKind::RestrictFirst(k),
-            }
+        let dbp = |alpha| {
+            let estimator = EstimatorConfig { alpha };
+            PolicyKind::Dbp(DbpConfig { estimator, ..Default::default() })
+        };
+        let bad_alpha = |k: u32| [0.0, f64::NAN, f64::INFINITY, -1.0][k as usize];
+        let policy = |p: usize, k: u32| match p {
+            0 => PolicyKind::Unpartitioned,
+            1 => PolicyKind::Equal,
+            2 => dbp(2.0),
+            3 => dbp(bad_alpha(k)),
+            4 => PolicyKind::Mcp(Default::default()),
+            _ => PolicyKind::RestrictFirst(k),
+        };
+        /// One invalid field each, `k` the drawn policy parameter: every
+        /// branch of `SimConfig::validate` rejects at least one of them.
+        const FLAWS: usize = 20;
+        let flaw = |i: usize, c: &mut SimConfig, k: u32| match i {
+            0 => c.dram.channels = 3,
+            1 => c.dram.ranks_per_channel = 3,
+            2 => c.dram.banks_per_rank += 3,
+            3 => c.ctrl.read_q_cap = 0,
+            4 => c.ctrl.write_q_cap = 1,
+            5 => c.ctrl.write_lo = c.ctrl.write_hi,
+            6 => c.epoch_cpu_cycles = c.instr_feed_interval / 2,
+            7 => c.policy = dbp(bad_alpha(k)),
+            8 => c.policy = PolicyKind::RestrictFirst(0),
+            9 => c.core.rob = 0,
+            10 => c.core.width = 0,
+            11 => c.hierarchy.l1.ways = 0,
+            12 => c.hierarchy.l2.ways = 0,
+            13 => c.hierarchy.l1.line_bytes = 128,
+            14 => c.hierarchy.l2.line_bytes = 32,
+            15 => c.dram.banks_per_rank = 256, // more than 128 page colours
+            16 => c.mshrs = 0,
+            17 => c.cpu_per_dram = 0,
+            18 => c.target_instructions = 0,
+            _ => c.instr_feed_interval = 0,
         };
         let geometry = (
             range(0u32..3),  // log2 channels
@@ -413,81 +393,103 @@ mod tests {
             (range(1u64..41), range(1u64..4)),  // feed interval (k cycles), epoch / feed
             (range(0usize..6), range(0u32..4)), // policy, its parameter
             range(0usize..7),                   // scheduler
-            range(0usize..14),                  // the one field made invalid, if any
+            range(0u64..3),                     // extra CPU cycles on the epoch
         );
         let misc = (
-            range(1u64..9),   // CPU cycles per DRAM cycle
-            range(1usize..5), // MSHRs
-            range(0usize..3), // migration budget: 0 pages, 8 pages, unthrottled
-            range(0usize..8), // bit 0: eager migration, 1: closed page, 2: XOR mapping
-            range(0u64..3),   // extra CPU cycles on the epoch
+            range(1u64..9),    // CPU cycles per DRAM cycle
+            range(1usize..5),  // MSHRs
+            range(0usize..3),  // migration budget: 0 pages, 8 pages, unthrottled
+            range(0usize..16), // bit 0: eager migration, 1: closed page, 2: XOR mapping, 3: no warmup
+        );
+        let shape = (
+            (range(1u32..5), range(1u64..65)),  // core width, ROB entries
+            (range(10u32..16), range(0u32..4)), // log2 L1 bytes (1–32 KiB), log2 ways
+            (range(12u32..20), range(0u32..5)), // log2 L2 bytes (4–512 KiB), log2 ways
         );
         let valid = std::cell::Cell::new(0u32);
-        check(Config::cases(64), &(geometry, queues, run, misc), |(g, q, r, m)| {
+        check(Config::cases(64), &(geometry, queues, run, misc, shape), |(g, q, r, m, sh)| {
             let (log_channels, log_ranks, log_banks, log_rows) = g;
             let (read_q_cap, write_q_cap, hi, lo) = q;
-            let (cores, (feed, feeds_per_epoch), (p, k), s, flaw) = r;
-            let mut cfg = SimConfig::fast_test();
-            let d = &mut cfg.dram;
+            let (cores, (feed, feeds_per_epoch), (p, k), s, extra) = r;
+            let mut drawn = SimConfig::fast_test();
+            let d = &mut drawn.dram;
             (d.channels, d.ranks_per_channel) = (1 << log_channels, 1 << log_ranks);
             (d.banks_per_rank, d.rows_per_bank) = (1 << log_banks, 1 << log_rows);
-            let c = &mut cfg.ctrl;
+            let c = &mut drawn.ctrl;
             (c.read_q_cap, c.write_q_cap) = (read_q_cap, write_q_cap);
             c.write_hi = 1 + hi % write_q_cap;
             c.write_lo = lo % c.write_hi;
-            cfg.instr_feed_interval = feed * 1_000;
-            cfg.epoch_cpu_cycles = cfg.instr_feed_interval * feeds_per_epoch;
-            cfg.policy = policy(p, k);
-            cfg.scheduler = SchedulerKind::named()[s].1;
-            cfg.warmup_instructions = 1_000;
-            cfg.target_instructions = 2_000;
-            let (cpu_per_dram, mshrs, budget, bits, extra) = m;
-            (cfg.cpu_per_dram, cfg.mshrs) = (cpu_per_dram, mshrs);
-            cfg.migration_budget_pages = [Some(0), Some(8), None][budget];
+            drawn.instr_feed_interval = feed * 1_000;
+            drawn.epoch_cpu_cycles = drawn.instr_feed_interval * feeds_per_epoch + extra;
+            drawn.policy = policy(p, k);
+            drawn.scheduler = SchedulerKind::named()[s].1;
+            drawn.warmup_instructions = 1_000;
+            drawn.target_instructions = 2_000;
+            let (cpu_per_dram, mshrs, budget, bits) = m;
+            (drawn.cpu_per_dram, drawn.mshrs) = (cpu_per_dram, mshrs);
+            drawn.migration_budget_pages = [Some(0), Some(8), None][budget];
             if bits & 1 == 1 {
-                cfg.migration_mode = MigrationMode::Eager;
+                drawn.migration_mode = MigrationMode::Eager;
             }
             if bits & 2 == 2 {
-                cfg.dram.row_policy = dbp_dram::RowPolicy::Closed;
+                drawn.dram.row_policy = dbp_dram::RowPolicy::Closed;
             }
             if bits & 4 == 4 {
-                cfg.dram.mapping = dbp_dram::MappingScheme::PermutedPageColoring;
+                drawn.dram.mapping = dbp_dram::MappingScheme::PermutedPageColoring;
             }
-            cfg.epoch_cpu_cycles += extra;
-            match flaw {
-                0 => cfg.dram.channels = 3,
-                1 => cfg.dram.ranks_per_channel = 3,
-                2 => cfg.dram.banks_per_rank += 3,
-                3 => cfg.ctrl.read_q_cap = 0,
-                4 => cfg.ctrl.write_q_cap = 1,
-                5 => cfg.ctrl.write_lo = cfg.ctrl.write_hi,
-                6 => cfg.epoch_cpu_cycles = cfg.instr_feed_interval / 2,
-                7 => cfg.policy = policy(3, k),
-                8 => cfg.policy = PolicyKind::RestrictFirst(0),
-                _ => {}
+            if bits & 8 == 8 {
+                drawn.warmup_instructions = 0;
             }
-            cfg.max_cpu_cycles = 3 * cfg.epoch_cpu_cycles;
-            let verdict = cfg.validate();
-            let ran = std::panic::catch_unwind(|| {
-                let traces = (0..cores as u64).map(|i| sweep_trace(FOOTPRINT_PAGES, i)).collect();
-                crate::System::new(cfg.clone(), traces).run();
-            })
-            .map_err(|panic| match panic.downcast::<String>() {
-                Ok(msg) => *msg,
-                Err(panic) => panic.downcast_ref::<&str>().map_or("?", |m| m).to_owned(),
-            });
-            match (verdict, ran) {
-                (Ok(()), Ok(())) => valid.set(valid.get() + 1),
-                (Ok(()), Err(msg)) => {
-                    prop_assert!(false, "validate passed a config that panics: {msg}")
+            let ((width, rob), (l1_bytes, l1_ways), (l2_bytes, l2_ways)) = sh;
+            (drawn.core.width, drawn.core.rob) = (width, rob);
+            let h = &mut drawn.hierarchy;
+            (h.l1.size_bytes, h.l1.ways) = (1 << l1_bytes, 1 << l1_ways);
+            (h.l2.size_bytes, h.l2.ways) = (1 << l2_bytes, 1 << l2_ways);
+            for i in (0..FLAWS).map(Some).chain([None]) {
+                let mut cfg = drawn.clone();
+                if let Some(i) = i {
+                    flaw(i, &mut cfg, k);
                 }
-                (Err(e), Ok(())) => {
-                    prop_assert!(false, "validate rejected a config that runs: {e}")
+                // Warmup spans at least four epochs; the fifth is measured
+                // (without warmup, all five are).
+                cfg.max_cpu_cycles = 5 * cfg.epoch_cpu_cycles;
+                let verdict = cfg.validate();
+                if i.is_some() && verdict.is_err() {
+                    continue; // the guard is `validate` itself: no need to build
                 }
-                (Err(e), Err(msg)) => prop_assert!(
-                    msg.contains("invalid SimConfig") && msg.contains(&e),
-                    "{msg} is not the guard's rejection: {e}"
-                ),
+                let ran = std::panic::catch_unwind(|| {
+                    let traces =
+                        (0..cores as u64).map(|i| sweep_trace(FOOTPRINT_PAGES, i)).collect();
+                    let rec = Recorder::new(RecorderConfig::default());
+                    let run = crate::System::with_recorder(cfg.clone(), traces, rec.clone()).run();
+                    (run, rec.snapshot().series)
+                })
+                .map_err(|panic| match panic.downcast::<String>() {
+                    Ok(msg) => *msg,
+                    Err(panic) => panic.downcast_ref::<&str>().map_or("?", |m| m).to_owned(),
+                });
+                match (verdict, ran) {
+                    (Ok(()), Ok((run, _series))) => {
+                        valid.set(valid.get() + u32::from(i.is_none()));
+                        prop_assert!(
+                            run.threads.iter().all(|t| !t.reached_target || t.ipc > 0.0),
+                            "flaw {i:?}: a thread reached its target at IPC 0"
+                        );
+                    }
+                    (Ok(()), Err(msg)) => {
+                        prop_assert!(
+                            false,
+                            "flaw {i:?}: validate passed a config that panics: {msg}"
+                        )
+                    }
+                    (Err(e), Ok(_)) => {
+                        prop_assert!(false, "flaw {i:?}: validate rejected a config that runs: {e}")
+                    }
+                    (Err(e), Err(msg)) => prop_assert!(
+                        msg.contains("invalid SimConfig") && msg.contains(&e),
+                        "flaw {i:?}: {msg} is not the guard's rejection: {e}"
+                    ),
+                }
             }
             Ok(())
         });

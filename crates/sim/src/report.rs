@@ -1,17 +1,8 @@
-//! Plain-text table rendering and JSON summaries for the harness.
+//! JSON summaries and number formatting for the harness.
 
 use dbp_obs::Json;
 
 use crate::metrics::RunResult;
-
-// The table renderer lives in `dbp-obs` (shared with `dbpreport` and the
-// latency-anatomy tables); re-exported here for the harness's long-time
-// users of `sim::report::Table`.
-pub use dbp_obs::table::Table;
-
-/// Render a captioned latency-anatomy report (re-export, see
-/// [`dbp_obs::latency::latency_report_text`]).
-pub use dbp_obs::latency::latency_report_text;
 
 /// A [`RunResult`] as a JSON object, suitable as the `summary` of a
 /// [`dbp_obs::export::run_document`].
@@ -58,16 +49,6 @@ pub fn pct(ratio: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_reexport_is_the_obs_renderer() {
-        // Behavioural details are covered in `dbp-obs`; this pins the
-        // re-export so harness callers keep compiling against it.
-        let mut t = Table::new(["mix", "WS"]);
-        t.row(["mix100-1", "2.531"]);
-        assert_eq!(t.len(), 1);
-        assert!(t.render().contains("mix100-1"));
-    }
 
     #[test]
     fn formatting_helpers() {

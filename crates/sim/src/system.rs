@@ -199,7 +199,7 @@ impl std::fmt::Debug for System {
         f.debug_struct("System")
             .field("cores", &self.cores.len())
             .field("cycle", &self.cycle)
-            .field("policy", &self.policy.name())
+            .field("policy", &self.cfg.policy.label())
             .finish()
     }
 }

@@ -9,15 +9,11 @@
 //! - [`prop`] replaces `proptest` — seeded case generation, bounded
 //!   shrinking on failure, and failure-seed replay via `DBP_PROP_SEED`.
 //!
-//! [`bench`] is the stopwatch `bench_all` times its experiments with;
-//! performance is measured by the `benchmark/` package, not in-tree.
-//!
 //! Both are deliberately small. They exist so the ~60 unit and
 //! property tests that validate the water-filling, demand estimation, and
 //! DRAM timing logic against the paper (Xie et al., HPCA 2014) compile and
 //! run on a network-less machine, forever.
 
-pub mod bench;
 pub mod prop;
 pub mod rng;
 

@@ -14,8 +14,8 @@ use std::process::ExitCode;
 
 use dbp_repro::dbp::policy::PolicyKind;
 use dbp_repro::obs::cli::{Arg, CliSpec, Parsed};
-use dbp_repro::obs::{export, Json, Prof, Recorder, RecorderConfig};
-use dbp_repro::sim::report::{f3, run_result_json, Table};
+use dbp_repro::obs::{export, Json, Prof, Recorder, RecorderConfig, Table};
+use dbp_repro::sim::report::{f3, run_result_json};
 use dbp_repro::sim::{runner, SchedulerKind, SimConfig};
 use dbp_repro::workloads::{mixes_4core, profiles, Mix};
 
@@ -221,7 +221,6 @@ fn cmd_run(opts: &Options) -> Result<(), String> {
         Recorder::new(RecorderConfig {
             audit: opts.report_out.is_some(),
             stderr_echo: opts.trace_plan,
-            ..Default::default()
         })
     } else {
         Recorder::disabled()
