@@ -102,6 +102,16 @@ impl Dram {
         &self.stats
     }
 
+    /// Data-bus cycles before cycle `t`, summed over channels, each burst
+    /// counted over the cycles its data occupies the bus. A window
+    /// `[a, b)` therefore holds at most `b - a` busy cycles per channel,
+    /// which [`DramStats::data_bus_busy`] — whole bursts, charged at
+    /// issue — does not promise. `t` must follow every command issued.
+    pub fn data_bus_busy_before(&self, t: Cycle) -> Cycle {
+        let after: Cycle = self.channels.iter().map(|ch| ch.busy_from(t)).sum();
+        self.stats.data_bus_busy - after
+    }
+
     #[inline]
     fn rank_idx(&self, channel: u32, rank: u32) -> usize {
         (channel * self.cfg.ranks_per_channel + rank) as usize
@@ -314,8 +324,7 @@ impl Dram {
                 let data_end = data_start + Cycle::from(t.t_burst);
                 let ch = &mut self.channels[loc.channel as usize];
                 debug_assert!(data_start >= ch.data_start(loc.rank, t.t_rtrs));
-                ch.data_free_at = data_end;
-                ch.last_data_rank = Some(loc.rank);
+                ch.record_burst(now, loc.rank, data_start, data_end);
                 // Read-to-write turnaround on the channel.
                 ch.next_write = ch.next_write.max(now + Cycle::from(t.read_to_write()));
                 // Back-to-back column spacing.
@@ -338,8 +347,7 @@ impl Dram {
                 let data_end = data_start + Cycle::from(t.t_burst);
                 let ch = &mut self.channels[loc.channel as usize];
                 debug_assert!(data_start >= ch.data_start(loc.rank, t.t_rtrs));
-                ch.data_free_at = data_end;
-                ch.last_data_rank = Some(loc.rank);
+                ch.record_burst(now, loc.rank, data_start, data_end);
                 ch.next_write = ch.next_write.max(now + Cycle::from(t.t_ccd));
                 // Write-to-read turnaround within the rank.
                 let r = &mut self.ranks[ri];

@@ -84,6 +84,9 @@ pub struct ChannelState {
     pub next_write: Cycle,
     /// Cycle of the last command accepted (one command per cycle).
     pub last_cmd_at: Option<Cycle>,
+    /// Data bursts `[start, end)` that may outlast the last column
+    /// command, oldest first (they never overlap).
+    bursts: VecDeque<(Cycle, Cycle)>,
 }
 
 impl ChannelState {
@@ -100,11 +103,44 @@ impl ChannelState {
     pub fn cmd_free(&self, now: Cycle) -> bool {
         self.last_cmd_at != Some(now)
     }
+
+    /// A column command issued at `now` puts `rank`'s data on the bus
+    /// over `[start, end)`. Bursts over by `now` are dropped: every
+    /// later [`ChannelState::busy_from`] asks about a cycle after them.
+    pub(crate) fn record_burst(&mut self, now: Cycle, rank: u32, start: Cycle, end: Cycle) {
+        self.data_free_at = end;
+        self.last_data_rank = Some(rank);
+        while self.bursts.front().is_some_and(|&(_, e)| e <= now) {
+            self.bursts.pop_front();
+        }
+        self.bursts.push_back((start, end));
+    }
+
+    /// Data-bus cycles at or after `t` that recorded bursts occupy.
+    pub(crate) fn busy_from(&self, t: Cycle) -> Cycle {
+        self.bursts.iter().map(|&(start, end)| end.saturating_sub(start.max(t))).sum()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn bursts_count_only_the_cycles_they_occupy() {
+        let mut ch = ChannelState::default();
+        ch.record_burst(0, 0, 5, 9);
+        ch.record_burst(4, 1, 11, 15);
+        assert_eq!((ch.data_free_at, ch.last_data_rank), (15, Some(1)));
+        assert_eq!(ch.busy_from(5), 8);
+        assert_eq!(ch.busy_from(7), 6, "half of the first burst is before 7");
+        assert_eq!(ch.busy_from(12), 3);
+        assert_eq!(ch.busy_from(15), 0);
+        // Issuing at 9 drops the first burst, which ended there.
+        ch.record_burst(9, 1, 15, 19);
+        assert_eq!(ch.bursts.len(), 2);
+        assert_eq!(ch.busy_from(10), 8);
+    }
 
     #[test]
     fn faw_blocks_fifth_activate() {

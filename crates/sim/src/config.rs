@@ -319,7 +319,10 @@ mod tests {
     /// `validate()` is `Ok` exactly when building a `System` and running
     /// it into measurement does not panic, a rejected configuration
     /// panics at the guard itself, and every thread that reached its
-    /// target did so at a positive IPC. Each drawn configuration is also
+    /// target did so at a positive IPC. Each run is observed by a live
+    /// recorder, and every fraction it exports — bus utilisation,
+    /// row-hit rate and each thread's RBL, per epoch and for the run —
+    /// lies in [0, 1]. Each drawn configuration is also
     /// tried with each single field of `FLAWS` made invalid: a variant
     /// `validate` let through would run and must pass the same checks, so
     /// deleting any `validate` branch fails this test — except the two
@@ -469,8 +472,20 @@ mod tests {
                     Err(panic) => panic.downcast_ref::<&str>().map_or("?", |m| m).to_owned(),
                 });
                 match (verdict, ran) {
-                    (Ok(()), Ok((run, _series))) => {
+                    (Ok(()), Ok((run, series))) => {
                         valid.set(valid.get() + u32::from(i.is_none()));
+                        let per_epoch = series.iter().flat_map(|e| {
+                            let threads = e.threads.iter().map(|t| t.rbl);
+                            [e.bus_utilisation, e.row_hit_rate].into_iter().chain(threads)
+                        });
+                        let per_run = [run.bus_utilisation, run.row_hit_rate]
+                            .into_iter()
+                            .chain(run.threads.iter().map(|t| t.rbl));
+                        let fractions: Vec<f64> = per_epoch.chain(per_run).collect();
+                        prop_assert!(
+                            fractions.iter().all(|f| (0.0..=1.0).contains(f)),
+                            "flaw {i:?}: an exported fraction is outside [0, 1]: {fractions:?}"
+                        );
                         prop_assert!(
                             run.threads.iter().all(|t| !t.reached_target || t.ipc > 0.0),
                             "flaw {i:?}: a thread reached its target at IPC 0"

@@ -81,6 +81,9 @@ pub struct System {
     behind: usize,
     completions: Vec<Completion>,
     stats: SysStats,
+    /// Data-bus marks at the last repartition and at measurement start.
+    epoch_bus: BusMark,
+    measure_bus: BusMark,
     // Measurement window (set when warmup ends).
     measure_start: u64,
     base_retired: Vec<u64>,
@@ -185,6 +188,14 @@ fn mem_profile(p: &ThreadProf) -> ThreadMemProfile {
         reads: p.reads,
         bus_cycles: p.bus_cycles,
     }
+}
+
+/// A point in DRAM time and the data-bus occupancy before it; see
+/// [`System::bus_utilisation`].
+#[derive(Debug, Clone, Copy, Default)]
+struct BusMark {
+    dram_cycles: u64,
+    busy: u64,
 }
 
 /// Row-hit rate over a set of threads' windows: the `rbl` of their sum.
@@ -320,6 +331,8 @@ impl System {
             behind: if cfg.warmup_instructions > 0 { n } else { 0 },
             completions: Vec::new(),
             stats: SysStats::default(),
+            epoch_bus: BusMark::default(),
+            measure_bus: BusMark::default(),
             measure_start: 0,
             base_retired: vec![0; n],
             prof_base: vec![ThreadProf::default(); n],
@@ -461,6 +474,7 @@ impl System {
             rack.note_measurement_start(self.stats.repartitions);
         }
         self.measure_start = self.cycle;
+        self.measure_bus = self.bus_mark();
         for i in 0..self.cores.len() {
             self.base_retired[i] = self.cores[i].retired();
             self.prof_base[i] = self.ctrl.prof().cumulative(i);
@@ -832,19 +846,18 @@ impl System {
         let epoch = self.stats.repartitions;
         let snap = self.ctrl.prof_mut().take_epoch();
         let profiles: Vec<ThreadMemProfile> = snap.iter().map(mem_profile).collect();
+        let bus = self.bus_mark();
         if dbp_obs::recording() {
             dbp_obs::emit(EventKind::EpochStart { epoch });
             for (thread, &ThreadMemProfile { mpki, rbl, blp, .. }) in profiles.iter().enumerate() {
                 dbp_obs::emit(EventKind::ThreadProfile { thread, mpki, rbl, blp });
             }
-            let epoch_dram_cycles = self.cfg.epoch_cpu_cycles / self.cfg.cpu_per_dram;
-            let busy = snap.iter().map(|p| p.bus_cycles).sum();
             self.rec.sample(EpochSample {
                 epoch,
                 cycle: self.cycle,
                 queue_depth: self.ctrl.in_flight() as u64,
                 row_hit_rate: row_hit_rate(&snap),
-                bus_utilisation: self.bus_utilisation(busy, epoch_dram_cycles),
+                bus_utilisation: self.bus_utilisation(self.epoch_bus, bus),
                 threads: snap
                     .iter()
                     .zip(&profiles)
@@ -881,13 +894,26 @@ impl System {
             self.migration_backlog.charge(jobs);
         }
         self.last_plan = Some(plan);
+        self.epoch_bus = bus;
         self.stats.repartitions += 1;
     }
 
-    /// Fraction of `dram_cycles` the data buses carried data, where `busy`
-    /// sums every channel's busy cycles: the one definition behind the
-    /// per-epoch and the whole-run figure.
-    fn bus_utilisation(&self, busy: u64, dram_cycles: u64) -> f64 {
+    /// The DRAM cycles run so far, and the data-bus cycles (all
+    /// channels) that fell before them.
+    fn bus_mark(&self) -> BusMark {
+        let dram_cycles = self.dram_ticks;
+        BusMark { dram_cycles, busy: self.ctrl.dram().data_bus_busy_before(dram_cycles) }
+    }
+
+    /// Fraction of the DRAM cycles between two marks the data buses
+    /// carried data: the one definition behind the per-epoch and the
+    /// whole-run figure. Counting bursts where their data sits on the
+    /// bus, over the DRAM cycles the window really held, keeps it in
+    /// [0, 1] even when a window ends mid-burst or the epoch is not a
+    /// whole number of DRAM cycles.
+    fn bus_utilisation(&self, from: BusMark, to: BusMark) -> f64 {
+        let dram_cycles = to.dram_cycles - from.dram_cycles;
+        let busy = to.busy - from.busy;
         busy as f64 / (dram_cycles.max(1) * u64::from(self.cfg.dram.channels)) as f64
     }
 
@@ -959,7 +985,7 @@ impl System {
                 refreshes: dram_stats.refreshes,
                 elapsed: elapsed_dram,
             },
-            bus_utilisation: self.bus_utilisation(dram_stats.data_bus_busy, elapsed_dram),
+            bus_utilisation: self.bus_utilisation(self.measure_bus, self.bus_mark()),
             accesses_per_activate: dram_stats.accesses_per_activate(),
             bank_imbalance: dram_stats.bank_imbalance(),
             migrated_pages: self.osmem.stats().migrated_pages - self.os_base.migrated_pages,
@@ -1215,6 +1241,33 @@ mod tests {
         assert_eq!(all.len(), 6 * (series.len() + 1));
         assert!(all.iter().all(|u| (0.0..=1.0).contains(u)), "{all:?}");
         assert!(run.bus_utilisation > 0.0, "a memory-bound mix moves data");
+    }
+
+    /// A bus saturated across epoch ends, on a clock ratio that does not
+    /// divide the epoch: a burst issued in an epoch's last DRAM cycles
+    /// occupies the bus in the next one, and must be counted there.
+    #[test]
+    fn a_saturated_bus_reads_at_most_one_in_every_epoch() {
+        for cpu_per_dram in [1, 6] {
+            let mut cfg = small_cfg();
+            (cfg.dram.channels, cfg.cpu_per_dram) = (1, cpu_per_dram);
+            (cfg.epoch_cpu_cycles, cfg.instr_feed_interval) = (1_001 * cpu_per_dram + 1, 1_000);
+            // Forty epochs, all measured.
+            (cfg.warmup_instructions, cfg.max_cpu_cycles) = (0, 40 * cfg.epoch_cpu_cycles);
+            let dense = |i: u64| -> Box<dyn TraceSource> {
+                let mut n = 0u64;
+                Box::new(move || {
+                    n += 1;
+                    TraceOp { gap: 0, addr: (i << 24) | ((n % (1 << 14)) << 6), is_write: false }
+                })
+            };
+            let rec = Recorder::new(dbp_obs::RecorderConfig::default());
+            System::with_recorder(cfg, (0..2).map(dense).collect(), rec.clone()).run();
+            let busy: Vec<f64> = rec.snapshot().series.iter().map(|e| e.bus_utilisation).collect();
+            let peak = busy.iter().copied().fold(0.0, f64::max);
+            assert!(peak > 0.9, "cpu_per_dram {cpu_per_dram}: the bus must saturate: {busy:?}");
+            assert!(peak <= 1.0, "cpu_per_dram {cpu_per_dram}: {busy:?}");
+        }
     }
 
     #[test]
