@@ -131,32 +131,40 @@ diff target/ci-span-counts.txt target/ci-span-counts-serial.txt
 ./target/release/dbpreport --check --require-key spans --require-key counters PROF_suite.json
 ./target/release/dbpreport PROF_suite.json > /dev/null
 
+# Release-mode runs of named tests. Cargo exits 0 when a filter matches
+# no test ("0 passed; ... N filtered out"), so a renamed test would pass
+# here unrun: each run must report at least one passed test.
+release_test() {
+    cargo test -q --release --offline --locked "$@" > target/ci-release-test.txt
+    cat target/ci-release-test.txt
+    grep -q '^test result: ok\. [1-9][0-9]* passed' target/ci-release-test.txt
+}
+
 # Latency-anatomy gate. The breakdown invariant (components sum exactly
 # to the total, u64 equality) asserts in every build profile; run the
 # named tests in release to prove the checks survive optimisation.
-cargo test -q --release --offline --locked -p dbp-memctrl breakdown_components_sum
-cargo test -q --release --offline --locked -p dbp-obs record_read_rejects
+release_test -p dbp-memctrl breakdown_components_sum
+release_test -p dbp-obs record_read_rejects
 
 # Skip-vs-stepped gate on optimised code. The closed forms' strongest
 # guards (`pick_flat`, the `Core::forward` replay, calendar-memo
 # re-derivation) are debug-only, while the benchmark and every table run
 # in release: prove the property-level equality there too.
-cargo test -q --release --offline --locked -p dbp-memctrl time_skipping_is_bit_exact
-cargo test -q --release --offline --locked -p dbp-sim time_skipping_is_bit_exact_end_to_end
+release_test -p dbp-memctrl time_skipping_is_bit_exact
+release_test -p dbp-sim time_skipping_is_bit_exact_end_to_end
 # Policy twins on optimised code: every table is produced in release, and
 # a twin answered by another policy's run must equal its own run there.
-cargo test -q --release --offline --locked -p dbp-bench twin_groups_equal_independent_runs
+release_test -p dbp-bench twin_groups_equal_independent_runs
 # The candidate kernel's all-ones/zero class masks are exactly what
 # optimisation could break, and the debug `pick_flat` check is compiled
-# out of the build the benchmark runs: hold the kernel to
-# `Dram::timing_ready`, and `pick` to the flat scan, in release too.
-cargo test -q --release --offline --locked -p dbp-memctrl candidate_kernel_matches_timing_ready
-cargo test -q --release --offline --locked -p dbp-memctrl \
-    pick_matches_flat_scan_for_every_scheduler_page_policy_and_queue_cap
+# out of the build the benchmark runs: hold the device and the kernel to
+# the independent DDR3 checker, and `pick` to the flat scan, in release too.
+release_test -p dbp-memctrl device_and_kernel_match_the_ddr3_checker
+release_test -p dbp-memctrl pick_matches_flat_scan_for_every_scheduler_page_policy_and_queue_cap
 
 # Self-profiling gate. The span exact-sum invariant (self + children ==
 # total, u64 equality) likewise asserts in every build profile.
-cargo test -q --release --offline --locked -p dbp-obs exact_sum
+release_test -p dbp-obs exact_sum
 
 # A profiled smoke run must export a schema-stamped profile document that
 # dbpreport validates and renders in all three modes; the folded stacks
