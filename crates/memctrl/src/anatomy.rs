@@ -33,7 +33,7 @@
 //! core can hold your bank, so the cross-core bank matrix provably
 //! zeroes while bus contention stays visible.
 
-use dbp_dram::{ColumnGate, Command, CommandKind, Cycle, Dram};
+use dbp_dram::{ColumnGate, Command, Cycle, Dram};
 use dbp_obs::latency::{LatencyReport, BANK_BUSY, BUS, INTRINSIC, QUEUE_OTHER, QUEUE_SAME};
 use dbp_obs::FxHashMap;
 
@@ -44,34 +44,9 @@ use crate::ThreadId;
 /// attribution pass.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct IssuedCmd {
-    pub rank: u32,
-    /// `None` for a rank-wide refresh.
-    pub bank: Option<u32>,
-    /// Owning core; `None` for refresh-driven commands.
-    pub thread: Option<ThreadId>,
-    /// Request id; `None` for refresh-driven commands.
-    pub id: Option<u64>,
-    pub kind: IssuedKind,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum IssuedKind {
-    Activate,
-    Precharge,
-    /// A read or write column command.
-    Column,
-    Refresh,
-}
-
-impl IssuedKind {
-    pub(crate) fn of(kind: CommandKind) -> IssuedKind {
-        match kind {
-            CommandKind::Activate => IssuedKind::Activate,
-            CommandKind::Precharge => IssuedKind::Precharge,
-            CommandKind::Read | CommandKind::Write => IssuedKind::Column,
-            CommandKind::RefreshRank => IssuedKind::Refresh,
-        }
-    }
+    pub cmd: Command,
+    /// The owning core and request id; `None` for refresh work.
+    pub by: Option<(ThreadId, u64)>,
 }
 
 /// Why a queued demand read did not advance this cycle.
@@ -311,8 +286,8 @@ impl Anatomy {
         // 1. Our own ACT/PRE issued: service in progress (a PRE for a row
         // conflict still counts against the bank's previous owner).
         if let Some(ic) = ch_issued {
-            if ic.id == Some(r.id) {
-                let own_precharge = ic.kind == IssuedKind::Precharge;
+            if ic.by.is_some_and(|(_, id)| id == r.id) {
+                let own_precharge = matches!(ic.cmd, Command::Precharge { .. });
                 return (if own_precharge { bank_busy } else { Cause::Intrinsic }, None);
             }
         }
@@ -326,18 +301,16 @@ impl Anatomy {
         // write, or a younger row-hit read preferred by FR-FCFS), or a
         // refresh took our rank.
         if let Some(ic) = ch_issued {
-            if ic.rank == r.rank {
-                if ic.kind == IssuedKind::Refresh {
-                    return (Cause::BankBusy { by: None }, None);
-                }
-                if ic.bank == Some(r.bank) {
-                    let cause = match ic.thread {
-                        Some(j) => Cause::Queue { by: j, bus: false },
-                        // Refresh-preparation precharge.
-                        None => Cause::BankBusy { by: None },
-                    };
-                    return (cause, None);
-                }
+            if matches!(ic.cmd, Command::RefreshRank { rank, .. } if rank == r.rank) {
+                return (Cause::BankBusy { by: None }, None);
+            }
+            if ic.cmd.loc() == Some(loc) {
+                let cause = match ic.by {
+                    Some((j, _)) => Cause::Queue { by: j, bus: false },
+                    // Refresh-preparation precharge.
+                    None => Cause::BankBusy { by: None },
+                };
+                return (cause, None);
             }
         }
         // 4. We head our bank's queue: ask the device what gates us.
@@ -375,7 +348,7 @@ impl Anatomy {
     /// controller was draining writes).
     fn arbitration_loss(&self, r: &MemRequest, ch_issued: Option<IssuedCmd>) -> Cause {
         match ch_issued {
-            Some(IssuedCmd { thread: Some(j), .. }) => Cause::Queue { by: j, bus: true },
+            Some(IssuedCmd { by: Some((j, _)), .. }) => Cause::Queue { by: j, bus: true },
             // A refresh-driven command won the slot.
             Some(_) => Cause::BankBusy { by: None },
             // Nothing issued at all (e.g. a write drain with no issuable

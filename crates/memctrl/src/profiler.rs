@@ -193,8 +193,9 @@ impl ProfilerState {
         }
     }
 
-    /// Record a serviced request (column command issued) and optionally
-    /// its first-attempt row outcome if not yet classified.
+    /// Record a serviced request (column command issued); its row outcome
+    /// went to [`ProfilerState::classify`] when the controller first acted
+    /// on it.
     ///
     /// `tracked` must match the value passed at enqueue. Untracked
     /// (migration) traffic still charges the thread's attained bandwidth
@@ -205,7 +206,6 @@ impl ProfilerState {
         thread: usize,
         global_bank: usize,
         is_write: bool,
-        outcome: Option<RowOutcome>,
         t_burst: u32,
         tracked: bool,
     ) {
@@ -214,10 +214,6 @@ impl ProfilerState {
         if !tracked {
             return;
         }
-        if let Some(o) = outcome {
-            self.classify(thread, o);
-        }
-        let p = &mut self.epoch[thread];
         if is_write {
             p.served_writes += 1;
         } else {
@@ -288,10 +284,10 @@ mod tests {
         p.on_enqueue(0, 1, false, true); // same bank, still 2 distinct
         p.sample_blp();
         assert_eq!(p.epoch(0).blp_accum, 2);
-        p.on_serviced(0, 1, false, None, 4, true);
+        p.on_serviced(0, 1, false, 4, true);
         p.sample_blp();
         assert_eq!(p.epoch(0).blp_accum, 4); // still banks {0,1}
-        p.on_serviced(0, 1, false, None, 4, true);
+        p.on_serviced(0, 1, false, 4, true);
         p.sample_blp();
         assert_eq!(p.epoch(0).blp_accum, 5); // bank 1 drained
         assert!((p.epoch(0).blp() - 5.0 / 3.0).abs() < 1e-12);
@@ -321,9 +317,10 @@ mod tests {
         for _ in 0..3 {
             p.on_enqueue(0, 0, false, true);
         }
-        p.on_serviced(0, 0, false, Some(RowOutcome::Miss), 4, true);
-        p.on_serviced(0, 0, false, Some(RowOutcome::Hit), 4, true);
-        p.on_serviced(0, 0, false, Some(RowOutcome::Hit), 4, true);
+        for outcome in [RowOutcome::Miss, RowOutcome::Hit, RowOutcome::Hit] {
+            p.classify(0, outcome);
+            p.on_serviced(0, 0, false, 4, true);
+        }
         assert!((p.epoch(0).rbl() - 2.0 / 3.0).abs() < 1e-12);
     }
 

@@ -112,7 +112,7 @@ mod tests {
         for (t, &b) in bus.iter().enumerate() {
             for _ in 0..b {
                 p.on_enqueue(t, 0, false, true);
-                p.on_serviced(t, 0, false, None, 4, true);
+                p.on_serviced(t, 0, false, 4, true);
             }
         }
         p

@@ -244,14 +244,12 @@ mod tests {
             }
             // Drain them as serviced to move counters; fake bus usage.
             for i in 0..reads[t] {
-                let outcome = if i < rbl_hits[t].0 {
-                    Some(crate::profiler::RowOutcome::Hit)
+                if i < rbl_hits[t].0 {
+                    p.classify(t, crate::profiler::RowOutcome::Hit);
                 } else if i < rbl_hits[t].0 + rbl_hits[t].1 {
-                    Some(crate::profiler::RowOutcome::Conflict)
-                } else {
-                    None
-                };
-                p.on_serviced(t, t % 16, false, outcome, 4, true);
+                    p.classify(t, crate::profiler::RowOutcome::Conflict);
+                }
+                p.on_serviced(t, t % 16, false, 4, true);
             }
             // Manual bus + blp injection via public API is indirect; use
             // instructions to steer intensity instead.
