@@ -166,6 +166,14 @@ impl SimConfig {
 
     /// Validate cross-field consistency.
     ///
+    /// Two checks are input checks only. A zero epoch or feed interval
+    /// puts its boundary at cycle 0 and never moves it: the run
+    /// repartitions (or feeds) once, at cycle 0, and never skips time. A
+    /// feed interval above the epoch never fires between repartitions,
+    /// which feed anyway. Such runs complete soundly, so no run can show
+    /// either check missing; they are refused because the run would not
+    /// mean what the configuration says.
+    ///
     /// # Errors
     ///
     /// Returns a description of the first violated requirement.
